@@ -14,6 +14,7 @@ run directory when it is known).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -219,6 +220,15 @@ CONFIG_SCHEMAS["simulate-doubling"] = CONFIG_SCHEMAS["simulate-cf"]
 _DEFAULTS = {"seed": 1, "out": "runs", "format": "csv", "workers": 1}
 
 
+@functools.cache
+def _validator(kind: str) -> jsonschema.protocols.Validator:
+    """Validator for one kind's schema, checked against its metaschema once."""
+    schema = CONFIG_SCHEMAS[kind]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_config(config: dict) -> dict:
     """Schema-validate a config and fill common defaults."""
     if not isinstance(config, dict) or "kind" not in config:
@@ -226,9 +236,9 @@ def validate_config(config: dict) -> dict:
     kind = config["kind"]
     if kind not in CONFIG_SCHEMAS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise, without re-checking the schema
+    exc = jsonschema.exceptions.best_match(_validator(kind).iter_errors(config))
+    if exc is not None:
         field = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise ConfigError(f"config field {field}: {exc.message}") from exc
     effective = {**_DEFAULTS, **config}

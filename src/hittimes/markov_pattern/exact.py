@@ -13,13 +13,19 @@ mass entering the target at each step. Chain step m corresponds to occurrence
 start m - l + 1, so a hitting time of k is the mass absorbed at step k + l - 1
 while a return time of k (started from a full match) is absorbed at step k.
 
-Mass accumulators use Neumaier-compensated summation; for rare targets the
+Substochastic iteration is blocked: one kernel, `_absorption_series`, emits
+_BLOCK absorbed masses per product with the impulse-response block
+[q, Qq, ..., Q^(B-1)q] and then advances the distribution by Q^B (Kemeny and
+Snell, *Finite Markov Chains*, 1960, for the algebra of substochastic kernels).
+
+Mass totals use `math.fsum`, which is exactly rounded; for rare targets the
 interesting k run into the millions and naive accumulation would lose digits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,27 +42,36 @@ from .source import MarkovSource
 
 _MASS_DRIFT_TOL = 1e-9
 _UNDERFLOW = 1e-300
+_BLOCK = 512  # chain steps per block of `_absorption_series`
 
 
-class _CompensatedSum:
-    """Neumaier running sum: value() is exact to one final rounding."""
+def _absorption_series(
+    sub: np.ndarray, into: np.ndarray, v: np.ndarray, steps: int
+) -> np.ndarray:
+    """Masses absorbed at chain steps 1..steps: ``hits[..., m-1] = v Q^(m-1) q``.
 
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    def value(self) -> float:
-        return self._s + self._c
+    ``sub`` is the survival kernel Q and ``into`` the absorption vector q.
+    ``v`` is one initial vector or a stack of them (one per row). The block
+    C = [q, Qq, ..., Q^(B-1)q] and Q^B are built by doubling, so a short
+    horizon costs O(log B) small matmuls; then every B masses are one ``v @ C``
+    followed by ``v = v @ Q^B``.
+    """
+    b_size = min(_BLOCK, steps)
+    if b_size < 1:
+        return np.zeros(v.shape[:-1] + (0,))
+    block = into[:, None]
+    power = sub  # Q^b, where b is the current column count of block
+    while block.shape[1] < b_size:
+        block = np.hstack((block, power @ block[:, : b_size - block.shape[1]]))
+        if block.shape[1] < steps:
+            power = power @ power
+    hits = np.empty(v.shape[:-1] + (steps,))
+    for start in range(0, steps, b_size):
+        stop = min(start + b_size, steps)
+        hits[..., start:stop] = (v @ block)[..., : stop - start]
+        if stop < steps:
+            v = v @ power
+    return hits
 
 
 @dataclass(frozen=True)
@@ -84,27 +99,17 @@ class ExactPMF:
         return float(self.masses[i])
 
     def total(self) -> float:
-        acc = _CompensatedSum()
-        for x in self.masses:
-            acc.add(float(x))
-        acc.add(self.tail)
-        return acc.value()
+        return math.fsum(itertools.chain(self.masses, (self.tail,)))
 
     def expectation(self) -> float:
         """Mean of the truncated law; meaningful when tail is negligible."""
-        acc = _CompensatedSum()
-        for i, x in enumerate(self.masses):
-            acc.add((self.support_start + i) * float(x))
-        return acc.value()
+        values = np.arange(self.support_start, self.support_start + self.masses.size)
+        return math.fsum(values * self.masses)
 
     def survival(self, k: int) -> float:
         """P(value >= k), using the tail for the truncated part."""
-        acc = _CompensatedSum()
-        for i, x in enumerate(self.masses):
-            if self.support_start + i >= k:
-                acc.add(float(x))
-        acc.add(self.tail)
-        return acc.value()
+        first = max(k - self.support_start, 0)
+        return math.fsum(itertools.chain(self.masses[first:], (self.tail,)))
 
 
 class ProductChain:
@@ -188,7 +193,7 @@ def _escape_initial(
     l = len(word)
     survivors = np.zeros(chain.n_states)
     early: dict[int, float] = {}
-    total = _CompensatedSum()
+    weights: list[float] = []
     # full enumeration (no early pruning) so the excluded periodic block is
     # identified exactly even when it shares a prefix with early matches
     for block in itertools.product(range(s_count), repeat=p):
@@ -207,12 +212,12 @@ def _escape_initial(
                 first_match = i
         if weight == 0.0:
             continue
-        total.add(weight)
+        weights.append(weight)
         if first_match is not None:
             early[first_match] = early.get(first_match, 0.0) + weight
         else:
             survivors[chain.index[(state, last)]] += weight
-    return survivors, early, total.value()
+    return survivors, early, math.fsum(weights)
 
 
 def hitting_pmf(
@@ -232,10 +237,8 @@ def hitting_pmf(
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     chain = ProductChain(source, build_automaton(target, source.alphabet_size))
     l = target.length
-    masses = np.zeros(k_max)
     scale = 1.0
     early_total = 0.0
-    # absorption at chain step m realizes the time k = m - lead
     if isinstance(initial, str):
         if initial in ("in_target", "escaping") and source.word_measure(target.word) == 0.0:
             raise ValidationError("cannot condition on a target of zero measure")
@@ -249,6 +252,7 @@ def hitting_pmf(
             v, early, mass = _escape_initial(chain, target)
             scale = 1.0 / mass
             early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
+            masses = np.zeros(k_max)
             for k, m in early.items():
                 if 1 <= k <= k_max:
                     masses[k - 1] = m * scale
@@ -263,24 +267,16 @@ def hitting_pmf(
             )
         if np.any(v < 0.0):
             raise ValidationError("explicit initial vector must be nonnegative")
-        v = v.copy()
         lead = 0
 
+    # absorption at chain step m realizes the time k = m - lead
     total_in = float(v.sum()) * scale + early_total
-    absorbed = _CompensatedSum()
-    for x in masses:
-        if x:
-            absorbed.add(float(x))
-    sub = chain.survive
-    into = chain.into_match
-    for m in range(1, k_max + lead + 1):
-        hit = float(v @ into) * scale
-        k = m - lead
-        if k >= 1:
-            masses[k - 1] += hit
-            absorbed.add(hit)
-        v = v @ sub
-    tail = total_in - absorbed.value()
+    hits = _absorption_series(chain.survive, chain.into_match, v, k_max + lead)
+    if lead >= 0:
+        masses = hits[lead:]  # scale is 1 here
+    else:
+        masses[-lead:] = hits * scale  # after the escaping block's own matches
+    tail = total_in - math.fsum(masses)
     if tail < -_MASS_DRIFT_TOL:
         raise NumericalDriftError(
             f"mass balance drifted past tolerance: tail={tail:.3e} after k_max={k_max}"
@@ -303,16 +299,6 @@ def theta_exact(source: MarkovSource, target: PatternTarget) -> float:
     return 1.0 - source.word_measure(target.periodic_extension()) / mu_a
 
 
-def _absorbed_at_exact(
-    chain: ProductChain, v: np.ndarray, steps: int
-) -> tuple[float, np.ndarray]:
-    """Mass entering the match state at exactly the given inner step."""
-    sub = chain.survive
-    for _ in range(steps - 1):
-        v = v @ sub
-    return float(v @ chain.into_match), v
-
-
 def consecutive_joint_pmf(
     source: MarkovSource,
     target: PatternTarget,
@@ -332,19 +318,17 @@ def consecutive_joint_pmf(
     if any(k < 1 for k in gaps):
         raise ValidationError(f"gaps must be >= 1, got {gaps}")
     chain = ProductChain(source, build_automaton(target, source.alphabet_size))
-    l = target.length
+    sub, into = chain.survive, chain.into_match
+    ret = _absorption_series(sub, into, chain.entry_vector(), max(gaps))
+    legs = [ret[k - 1] for k in gaps]
+    if not from_entry:
+        v = chain.stationary_vector()
+        legs[0] = _absorption_series(sub, into, v, gaps[0] + target.length - 1)[-1]
     prob = 1.0
-    for j, k in enumerate(gaps):
-        if j == 0 and not from_entry:
-            v = chain.stationary_vector()
-            steps = k + l - 1
-        else:
-            v = chain.entry_vector()
-            steps = k
-        leg, _ = _absorbed_at_exact(chain, v, steps)
+    for j, leg in enumerate(legs):
         if leg == 0.0:
             return 0.0  # a structurally impossible gap, not an underflow
-        prob *= leg
+        prob *= float(leg)
         if prob < _UNDERFLOW:
             raise ProbabilityUnderflowError(
                 f"joint probability underflowed below {_UNDERFLOW} at gap {j + 1}"
@@ -367,17 +351,34 @@ def verify_inducing_identity(
     hit = hitting_pmf(source, target, "stationary", k_max)
     ret = return_pmf(source, target, k_max)
     mu_a = source.word_measure(target.word)
-    worst = 0.0
-    # survival computed by backward partial sums to keep k_max sweeps cheap
-    surv = np.empty(k_max + 1)
-    surv[k_max] = float(ret.tail)
-    for k in range(k_max - 1, -1, -1):
-        surv[k] = surv[k + 1] + float(ret.masses[k])
-    for k in ks:
-        lhs = hit.mass_at(k)
-        rhs = mu_a * surv[k - 1]
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    # surv[k] = tail + masses[k:], accumulated backwards from the tail
+    surv = np.cumsum(np.concatenate(([ret.tail], ret.masses[::-1])))[::-1]
+    idx = np.array(ks) - 1
+    return float(np.max(np.abs(hit.masses[idx] - mu_a * surv[idx])))
+
+
+def _matched_split(chain: ProductChain, l: int, j_max: int) -> np.ndarray:
+    """Stationary mass with some occurrence start in 1..j, for j = 1..j_max.
+
+    Row j-1 is that mass spread over the chain states after the j + l - 1
+    steps that complete an occurrence starting at j. It evolves a
+    matched/unmatched split with the full kernel.
+    """
+    kernel = chain.kernel
+    match = chain.match_index
+    u = chain.stationary_vector()  # no occurrence start in 1..j yet
+    f = np.zeros_like(u)  # some occurrence start in 1..j
+    rows = np.empty((j_max, u.size))
+    for step in range(1, j_max + l):
+        u = u @ kernel
+        f = f @ kernel
+        moved = u[match]
+        if moved:
+            u[match] = 0.0
+            f[match] += moved
+        if step >= l:
+            rows[step - l] = f
+    return rows
 
 
 def verify_shift_identity(
@@ -393,28 +394,10 @@ def verify_shift_identity(
     if j < 1 or m < 1:
         raise ValidationError("j and m must be >= 1")
     chain = ProductChain(source, build_automaton(target, source.alphabet_size))
-    l = target.length
-    kernel = chain.kernel
-    sub = chain.survive
-    match = chain.match_index
-    u = chain.stationary_vector()  # no occurrence start in 1..j yet
-    f = np.zeros_like(u)  # some occurrence start in 1..j
-    for _ in range(j + l - 1):
-        u = u @ kernel
-        f = f @ kernel
-        moved = u[match]
-        if moved:
-            u[match] = 0.0
-            f[match] += moved
-    for _ in range(m - 1):
-        f = f @ sub
-    lhs = float(f @ chain.into_match)
+    f = _matched_split(chain, target.length, j)[-1]
+    lhs = float(_absorption_series(chain.survive, chain.into_match, f, m)[-1])
     ret = return_pmf(source, target, m + j - 1)
-    mu_a = source.word_measure(target.word)
-    acc = _CompensatedSum()
-    for v in range(m, m + j):
-        acc.add(ret.mass_at(v))
-    rhs = mu_a * acc.value()
+    rhs = source.word_measure(target.word) * math.fsum(ret.masses[m - 1 : m + j - 1])
     return lhs, rhs
 
 
@@ -424,40 +407,22 @@ def verify_shift_identity_grid(
     """Max absolute shift-identity discrepancy over 1 <= j <= j_max, 1 <= m <= m_max.
 
     Same two sides as `verify_shift_identity`, but the matched/unmatched split
-    is extended incrementally in j and each j gets a single substochastic
-    sweep over m, so the whole grid costs O(j_max * m_max) small matvecs.
+    is extended incrementally in j and all j share one blocked substochastic
+    sweep over m.
     """
     if j_max < 1 or m_max < 1:
         raise ValidationError("j_max and m_max must be >= 1")
     chain = ProductChain(source, build_automaton(target, source.alphabet_size))
-    l = target.length
-    kernel = chain.kernel
-    sub = chain.survive
-    match = chain.match_index
     mu_a = source.word_measure(target.word)
     ret = return_pmf(source, target, m_max + j_max - 1)
-    u = chain.stationary_vector()
-    f = np.zeros_like(u)
-    worst = 0.0
-    steps_done = 0
-    for j in range(1, j_max + 1):
-        while steps_done < j + l - 1:
-            u = u @ kernel
-            f = f @ kernel
-            moved = u[match]
-            if moved:
-                u[match] = 0.0
-                f[match] += moved
-            steps_done += 1
-        g = f.copy()
-        # rhs(m) = mu(A) * sum of return masses over m..m+j-1, via prefix sums
-        prefix = np.concatenate(([0.0], np.cumsum(ret.masses[: m_max + j - 1])))
-        for m in range(1, m_max + 1):
-            lhs = float(g @ chain.into_match)
-            rhs = mu_a * float(prefix[m + j - 1] - prefix[m - 1])
-            worst = max(worst, abs(lhs - rhs))
-            g = g @ sub
-    return worst
+    splits = _matched_split(chain, target.length, j_max)
+    lhs = _absorption_series(chain.survive, chain.into_match, splits, m_max)
+    # rhs(j, m) = mu(A) * sum of return masses over m..m+j-1, via prefix sums
+    prefix = np.concatenate(([0.0], np.cumsum(ret.masses)))
+    j = np.arange(1, j_max + 1)[:, None]
+    m = np.arange(1, m_max + 1)[None, :]
+    rhs = mu_a * (prefix[m + j - 1] - prefix[m - 1])
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +519,14 @@ def _block_pmf(
     else:
         phantom = rank - 1
     masses = np.zeros(k_max)
-    absorbed = _CompensatedSum()
     total_in = float(v.sum())
     for _ in range(phantom):
         v = chain.step(v)
     for k in range(1, k_max + 1):
         v = chain.step(v)
-        hit = float(v[target].sum())
-        masses[k - 1] = hit
-        absorbed.add(hit)
+        masses[k - 1] = float(v[target].sum())
         v[target] = 0.0
-    tail = total_in - absorbed.value()
+    tail = total_in - math.fsum(masses)
     if tail < -_MASS_DRIFT_TOL:
         raise NumericalDriftError(f"block mass balance drifted: tail={tail:.3e}")
     return ExactPMF(support_start=1, masses=masses, tail=max(tail, 0.0)), mu_target

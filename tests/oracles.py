@@ -1,14 +1,21 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here recomputes laws by exhaustive enumeration over all symbol
-strings, weighted by the Markov measure, touching none of the package's
-chain machinery. Memory is S^(k+l) x (k+l) integers, so keep word lengths
-<= 6 and horizons <= 12.
+The brute_* functions recompute laws by exhaustive enumeration over all
+symbol strings, weighted by the Markov measure, touching none of the
+package's chain machinery. Memory is S^(k+l) x (k+l) integers, so keep word
+lengths <= 6 and horizons <= 12.
+
+`stepwise_hitting_masses` is the other kind of reference: the product-chain
+oracle's original one-matvec-per-step iteration, kept so that the blocked
+kernel can be held to it at any horizon.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from hittimes.markov_pattern import build_automaton
+from hittimes.markov_pattern.exact import ProductChain, _escape_initial
 
 
 def _enumerate_digits(s: int, m: int) -> np.ndarray:
@@ -107,3 +114,70 @@ def brute_consecutive_joint(
             match &= full[n0 + i] == c
         ok &= match if n0 in want else ~match
     return float(w[ok].sum())
+
+
+class _NeumaierSum:
+    """Neumaier running sum: value() is exact to one final rounding."""
+
+    def __init__(self) -> None:
+        self._s = 0.0
+        self._c = 0.0
+
+    def add(self, x: float) -> None:
+        t = self._s + x
+        if abs(self._s) >= abs(x):
+            self._c += (self._s - t) + x
+        else:
+            self._c += (x - t) + self._s
+        self._s = t
+
+    def value(self) -> float:
+        return self._s + self._c
+
+
+def stepwise_hitting_masses(source, target, initial, k_max: int) -> tuple[np.ndarray, float]:
+    """(masses, tail) of `hitting_pmf` by one substochastic matvec per chain step.
+
+    ``initial`` takes the same values as in `hitting_pmf`; inputs are assumed
+    valid. The tail is not clipped at 0.
+    """
+    chain = ProductChain(source, build_automaton(target, source.alphabet_size))
+    l = target.length
+    masses = np.zeros(k_max)
+    scale = 1.0
+    early_total = 0.0
+    # absorption at chain step m realizes the time k = m - lead
+    if isinstance(initial, str):
+        if initial == "stationary":
+            v = chain.stationary_vector()
+            lead = l - 1  # occurrence starting at k completes at step k + l - 1
+        elif initial == "in_target":
+            v = chain.entry_vector()
+            lead = 0
+        else:
+            v, early, mass = _escape_initial(chain, target)
+            scale = 1.0 / mass
+            early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
+            for k, m in early.items():
+                if 1 <= k <= k_max:
+                    masses[k - 1] = m * scale
+            lead = -(target.period_hint or 0)  # block steps already consumed
+    else:
+        v = np.array(initial, dtype=float)
+        lead = 0
+
+    total_in = float(v.sum()) * scale + early_total
+    absorbed = _NeumaierSum()
+    for x in masses:
+        if x:
+            absorbed.add(float(x))
+    sub = chain.survive
+    into = chain.into_match
+    for m in range(1, k_max + lead + 1):
+        hit = float(v @ into) * scale
+        k = m - lead
+        if k >= 1:
+            masses[k - 1] += hit
+            absorbed.add(hit)
+        v = v @ sub
+    return masses, total_in - absorbed.value()

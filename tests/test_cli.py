@@ -3,9 +3,10 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from hittimes.cli import main, run_config, validate_config
+from hittimes.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hittimes.errors import ConfigError
 
 
@@ -57,6 +58,27 @@ class TestValidation:
         }
         with pytest.raises(ConfigError, match="delta"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(VERIFY_CFG, rogue=1),
+            dict(VERIFY_CFG, k_max=1),
+            dict(VERIFY_CFG, words=[]),
+            dict(VERIFY_CFG, source={"type": "iid"}),
+            dict(SIM_CFG, mode="sideways"),
+            {"kind": "exact-markov", "source": {"type": "iid", "probs": [0.5, 0.5]},
+             "targets": [{"word": [0, -1]}], "delta": 0.5},
+        ],
+    )
+    def test_messages_match_jsonschema_validate(self, cfg):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(cfg, CONFIG_SCHEMAS[cfg["kind"]])
+        field = "/".join(str(p) for p in want.value.absolute_path) or "(root)"
+        for _ in range(2):  # the second call uses the cached validator
+            with pytest.raises(ConfigError) as got:
+                validate_config(cfg)
+            assert str(got.value) == f"config field {field}: {want.value.message}"
 
     def test_defaults_filled(self):
         cfg = validate_config(dict(VERIFY_CFG))

@@ -1,0 +1,85 @@
+"""Pinned SHA-256 digests of the artifacts of four small configs.
+
+A rerun only shows that a change is deterministic; these digests show that
+it left the bytes of earlier runs alone. The three Monte-Carlo configs must
+never move unless their sampling changes on purpose. The exact-markov digest
+moves whenever the exact oracle's floating-point evaluation order changes; a
+change that moves it must state the tolerance the new masses are held to.
+"""
+
+import hashlib
+
+import pytest
+
+from hittimes.cli import run_config
+
+CONFIGS = {
+    "exact-markov": {
+        "kind": "exact-markov",
+        "source": {"type": "iid", "probs": [0.5, 0.5]},
+        "targets": [{"word": [0] * 8, "period_hint": 1}, {"word": [0, 1, 1]}],
+        "delta": 0.5,
+    },
+    "replica": {
+        "kind": "simulate-doubling",
+        "mode": "replica",
+        "target": {"word": [1, 1]},
+        "n_replicas": 20_000,
+        "d": 1,
+        "max_steps": 64,
+        "seed": 1,
+        "cells": [[1], [2], [3]],
+        "prediction": {"family": "exponential-hitting", "theta": 1.0, "mu": 0.25},
+    },
+    "ergodic": {
+        "kind": "simulate-cf",
+        "mode": "ergodic",
+        "target": {"threshold": 10},
+        "n_digits": 100_000,
+        "min_hits": 1000,
+        "seed": 2,
+    },
+    "counterexample-mc": {
+        "kind": "counterexample",
+        "flavor": "monte-carlo",
+        "system": "doubling",
+        "target": {"word": [1, 1]},
+        "k_prune": 3,
+        "n_digits": 100_000,
+        "seed": 4,
+    },
+}
+
+GOLDEN = {
+    "exact-markov": {
+        "hitting.csv": "ee0d8dfc81fb4ed273e3dcb383a60beee895945e908c5a8b7a557ce38b4b2998",
+        "manifest.json": "60118a8e6ec9b5b123bd095a991756efb6ad00046900e655217c2a691b410e26",
+        "return.csv": "139a111812afba24fcf55cc6e6e471ae71074938883bfee8166bd30ae91c20b3",
+    },
+    "replica": {
+        "counts.csv": "d49a2f7bd1a9b56bceeb38cab53a856dab963addcd423612f584ccaa83c81a75",
+        "estimate.csv": "46e28affce834732c085d5a524fcbfedd653586100bee60db5f2a0e6cc3798f2",
+        "manifest.json": "138e812949d6bde42768677850d69a3e5a274bb2492cdad71e300d9f216af280",
+    },
+    "ergodic": {
+        "counts.csv": "a0d47b377ed2c80f30ab1fd1a38fab96ef838a75c8e4c3305ed355f72375d8fa",
+        "manifest.json": "97dd34d9692b5ff8063d0c89673f9df188a5102aa3e42b3ca30054c1efb67ec0",
+    },
+    "counterexample-mc": {
+        "counterexample.csv": "1a86fb6ee50088f6bc1447f76e4ddd04ae1419fb2eea3b8bf419a564ad63ce00",
+        "manifest.json": "ae0f73486e4ae5531865d2606bc04b9d051e9a6cf899c06dde0860ee306779f7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifact_digests(name, tmp_path, monkeypatch):
+    # the manifest records the output root, so run under a fixed relative one
+    monkeypatch.chdir(tmp_path)
+    run_dir, _ = run_config(dict(CONFIGS[name]))
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(run_dir.iterdir())
+        if p.suffix in (".csv", ".json")
+    }
+    assert got == GOLDEN[name]

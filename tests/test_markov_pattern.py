@@ -27,13 +27,16 @@ from hittimes.markov_pattern import (
     theta_exact,
     verify_inducing_identity,
     verify_shift_identity,
+    verify_shift_identity_grid,
 )
+from hittimes.markov_pattern.exact import _BLOCK, ProductChain, _absorption_series
 
 from oracles import (
     brute_consecutive_joint,
     brute_hitting_masses,
     brute_return_masses,
     brute_shift_identity_lhs,
+    stepwise_hitting_masses,
 )
 
 FAIR = MarkovSource.iid([0.5, 0.5])
@@ -248,7 +251,7 @@ class TestPMFInvariants:
         assert ret.expectation() == pytest.approx(1.0 / mu, abs=1e-8)
 
     def test_drift_guard_is_quiet_at_large_kmax(self):
-        # 2^... steps with compensated accumulation stay within tolerance
+        # 2^16 steps, blocked and summed with math.fsum, stay within tolerance
         pmf = return_pmf(FAIR, PatternTarget(word=(1, 1)), 2**16)
         assert abs(pmf.total() - 1.0) < 1e-10
 
@@ -316,6 +319,65 @@ class TestIdentities:
             lhs = 1.0 - math.fsum(float(x) for x in hit.masses[:big_k])
             rhs = mu * math.fsum(ret.survival(k) for k in range(big_k + 1, k_max + 1))
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def _assert_matches_stepwise(source, target, initial, k_max):
+    """Blocked masses within 1e-12 relative of the step loop, zeros exact, tails 1e-12."""
+    pmf = hitting_pmf(source, target, initial, k_max)
+    masses, tail = stepwise_hitting_masses(source, target, initial, k_max)
+    zero = masses == 0.0
+    np.testing.assert_array_equal(pmf.masses == 0.0, zero)
+    rel = np.abs(pmf.masses[~zero] - masses[~zero]) / masses[~zero]
+    assert rel.max(initial=0.0) <= 1e-12
+    assert abs(pmf.tail - max(tail, 0.0)) <= 1e-12
+
+
+class TestBlockedKernel:
+    """`_absorption_series` against the one-matvec-per-step iteration."""
+
+    TARGET = PatternTarget(word=(0, 1, 2, 0, 1), period_hint=3)
+
+    @pytest.mark.parametrize("k_max", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize("initial", ["stationary", "in_target", "escaping", "explicit"])
+    def test_matches_stepwise(self, initial, k_max):
+        if initial == "explicit":
+            chain = ProductChain(MARKOV3, build_automaton(self.TARGET, 3))
+            initial = np.random.default_rng(7).random(chain.n_states)
+            initial /= initial.sum()
+        _assert_matches_stepwise(MARKOV3, self.TARGET, initial, k_max)
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_escaping_within_the_period(self, k_max):
+        _assert_matches_stepwise(MARKOV3, self.TARGET, "escaping", k_max)
+
+    @pytest.mark.parametrize("initial", ["stationary", "in_target"])
+    def test_deep_tail(self, initial):
+        source = MarkovSource.from_transitions(
+            [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+        )
+        target = PatternTarget(word=(0, 1, 2, 0, 1, 2))
+        _assert_matches_stepwise(source, target, initial, 65536)
+
+    def test_stacked_rows_match_single_rows(self):
+        chain = ProductChain(MARKOV3, build_automaton(self.TARGET, 3))
+        rows = np.random.default_rng(3).random((4, chain.n_states))
+        stacked = _absorption_series(chain.survive, chain.into_match, rows, 2 * _BLOCK + 7)
+        for row, got in zip(rows, stacked):
+            want = _absorption_series(chain.survive, chain.into_match, row, 2 * _BLOCK + 7)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("source,word", [(FAIR, (0, 1, 0)), (MARKOV2, (1, 0, 1))])
+    def test_shift_grid_matches_single_cells(self, source, word):
+        target = PatternTarget(word=word)
+        want = max(
+            abs(lhs - rhs)
+            for j in range(1, 6)
+            for m in range(1, 9)
+            for lhs, rhs in [verify_shift_identity(source, target, j, m)]
+        )
+        got = verify_shift_identity_grid(source, target, 5, 8)
+        assert got < 1e-13
+        assert got == pytest.approx(want, abs=1e-15)
 
 
 class TestTheta:
