@@ -298,6 +298,14 @@ def estimate_first_passage(
         raise ValidationError("n_replicas, d, and max_steps must all be >= 1")
     if target.word is not None and max_steps < len(target.word):
         raise ValidationError("max_steps shorter than the target word")
+    if target.word is not None:
+        # `_replica_chunk` forms code * base + digit < base^(L+1) in int64
+        base = max(2, max(target.word) + 1) + 1
+        if base ** (len(target.word) + 1) > 2**63:
+            raise ValidationError(
+                f"a word of length {len(target.word)} in base {base} overflows "
+                "the int64 replica word code"
+            )
     if mark_cap is None:
         mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
     sizes = [chunk_size] * (n_replicas // chunk_size)

@@ -10,7 +10,6 @@ from .exact import (
     block_set_return_pmf,
     consecutive_joint_pmf,
     hitting_pmf,
-    product_chain,
     return_pmf,
     theta_exact,
     verify_inducing_identity,
@@ -46,7 +45,6 @@ __all__ = [
     "hitting_pmf",
     "k_grid",
     "llt_convergence_table",
-    "product_chain",
     "return_pmf",
     "theta_exact",
     "verify_inducing_identity",

@@ -164,11 +164,6 @@ class ProductChain:
         return v
 
 
-def product_chain(source: MarkovSource, automaton: PrefixAutomaton) -> ProductChain:
-    """Annotated chain on (automaton state, last symbol) pairs."""
-    return ProductChain(source, automaton)
-
-
 def _escape_initial(
     chain: ProductChain, target: PatternTarget
 ) -> tuple[np.ndarray, dict[int, float], float]:
@@ -265,6 +260,8 @@ def hitting_pmf(
             raise ValidationError(
                 f"explicit initial vector must have length {chain.n_states}, got {v.shape}"
             )
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("explicit initial vector must be finite")
         if np.any(v < 0.0):
             raise ValidationError("explicit initial vector must be nonnegative")
         lead = 0
@@ -434,9 +431,13 @@ class BlockChain:
     """Chain on all length-r symbol tuples; the S^r reference backend.
 
     Tuples are encoded base-S with the most recent symbol in the lowest
-    digit's complement position: index = sum_t block[t] * S^(r-1-t), so a
-    shift-and-append is (index mod S^(r-1)) * S + c. Targets are arbitrary
-    sets of equal-rank tuples, which covers unions of cylinders.
+    digit: index = sum_t block[t] * S^(r-1-t), so a shift-and-append is
+    (index mod S^(r-1)) * S + c. Writing index = t * S^(r-1) + m, block
+    (t, m) moves to (m, c): the S predecessors of output (m, c) are the S rows
+    of ``v.reshape(S, S^(r-1))`` at column m, one per dropped symbol t. Their
+    weights are the transitions out of each predecessor's own last symbol,
+    ``index mod S`` (which is t, not m mod S, at rank 1). Targets are
+    arbitrary sets of equal-rank tuples, which covers unions of cylinders.
     """
 
     def __init__(self, source: MarkovSource, rank: int, budget_states: int = 2**22) -> None:
@@ -452,8 +453,9 @@ class BlockChain:
         self.rank = rank
         self.n_states = n
         self._mod = s ** (rank - 1)
-        self._last = np.arange(n, dtype=np.int64) % s
-        self._shift = (np.arange(n, dtype=np.int64) % self._mod) * s
+        last = np.arange(n, dtype=np.int64) % s
+        # weight[c, t, m]: transition into c from block t * S^(r-1) + m
+        self._weight = source.transitions[last].T.reshape(s, s, self._mod)
 
     def encode(self, block: Sequence[int]) -> int:
         if len(block) != self.rank:
@@ -475,9 +477,13 @@ class BlockChain:
     def step(self, v: np.ndarray) -> np.ndarray:
         """One full-kernel step of a distribution over blocks."""
         s = self.source.alphabet_size
-        out = np.zeros_like(v)
+        out = np.empty_like(v)
+        columns = out.reshape(self._mod, s)
+        rows = v.reshape(s, self._mod)
+        # an axis-0 sum adds the rows in order, t ascending, so each output is
+        # the same left-to-right sum as a scatter over ascending block indices
         for c in range(s):
-            np.add.at(out, self._shift + c, v * self.source.transitions[self._last, c])
+            columns[:, c] = (rows * self._weight[c]).sum(axis=0)
         return out
 
 
@@ -506,15 +512,16 @@ def _block_pmf(
         raise BudgetExceededError(
             f"block computation needs ~{ops:.2e} ops, budget is {budget_ops:.2e}"
         )
-    target = np.zeros(chain.n_states, dtype=bool)
-    for w in words:
-        target[chain.encode(w)] = True
+    # sorted distinct block indices: the target entries in ascending order
+    target = np.unique([chain.encode(w) for w in words])
     v = chain.stationary_blocks()
     mu_target = float(v[target].sum())
     if mu_target <= 0.0:
         raise ValidationError("target set has zero stationary measure")
     if from_inside:
-        v = np.where(target, v, 0.0) / mu_target
+        inside = np.zeros_like(v)
+        inside[target] = v[target] / mu_target
+        v = inside
         phantom = 0
     else:
         phantom = rank - 1

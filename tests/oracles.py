@@ -7,7 +7,9 @@ lengths <= 6 and horizons <= 12.
 
 `stepwise_hitting_masses` is the other kind of reference: the product-chain
 oracle's original one-matvec-per-step iteration, kept so that the blocked
-kernel can be held to it at any horizon.
+kernel can be held to it at any horizon. `scatter_block_step` likewise keeps
+the block chain's original scatter step, so that the shift-structured step can
+be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -181,3 +183,14 @@ def stepwise_hitting_masses(source, target, initial, k_max: int) -> tuple[np.nda
             absorbed.add(hit)
         v = v @ sub
     return masses, total_in - absorbed.value()
+
+
+def scatter_block_step(chain, v: np.ndarray) -> np.ndarray:
+    """One full-kernel `BlockChain` step by an unbuffered scatter per symbol."""
+    s = chain.source.alphabet_size
+    last = np.arange(chain.n_states, dtype=np.int64) % s
+    shift = (np.arange(chain.n_states, dtype=np.int64) % s ** (chain.rank - 1)) * s
+    out = np.zeros_like(v)
+    for c in range(s):
+        np.add.at(out, shift + c, v * chain.source.transitions[last, c])
+    return out

@@ -233,6 +233,14 @@ class TestMainEntry:
         assert record["error"] == "ConfigError"
         assert "delta" in record["message"]
 
+    def test_overflowing_word_code_exits_1_with_record(self, tmp_path, capsys):
+        cfg = dict(SIM_CFG, target={"word": [1] * 40}, out=str(tmp_path / "r"))
+        path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert "overflows" in record["message"]
+
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path = _write_config(tmp_path, dict(VERIFY_CFG))
         assert main(["simulate", "--config", str(path)]) == 2

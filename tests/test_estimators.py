@@ -149,6 +149,16 @@ class TestReplicaEstimator:
         assert got.censored == want_censored
         assert got.counts == want_counts
 
+    @pytest.mark.parametrize("system,symbol,longest", [(DOUBLING, 1, 38), (GAUSS, 9, 17)])
+    def test_word_code_overflow_boundary(self, system, symbol, longest):
+        # the rolling code reaches base^(L+1) - 1: 3^39 and 11^18 fit in int64,
+        # 3^40 and 11^19 do not
+        kw = dict(n_replicas=64, d=1, max_steps=48, seed=2)
+        got = estimate_first_passage(system, TargetScan.word_pattern((symbol,) * longest), **kw)
+        assert got.observed() + got.censored == 64
+        with pytest.raises(ValidationError, match="overflows"):
+            estimate_first_passage(system, TargetScan.word_pattern((symbol,) * (longest + 1)), **kw)
+
     def test_censoring_integer_identity(self):
         got = estimate_first_passage(
             DOUBLING, TargetScan.word_pattern((1, 1)), 5000, 1, 4, seed=3

@@ -12,17 +12,18 @@ from hittimes.errors import (
     ValidationError,
 )
 from hittimes.markov_pattern import (
+    BlockChain,
     MarkovSource,
     PatternTarget,
     block_hitting_pmf,
     block_return_pmf,
+    block_set_return_pmf,
     build_automaton,
     consecutive_joint_pmf,
     counterexample_pruned_target,
     hitting_pmf,
     k_grid,
     llt_convergence_table,
-    product_chain,
     return_pmf,
     theta_exact,
     verify_inducing_identity,
@@ -36,6 +37,7 @@ from oracles import (
     brute_hitting_masses,
     brute_return_masses,
     brute_shift_identity_lhs,
+    scatter_block_step,
     stepwise_hitting_masses,
 )
 
@@ -134,12 +136,12 @@ class TestAutomaton:
 
 class TestProductChain:
     def test_reachable_pair_count(self):
-        chain = product_chain(FAIR, build_automaton(PatternTarget(word=(1, 1)), 2))
+        chain = ProductChain(FAIR, build_automaton(PatternTarget(word=(1, 1)), 2))
         assert chain.n_states <= 3 * 2
         assert chain.n_states == 4
 
     def test_single_symbol_target_set(self):
-        chain = product_chain(FAIR, build_automaton(PatternTarget(word=(1,)), 2))
+        chain = ProductChain(FAIR, build_automaton(PatternTarget(word=(1,)), 2))
         s, c = chain.pairs[chain.match_index]
         assert (s, c) == (1, 1)
 
@@ -149,7 +151,7 @@ class TestProductChain:
             assert pmf.mass_at(k) == pytest.approx(2.0**-k, abs=1e-15)
 
     def test_survive_plus_match_is_stochastic(self):
-        chain = product_chain(MARKOV2, build_automaton(PatternTarget(word=(1, 0, 1)), 2))
+        chain = ProductChain(MARKOV2, build_automaton(PatternTarget(word=(1, 0, 1)), 2))
         rows = chain.survive.sum(axis=1) + chain.into_match
         assert np.allclose(rows, 1.0, atol=1e-14)
         assert np.allclose(chain.kernel.sum(axis=1), 1.0, atol=1e-14)
@@ -166,6 +168,11 @@ class TestProductChain:
         pmf = hitting_pmf(src, target, "stationary", 32)
         assert float(np.sum(pmf.masses)) == 0.0
         assert pmf.tail == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_initial_vector_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            hitting_pmf(FAIR, PatternTarget(word=(1, 1)), [bad, 0.0, 0.5, 0.5], 4)
 
 
 WORDS_BY_SOURCE = [
@@ -378,6 +385,45 @@ class TestBlockedKernel:
         got = verify_shift_identity_grid(source, target, 5, 8)
         assert got < 1e-13
         assert got == pytest.approx(want, abs=1e-15)
+
+
+class TestBlockStep:
+    """`BlockChain.step` against the scatter step it replaced, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "source,rank", [(MARKOV2, 1), (MARKOV2, 2), (MARKOV2, 5), (MARKOV3, 1), (MARKOV3, 6)]
+    )
+    def test_step_matches_scatter(self, source, rank):
+        # rank 1 is where a predecessor's last symbol is the dropped one
+        chain = BlockChain(source, rank)
+        v = chain.stationary_blocks()
+        want = v.copy()
+        for _ in range(40):
+            v = chain.step(v)
+            want = scatter_block_step(chain, want)
+            assert np.array_equal(v, want)
+
+    @pytest.mark.parametrize(
+        "source,word",
+        [(MARKOV2, (1,)), (MARKOV2, (1, 0)), (MARKOV2, (1, 0, 1, 1, 0)), (MARKOV3, (2,)),
+         (MARKOV3, (0, 1, 2, 0, 1, 2))],
+    )
+    def test_block_laws_match_scatter(self, source, word, monkeypatch):
+        target = PatternTarget(word=word)
+        words = [word, tuple(reversed(word))]
+
+        def laws():
+            return [
+                block_hitting_pmf(source, target, 64),
+                block_return_pmf(source, target, 64),
+                block_set_return_pmf(source, words, 64)[0],
+            ]
+
+        got = laws()
+        monkeypatch.setattr(BlockChain, "step", scatter_block_step)
+        for new, old in zip(got, laws()):
+            assert np.array_equal(new.masses, old.masses)
+            assert new.tail == old.tail
 
 
 class TestTheta:
