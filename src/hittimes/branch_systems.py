@@ -51,7 +51,6 @@ __all__ = [
     "system_by_name",
 ]
 
-LN2 = math.log(2.0)
 DIGIT_CAP = 2**62
 DEFAULT_BLOCK = 2**16
 
@@ -72,11 +71,6 @@ def make_rng(seed: int, substream: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Gauss continued-fraction map
 # ---------------------------------------------------------------------------
-
-
-def gauss_density(x: float) -> float:
-    """Invariant density h(x) = 1 / ((1+x) ln 2) of the Gauss map."""
-    return 1.0 / ((1.0 + x) * LN2)
 
 
 def gauss_stationary_point(u: float) -> float:
@@ -164,39 +158,28 @@ class BranchSystem:
     """A piecewise-invertible interval map with closed-form backward sampling.
 
     ``branch_sample(y, u)`` returns (digit, preimage); the array variants are
-    the vectorized forms used by the replica estimators. ``branch_cum`` is
-    exposed so tests can verify the closed-form inverse against the smallest
-    K with C_K(y) >= u.
+    the vectorized forms used by the replica estimators.
     """
 
     name: str
-    invariant_density: Callable[[float], float]
     stationary_point: Callable[[float], float]
     branch_sample: Callable[[float, float], tuple[int, float]]
-    branch_prob: Callable[[int, float], float]
-    branch_cum: Callable[[int, float], float]
     stationary_array: Callable[[np.ndarray], np.ndarray]
     branch_array: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 GAUSS = BranchSystem(
     name="gauss",
-    invariant_density=gauss_density,
     stationary_point=gauss_stationary_point,
     branch_sample=gauss_branch_sample,
-    branch_prob=gauss_branch_prob,
-    branch_cum=gauss_branch_cum,
     stationary_array=_gauss_stationary_array,
     branch_array=_gauss_branch_array,
 )
 
 DOUBLING = BranchSystem(
     name="doubling",
-    invariant_density=lambda x: 1.0,
     stationary_point=lambda u: u,
     branch_sample=doubling_branch_sample,
-    branch_prob=lambda k, y: 0.5,
-    branch_cum=lambda k, y: min(1.0, 0.5 * (k + 1)),
     stationary_array=_doubling_stationary_array,
     branch_array=_doubling_branch_array,
 )

@@ -105,6 +105,20 @@ _PREDICTION_SCHEMA = {
     },
     "required": ["family"],
     "additionalProperties": False,
+    # the fields each family's predictor reads
+    "allOf": [
+        {
+            "if": {
+                "properties": {"family": {"enum": ["exponential-hitting", "exponential-return"]}},
+                "required": ["family"],
+            },
+            "then": {"required": ["mu"]},
+        },
+        {
+            "if": {"properties": {"family": {"const": "cf-joint"}}, "required": ["family"]},
+            "then": {"required": ["threshold"]},
+        },
+    ],
 }
 
 _COMMON_PROPS = {
@@ -330,7 +344,8 @@ def _run_verify_identities(cfg: dict, run_dir: Path) -> dict:
         label = "".join(str(c) for c in word)
         mu = source.word_measure(target.word)
         inducing = verify_inducing_identity(source, target, range(1, k_max + 1))
-        shift = verify_shift_identity_grid(source, target, j_max, m_max)
+        lhs, rhs = verify_shift_identity_grid(source, target, j_max, m_max)
+        shift = float(np.max(np.abs(lhs - rhs)))
         # Kac and the discrete integral relation need tail-converged laws;
         # extend the horizon until the return tail is negligible
         horizon = k_max
@@ -492,15 +507,28 @@ def _run_report(cfg: dict, run_dir: Path) -> dict:
     manifest_path = input_dir / "manifest.json"
     if not counts_path.exists() or not manifest_path.exists():
         raise ConfigError(f"input_dir {input_dir} lacks counts.csv/manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    n_total = manifest["results"]["n_total"]
-    kind = "replica" if manifest["config"]["mode"] == "replica" else "ergodic"
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        n_total = manifest["results"]["n_total"]
+        kind = "replica" if manifest["config"]["mode"] == "replica" else "ergodic"
+        if not isinstance(n_total, int) or n_total < 1:
+            raise ValueError(f"results.n_total is {n_total!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"{manifest_path} is not a simulation manifest with a positive integer "
+            f"results.n_total and a config.mode ({type(exc).__name__}: {exc})"
+        ) from exc
     lines = counts_path.read_text().strip().split("\n")
     header = lines[0].split(",")
     counts: dict[tuple[int, ...], int] = {}
-    for line in lines[1:]:
-        parts = [int(x) for x in line.split(",")]
-        counts[tuple(parts[:-1])] = parts[-1]
+    try:
+        for line in lines[1:]:
+            parts = [int(x) for x in line.split(",")]
+            if len(parts) != len(header):
+                raise ValueError(f"row {line!r} has {len(parts)} fields, header {len(header)}")
+            counts[tuple(parts[:-1])] = parts[-1]
+    except ValueError as exc:
+        raise ConfigError(f"{counts_path} is not an integer counts table ({exc})") from exc
     pmf = estimators.EmpiricalPMF(counts=counts, n_total=n_total, kind=kind)
     predictor = make_predictor(cfg["prediction"])
     if predictor is None:
@@ -611,7 +639,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run_dir, manifest = run_config(raw)
     except HitTimesError as exc:
-        return fail(1, {"error": type(exc).__name__, "message": str(exc)})
+        code = 2 if isinstance(exc, ConfigError) else 1
+        return fail(code, {"error": type(exc).__name__, "message": str(exc)})
     sys.stdout.write(f"{run_dir}\n")
     return 0
 

@@ -15,7 +15,9 @@ so results are independent of worker scheduling. Because streams are built
 backward (see `branch_systems`), a replica's first forward hit is the last
 qualifying step of its backward chain; registers of the last d backward hits
 therefore capture the first d forward gaps and marks without materializing
-the stream.
+the stream. Word hits come from the occurrence automaton of the reversed word
+(`markov_pattern.build_automaton`), one table lookup per replica-step, so the
+word length is unlimited.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from scipy import stats
 
 from .branch_systems import BranchSystem, DigitStream, make_rng
 from .errors import InsufficientDataError, ValidationError
+from .markov_pattern.automaton import PatternTarget, build_automaton
 from .primes import is_prime
 
 OVERFLOW_MARK = -1  # mark bucket for digit values above the cap
@@ -205,6 +208,7 @@ class EmpiricalPMF:
 def _replica_chunk(
     system: BranchSystem,
     target: TargetScan,
+    table: np.ndarray | None,
     n: int,
     d: int,
     max_steps: int,
@@ -216,36 +220,30 @@ def _replica_chunk(
 
     The backward chain runs max_steps steps; registers hold the positions and
     values of the last d qualifying backward steps, which are the first d
-    forward hits in reverse order.
+    forward hits in reverse order. For word targets ``table`` is the
+    occurrence automaton of the reversed word over alpha + 1 symbols: digits
+    >= alpha read as the extra symbol alpha, which no word symbol equals.
     """
     rng = make_rng(seed, substream)
     y = system.stationary_array(rng.random(n))
     reg_pos = np.zeros((d, n), dtype=np.int64)
     reg_val = np.zeros((d, n), dtype=np.int64)
-    word = None
-    if target.word is not None:
-        word = tuple(reversed(target.word))  # backward stream carries the reversed word
-        # base alpha+1: digits outside the word's alphabet map to the extra
-        # symbol, which can never alias into a match
-        alpha = max(2, max(target.word) + 1)
-        base = alpha + 1
-        code_mod = base ** len(word)
-        code_target = 0
-        for c in word:
-            code_target = code_target * base + c
-        code = np.zeros(n, dtype=np.int64)
+    if table is not None:
+        alpha = table.shape[1] - 1
+        full = table.shape[0] - 1
+        state = np.zeros(n, dtype=np.int64)
     for step in range(1, max_steps + 1):
         u = rng.random(n)
         k, y = system.branch_array(y, u)
-        if word is None:
+        if table is None:
             hit = k >= target.threshold
             if target.prime_variant and hit.any():
                 sub = np.zeros_like(hit)
                 sub[hit] = _prime_mask(k[hit])
                 hit = sub
         else:
-            code = (code * base + np.minimum(k, alpha)) % code_mod
-            hit = (code == code_target) if step >= len(word) else np.zeros(n, dtype=bool)
+            state = table[state, np.minimum(k, alpha)]
+            hit = state == full
         if hit.any():
             for r in range(d - 1, 0, -1):
                 reg_pos[r][hit] = reg_pos[r - 1][hit]
@@ -264,7 +262,7 @@ def _replica_chunk(
     columns = []
     for j in range(d):
         columns.append(taus[j])
-        if word is None:
+        if table is None:
             marks = reg_val[j][complete].copy()
             marks[marks > mark_cap] = OVERFLOW_MARK
             columns.append(marks)
@@ -298,14 +296,11 @@ def estimate_first_passage(
         raise ValidationError("n_replicas, d, and max_steps must all be >= 1")
     if target.word is not None and max_steps < len(target.word):
         raise ValidationError("max_steps shorter than the target word")
+    table = None
     if target.word is not None:
-        # `_replica_chunk` forms code * base + digit < base^(L+1) in int64
-        base = max(2, max(target.word) + 1) + 1
-        if base ** (len(target.word) + 1) > 2**63:
-            raise ValidationError(
-                f"a word of length {len(target.word)} in base {base} overflows "
-                "the int64 replica word code"
-            )
+        # the backward stream carries the word reversed
+        alpha = max(2, max(target.word) + 1)
+        table = build_automaton(PatternTarget(word=target.word[::-1]), alpha + 1).table
     if mark_cap is None:
         mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
     sizes = [chunk_size] * (n_replicas // chunk_size)
@@ -313,7 +308,9 @@ def estimate_first_passage(
         sizes.append(n_replicas % chunk_size)
 
     def run(i: int) -> tuple[dict[tuple[int, ...], int], int]:
-        return _replica_chunk(system, target, sizes[i], d, max_steps, seed, i, mark_cap)
+        return _replica_chunk(
+            system, target, table, sizes[i], d, max_steps, seed, i, mark_cap
+        )
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -13,7 +13,6 @@ from .exact import (
     return_pmf,
     theta_exact,
     verify_inducing_identity,
-    verify_shift_identity,
     verify_shift_identity_grid,
 )
 from .reports import (
@@ -48,6 +47,5 @@ __all__ = [
     "return_pmf",
     "theta_exact",
     "verify_inducing_identity",
-    "verify_shift_identity",
     "verify_shift_identity_grid",
 ]

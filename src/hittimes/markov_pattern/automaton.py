@@ -93,13 +93,18 @@ class PrefixAutomaton:
     def word_length(self) -> int:
         return len(self.word)
 
-    def run(self, symbols: Sequence[int], state: int = 0) -> list[int]:
-        """States visited after each consumed symbol (diagnostic helper)."""
-        out = []
-        for c in symbols:
+    def first_match(self, symbols: Sequence[int], state: int = 0) -> tuple[int | None, int]:
+        """1-based index of the first full match in ``symbols``, and the state there.
+
+        Reading starts in ``state`` and stops at the first full match; without
+        one the index is None and the state is the one after the last symbol.
+        """
+        l = self.word_length
+        for i, c in enumerate(symbols, start=1):
             state = int(self.table[state, int(c)])
-            out.append(state)
-        return out
+            if state == l:
+                return i, state
+        return None, state
 
 
 def build_automaton(target: PatternTarget, alphabet_size: int) -> PrefixAutomaton:

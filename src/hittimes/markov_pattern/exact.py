@@ -183,9 +183,7 @@ def _escape_initial(
     if s_count**p > 2**20:
         raise BudgetExceededError(f"escaping conditioning enumerates {s_count}**{p} blocks")
     periodic_tail = target.periodic_extension()[len(word) :]
-    table = chain.automaton.table
     trans = chain.source.transitions
-    l = len(word)
     survivors = np.zeros(chain.n_states)
     early: dict[int, float] = {}
     weights: list[float] = []
@@ -194,24 +192,15 @@ def _escape_initial(
     for block in itertools.product(range(s_count), repeat=p):
         if block == periodic_tail:
             continue
-        state, last = l, word[l - 1]
-        weight = 1.0
-        first_match: int | None = None
-        for i, c in enumerate(block, start=1):
-            weight *= trans[last, c]
-            if weight == 0.0:
-                break
-            state = int(table[state, c])
-            last = c
-            if first_match is None and state == l:
-                first_match = i
+        weight = math.prod(trans[a, c] for a, c in zip((word[-1],) + block, block))
         if weight == 0.0:
             continue
         weights.append(weight)
-        if first_match is not None:
-            early[first_match] = early.get(first_match, 0.0) + weight
+        first, state = chain.automaton.first_match(block, len(word))
+        if first is not None:
+            early[first] = early.get(first, 0.0) + weight
         else:
-            survivors[chain.index[(state, last)]] += weight
+            survivors[chain.index[(state, block[-1])]] += weight
     return survivors, early, math.fsum(weights)
 
 
@@ -378,34 +367,16 @@ def _matched_split(chain: ProductChain, l: int, j_max: int) -> np.ndarray:
     return rows
 
 
-def verify_shift_identity(
-    source: MarkovSource, target: PatternTarget, j: int, m: int
-) -> tuple[float, float]:
-    """Both sides of the j-shift occurrence identity.
-
-    Left: mu({phi_A <= j} n {phi_A o T^j = m}), computed by evolving the
-    product chain with a matched/unmatched split through the first j
-    occurrence starts, then substochastically to an exact hit m starts later.
-    Right: mu(A n {m <= phi_A < m + j}) from the return law.
-    """
-    if j < 1 or m < 1:
-        raise ValidationError("j and m must be >= 1")
-    chain = ProductChain(source, build_automaton(target, source.alphabet_size))
-    f = _matched_split(chain, target.length, j)[-1]
-    lhs = float(_absorption_series(chain.survive, chain.into_match, f, m)[-1])
-    ret = return_pmf(source, target, m + j - 1)
-    rhs = source.word_measure(target.word) * math.fsum(ret.masses[m - 1 : m + j - 1])
-    return lhs, rhs
-
-
 def verify_shift_identity_grid(
     source: MarkovSource, target: PatternTarget, j_max: int, m_max: int
-) -> float:
-    """Max absolute shift-identity discrepancy over 1 <= j <= j_max, 1 <= m <= m_max.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the j-shift occurrence identity on 1 <= j <= j_max, 1 <= m <= m_max.
 
-    Same two sides as `verify_shift_identity`, but the matched/unmatched split
-    is extended incrementally in j and all j share one blocked substochastic
-    sweep over m.
+    Returns (lhs, rhs) as (j_max, m_max) arrays with cell [j-1, m-1] for (j, m).
+    Left: mu({phi_A <= j} n {phi_A o T^j = m}), from a product-chain
+    matched/unmatched split through the first j occurrence starts, extended
+    incrementally in j, then one blocked substochastic sweep over m for all j.
+    Right: mu(A n {m <= phi_A < m + j}) from the return law.
     """
     if j_max < 1 or m_max < 1:
         raise ValidationError("j_max and m_max must be >= 1")
@@ -419,7 +390,7 @@ def verify_shift_identity_grid(
     j = np.arange(1, j_max + 1)[:, None]
     m = np.arange(1, m_max + 1)[None, :]
     rhs = mu_a * (prefix[m + j - 1] - prefix[m - 1])
-    return float(np.max(np.abs(lhs - rhs)))
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

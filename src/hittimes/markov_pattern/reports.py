@@ -152,16 +152,10 @@ def counterexample_pruned_target(
             f"counterexample needs {s_count}**{rank} block states; too large"
         )
     automaton = build_automaton(target, s_count)
-    table = automaton.table
     kept: list[tuple[int, ...]] = []
     pruned = 0
     for suffix in itertools.product(range(s_count), repeat=k_prune):
-        state = l
-        first = None
-        for i, c in enumerate(suffix, start=1):
-            state = int(table[state, c])
-            if state == l and first is None:
-                first = i
+        first, _ = automaton.first_match(suffix, l)
         if first == k_prune:
             pruned += 1
         else:

@@ -66,7 +66,8 @@ def test_criterion_01_exact_identity_suite():
             target = PatternTarget(word=word)
             mu = source.word_measure(word)
             worst = max(worst, verify_inducing_identity(source, target, range(1, 4097)))
-            worst = max(worst, verify_shift_identity_grid(source, target, 64, 64))
+            lhs, rhs = verify_shift_identity_grid(source, target, 64, 64)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             ret = return_pmf(source, target, 4096)
             assert ret.tail < 1e-10
             worst = max(worst, abs(ret.expectation() - 1.0 / mu))

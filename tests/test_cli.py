@@ -233,13 +233,60 @@ class TestMainEntry:
         assert record["error"] == "ConfigError"
         assert "delta" in record["message"]
 
-    def test_overflowing_word_code_exits_1_with_record(self, tmp_path, capsys):
+    def test_binary_word_of_length_40_runs(self, tmp_path, capsys):
         cfg = dict(SIM_CFG, target={"word": [1] * 40}, out=str(tmp_path / "r"))
         path = _write_config(tmp_path, cfg)
-        assert main(["simulate", "--config", str(path)]) == 1
+        assert main(["simulate", "--config", str(path)]) == 0
+        run_dir = Path(capsys.readouterr().out.strip())
+        assert (run_dir / "counts.csv").read_text().splitlines()[0] == "k1,count"
+
+    @pytest.mark.parametrize(
+        "prediction,field",
+        [
+            ({"family": "exponential-hitting", "theta": 1.0}, "mu"),
+            ({"family": "exponential-return"}, "mu"),
+            ({"family": "cf-joint", "prime": True}, "threshold"),
+        ],
+    )
+    def test_prediction_without_its_fields_exits_2(self, tmp_path, capsys, prediction, field):
+        cfg = dict(SIM_CFG, prediction=prediction, out=str(tmp_path / "r"))
+        path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path)]) == 2
         record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "ValidationError"
-        assert "overflows" in record["message"]
+        assert record["error"] == "ConfigError"
+        assert "prediction" in record["message"] and f"'{field}'" in record["message"]
+        assert not (tmp_path / "r").exists()  # rejected before any simulation
+
+    @pytest.mark.parametrize(
+        "counts,manifest,bad_file",
+        [
+            ("k1,count\n1,x\n", {"config": {"mode": "replica"}, "results": {"n_total": 4}},
+             "counts.csv"),
+            ("k1,count\n1,2,3\n", {"config": {"mode": "replica"}, "results": {"n_total": 4}},
+             "counts.csv"),
+            ("k1,count\n1,3\n", {"config": {"mode": "replica"}, "results": {}}, "manifest.json"),
+            ("k1,count\n1,3\n", {"config": {"mode": "replica"}, "results": {"n_total": 0}},
+             "manifest.json"),
+        ],
+        ids=["non-integer-cell", "row-wider-than-header", "no-n-total", "zero-n-total"],
+    )
+    def test_report_on_malformed_input_exits_2(self, tmp_path, capsys, counts, manifest, bad_file):
+        input_dir = tmp_path / "input"
+        input_dir.mkdir()
+        (input_dir / "counts.csv").write_text(counts)
+        (input_dir / "manifest.json").write_text(json.dumps(manifest))
+        cfg = {
+            "kind": "report",
+            "input_dir": str(input_dir),
+            "prediction": {"family": "exponential-hitting", "mu": 0.25},
+            "cells": [[1]],
+            "out": str(tmp_path / "r"),
+        }
+        path = _write_config(tmp_path, cfg)
+        assert main(["report", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert str(input_dir / bad_file) in record["message"]
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path = _write_config(tmp_path, dict(VERIFY_CFG))

@@ -27,7 +27,6 @@ from hittimes.markov_pattern import (
     return_pmf,
     theta_exact,
     verify_inducing_identity,
-    verify_shift_identity,
     verify_shift_identity_grid,
 )
 from hittimes.markov_pattern.exact import _BLOCK, ProductChain, _absorption_series
@@ -100,13 +99,25 @@ class TestAutomaton:
     def test_single_symbol(self):
         auto = build_automaton(PatternTarget(word=(1,)), 2)
         assert auto.table.shape == (2, 2)
-        assert auto.run([0, 1, 1, 0]) == [0, 1, 1, 0]
+        assert auto.first_match([0, 1, 1, 0]) == (2, 1)
+        assert auto.first_match([0, 0]) == (None, 0)
+        assert auto.first_match([1], state=1) == (1, 1)
+
+    def test_first_match_stops_at_the_first_full_match(self):
+        auto = build_automaton(PatternTarget(word=(0, 1, 0)), 2)
+        assert auto.first_match([1, 0, 1, 0, 1, 0]) == (4, 3)
+        assert auto.first_match([0, 1, 1]) == (None, 0)
+        assert auto.first_match([]) == (None, 0)
+        # from the full match, "10" completes an overlapping occurrence
+        assert auto.first_match([1, 0], state=3) == (2, 3)
 
     def test_overlap_restart(self):
         auto = build_automaton(PatternTarget(word=(0, 0)), 2)
         # from the full match, another 0 keeps the full match (overlap)
         assert auto.table[2, 0] == 2
         assert auto.table[2, 1] == 0
+        assert auto.first_match([0], state=2) == (1, 2)
+        assert auto.first_match([1, 0, 0], state=2) == (3, 2)
 
     def test_kmp_monotonicity(self):
         for word in [(0, 1, 0, 0, 1), (1, 1, 0, 1, 1, 0), (0, 0, 0)]:
@@ -263,6 +274,12 @@ class TestPMFInvariants:
         assert abs(pmf.total() - 1.0) < 1e-10
 
 
+def _shift_cell(source, word, j, m):
+    """Both sides of the j-shift identity at (j, m): cell [j-1, m-1] of the grid."""
+    lhs, rhs = verify_shift_identity_grid(source, PatternTarget(word=word), j, m)
+    return float(lhs[j - 1, m - 1]), float(rhs[j - 1, m - 1])
+
+
 class TestIdentities:
     @pytest.mark.parametrize(
         "source,word",
@@ -291,26 +308,26 @@ class TestIdentities:
         "source,word", [(FAIR, (1,)), (FAIR, (0, 1, 0)), (BIASED, (0, 1)), (MARKOV2, (1, 1))]
     )
     def test_shift_identity_both_sides_equal(self, source, word, j, m):
-        lhs, rhs = verify_shift_identity(source, PatternTarget(word=word), j, m)
+        lhs, rhs = _shift_cell(source, word, j, m)
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
     @pytest.mark.parametrize("j,m", [(1, 1), (3, 2), (2, 4)])
     def test_shift_identity_against_enumeration(self, j, m):
         word = (0, 1, 0)
-        lhs, rhs = verify_shift_identity(FAIR, PatternTarget(word=word), j, m)
+        lhs, rhs = _shift_cell(FAIR, word, j, m)
         brute = brute_shift_identity_lhs(FAIR.transitions, FAIR.stationary, word, j, m)
         assert lhs == pytest.approx(brute, abs=1e-13)
         assert rhs == pytest.approx(brute, abs=1e-13)
 
     def test_shift_identity_trivial_case(self):
         # j=1, m=1, word "1": both sides mu(A n {phi=1}) = 1/4
-        lhs, rhs = verify_shift_identity(FAIR, PatternTarget(word=(1,)), 1, 1)
+        lhs, rhs = _shift_cell(FAIR, (1,), 1, 1)
         assert lhs == pytest.approx(0.25, abs=1e-14)
         assert rhs == pytest.approx(0.25, abs=1e-14)
 
     def test_shift_identity_zero_beyond_support(self):
         # word 11: return mass at 2 is zero, so j=1, m=2 has both sides 0
-        lhs, rhs = verify_shift_identity(FAIR, PatternTarget(word=(1, 1)), 1, 2)
+        lhs, rhs = _shift_cell(FAIR, (1, 1), 1, 2)
         assert lhs == 0.0
         assert rhs == 0.0
 
@@ -375,16 +392,14 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("source,word", [(FAIR, (0, 1, 0)), (MARKOV2, (1, 0, 1))])
     def test_shift_grid_matches_single_cells(self, source, word):
-        target = PatternTarget(word=word)
-        want = max(
-            abs(lhs - rhs)
-            for j in range(1, 6)
-            for m in range(1, 9)
-            for lhs, rhs in [verify_shift_identity(source, target, j, m)]
-        )
-        got = verify_shift_identity_grid(source, target, 5, 8)
-        assert got < 1e-13
-        assert got == pytest.approx(want, abs=1e-15)
+        lhs, rhs = verify_shift_identity_grid(source, PatternTarget(word=word), 5, 8)
+        assert lhs.shape == rhs.shape == (5, 8)
+        assert np.max(np.abs(lhs - rhs)) < 1e-13
+        for j in range(1, 6):
+            for m in range(1, 9):
+                cell = _shift_cell(source, word, j, m)
+                assert cell[0] == pytest.approx(lhs[j - 1, m - 1], abs=1e-15)
+                assert cell[1] == pytest.approx(rhs[j - 1, m - 1], abs=1e-15)
 
 
 class TestBlockStep:
