@@ -230,27 +230,24 @@ def generate_stream(
     system: BranchSystem,
     seed: int,
     n: int,
-    block_size: int = DEFAULT_BLOCK,
     substream: int = 0,
 ) -> DigitStream:
     """Generate a stationary digit stream of length n.
 
     Runs n backward steps from a stationary start, drawing uniforms in blocks
-    of ``block_size``, and returns the branch indices in reverse generation
+    of ``DEFAULT_BLOCK``, and returns the branch indices in reverse generation
     order; reversing the whole materialized buffer is the same as reversing
     each block and consuming blocks last-generated-first.
     """
     if n < 1:
         raise ValidationError(f"stream length must be >= 1, got {n}")
-    if block_size < 1:
-        raise ValidationError(f"block size must be >= 1, got {block_size}")
     rng = make_rng(seed, substream)
     y = system.stationary_point(float(rng.random()))
     buf = np.empty(n, dtype=np.int64)
     sample = system.branch_sample
     pos = 0
     while pos < n:
-        us = rng.random(min(block_size, n - pos))
+        us = rng.random(min(DEFAULT_BLOCK, n - pos))
         for u in us:
             k, y = sample(y, float(u))
             buf[pos] = k

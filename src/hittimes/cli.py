@@ -34,6 +34,7 @@ from .markov_pattern import (
     counterexample_pruned_target,
     hitting_pmf,
     llt_convergence_table,
+    return_excess,
     return_pmf,
     verify_inducing_identity,
     verify_shift_identity_grid,
@@ -67,10 +68,12 @@ _SOURCE_SCHEMA = {
     ]
 }
 
+_WORD_SCHEMA = {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1}
+
 _WORD_TARGET_SCHEMA = {
     "type": "object",
     "properties": {
-        "word": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+        "word": _WORD_SCHEMA,
         "period_hint": {"type": "integer", "minimum": 1},
     },
     "required": ["word"],
@@ -169,11 +172,7 @@ CONFIG_SCHEMAS = {
         "verify-identities",
         {
             "source": _SOURCE_SCHEMA,
-            "words": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-                "minItems": 1,
-            },
+            "words": {"type": "array", "items": _WORD_SCHEMA, "minItems": 1},
             "k_max": {"type": "integer", "minimum": 2},
             "j_max": {"type": "integer", "minimum": 1},
             "m_max": {"type": "integer", "minimum": 1},
@@ -206,7 +205,7 @@ CONFIG_SCHEMAS = {
         {
             "flavor": {"enum": ["exact-markov", "monte-carlo"]},
             "source": _SOURCE_SCHEMA,
-            "word": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+            "word": _WORD_SCHEMA,
             "k_prune": {"type": "integer", "minimum": 1},
             "k_max": {"type": "integer", "minimum": 1},
             "system": {"enum": ["gauss", "doubling"]},
@@ -346,24 +345,12 @@ def _run_verify_identities(cfg: dict, run_dir: Path) -> dict:
         inducing = verify_inducing_identity(source, target, range(1, k_max + 1))
         lhs, rhs = verify_shift_identity_grid(source, target, j_max, m_max)
         shift = float(np.max(np.abs(lhs - rhs)))
-        # Kac and the discrete integral relation need tail-converged laws;
-        # extend the horizon until the return tail is negligible
-        horizon = k_max
-        ret = return_pmf(source, target, horizon)
-        while ret.tail > 1e-12 and horizon < 2**22:
-            horizon *= 2
-            ret = return_pmf(source, target, horizon)
-        kac = abs(ret.expectation() - 1.0 / mu)
-        hitp = hitting_pmf(source, target, "stationary", horizon)
-        # surv[i] = P(return >= i+1); backward cumulative keeps this O(horizon)
-        surv = np.cumsum(ret.masses[::-1])[::-1] + ret.tail
-        hit_cum = np.cumsum(hitp.masses)
-        relation = 0.0
-        for big_k in (1, k_max // 8, k_max // 4, k_max // 2):
-            big_k = max(1, big_k)
-            lhs = 1.0 - float(hit_cum[big_k - 1])
-            rhs = mu * float(np.sum(surv[big_k:]))
-            relation = max(relation, abs(lhs - rhs))
+        # Kac (K = 0) and mu(phi_A > K) = mu(A) E_A[(phi_A - K)^+] at four K
+        big_ks = np.maximum(1, [1, k_max // 8, k_max // 4, k_max // 2])
+        excess = return_excess(source, target, [0, *big_ks])
+        kac = abs(excess[0] - 1.0 / mu)
+        hit_cum = np.cumsum(hitting_pmf(source, target, "stationary", k_max).masses)
+        relation = np.max(np.abs(1.0 - hit_cum[big_ks - 1] - mu * excess[1:]))
         for check, value in (
             ("inducing_identity", inducing),
             ("shift_identity", shift),

@@ -81,13 +81,6 @@ class TargetScan:
     def word_pattern(cls, word: Sequence[int]) -> "TargetScan":
         return cls(word=tuple(int(c) for c in word))
 
-    def matches_value(self, value: int) -> bool:
-        if self.threshold is None:
-            raise ValidationError("value predicate only defined for threshold targets")
-        if value < self.threshold:
-            return False
-        return is_prime(value) if self.prime_variant else True
-
 
 def _prime_mask(values: np.ndarray) -> np.ndarray:
     """Vectorized primality through the distinct values actually present."""
@@ -185,20 +178,6 @@ class EmpiricalPMF:
     def estimate(self, cell: tuple[int, ...]) -> float:
         return self.counts.get(tuple(cell), 0) / self.n_total
 
-    def merge(self, other: "EmpiricalPMF") -> "EmpiricalPMF":
-        if other.kind != self.kind:
-            raise ValidationError("cannot merge estimators of different kinds")
-        merged = dict(self.counts)
-        for k, c in other.counts.items():
-            merged[k] = merged.get(k, 0) + c
-        return EmpiricalPMF(
-            counts=merged,
-            n_total=self.n_total + other.n_total,
-            kind=self.kind,
-            censored=self.censored + other.censored,
-            meta=dict(self.meta),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Replica-mode first-passage estimation
@@ -280,7 +259,6 @@ def estimate_first_passage(
     seed: int,
     chunk_size: int = DEFAULT_CHUNK,
     mark_cap: int | None = None,
-    censor_bound: float = DEFAULT_CENSOR_BOUND,
     workers: int = 1,
 ) -> EmpiricalPMF:
     """Joint empirical law of the first d inter-hit gaps (and marks).
@@ -289,8 +267,9 @@ def estimate_first_passage(
     (tau_1, psi_1, ..., tau_d, psi_d) for threshold targets and
     (tau_1, ..., tau_d) for word targets. Replicas without d hits inside
     max_steps land in the censoring count; a censoring fraction above
-    ``censor_bound`` is flagged in ``meta`` (not fatal). Chunk boundaries are
-    fixed by ``chunk_size`` alone, so results do not depend on ``workers``.
+    ``DEFAULT_CENSOR_BOUND`` is flagged in ``meta`` (not fatal). Chunk
+    boundaries are fixed by ``chunk_size`` alone, so results do not depend on
+    ``workers``.
     """
     if n_replicas < 1 or d < 1 or max_steps < 1:
         raise ValidationError("n_replicas, d, and max_steps must all be >= 1")
@@ -332,7 +311,7 @@ def estimate_first_passage(
         "chunk_size": chunk_size,
         "mark_cap": mark_cap,
         "censored_fraction": frac,
-        "censoring_flag": frac > censor_bound,
+        "censoring_flag": frac > DEFAULT_CENSOR_BOUND,
     }
     return EmpiricalPMF(counts=counts, n_total=n_replicas, kind="replica", censored=censored, meta=meta)
 

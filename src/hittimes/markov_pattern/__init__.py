@@ -10,6 +10,7 @@ from .exact import (
     block_set_return_pmf,
     consecutive_joint_pmf,
     hitting_pmf,
+    return_excess,
     return_pmf,
     theta_exact,
     verify_inducing_identity,
@@ -44,6 +45,7 @@ __all__ = [
     "hitting_pmf",
     "k_grid",
     "llt_convergence_table",
+    "return_excess",
     "return_pmf",
     "theta_exact",
     "verify_inducing_identity",

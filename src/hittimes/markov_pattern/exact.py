@@ -17,6 +17,9 @@ Substochastic iteration is blocked: one kernel, `_absorption_series`, emits
 _BLOCK absorbed masses per product with the impulse-response block
 [q, Qq, ..., Q^(B-1)q] and then advances the distribution by Q^B (Kemeny and
 Snell, *Finite Markov Chains*, 1960, for the algebra of substochastic kernels).
+Return-time expectations need no horizon: `return_excess` solves (I - Q) w = 1
+by GTH elimination (Grassmann, Taksar and Heyman, *Oper. Res.* 1985), which
+keeps full relative precision however rare the target.
 
 Mass totals use `math.fsum`, which is exactly rounded; for rare targets the
 interesting k run into the millions and naive accumulation would lose digits.
@@ -273,6 +276,36 @@ def hitting_pmf(
 def return_pmf(source: MarkovSource, target: PatternTarget, k_max: int) -> ExactPMF:
     """Exact return-time law: hitting law started from the cylinder itself."""
     return hitting_pmf(source, target, "in_target", k_max)
+
+
+def return_excess(
+    source: MarkovSource, target: PatternTarget, ks: Iterable[int]
+) -> np.ndarray:
+    """E[(R - K)^+] = sum_{j >= K} P(R > j) of the return time R, for each K in ``ks``.
+
+    K = 0 gives E[R], which Kac's formula sets to 1/mu(A). Each value is
+    e Q^K w, with e the full-match state and w = (I - Q)^(-1) 1. GTH
+    elimination forms each pivot 1 - Q_kk as the absorption plus the row mass
+    right of the diagonal, never by a subtraction, so w keeps full relative
+    precision although cond(I - Q) grows like 1/mu(A).
+    """
+    ks = [int(k) for k in ks]
+    if any(k < 0 for k in ks):
+        raise ValidationError(f"ks must be >= 0, got {ks}")
+    if source.word_measure(target.word) == 0.0:
+        raise ValidationError("cannot condition on a target of zero measure")
+    chain = ProductChain(source, build_automaton(target, source.alphabet_size))
+    n = chain.n_states
+    # eliminate on [Q | q | 1]: the Schur updates carry the absorption column
+    # q and the right-hand side along with the rows of Q
+    a = np.column_stack((chain.survive, chain.into_match, np.ones(n)))
+    for k in range(n):
+        a[k, k + 1 :] /= a[k, k + 1 : n + 1].sum()
+        a[k + 1 :, k + 1 :] += np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    w = a[:, n + 1]
+    for k in range(n - 2, -1, -1):
+        w[k] += a[k, k + 1 : n] @ w[k + 1 :]
+    return np.array([np.linalg.matrix_power(chain.survive, k)[chain.match_index] @ w for k in ks])
 
 
 def theta_exact(source: MarkovSource, target: PatternTarget) -> float:

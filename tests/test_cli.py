@@ -26,6 +26,14 @@ VERIFY_CFG = {
     "seed": 1,
 }
 
+CE_CFG = {
+    "kind": "counterexample",
+    "flavor": "exact-markov",
+    "source": {"type": "iid", "probs": [0.5, 0.5]},
+    "word": [0, 1],
+    "k_prune": 3,
+}
+
 SIM_CFG = {
     "kind": "simulate-doubling",
     "mode": "replica",
@@ -69,6 +77,8 @@ class TestValidation:
             dict(SIM_CFG, mode="sideways"),
             {"kind": "exact-markov", "source": {"type": "iid", "probs": [0.5, 0.5]},
              "targets": [{"word": [0, -1]}], "delta": 0.5},
+            dict(VERIFY_CFG, words=[[1], [0, -1]]),
+            dict(CE_CFG, word=[-1, 0]),
         ],
     )
     def test_messages_match_jsonschema_validate(self, cfg):
@@ -219,19 +229,39 @@ class TestMainEntry:
         out = capsys.readouterr().out.strip()
         assert Path(out).is_dir()
 
-    def test_malformed_config_exits_2_with_field(self, tmp_path, capsys):
-        cfg = {
-            "kind": "exact-markov",
-            "source": {"type": "iid", "probs": [0.5, 0.5]},
-            "targets": [{"word": [0, 0]}],
-            "delta": 0,
-        }
-        path = _write_config(tmp_path, cfg)
-        assert main(["exact", "--config", str(path)]) == 2
+    @pytest.mark.parametrize(
+        "subcommand,cfg,field",
+        [
+            ("exact", {"kind": "exact-markov", "source": {"type": "iid", "probs": [0.5, 0.5]},
+                       "targets": [{"word": [0, 0]}], "delta": 0}, "delta"),
+            ("verify", dict(VERIFY_CFG, words=[[1], [0, -1]]), "words/1/1"),
+            ("counterexample", dict(CE_CFG, word=[-1, 0]), "word/0"),
+        ],
+    )
+    def test_malformed_config_exits_2_with_field(self, tmp_path, capsys, subcommand, cfg, field):
+        path = _write_config(tmp_path, dict(cfg, out=str(tmp_path / "r")))
+        assert main([subcommand, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         record = json.loads(err)
         assert record["error"] == "ConfigError"
-        assert "delta" in record["message"]
+        assert field in record["message"]
+
+    def test_verify_rare_word_kac_and_relation_untruncated(self, tmp_path, capsys):
+        # fair coin, word 1^18: E[R] = 2^18, and the return tail stays above
+        # 1e-12 past 2^22 steps, so no truncated return law can meet these
+        cfg = {
+            "kind": "verify-identities",
+            "source": {"type": "iid", "probs": [0.5, 0.5]},
+            "words": [[1] * 18],
+            "out": str(tmp_path / "r"),
+        }
+        path = _write_config(tmp_path, cfg)
+        assert main(["verify", "--config", str(path)]) == 0
+        run_dir = Path(capsys.readouterr().out.strip())
+        lines = (run_dir / "identities.csv").read_text().splitlines()[1:]
+        residual = {check: float(value) for _, check, value in (r.split(",") for r in lines)}
+        assert residual["kac_expectation"] <= 1e-9 * 2**18
+        assert residual["discrete_integral_relation"] <= 1e-10
 
     def test_binary_word_of_length_40_runs(self, tmp_path, capsys):
         cfg = dict(SIM_CFG, target={"word": [1] * 40}, out=str(tmp_path / "r"))

@@ -1,10 +1,11 @@
-"""Pinned SHA-256 digests of the artifacts of four small configs.
+"""Pinned SHA-256 digests of the artifacts of five small configs.
 
 A rerun only shows that a change is deterministic; these digests show that
 it left the bytes of earlier runs alone. The three Monte-Carlo configs must
-never move unless their sampling changes on purpose. The exact-markov digest
-moves whenever the exact oracle's floating-point evaluation order changes; a
-change that moves it must state the tolerance the new masses are held to.
+never move unless their sampling changes on purpose. The exact-markov and
+verify-identities digests move whenever the exact oracle's floating-point
+evaluation order changes; a change that moves one must state the tolerance
+the new values are held to.
 """
 
 import hashlib
@@ -39,6 +40,14 @@ CONFIGS = {
         "min_hits": 1000,
         "seed": 2,
     },
+    "verify-identities": {
+        "kind": "verify-identities",
+        "source": {
+            "type": "markov",
+            "transitions": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+        },
+        "words": [[0, 1, 2, 0, 1, 2], [0, 0, 1, 1, 2, 2]],
+    },
     "counterexample-mc": {
         "kind": "counterexample",
         "flavor": "monte-carlo",
@@ -64,6 +73,10 @@ GOLDEN = {
     "ergodic": {
         "counts.csv": "a0d47b377ed2c80f30ab1fd1a38fab96ef838a75c8e4c3305ed355f72375d8fa",
         "manifest.json": "97dd34d9692b5ff8063d0c89673f9df188a5102aa3e42b3ca30054c1efb67ec0",
+    },
+    "verify-identities": {
+        "identities.csv": "291d979f38298dc623031e0ac44ef39bb4c9e6489e7d33cd733e3fb13f7e0b2e",
+        "manifest.json": "9c7167f13decfeefa1f354bc17efd6b32af574cd10cc36f39427bb430307edb2",
     },
     "counterexample-mc": {
         "counterexample.csv": "1a86fb6ee50088f6bc1447f76e4ddd04ae1419fb2eea3b8bf419a564ad63ce00",

@@ -24,6 +24,7 @@ from hittimes.markov_pattern import (
     hitting_pmf,
     k_grid,
     llt_convergence_table,
+    return_excess,
     return_pmf,
     theta_exact,
     verify_inducing_identity,
@@ -280,12 +281,14 @@ def _shift_cell(source, word, j, m):
     return float(lhs[j - 1, m - 1]), float(rhs[j - 1, m - 1])
 
 
+IDENTITY_WORDS = [
+    (FAIR, (1,)), (FAIR, (1, 1)), (FAIR, (0, 1, 0)), (FAIR, (0, 1, 1, 0)),
+    (BIASED, (0, 1)), (MARKOV2, (1, 0, 1)),
+]
+
+
 class TestIdentities:
-    @pytest.mark.parametrize(
-        "source,word",
-        [(FAIR, (1,)), (FAIR, (1, 1)), (FAIR, (0, 1, 0)), (FAIR, (0, 1, 1, 0)),
-         (BIASED, (0, 1)), (MARKOV2, (1, 0, 1))],
-    )
+    @pytest.mark.parametrize("source,word", IDENTITY_WORDS)
     def test_inducing_identity(self, source, word):
         worst = verify_inducing_identity(source, PatternTarget(word=word), range(1, 257))
         assert worst < 1e-12
@@ -343,6 +346,48 @@ class TestIdentities:
             lhs = 1.0 - math.fsum(float(x) for x in hit.masses[:big_k])
             rhs = mu * math.fsum(ret.survival(k) for k in range(big_k + 1, k_max + 1))
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class TestReturnExcess:
+    """E[(R - K)^+] from the GTH fundamental-matrix solve."""
+
+    @pytest.mark.parametrize("source,word", IDENTITY_WORDS)
+    def test_matches_truncated_return_law(self, source, word):
+        # every return tail here is below e^-100 by the horizon, so the
+        # survival of the truncated law sums to the untruncated excess
+        target = PatternTarget(word=word)
+        horizon = 2048
+        ret = return_pmf(source, target, horizon)
+        surv = [math.fsum(ret.masses[j:]) for j in range(horizon)]  # P(R > j)
+        ks = [0, 1, 3, 16, 64]
+        got = return_excess(source, target, ks)
+        for k, value in zip(ks, got):
+            want = math.fsum(surv[k:])
+            assert abs(value - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize(
+        "source,word",
+        [(BIASED, (0,) * 20), (BIASED, (0, 1) * 12), (MARKOV3, (0, 1, 2) * 6)],
+    )
+    def test_kac_for_rare_words(self, source, word):
+        # mu(0^20) = 3.49e-11: cond(I - Q) ~ 1/mu, so a plain linear solve
+        # misses Kac's E[R] = 1/mu by far more than 1e-12 relative
+        mu = source.word_measure(word)
+        (mean,) = return_excess(source, PatternTarget(word=word), [0])
+        assert abs(mean * mu - 1.0) <= 1e-12
+
+    def test_zero_measure_word_rejected_like_return_law(self):
+        source = MarkovSource.from_transitions([[0.0, 1.0], [0.5, 0.5]])
+        target = PatternTarget(word=(0, 0))
+        with pytest.raises(ValidationError) as want:
+            hitting_pmf(source, target, "in_target", 4)
+        with pytest.raises(ValidationError) as got:
+            return_excess(source, target, [0])
+        assert str(got.value) == str(want.value)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValidationError, match="ks must be >= 0"):
+            return_excess(FAIR, PatternTarget(word=(1,)), [0, -1])
 
 
 def _assert_matches_stepwise(source, target, initial, k_max):
