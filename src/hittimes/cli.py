@@ -6,9 +6,11 @@ Artifacts (CSV tables and manifest.json) are deterministic functions of the
 config; wall-clock timing goes to run_log.txt, which is excluded from the
 byte-identity contract.
 
-Exit codes: 0 success, 2 configuration error, 1 runtime failure. Failures
-also emit a machine-readable error record on stderr (and error.json in the
-run directory when it is known).
+Exit codes: 0 success, 2 configuration error, 1 runtime failure. Every
+failure, an unexpected exception included, also emits a machine-readable
+error record on stderr (and error.json in the run directory when it is
+known); the record of an exception that is not a HitTimesError carries its
+traceback.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Callable
 
@@ -26,7 +28,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, branch_systems, estimators, theory
-from .errors import ConfigError, HitTimesError
+from .errors import ConfigError, HitTimesError, ValidationError
 from .markov_pattern import (
     CONVERGENCE_HEADER,
     MarkovSource,
@@ -274,8 +276,10 @@ def _build_scan_target(spec: dict) -> estimators.TargetScan:
     return estimators.TargetScan.digit_threshold(spec["threshold"], spec.get("prime", False))
 
 
-def make_predictor(spec: dict) -> Callable[[tuple[int, ...]], float] | None:
-    """Cell-level prediction from a config prediction spec."""
+def make_predictor(
+    spec: dict, names: tuple[str, ...]
+) -> Callable[[tuple[int, ...]], float] | None:
+    """Cell-level prediction from a config prediction spec, for cells keyed by ``names``."""
     family = spec["family"]
     if family == "none":
         return None
@@ -294,15 +298,32 @@ def make_predictor(spec: dict) -> Callable[[tuple[int, ...]], float] | None:
             return theory.cf_joint_asymptote(pred)
 
         return cf_pred
-    law = theory.ExponentialLaw(theta=spec.get("theta", 1.0))
+    if any(name.startswith("a") for name in names):
+        raise ConfigError(f"{family} predicts cells of gaps only; cells keyed {names} carry marks")
+    theta = spec.get("theta", 1.0)
     mu = spec["mu"]
-    factor = law.theta if family == "exponential-hitting" else law.theta**2
+    hitting_start = family == "exponential-hitting"
+    return lambda cell: theory.consecutive_asymptote(theta, mu, cell, hitting_start)
 
-    def exp_pred(cell: tuple[int, ...]) -> float:
-        (k,) = cell
-        return factor * math.exp(-law.theta * mu * k) * mu
 
-    return exp_pred
+def _checked_cells(
+    cells: list, names: tuple[str, ...], predictor: Callable[[tuple[int, ...]], float]
+) -> list[tuple[int, ...]]:
+    """The cells as tuples, each of the counts key's width and with a positive prediction."""
+    if not cells:
+        raise ConfigError("cells must be nonempty")
+    checked = []
+    for cell in map(tuple, cells):
+        if len(cell) != len(names):
+            raise ConfigError(f"cell {list(cell)} does not have the {len(names)} entries {names}")
+        try:
+            pred = predictor(cell)
+        except ValidationError as exc:
+            raise ConfigError(f"cell {list(cell)}: {exc}") from exc
+        if not pred > 0.0:
+            raise ConfigError(f"cell {list(cell)}: prediction {pred} is not positive")
+        checked.append(cell)
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +363,17 @@ def _run_verify_identities(cfg: dict, run_dir: Path) -> dict:
         target = PatternTarget(word=tuple(word))
         label = "".join(str(c) for c in word)
         mu = source.word_measure(target.word)
-        inducing = verify_inducing_identity(source, target, range(1, k_max + 1))
-        lhs, rhs = verify_shift_identity_grid(source, target, j_max, m_max)
+        # one stationary and one return law per word, each at the largest horizon read
+        hit = hitting_pmf(source, target, "stationary", k_max)
+        ret = return_pmf(source, target, max(k_max, j_max + m_max - 1))
+        inducing = verify_inducing_identity(hit, ret, mu, range(1, k_max + 1))
+        lhs, rhs = verify_shift_identity_grid(source, target, ret, j_max, m_max)
         shift = float(np.max(np.abs(lhs - rhs)))
         # Kac (K = 0) and mu(phi_A > K) = mu(A) E_A[(phi_A - K)^+] at four K
         big_ks = np.maximum(1, [1, k_max // 8, k_max // 4, k_max // 2])
         excess = return_excess(source, target, [0, *big_ks])
         kac = abs(excess[0] - 1.0 / mu)
-        hit_cum = np.cumsum(hitting_pmf(source, target, "stationary", k_max).masses)
+        hit_cum = np.cumsum(hit.masses)
         relation = np.max(np.abs(1.0 - hit_cum[big_ks - 1] - mu * excess[1:]))
         for check, value in (
             ("inducing_identity", inducing),
@@ -368,10 +392,16 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
     target = _build_scan_target(cfg["target"])
     seed = cfg["seed"]
     results: dict = {"system": system.name, "mode": cfg["mode"]}
-    if cfg["mode"] == "replica":
-        for req in ("n_replicas", "d", "max_steps"):
-            if req not in cfg:
-                raise ConfigError(f"replica mode requires {req}")
+    replica = cfg["mode"] == "replica"
+    for req in ("n_replicas", "d", "max_steps") if replica else ("n_digits",):
+        if req not in cfg:
+            raise ConfigError(f"{cfg['mode']} mode requires {req}")
+    key_names = _cell_names(target, cfg["d"]) if replica else ("k",)
+    predictor = make_predictor(cfg["prediction"], key_names) if "prediction" in cfg else None
+    cells = None
+    if predictor is not None and "cells" in cfg:
+        cells = _checked_cells(cfg["cells"], key_names, predictor)
+    if replica:
         pmf = estimators.estimate_first_passage(
             system,
             target,
@@ -383,15 +413,10 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
             mark_cap=cfg.get("mark_cap"),
             workers=cfg.get("workers", 1),
         )
-        key_names = _cell_names(target, cfg["d"])
-        count_rows = [key + (c,) for key, c in sorted(pmf.counts.items())]
-        _emit_table(run_dir, "counts", key_names + ("count",), count_rows, cfg)
         results["n_total"] = pmf.n_total
         results["censored"] = pmf.censored
         results["censoring"] = pmf.meta
     else:
-        if "n_digits" not in cfg:
-            raise ConfigError("ergodic mode requires n_digits")
         stream = branch_systems.generate_stream(system, seed, cfg["n_digits"])
         if "export_stream" in cfg:
             if cfg["export_stream"] == "binary":
@@ -402,22 +427,18 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
             stream, target, min_hits=cfg.get("min_hits", estimators.DEFAULT_MIN_HITS)
         )
         pmf = est.pmf
-        key_names = ("k",)
-        count_rows = [key + (c,) for key, c in sorted(pmf.counts.items())]
-        _emit_table(run_dir, "counts", key_names + ("count",), count_rows, cfg)
         results["n_total"] = pmf.n_total
         results["n_hits"] = est.n_hits
         results["mean_gap"] = est.mean_gap
         results["mean_gap_se"] = est.mean_gap_se
-    predictor = make_predictor(cfg["prediction"]) if "prediction" in cfg else None
-    if predictor is not None and "cells" in cfg:
-        cells = [tuple(c) for c in cfg["cells"]]
+    count_rows = [key + (c,) for key, c in sorted(pmf.counts.items())]
+    _emit_table(run_dir, "counts", key_names + ("count",), count_rows, cfg)
+    if cells is not None:
         rows, summary = estimators.llt_report(pmf, predictor, cells)
-        header = _cell_names(target, cfg.get("d", 1)) if cfg["mode"] == "replica" else ("k",)
         _emit_table(
             run_dir,
             "estimate",
-            header + estimators.REPORT_HEADER_SUFFIX,
+            key_names + estimators.REPORT_HEADER_SUFFIX,
             [r.as_tuple() for r in rows],
             cfg,
         )
@@ -517,15 +538,16 @@ def _run_report(cfg: dict, run_dir: Path) -> dict:
     except ValueError as exc:
         raise ConfigError(f"{counts_path} is not an integer counts table ({exc})") from exc
     pmf = estimators.EmpiricalPMF(counts=counts, n_total=n_total, kind=kind)
-    predictor = make_predictor(cfg["prediction"])
+    key_names = tuple(header[:-1])
+    predictor = make_predictor(cfg["prediction"], key_names)
     if predictor is None:
         raise ConfigError("report requires a non-trivial prediction family")
-    cells = [tuple(c) for c in cfg["cells"]]
+    cells = _checked_cells(cfg["cells"], key_names, predictor)
     rows, summary = estimators.llt_report(pmf, predictor, cells)
     _emit_table(
         run_dir,
         "estimate",
-        tuple(header[:-1]) + estimators.REPORT_HEADER_SUFFIX,
+        key_names + estimators.REPORT_HEADER_SUFFIX,
         [r.as_tuple() for r in rows],
         cfg,
     )
@@ -613,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
         return fail(2, {"error": "ConfigError", "message": f"cannot read config: {exc}"})
     for key in ("seed", "workers", "out", "format"):
         value = getattr(args, key)
-        if value is not None:
+        if value is not None and isinstance(raw, dict):  # validation rejects a non-object
             raw[key] = value
     try:
         cfg = validate_config(raw)
@@ -625,9 +647,11 @@ def main(argv: list[str] | None = None) -> int:
         return fail(2, {"error": "ConfigError", "message": str(exc)})
     try:
         run_dir, manifest = run_config(raw)
-    except HitTimesError as exc:
-        code = 2 if isinstance(exc, ConfigError) else 1
-        return fail(code, {"error": type(exc).__name__, "message": str(exc)})
+    except Exception as exc:  # every failure leaves one JSON record
+        record = {"error": type(exc).__name__, "message": str(exc)}
+        if not isinstance(exc, HitTimesError):  # a defect: keep where it was raised
+            record["traceback"] = traceback.format_exc()
+        return fail(2 if isinstance(exc, ConfigError) else 1, record)
     sys.stdout.write(f"{run_dir}\n")
     return 0
 

@@ -123,28 +123,6 @@ def scan_hits(
     return pos + 1, digits[pos]
 
 
-@dataclass(frozen=True)
-class SpatioTemporalRecord:
-    """Inter-hit gaps tau^(1..d) paired with the digit marks psi^(1..d)."""
-
-    gaps: tuple[int, ...]
-    marks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.gaps) != len(self.marks):
-            raise ValidationError("gaps and marks must have equal length")
-
-
-def gaps_and_marks(positions: np.ndarray, values: np.ndarray) -> SpatioTemporalRecord:
-    """Successive position differences (first gap = first position) with marks."""
-    pos = np.asarray(positions, dtype=np.int64)
-    val = np.asarray(values, dtype=np.int64)
-    if pos.size == 0:
-        return SpatioTemporalRecord(gaps=(), marks=())
-    gaps = np.diff(pos, prepend=0)
-    return SpatioTemporalRecord(gaps=tuple(int(g) for g in gaps), marks=tuple(int(v) for v in val))
-
-
 # ---------------------------------------------------------------------------
 # Empirical PMFs
 # ---------------------------------------------------------------------------

@@ -355,21 +355,29 @@ def consecutive_joint_pmf(
     return prob
 
 
+def _require_horizon(law: ExactPMF, horizon: int, name: str) -> None:
+    if law.support_start != 1 or law.masses.size < horizon:
+        raise ValidationError(
+            f"the {name} law must cover 1..{horizon}, it covers "
+            f"{law.support_start}..{law.support_start + law.masses.size - 1}"
+        )
+
+
 def verify_inducing_identity(
-    source: MarkovSource, target: PatternTarget, k_range: Iterable[int]
+    hit: ExactPMF, ret: ExactPMF, mu_a: float, k_range: Iterable[int]
 ) -> float:
     """Max |mu(phi_A = k) - mu(A n {phi_A >= k})| over the given k.
 
-    The left side comes from the stationary hitting law, the right side from
-    the cylinder measure times the return-law survival function.
+    ``hit`` is the stationary hitting law and ``ret`` the return law of a
+    target A of measure ``mu_a``, each to at least max(k_range). The left
+    side is read from ``hit``, the right side is mu_a times the survival
+    function of ``ret``.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 1:
         raise ValidationError("k_range must contain integers >= 1")
-    k_max = ks[-1]
-    hit = hitting_pmf(source, target, "stationary", k_max)
-    ret = return_pmf(source, target, k_max)
-    mu_a = source.word_measure(target.word)
+    _require_horizon(hit, ks[-1], "hitting")
+    _require_horizon(ret, ks[-1], "return")
     # surv[k] = tail + masses[k:], accumulated backwards from the tail
     surv = np.cumsum(np.concatenate(([ret.tail], ret.masses[::-1])))[::-1]
     idx = np.array(ks) - 1
@@ -401,7 +409,7 @@ def _matched_split(chain: ProductChain, l: int, j_max: int) -> np.ndarray:
 
 
 def verify_shift_identity_grid(
-    source: MarkovSource, target: PatternTarget, j_max: int, m_max: int
+    source: MarkovSource, target: PatternTarget, ret: ExactPMF, j_max: int, m_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the j-shift occurrence identity on 1 <= j <= j_max, 1 <= m <= m_max.
 
@@ -409,17 +417,19 @@ def verify_shift_identity_grid(
     Left: mu({phi_A <= j} n {phi_A o T^j = m}), from a product-chain
     matched/unmatched split through the first j occurrence starts, extended
     incrementally in j, then one blocked substochastic sweep over m for all j.
-    Right: mu(A n {m <= phi_A < m + j}) from the return law.
+    Right: mu(A n {m <= phi_A < m + j}) from ``ret``, the target's return
+    law to at least j_max + m_max - 1.
     """
     if j_max < 1 or m_max < 1:
         raise ValidationError("j_max and m_max must be >= 1")
+    horizon = m_max + j_max - 1
+    _require_horizon(ret, horizon, "return")
     chain = ProductChain(source, build_automaton(target, source.alphabet_size))
     mu_a = source.word_measure(target.word)
-    ret = return_pmf(source, target, m_max + j_max - 1)
     splits = _matched_split(chain, target.length, j_max)
     lhs = _absorption_series(chain.survive, chain.into_match, splits, m_max)
     # rhs(j, m) = mu(A) * sum of return masses over m..m+j-1, via prefix sums
-    prefix = np.concatenate(([0.0], np.cumsum(ret.masses)))
+    prefix = np.concatenate(([0.0], np.cumsum(ret.masses[:horizon])))
     j = np.arange(1, j_max + 1)[:, None]
     m = np.arange(1, m_max + 1)[None, :]
     rhs = mu_a * (prefix[m + j - 1] - prefix[m - 1])

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import BudgetExceededError, ValidationError
+from ..theory import consecutive_asymptote
 from .automaton import PatternTarget, build_automaton
 from .exact import (
     ExactPMF,
@@ -67,9 +68,10 @@ def llt_convergence_table(
     """Exact masses against the exponential LLT prediction over a k grid.
 
     For each target A of the family, the grid covers the normalized-time
-    window [delta, 1/delta]; the prediction is theta^2*e^(-theta*t)*mu(A) for
-    the return law and theta*e^(-theta*t)*mu(A) for the stationary hitting
-    law, with t = mu(A)*k. theta defaults to the exact escaping proportion of
+    window [delta, 1/delta]; the prediction is `consecutive_asymptote` at the
+    single gap k: theta^2*e^(-theta*t)*mu(A) for the return law and
+    theta*e^(-theta*t)*mu(A) for the stationary hitting law, with
+    t = mu(A)*k. theta defaults to the exact escaping proportion of
     a periodic target, and to 1 for targets without a period hint.
     """
     if kind not in ("return", "hitting"):
@@ -89,10 +91,9 @@ def llt_convergence_table(
             if kind == "return"
             else hitting_pmf(source, target, "stationary", k_max)
         )
-        factor = th**2 if kind == "return" else th
         for k in ks:
             t = mu_a * float(k)
-            predicted = factor * math.exp(-th * t) * mu_a
+            predicted = consecutive_asymptote(th, mu_a, [k], hitting_start=kind == "hitting")
             exact = pmf.mass_at(int(k))
             rows.append(
                 ConvergenceRow(

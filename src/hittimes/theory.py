@@ -1,12 +1,12 @@
 """Closed-form reference laws for rare-event hitting and return times.
 
 Everything here is a pure function of its inputs. The module collects the
-exponential limit family (density factors theta*e^{-theta*t} for hitting and
-theta^2*e^{-theta*t} for return laws), the product asymptotics for d
-consecutive inter-hit gaps, the continued-fraction large-digit predictions
-with their prime-restricted variant, Gauss-measure digit-cell values, and a
-quadrature checker for the integral relation that ties a hitting-time limit
-law F to its return-time companion law:
+exponential limit family in one formula, `consecutive_asymptote`, for d
+consecutive inter-hit gaps (d = 1 gives the hitting factor theta*e^{-theta*t}
+and the return factor theta^2*e^{-theta*t}), the continued-fraction
+large-digit predictions with their prime-restricted variant, Gauss-measure
+digit-cell values, and a quadrature checker for the integral relation that
+ties a hitting-time limit law F to its return-time companion law:
 
     integral_0^t (1 - Ftilde(s)) ds = F(t).
 
@@ -28,74 +28,35 @@ from .primes import is_prime, primes_up_to
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ExponentialLaw:
-    """Exponential limit law with extremal index ``theta`` in (0, 1].
-
-    The normalized hitting-time CDF is F(t) = 1 - e^{-theta*t} (expectation
-    1/theta); the companion return-time CDF is Ftilde(t) = 1 - theta*e^{-theta*t},
-    which carries an atom of mass 1 - theta at t = 0 (instant returns).
-    """
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.theta <= 1.0) or not math.isfinite(self.theta):
-            raise ValidationError(f"theta must lie in (0, 1], got {self.theta}")
-
-    def hitting_cdf(self, t: float) -> float:
-        _require_nonneg(t)
-        return 1.0 - math.exp(-self.theta * t)
-
-    def return_cdf(self, t: float) -> float:
-        _require_nonneg(t)
-        return 1.0 - self.theta * math.exp(-self.theta * t)
-
-
-def _require_nonneg(t: float) -> None:
-    if not (t >= 0.0):
-        raise ValidationError(f"time must be >= 0, got {t}")
-
-
-def hitting_density(law: ExponentialLaw, t: float) -> float:
-    """Density factor theta * e^{-theta*t} of the hitting-time limit law."""
-    _require_nonneg(t)
-    return law.theta * math.exp(-law.theta * t)
-
-
-def return_density(law: ExponentialLaw, t: float) -> float:
-    """Density factor theta^2 * e^{-theta*t} of the return-time limit law.
-
-    Integrates to theta over [0, inf); the missing mass 1 - theta is the atom
-    of instant returns at t = 0.
-    """
-    _require_nonneg(t)
-    return law.theta**2 * math.exp(-law.theta * t)
-
-
 def consecutive_asymptote(
-    law: ExponentialLaw,
+    theta: float,
     mu_a: float,
     gaps: Sequence[int],
     hitting_start: bool,
 ) -> float:
-    """Joint asymptote for d consecutive inter-hit gaps of a target of measure mu_a.
+    """Exponential asymptote for d consecutive inter-hit gaps of a target of measure mu_a.
 
-    With a stationary start (``hitting_start=True``, the first time is a plain
-    hitting time) the prefactor is theta^(2d-1); conditioned on starting in the
-    target it is theta^(2d). Both carry mu_a^d * exp(-theta * mu_a * sum(gaps)).
+    ``theta`` is the extremal index in (0, 1]. With a stationary start
+    (``hitting_start=True``, the first time is a plain hitting time) the
+    prefactor is theta^(2d-1); conditioned on starting in the target it is
+    theta^(2d). Both carry mu_a^d * exp(-theta * mu_a * sum(gaps)). At d = 1
+    these are the hitting and return masses theta*e^(-theta*t)*mu_a and
+    theta^2*e^(-theta*t)*mu_a at t = mu_a*k; the return law's missing mass
+    1 - theta is its atom of instant returns.
     """
     gaps = list(gaps)
     if not gaps:
         raise ValidationError("gap list must be nonempty")
     if any(int(k) < 1 for k in gaps):
         raise ValidationError(f"all gaps must be >= 1, got {gaps}")
+    if not (0.0 < theta <= 1.0):
+        raise ValidationError(f"theta must lie in (0, 1], got {theta}")
     if not (0.0 < mu_a < 1.0):
         raise ValidationError(f"mu_a must lie in (0, 1), got {mu_a}")
     d = len(gaps)
     power = 2 * d - 1 if hitting_start else 2 * d
     total = float(sum(gaps))
-    return law.theta**power * mu_a**d * math.exp(-law.theta * mu_a * total)
+    return theta**power * math.exp(-theta * (mu_a * total)) * mu_a**d
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,13 @@ def test_criterion_01_exact_identity_suite():
         for word in [(1,), (1, 1), (0, 1, 0), (0, 1, 1, 0)]:
             target = PatternTarget(word=word)
             mu = source.word_measure(word)
-            worst = max(worst, verify_inducing_identity(source, target, range(1, 4097)))
-            lhs, rhs = verify_shift_identity_grid(source, target, 64, 64)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            hit = hitting_pmf(source, target, "stationary", 4096)
             ret = return_pmf(source, target, 4096)
+            worst = max(worst, verify_inducing_identity(hit, ret, mu, range(1, 4097)))
+            lhs, rhs = verify_shift_identity_grid(source, target, ret, 64, 64)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             assert ret.tail < 1e-10
             worst = max(worst, abs(ret.expectation() - 1.0 / mu))
-            hit = hitting_pmf(source, target, "stationary", 4096)
             surv = np.cumsum(ret.masses[::-1])[::-1] + ret.tail
             hit_cum = np.cumsum(hit.masses)
             for big_k in (1, 512, 1024, 2048):

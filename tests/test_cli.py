@@ -6,8 +6,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import hittimes.markov_pattern.exact
+from hittimes import cli
 from hittimes.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hittimes.errors import ConfigError
+from hittimes.theory import consecutive_asymptote
 
 
 def _write_config(tmp_path: Path, cfg: dict) -> Path:
@@ -201,6 +204,25 @@ class TestRunners:
         assert manifest["results"]["b_returns_at_k_prune"] == 0
         assert abs(manifest["results"]["discrepancy_z"]) < 4.0
 
+    def test_verify_makes_one_law_of_each_kind_per_word(self, tmp_path, monkeypatch):
+        calls = []
+        original = hittimes.markov_pattern.exact.hitting_pmf
+
+        def counted(source, target, initial, k_max):
+            calls.append((target.word, initial, k_max))
+            return original(source, target, initial, k_max)
+
+        # return_pmf reaches hitting_pmf through the exact module
+        monkeypatch.setattr(hittimes.markov_pattern.exact, "hitting_pmf", counted)
+        monkeypatch.setattr(cli, "hitting_pmf", counted)
+        cfg = dict(VERIFY_CFG, j_max=40, m_max=40, out=str(tmp_path / "runs"))
+        run_config(cfg)
+        assert calls == [
+            (word, initial, k_max)
+            for word in ((1,), (1, 1))
+            for initial, k_max in (("stationary", 64), ("in_target", 79))
+        ]
+
     def test_report_over_previous_run(self, tmp_path):
         sim = dict(SIM_CFG, out=str(tmp_path / "runs"))
         sim_dir, _ = run_config(sim)
@@ -317,6 +339,72 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
         assert str(input_dir / bad_file) in record["message"]
+
+    def test_two_gap_exponential_prediction_runs(self, tmp_path, capsys):
+        cells = [[1, 2], [2, 3], [3, 1]]
+        cfg = dict(SIM_CFG, n_replicas=1000, d=2, cells=cells, out=str(tmp_path / "r"))
+        path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path)]) == 0
+        run_dir = Path(capsys.readouterr().out.strip())
+        lines = (run_dir / "estimate.csv").read_text().splitlines()
+        assert lines[0].startswith("k1,k2,count,")
+        for cell, line in zip(cells, lines[1:]):
+            row = line.split(",")
+            assert [int(x) for x in row[:2]] == cell
+            assert float(row[5]) == consecutive_asymptote(1.0, 0.25, cell, hitting_start=True)
+
+    @pytest.mark.parametrize(
+        "cfg,cell",
+        [
+            # a threshold target keys replica cells by (gap, mark)
+            ({"kind": "simulate-cf", "target": {"threshold": 10}, "cells": [[1, 10]],
+              "prediction": {"family": "exponential-hitting", "mu": 0.1375}}, "marks"),
+            ({"kind": "simulate-cf", "mode": "ergodic", "target": {"threshold": 10},
+              "n_digits": 100_000, "cells": [[1], [2]],
+              "prediction": {"family": "cf-joint", "threshold": 10}}, "[1]"),
+            ({"d": 2, "cells": [[1, 2], [3]]}, "[3]"),
+            ({"cells": [[1], [0]]}, "[0]"),
+        ],
+        ids=["exponential-on-marks", "cf-joint-ergodic", "cell-width", "gap-zero"],
+    )
+    def test_bad_cells_exit_2_before_simulating(self, tmp_path, capsys, cfg, cell):
+        path = _write_config(tmp_path, {**SIM_CFG, **cfg, "out": str(tmp_path / "r")})
+        assert main(["simulate", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert cell in record["message"]
+        assert not list((tmp_path / "r").rglob("counts.csv"))
+
+    def test_report_cell_width_must_match_counts_header(self, tmp_path, capsys):
+        input_dir = tmp_path / "input"
+        input_dir.mkdir()
+        (input_dir / "counts.csv").write_text("k1,k2,count\n1,2,3\n")
+        manifest = {"config": {"mode": "replica"}, "results": {"n_total": 4}}
+        (input_dir / "manifest.json").write_text(json.dumps(manifest))
+        cfg = {
+            "kind": "report",
+            "input_dir": str(input_dir),
+            "prediction": {"family": "exponential-hitting", "mu": 0.25},
+            "cells": [[1, 2], [1]],
+            "out": str(tmp_path / "r"),
+        }
+        path = _write_config(tmp_path, cfg)
+        assert main(["report", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "cell [1] " in record["message"]
+
+    def test_unexpected_exception_exits_1_with_record(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, run_dir):
+            raise RuntimeError("runner broke")
+
+        monkeypatch.setitem(cli._RUNNERS, "verify-identities", broken)
+        path = _write_config(tmp_path, dict(VERIFY_CFG, out=str(tmp_path / "r")))
+        assert main(["verify", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "RuntimeError"
+        assert record["message"] == "runner broke"
+        assert "in broken" in record["traceback"]
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path = _write_config(tmp_path, dict(VERIFY_CFG))

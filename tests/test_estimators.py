@@ -20,7 +20,6 @@ from hittimes.estimators import (
     ergodic_cell_se,
     estimate_first_passage,
     estimate_return_law_ergodic,
-    gaps_and_marks,
     llt_report,
     scan_hits,
     wilson_interval,
@@ -70,22 +69,6 @@ class TestScanHits:
             TargetScan.digit_threshold(1)
         with pytest.raises(ValidationError):
             TargetScan(word=(1, 0), prime_variant=True)
-
-
-class TestGapsAndMarks:
-    def test_spec_example(self):
-        rec = gaps_and_marks(np.array([2, 4]), np.array([7, 9]))
-        assert rec.gaps == (2, 2)
-        assert rec.marks == (7, 9)
-
-    def test_single_hit(self):
-        rec = gaps_and_marks(np.array([5]), np.array([12]))
-        assert rec.gaps == (5,)
-        assert rec.marks == (12,)
-
-    def test_empty(self):
-        rec = gaps_and_marks(np.array([]), np.array([]))
-        assert rec.gaps == () and rec.marks == ()
 
 
 def _replica_reference(system, target, n, d, max_steps, seed, substream, mark_cap):

@@ -1,7 +1,7 @@
-"""Pinned SHA-256 digests of the artifacts of five small configs.
+"""Pinned SHA-256 digests of the artifacts of six small configs.
 
 A rerun only shows that a change is deterministic; these digests show that
-it left the bytes of earlier runs alone. The three Monte-Carlo configs must
+it left the bytes of earlier runs alone. The four Monte-Carlo configs must
 never move unless their sampling changes on purpose. The exact-markov and
 verify-identities digests move whenever the exact oracle's floating-point
 evaluation order changes; a change that moves one must state the tolerance
@@ -30,6 +30,17 @@ CONFIGS = {
         "max_steps": 64,
         "seed": 1,
         "cells": [[1], [2], [3]],
+        "prediction": {"family": "exponential-hitting", "theta": 1.0, "mu": 0.25},
+    },
+    "replica-d2": {
+        "kind": "simulate-doubling",
+        "mode": "replica",
+        "target": {"word": [1, 1]},
+        "n_replicas": 20_000,
+        "d": 2,
+        "max_steps": 64,
+        "seed": 1,
+        "cells": [[1, 2], [2, 3], [3, 1]],
         "prediction": {"family": "exponential-hitting", "theta": 1.0, "mu": 0.25},
     },
     "ergodic": {
@@ -69,6 +80,11 @@ GOLDEN = {
         "counts.csv": "d49a2f7bd1a9b56bceeb38cab53a856dab963addcd423612f584ccaa83c81a75",
         "estimate.csv": "46e28affce834732c085d5a524fcbfedd653586100bee60db5f2a0e6cc3798f2",
         "manifest.json": "138e812949d6bde42768677850d69a3e5a274bb2492cdad71e300d9f216af280",
+    },
+    "replica-d2": {
+        "counts.csv": "32eaccb5ed04c35df64fa86356e99a1104b734a34676d88168fab87b637d851b",
+        "estimate.csv": "665c02c780dc1e01b2f9862be741b5ba694ac4117195db4c9c6c0805b138d692",
+        "manifest.json": "d63fbf5c48aa723de9913f9684388b20dce6bb0538e580b655278d6800462825",
     },
     "ergodic": {
         "counts.csv": "a0d47b377ed2c80f30ab1fd1a38fab96ef838a75c8e4c3305ed355f72375d8fa",

@@ -277,8 +277,18 @@ class TestPMFInvariants:
 
 def _shift_cell(source, word, j, m):
     """Both sides of the j-shift identity at (j, m): cell [j-1, m-1] of the grid."""
-    lhs, rhs = verify_shift_identity_grid(source, PatternTarget(word=word), j, m)
+    target = PatternTarget(word=word)
+    ret = return_pmf(source, target, j + m - 1)
+    lhs, rhs = verify_shift_identity_grid(source, target, ret, j, m)
     return float(lhs[j - 1, m - 1]), float(rhs[j - 1, m - 1])
+
+
+def _inducing_residual(source, word, k_max):
+    """The inducing identity over 1..k_max, from both laws at k_max."""
+    target = PatternTarget(word=word)
+    hit = hitting_pmf(source, target, "stationary", k_max)
+    ret = return_pmf(source, target, k_max)
+    return verify_inducing_identity(hit, ret, source.word_measure(word), range(1, k_max + 1))
 
 
 IDENTITY_WORDS = [
@@ -290,8 +300,23 @@ IDENTITY_WORDS = [
 class TestIdentities:
     @pytest.mark.parametrize("source,word", IDENTITY_WORDS)
     def test_inducing_identity(self, source, word):
-        worst = verify_inducing_identity(source, PatternTarget(word=word), range(1, 257))
+        worst = _inducing_residual(source, word, 256)
         assert worst < 1e-12
+
+    def test_identities_reject_laws_shorter_than_their_horizon(self):
+        target = PatternTarget(word=(1, 1))
+        hit = hitting_pmf(FAIR, target, "stationary", 16)
+        ret = return_pmf(FAIR, target, 16)
+        with pytest.raises(ValidationError, match="hitting law must cover 1..17"):
+            verify_inducing_identity(hit, return_pmf(FAIR, target, 17), 0.25, range(1, 18))
+        with pytest.raises(ValidationError, match="return law must cover 1..17"):
+            verify_inducing_identity(hitting_pmf(FAIR, target, "stationary", 17), ret, 0.25, range(1, 18))
+        with pytest.raises(ValidationError, match="return law must cover 1..17"):
+            verify_shift_identity_grid(FAIR, target, ret, 8, 10)
+        # a longer law serves a shorter horizon
+        assert verify_inducing_identity(hit, ret, 0.25, range(1, 9)) < 1e-15
+        lhs, rhs = verify_shift_identity_grid(FAIR, target, ret, 8, 9)
+        assert np.max(np.abs(lhs - rhs)) < 1e-15
 
     def test_inducing_identity_k1_is_mu_a(self):
         # at k = 1 both sides equal mu(A)
@@ -437,7 +462,8 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("source,word", [(FAIR, (0, 1, 0)), (MARKOV2, (1, 0, 1))])
     def test_shift_grid_matches_single_cells(self, source, word):
-        lhs, rhs = verify_shift_identity_grid(source, PatternTarget(word=word), 5, 8)
+        target = PatternTarget(word=word)
+        lhs, rhs = verify_shift_identity_grid(source, target, return_pmf(source, target, 12), 5, 8)
         assert lhs.shape == rhs.shape == (5, 8)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
         for j in range(1, 6):
@@ -688,7 +714,7 @@ class TestProperties:
     @given(small_markov_sources(), small_words())
     def test_inducing_identity_randomized(self, source, word):
         word = tuple(c % source.alphabet_size for c in word)
-        worst = verify_inducing_identity(source, PatternTarget(word=word), range(1, 65))
+        worst = _inducing_residual(source, word, 64)
         assert worst < 1e-12
 
     @settings(max_examples=20, deadline=None)

@@ -10,79 +10,89 @@ from scipy import integrate
 from hittimes.errors import ValidationError
 from hittimes.theory import (
     CFPrediction,
-    ExponentialLaw,
     LN2,
     cf_joint_asymptote,
     cf_rare_set_measure,
     check_integral_relation,
     consecutive_asymptote,
     gauss_digit_cell_measure,
-    hitting_density,
     prime_threshold_measure,
-    return_density,
     threshold_cell_measure,
 )
 
 
 class TestExponentialLaw:
+    """The d = 1 hitting and return laws, read from `consecutive_asymptote`."""
+
+    @staticmethod
+    def hitting(theta, mu, k):
+        return consecutive_asymptote(theta, mu, [k], hitting_start=True)
+
+    @staticmethod
+    def ret(theta, mu, k):
+        return consecutive_asymptote(theta, mu, [k], hitting_start=False)
+
     def test_theta_domain(self):
         for bad in (0.0, -0.2, 1.5, math.inf, math.nan):
-            with pytest.raises(ValidationError):
-                ExponentialLaw(theta=bad)
-        assert ExponentialLaw(theta=1.0).theta == 1.0
+            for hitting_start in (True, False):
+                with pytest.raises(ValidationError, match="theta"):
+                    consecutive_asymptote(bad, 0.25, [1], hitting_start)
+        assert self.hitting(1.0, 0.25, 1) == 0.25 * math.exp(-0.25)
 
-    def test_hitting_density_values(self):
-        assert hitting_density(ExponentialLaw(1.0), 0.0) == 1.0
-        assert hitting_density(ExponentialLaw(1.0), 1.0) == pytest.approx(math.exp(-1), abs=1e-15)
-        assert hitting_density(ExponentialLaw(0.5), 2.0) == pytest.approx(0.5 * math.exp(-1), abs=1e-15)
+    def test_hitting_values(self):
+        # theta * mu * e^(-theta * mu * k), with mu * k = t exact
+        assert self.hitting(1.0, 0.125, 8) == pytest.approx(0.125 * math.exp(-1), abs=1e-15)
+        assert self.hitting(0.5, 0.125, 16) == pytest.approx(0.5 * 0.125 * math.exp(-1), abs=1e-15)
 
-    def test_return_density_values(self):
-        assert return_density(ExponentialLaw(1.0), 0.0) == 1.0
-        assert return_density(ExponentialLaw(0.5), 2.0) == pytest.approx(0.25 * math.exp(-1), abs=1e-15)
+    def test_return_values(self):
+        # theta^2 * mu * e^(-theta * mu * k)
+        assert self.ret(1.0, 0.125, 8) == pytest.approx(0.125 * math.exp(-1), abs=1e-15)
+        assert self.ret(0.5, 0.125, 16) == pytest.approx(0.25 * 0.125 * math.exp(-1), abs=1e-15)
 
-    def test_return_density_integrates_to_theta(self):
-        law = ExponentialLaw(0.5)
-        total, err = integrate.quad(lambda t: return_density(law, t), 0.0, np.inf)
-        assert total == pytest.approx(0.5, abs=1e-10)
-        assert err < 1e-8
+    def test_return_masses_sum_to_theta(self):
+        theta, mu = 0.5, 1e-3
+        total = math.fsum(self.ret(theta, mu, k) for k in range(1, 100_001))
+        x = theta * mu  # the geometric series theta^2 mu sum_k e^(-x k)
+        assert total == pytest.approx(theta * x / math.expm1(x), rel=1e-12)
+        # the missing mass 1 - theta is the atom of instant returns
+        assert total == pytest.approx(theta, abs=theta * x)
 
-    def test_negative_time_rejected(self):
+    def test_gap_below_one_rejected(self):
         with pytest.raises(ValidationError):
-            hitting_density(ExponentialLaw(1.0), -0.1)
+            self.hitting(1.0, 0.25, 0)
         with pytest.raises(ValidationError):
-            return_density(ExponentialLaw(1.0), -1e-9)
+            self.ret(1.0, 0.25, -1)
+        with pytest.raises(ValidationError):
+            consecutive_asymptote(1.0, 0.25, [2, 0], hitting_start=True)
 
-    @given(st.floats(0.01, 1.0), st.floats(0.0, 20.0))
-    def test_return_is_theta_times_hitting(self, theta, t):
-        law = ExponentialLaw(theta)
-        assert return_density(law, t) == pytest.approx(theta * hitting_density(law, t), rel=1e-12)
+    @given(st.floats(0.01, 1.0), st.floats(1e-4, 0.5), st.integers(1, 500))
+    def test_return_is_theta_times_hitting(self, theta, mu, k):
+        assert self.ret(theta, mu, k) == pytest.approx(theta * self.hitting(theta, mu, k), rel=1e-12)
 
-    def test_densities_at_zero(self):
+    def test_small_time_limit(self):
+        # as t = mu * k -> 0 the factors tend to theta and theta^2
+        mu = 2.0**-40
         for theta in (0.1, 0.5, 0.9, 1.0):
-            law = ExponentialLaw(theta)
-            assert hitting_density(law, 0.0) == pytest.approx(theta, abs=1e-15)
-            assert return_density(law, 0.0) == pytest.approx(theta * theta, abs=1e-15)
+            assert self.hitting(theta, mu, 1) / mu == pytest.approx(theta, rel=1e-12)
+            assert self.ret(theta, mu, 1) / mu == pytest.approx(theta * theta, rel=1e-12)
 
 
 class TestConsecutiveAsymptote:
     def test_single_gap_reduces_to_exponential(self):
-        law = ExponentialLaw(1.0)
-        got = consecutive_asymptote(law, 0.25, [4], hitting_start=True)
+        got = consecutive_asymptote(1.0, 0.25, [4], hitting_start=True)
         assert got == pytest.approx(0.25 * math.exp(-1), abs=1e-15)
 
     def test_two_gaps_product_form(self):
-        law = ExponentialLaw(1.0)
-        got = consecutive_asymptote(law, 0.25, [4, 4], hitting_start=True)
+        got = consecutive_asymptote(1.0, 0.25, [4, 4], hitting_start=True)
         assert got == pytest.approx(0.25**2 * math.exp(-2), rel=1e-14)
 
     def test_conditioned_start_spec_value(self):
-        law = ExponentialLaw(0.5)
-        got = consecutive_asymptote(law, 2.0**-10, [2048], hitting_start=False)
+        got = consecutive_asymptote(0.5, 2.0**-10, [2048], hitting_start=False)
         assert got == pytest.approx(0.25 * math.exp(-1) * 2.0**-10, rel=1e-12)
 
     def test_empty_gaps_rejected(self):
         with pytest.raises(ValidationError):
-            consecutive_asymptote(ExponentialLaw(1.0), 0.1, [], True)
+            consecutive_asymptote(1.0, 0.1, [], True)
 
     @given(
         st.floats(0.05, 1.0),
@@ -92,11 +102,10 @@ class TestConsecutiveAsymptote:
     )
     def test_product_of_single_gap_factors(self, theta, mu, gaps, hitting_start):
         """d gaps = product of d conditioned single-gap factors times a theta power."""
-        law = ExponentialLaw(theta)
-        joint = consecutive_asymptote(law, mu, gaps, hitting_start)
+        joint = consecutive_asymptote(theta, mu, gaps, hitting_start)
         product = 1.0
         for g in gaps:
-            product *= consecutive_asymptote(law, mu, [g], hitting_start=False)
+            product *= consecutive_asymptote(theta, mu, [g], hitting_start=False)
         d = len(gaps)
         power = theta ** (2 * d - 1) if hitting_start else theta ** (2 * d)
         expected = product / theta ** (2 * d) * power
