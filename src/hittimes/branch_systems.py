@@ -42,8 +42,6 @@ __all__ = [
     "DOUBLING",
     "doubling_branch_sample",
     "gauss_branch_sample",
-    "gauss_branch_cum",
-    "gauss_branch_prob",
     "gauss_stationary_point",
     "generate_stream",
     "is_prime",
@@ -80,20 +78,6 @@ def gauss_stationary_point(u: float) -> float:
     return 2.0**u - 1.0
 
 
-def gauss_branch_prob(k: int, y: float) -> float:
-    """Backward branch probability p_k(y) = (1+y) / ((k+y)(k+y+1))."""
-    if k < 1:
-        raise ValidationError(f"digit must be >= 1, got {k}")
-    return (1.0 + y) / ((k + y) * (k + y + 1.0))
-
-
-def gauss_branch_cum(k_top: int, y: float) -> float:
-    """Telescoped cumulative sum_{k<=K} p_k(y) = 1 - (1+y)/(K+1+y)."""
-    if k_top < 1:
-        raise ValidationError(f"digit must be >= 1, got {k_top}")
-    return 1.0 - (1.0 + y) / (k_top + 1.0 + y)
-
-
 def gauss_branch_sample(y: float, u: float) -> tuple[int, float]:
     """Closed-form backward step: digit k and preimage 1/(k+y).
 
@@ -115,13 +99,20 @@ def _gauss_stationary_array(u: np.ndarray) -> np.ndarray:
     return np.exp2(u) - 1.0
 
 
-def _gauss_branch_array(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    raw = np.ceil((1.0 + y) / (1.0 - u) - 1.0 - y)
-    k = np.maximum(raw, 1.0)
-    if np.any(k > DIGIT_CAP):
+def _gauss_branch_array(y: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
+    # gauss_branch_sample's operation order, so digits and preimages are
+    # bit-identical to it: k = max(ceil((1+y)/(1-u) - 1 - y), 1), y = 1/(k+y)
+    np.subtract(1.0, u, out=u)
+    np.add(1.0, y, out=k)
+    k /= u
+    k -= 1.0
+    k -= y
+    np.ceil(k, out=k)
+    np.maximum(k, 1.0, out=k)
+    if k.max() > DIGIT_CAP:
         raise SamplingError("digit above cap 2**62; refusing to wrap")
-    k = k.astype(np.int64)
-    return k, 1.0 / (k + y)
+    y += k
+    np.divide(1.0, y, out=y)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +134,10 @@ def _doubling_stationary_array(u: np.ndarray) -> np.ndarray:
     return u.copy()
 
 
-def _doubling_branch_array(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    bit = (u >= 0.5).astype(np.int64)
-    return bit, (y + bit) / 2.0
+def _doubling_branch_array(y: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
+    np.greater_equal(u, 0.5, out=k)
+    y += k
+    y /= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +149,18 @@ def _doubling_branch_array(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np
 class BranchSystem:
     """A piecewise-invertible interval map with closed-form backward sampling.
 
-    ``branch_sample(y, u)`` returns (digit, preimage); the array variants are
-    the vectorized forms used by the replica estimators.
+    ``branch_sample(y, u)`` returns (digit, preimage). The array variants are
+    the vectorized forms used by the replica estimators; ``branch_array(y, u,
+    k)`` works in place and returns None: it overwrites ``y`` with the
+    preimages and ``k`` with the digits as float64 (integer-valued, exact
+    below ``DIGIT_CAP``), and may use ``u`` as scratch.
     """
 
     name: str
     stationary_point: Callable[[float], float]
     branch_sample: Callable[[float, float], tuple[int, float]]
     stationary_array: Callable[[np.ndarray], np.ndarray]
-    branch_array: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    branch_array: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 GAUSS = BranchSystem(

@@ -465,8 +465,7 @@ def _run_counterexample(cfg: dict, run_dir: Path) -> dict:
         report = counterexample_pruned_target(
             source, target, cfg["k_prune"], k_max=cfg.get("k_max")
         )
-        ret = return_pmf(source, target, cfg["k_prune"])
-        expected_ratio = 1.0 - ret.mass_at(cfg["k_prune"])
+        expected_ratio = 1.0 - report.pruned_mass
         rows = [
             ("mu_a", report.mu_a),
             ("mu_b", report.mu_b),
@@ -651,7 +650,9 @@ def main(argv: list[str] | None = None) -> int:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if not isinstance(exc, HitTimesError):  # a defect: keep where it was raised
             record["traceback"] = traceback.format_exc()
-        return fail(2 if isinstance(exc, ConfigError) else 1, record)
+        run_dir = Path(cfg["out"]) / config_hash(cfg)
+        return fail(2 if isinstance(exc, ConfigError) else 1, record,
+                    run_dir if run_dir.is_dir() else None)
     sys.stdout.write(f"{run_dir}\n")
     return 0
 

@@ -18,6 +18,11 @@ therefore capture the first d forward gaps and marks without materializing
 the stream. Word hits come from the occurrence automaton of the reversed word
 (`markov_pattern.build_automaton`), one table lookup per replica-step, so the
 word length is unlimited.
+
+A chunk's step allocates no n-element array: `BranchSystem.branch_array(y, u,
+k)` overwrites ``y`` with the preimages and ``k`` with the digits (float64,
+integer-valued) and may use ``u`` as scratch; the uniforms are drawn into one
+buffer, and every register takes the step's hit indices, computed once.
 """
 
 from __future__ import annotations
@@ -183,49 +188,50 @@ def _replica_chunk(
     """
     rng = make_rng(seed, substream)
     y = system.stationary_array(rng.random(n))
-    reg_pos = np.zeros((d, n), dtype=np.int64)
-    reg_val = np.zeros((d, n), dtype=np.int64)
+    u = np.empty(n)
+    k = np.empty(n)
+    mask = np.empty(n, dtype=bool)
+    # (position, mark) of the last d hits; word cells carry no mark
+    reg = np.zeros((d, 2 if table is None else 1, n))
     if table is not None:
+        # states are kept premultiplied by the row length, so that
+        # state + symbol indexes the flattened table
         alpha = table.shape[1] - 1
-        full = table.shape[0] - 1
+        flat = (table * (alpha + 1)).ravel()
+        full = flat.size - (alpha + 1)
         state = np.zeros(n, dtype=np.int64)
+        idx = np.empty(n, dtype=np.int64)
     for step in range(1, max_steps + 1):
-        u = rng.random(n)
-        k, y = system.branch_array(y, u)
+        system.branch_array(y, rng.random(out=u), k)
         if table is None:
-            hit = k >= target.threshold
-            if target.prime_variant and hit.any():
-                sub = np.zeros_like(hit)
-                sub[hit] = _prime_mask(k[hit])
-                hit = sub
+            hits = np.flatnonzero(np.greater_equal(k, target.threshold, out=mask))
+            if target.prime_variant:
+                hits = hits[_prime_mask(k[hits])]
         else:
-            state = table[state, np.minimum(k, alpha)]
-            hit = state == full
-        if hit.any():
-            for r in range(d - 1, 0, -1):
-                reg_pos[r][hit] = reg_pos[r - 1][hit]
-                reg_val[r][hit] = reg_val[r - 1][hit]
-            reg_pos[0][hit] = step
-            reg_val[0][hit] = k[hit]
-    complete = reg_pos[d - 1] > 0
-    n_complete = int(np.count_nonzero(complete))
-    censored = n - n_complete
-    if n_complete == 0:
-        return {}, censored
-    taus = np.empty((d, n_complete), dtype=np.int64)
-    taus[0] = max_steps - reg_pos[0][complete] + 1
-    for j in range(1, d):
-        taus[j] = reg_pos[j - 1][complete] - reg_pos[j][complete]
-    columns = []
-    for j in range(d):
-        columns.append(taus[j])
+            np.copyto(idx, np.minimum(k, alpha, out=k), casting="unsafe")
+            idx += state
+            np.take(flat, idx, out=state)
+            hits = np.flatnonzero(np.equal(state, full, out=mask))
+        reg[1:, :, hits] = reg[:-1, :, hits]
+        reg[0, 0, hits] = step
         if table is None:
-            marks = reg_val[j][complete].copy()
-            marks[marks > mark_cap] = OVERFLOW_MARK
-            columns.append(marks)
-    keys = np.stack(columns, axis=1)
-    uniq, cnt = np.unique(keys, axis=0, return_counts=True)
-    return {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}, censored
+            reg[0, 1, hits] = k[hits]
+    done = reg[:, :, reg[d - 1, 0] > 0].astype(np.int64)
+    censored = n - done.shape[2]
+    # forward gaps: the first from the chain's end, then between backward hits
+    done[:, 0] = -np.diff(done[:, 0], axis=0, prepend=max_steps + 1)
+    if table is None:
+        marks = done[:, 1]
+        marks[marks > mark_cap] = OVERFLOW_MARK
+    # distinct keys with their counts, in lexicographic order; sorting the
+    # columns with lexsort is several times faster than np.unique(axis=0)
+    keys = done.transpose(2, 0, 1).reshape(-1, d * done.shape[1])
+    keys = keys[np.lexsort(keys.T[::-1])]
+    first = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys))
+    return dict(zip(map(tuple, keys[starts].tolist()), counts.tolist())), censored
 
 
 def estimate_first_passage(

@@ -9,13 +9,23 @@ lengths <= 6 and horizons <= 12.
 oracle's original one-matvec-per-step iteration, kept so that the blocked
 kernel can be held to it at any horizon. `scatter_block_step` likewise keeps
 the block chain's original scatter step, so that the shift-structured step can
-be held to it bit for bit.
+be held to it bit for bit. `allocating_replica_chunk`, with the allocating
+branch kernels of `GAUSS_ALLOCATING` and `DOUBLING_ALLOCATING`, keeps the
+replica estimator's original boolean-mask register kernel for the same use.
+
+`gauss_branch_prob` and `gauss_branch_cum` are the Gauss map's backward branch
+law in closed form, which the sampler tests check the sampler against.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
+from hittimes.branch_systems import DIGIT_CAP, DOUBLING, GAUSS, make_rng
+from hittimes.errors import SamplingError, ValidationError
+from hittimes.estimators import OVERFLOW_MARK, _prime_mask
 from hittimes.markov_pattern import build_automaton
 from hittimes.markov_pattern.exact import ProductChain, _escape_initial
 
@@ -194,3 +204,97 @@ def scatter_block_step(chain, v: np.ndarray) -> np.ndarray:
     for c in range(s):
         np.add.at(out, shift + c, v * chain.source.transitions[last, c])
     return out
+
+
+def gauss_branch_prob(k: int, y: float) -> float:
+    """Backward branch probability p_k(y) = (1+y) / ((k+y)(k+y+1))."""
+    if k < 1:
+        raise ValidationError(f"digit must be >= 1, got {k}")
+    return (1.0 + y) / ((k + y) * (k + y + 1.0))
+
+
+def gauss_branch_cum(k_top: int, y: float) -> float:
+    """Telescoped cumulative sum_{k<=K} p_k(y) = 1 - (1+y)/(K+1+y)."""
+    if k_top < 1:
+        raise ValidationError(f"digit must be >= 1, got {k_top}")
+    return 1.0 - (1.0 + y) / (k_top + 1.0 + y)
+
+
+def _gauss_branch_array(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    raw = np.ceil((1.0 + y) / (1.0 - u) - 1.0 - y)
+    k = np.maximum(raw, 1.0)
+    if np.any(k > DIGIT_CAP):
+        raise SamplingError("digit above cap 2**62; refusing to wrap")
+    k = k.astype(np.int64)
+    return k, 1.0 / (k + y)
+
+
+def _doubling_branch_array(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    bit = (u >= 0.5).astype(np.int64)
+    return bit, (y + bit) / 2.0
+
+
+# branch_array(y, u) -> (int64 digits, new preimages), allocating both
+GAUSS_ALLOCATING = dataclasses.replace(GAUSS, branch_array=_gauss_branch_array)
+DOUBLING_ALLOCATING = dataclasses.replace(DOUBLING, branch_array=_doubling_branch_array)
+
+
+def allocating_replica_chunk(
+    system,
+    target,
+    table: np.ndarray | None,
+    n: int,
+    d: int,
+    max_steps: int,
+    seed: int,
+    substream: int,
+    mark_cap: int,
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """`estimators._replica_chunk` as it was before the in-place step: fresh
+    arrays every step and one boolean-mask update per register. ``system``
+    must carry an allocating ``branch_array``."""
+    rng = make_rng(seed, substream)
+    y = system.stationary_array(rng.random(n))
+    reg_pos = np.zeros((d, n), dtype=np.int64)
+    reg_val = np.zeros((d, n), dtype=np.int64)
+    if table is not None:
+        alpha = table.shape[1] - 1
+        full = table.shape[0] - 1
+        state = np.zeros(n, dtype=np.int64)
+    for step in range(1, max_steps + 1):
+        u = rng.random(n)
+        k, y = system.branch_array(y, u)
+        if table is None:
+            hit = k >= target.threshold
+            if target.prime_variant and hit.any():
+                sub = np.zeros_like(hit)
+                sub[hit] = _prime_mask(k[hit])
+                hit = sub
+        else:
+            state = table[state, np.minimum(k, alpha)]
+            hit = state == full
+        if hit.any():
+            for r in range(d - 1, 0, -1):
+                reg_pos[r][hit] = reg_pos[r - 1][hit]
+                reg_val[r][hit] = reg_val[r - 1][hit]
+            reg_pos[0][hit] = step
+            reg_val[0][hit] = k[hit]
+    complete = reg_pos[d - 1] > 0
+    n_complete = int(np.count_nonzero(complete))
+    censored = n - n_complete
+    if n_complete == 0:
+        return {}, censored
+    taus = np.empty((d, n_complete), dtype=np.int64)
+    taus[0] = max_steps - reg_pos[0][complete] + 1
+    for j in range(1, d):
+        taus[j] = reg_pos[j - 1][complete] - reg_pos[j][complete]
+    columns = []
+    for j in range(d):
+        columns.append(taus[j])
+        if table is None:
+            marks = reg_val[j][complete].copy()
+            marks[marks > mark_cap] = OVERFLOW_MARK
+            columns.append(marks)
+    keys = np.stack(columns, axis=1)
+    uniq, cnt = np.unique(keys, axis=0, return_counts=True)
+    return {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}, censored

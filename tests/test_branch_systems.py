@@ -14,8 +14,6 @@ from hittimes.branch_systems import (
     DOUBLING,
     GAUSS,
     doubling_branch_sample,
-    gauss_branch_cum,
-    gauss_branch_prob,
     gauss_branch_sample,
     gauss_stationary_point,
     generate_stream,
@@ -24,8 +22,16 @@ from hittimes.branch_systems import (
 )
 from hittimes.errors import ValidationError
 from hittimes.theory import gauss_digit_cell_measure, threshold_cell_measure
+from oracles import gauss_branch_cum, gauss_branch_prob
 
 LN2 = math.log(2.0)
+
+
+def branch_array(system, y, u):
+    """(digits, preimages) of the in-place kernel, leaving y and u untouched."""
+    y_next, k = y.copy(), np.empty_like(y)
+    assert system.branch_array(y_next, u.copy(), k) is None
+    return k, y_next
 
 
 def cf_cylinder_measure(word) -> float:
@@ -91,7 +97,7 @@ class TestGaussSampler:
         rng = make_rng(31337)
         y = rng.random(10**6)
         u = rng.random(10**6)
-        k, y_next = GAUSS.branch_array(y, u)
+        k, y_next = branch_array(GAUSS, y, u)
         c_k = 1.0 - (1.0 + y) / (k + 1.0 + y)
         c_km1 = np.where(k > 1, 1.0 - (1.0 + y) / (k - 1 + 1.0 + y), -np.inf)
         assert np.all(c_k >= u)
@@ -102,16 +108,30 @@ class TestGaussSampler:
         rng = make_rng(7)
         ys = rng.random(200)
         us = rng.random(200)
-        kk, yy = GAUSS.branch_array(ys, us)
+        kk, yy = branch_array(GAUSS, ys, us)
         for i in range(200):
             k, y2 = gauss_branch_sample(float(ys[i]), float(us[i]))
             assert k == kk[i]
             assert y2 == yy[i]
 
+    @pytest.mark.parametrize(
+        "system,sample", [(GAUSS, gauss_branch_sample), (DOUBLING, doubling_branch_sample)]
+    )
+    def test_in_place_kernel_matches_scalar_bitwise(self, system, sample):
+        rng = make_rng(41)
+        top = np.nextafter(1.0, 0.0)  # the largest uniform: the largest digit
+        ys = np.concatenate(([0.0, 0.0, top, top, 0.5], rng.random(5000)))
+        us = np.concatenate(([0.0, top, 0.0, top, 0.5], rng.random(5000)))
+        k, y_next = branch_array(system, ys, us)
+        assert k.dtype == np.float64
+        for i in range(ys.size):
+            k_i, y_i = sample(float(ys[i]), float(us[i]))
+            assert k[i] == k_i and y_next[i] == y_i, i
+
     def test_digit_law_from_stationary_y(self):
         rng = make_rng(12)
         y = GAUSS.stationary_array(rng.random(400_000))
-        k, _ = GAUSS.branch_array(y, rng.random(400_000))
+        k, _ = branch_array(GAUSS, y, rng.random(400_000))
         # averaged over y ~ h, the branch index has the digit-cell law
         probs = np.array([gauss_digit_cell_measure(c) for c in range(1, 21)])
         obs = np.array([(k == c).sum() for c in range(1, 21)], dtype=float)

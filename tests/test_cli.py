@@ -10,6 +10,7 @@ import hittimes.markov_pattern.exact
 from hittimes import cli
 from hittimes.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hittimes.errors import ConfigError
+from hittimes.tables import config_hash
 from hittimes.theory import consecutive_asymptote
 
 
@@ -188,6 +189,25 @@ class TestRunners:
         run_dir, manifest = run_config(cfg)
         assert manifest["results"]["b_return_at_k_prune"] == 0.0
         assert manifest["results"]["ratio_discrepancy"] < 1e-10
+
+    def test_counterexample_exact_makes_one_return_law(self, tmp_path, monkeypatch):
+        calls = []
+        original = hittimes.markov_pattern.exact.hitting_pmf
+
+        def counted(source, target, initial, k_max):
+            calls.append((initial, k_max))
+            return original(source, target, initial, k_max)
+
+        monkeypatch.setattr(hittimes.markov_pattern.exact, "hitting_pmf", counted)
+        monkeypatch.setattr(cli, "hitting_pmf", counted)
+        cfg = dict(CE_CFG, source={"type": "iid", "probs": [0.3, 0.7]}, word=[0, 1, 0],
+                   k_prune=7, out=str(tmp_path / "runs"))
+        run_dir, manifest = run_config(cfg)
+        assert calls.count(("in_target", 7)) == 1
+        rows = dict(line.split(",") for line in
+                    (run_dir / "counterexample.csv").read_text().splitlines()[1:])
+        assert float(rows["expected_ratio"]) == 1.0 - float(rows["pruned_mass"])
+        assert manifest["results"]["ratio_discrepancy"] < 1e-12
 
     def test_counterexample_mc_run(self, tmp_path):
         cfg = {
@@ -374,6 +394,19 @@ class TestMainEntry:
         assert record["error"] == "ConfigError"
         assert cell in record["message"]
         assert not list((tmp_path / "r").rglob("counts.csv"))
+
+    def test_failed_run_writes_error_json_in_its_run_directory(self, tmp_path, capsys):
+        cfg = {**SIM_CFG, "kind": "simulate-cf", "mode": "ergodic",
+               "target": {"threshold": 10}, "n_digits": 100_000, "cells": [[1], [2]],
+               "prediction": {"family": "cf-joint", "threshold": 10},
+               "out": str(tmp_path / "r")}
+        path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        (run_dir,) = (tmp_path / "r").iterdir()
+        assert run_dir.name == config_hash(validate_config(cfg))
+        assert json.loads((run_dir / "error.json").read_text()) == record
+        assert record["error"] == "ConfigError"
 
     def test_report_cell_width_must_match_counts_header(self, tmp_path, capsys):
         input_dir = tmp_path / "input"

@@ -14,6 +14,7 @@ from hittimes.estimators import (
     EmpiricalPMF,
     OVERFLOW_MARK,
     TargetScan,
+    _replica_chunk,
     batch_means_se,
     chi_square_gof,
     demo_pruned_return,
@@ -24,14 +25,19 @@ from hittimes.estimators import (
     scan_hits,
     wilson_interval,
 )
-from hittimes.markov_pattern import MarkovSource, PatternTarget, hitting_pmf, return_pmf
+from hittimes.markov_pattern import (
+    MarkovSource,
+    PatternTarget,
+    build_automaton,
+    hitting_pmf,
+    return_pmf,
+)
 from hittimes.theory import threshold_cell_measure
+from oracles import DOUBLING_ALLOCATING, GAUSS_ALLOCATING, allocating_replica_chunk
 
 FAIR = MarkovSource.iid([0.5, 0.5])
 # every digit is 1, so a word of ones occurs at every start of the stream
-ONES = dataclasses.replace(
-    DOUBLING, name="ones", branch_array=lambda y, u: (np.ones(y.size, dtype=np.int64), y)
-)
+ONES = dataclasses.replace(DOUBLING, name="ones", branch_array=lambda y, u, k: k.fill(1.0))
 
 
 class TestScanHits:
@@ -76,10 +82,11 @@ def _replica_reference(system, target, n, d, max_steps, seed, substream, mark_ca
     materializes each backward stream and scans the reversed (forward) digits."""
     rng = make_rng(seed, substream)
     y = system.stationary_array(rng.random(n))
+    k = np.empty(n)
     digits = np.empty((n, max_steps), dtype=np.int64)
     for step in range(max_steps):
         u = rng.random(n)
-        k, y = system.branch_array(y, u)
+        system.branch_array(y, u.copy(), k)
         digits[:, step] = k
     counts: dict[tuple, int] = {}
     censored = 0
@@ -144,6 +151,35 @@ class TestReplicaEstimator:
         assert got.censored == want_censored
         assert got.counts == want_counts
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "system,target,mark_cap",
+        [
+            (GAUSS, TargetScan.digit_threshold(50), 10**4),  # sparse hits
+            (GAUSS, TargetScan.digit_threshold(3), 10**4),  # dense hits
+            (GAUSS, TargetScan.digit_threshold(3), 6),  # marks above 6 overflow
+            (GAUSS, TargetScan.digit_threshold(5, prime_variant=True), 10**4),
+            (GAUSS, TargetScan.word_pattern((2, 1, 1)), 10**4),
+            (DOUBLING, TargetScan.word_pattern((1, 1)), 10**4),
+            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 10**4),
+        ],
+    )
+    def test_chunk_matches_allocating_kernel_exactly(self, system, target, mark_cap, d):
+        allocating = {"gauss": GAUSS_ALLOCATING, "doubling": DOUBLING_ALLOCATING}[system.name]
+        table = None
+        if target.word is not None:  # as estimate_first_passage builds it
+            alpha = max(2, max(target.word) + 1)
+            table = build_automaton(PatternTarget(word=target.word[::-1]), alpha + 1).table
+        args = (target, table, 3000, d, 300, 19, 2, mark_cap)
+        counts, censored = _replica_chunk(system, *args)
+        want_counts, want_censored = allocating_replica_chunk(allocating, *args)
+        assert censored == want_censored
+        assert counts == want_counts
+        assert list(counts) == list(want_counts)  # the same key order too
+        assert counts and censored < 3000
+        if mark_cap == 6:
+            assert any(OVERFLOW_MARK in key[1::2] for key in counts)
+
     def test_censoring_integer_identity(self):
         got = estimate_first_passage(
             DOUBLING, TargetScan.word_pattern((1, 1)), 5000, 1, 4, seed=3
@@ -153,12 +189,14 @@ class TestReplicaEstimator:
         assert got.meta["censoring_flag"]
 
     def test_workers_do_not_change_counts(self):
-        kw = dict(n_replicas=30_000, d=1, max_steps=64, seed=5, chunk_size=4096)
-        a = estimate_first_passage(DOUBLING, TargetScan.word_pattern((1, 1)), **kw)
-        b = estimate_first_passage(
-            DOUBLING, TargetScan.word_pattern((1, 1)), workers=3, **kw
-        )
-        assert a.counts == b.counts and a.censored == b.censored
+        for system, target, d, workers in (
+            (DOUBLING, TargetScan.word_pattern((1, 1)), 1, 3),
+            (GAUSS, TargetScan.digit_threshold(3), 2, 2),  # marks in the keys
+        ):
+            kw = dict(n_replicas=30_000, d=d, max_steps=64, seed=5, chunk_size=4096)
+            a = estimate_first_passage(system, target, **kw)
+            b = estimate_first_passage(system, target, workers=workers, **kw)
+            assert a.counts == b.counts and a.censored == b.censored
 
     def test_seeded_determinism(self):
         kw = dict(n_replicas=20_000, d=1, max_steps=64, seed=6)
