@@ -144,7 +144,7 @@ _COMMON_PROPS = {
 }
 
 
-def _kind_schema(kind: str, extra: dict, required: list[str]) -> dict:
+def _kind_schema(extra: dict, required: list[str]) -> dict:
     return {
         "type": "object",
         "properties": {**_COMMON_PROPS, **extra},
@@ -155,7 +155,6 @@ def _kind_schema(kind: str, extra: dict, required: list[str]) -> dict:
 
 CONFIG_SCHEMAS = {
     "exact-markov": _kind_schema(
-        "exact-markov",
         {
             "source": _SOURCE_SCHEMA,
             "targets": {"type": "array", "items": _WORD_TARGET_SCHEMA, "minItems": 1},
@@ -171,7 +170,6 @@ CONFIG_SCHEMAS = {
         ["source", "targets", "delta"],
     ),
     "verify-identities": _kind_schema(
-        "verify-identities",
         {
             "source": _SOURCE_SCHEMA,
             "words": {"type": "array", "items": _WORD_SCHEMA, "minItems": 1},
@@ -182,7 +180,6 @@ CONFIG_SCHEMAS = {
         ["source", "words"],
     ),
     "simulate-cf": _kind_schema(
-        "simulate-cf",
         {
             "mode": {"enum": ["replica", "ergodic"]},
             "target": _SCAN_TARGET_SCHEMA,
@@ -203,7 +200,6 @@ CONFIG_SCHEMAS = {
         ["mode", "target"],
     ),
     "counterexample": _kind_schema(
-        "counterexample",
         {
             "flavor": {"enum": ["exact-markov", "monte-carlo"]},
             "source": _SOURCE_SCHEMA,
@@ -217,7 +213,6 @@ CONFIG_SCHEMAS = {
         ["flavor", "k_prune"],
     ),
     "report": _kind_schema(
-        "report",
         {
             "input_dir": {"type": "string"},
             "prediction": _PREDICTION_SCHEMA,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -155,12 +155,6 @@ class EmpiricalPMF:
         if any(c < 0 for c in self.counts.values()) or self.censored < 0:
             raise ValidationError("counts must be nonnegative")
 
-    def observed(self) -> int:
-        return sum(self.counts.values())
-
-    def estimate(self, cell: tuple[int, ...]) -> float:
-        return self.counts.get(tuple(cell), 0) / self.n_total
-
 
 # ---------------------------------------------------------------------------
 # Replica-mode first-passage estimation
@@ -255,8 +249,8 @@ def estimate_first_passage(
     boundaries are fixed by ``chunk_size`` alone, so results do not depend on
     ``workers``.
     """
-    if n_replicas < 1 or d < 1 or max_steps < 1:
-        raise ValidationError("n_replicas, d, and max_steps must all be >= 1")
+    if n_replicas < 1 or d < 1 or max_steps < 1 or chunk_size < 1:
+        raise ValidationError("n_replicas, d, max_steps and chunk_size must all be >= 1")
     if target.word is not None and max_steps < len(target.word):
         raise ValidationError("max_steps shorter than the target word")
     table = None
@@ -315,9 +309,6 @@ class ErgodicReturnEstimate:
     mean_gap_se: float
     n_hits: int
 
-    def mean_gap_interval(self, z: float = 2.576) -> tuple[float, float]:
-        return self.mean_gap - z * self.mean_gap_se, self.mean_gap + z * self.mean_gap_se
-
 
 def batch_means_se(values: np.ndarray, batch_count: int = DEFAULT_BATCH_COUNT) -> float:
     """Standard error of the mean of a dependent sequence via batch means."""
@@ -335,13 +326,13 @@ def estimate_return_law_ergodic(
     stream: DigitStream | np.ndarray,
     target: TargetScan,
     min_hits: int = DEFAULT_MIN_HITS,
-    batch_count: int = DEFAULT_BATCH_COUNT,
 ) -> ErgodicReturnEstimate:
     """Histogram of consecutive-hit gaps along one stationary orbit.
 
     The first hit position is a hitting time, not a return time, so gaps are
     differences between successive hits only. The mean gap estimates the
-    reciprocal target measure (Kac).
+    reciprocal target measure (Kac); its standard error comes from
+    `DEFAULT_BATCH_COUNT` batch means.
     """
     positions, _ = scan_hits(stream, target)
     if positions.size < min_hits:
@@ -351,29 +342,18 @@ def estimate_return_law_ergodic(
     gaps = np.diff(positions)
     uniq, cnt = np.unique(gaps, return_counts=True)
     counts = {(int(g),): int(c) for g, c in zip(uniq, cnt)}
-    pmf = EmpiricalPMF(
-        counts=counts,
-        n_total=int(gaps.size),
-        kind="ergodic",
-        censored=0,
-        meta={"n_hits": int(positions.size), "batch_count": batch_count},
-    )
     return ErgodicReturnEstimate(
-        pmf=pmf,
+        pmf=EmpiricalPMF(counts=counts, n_total=int(gaps.size), kind="ergodic"),
         gaps=gaps,
         mean_gap=float(gaps.mean()),
-        mean_gap_se=batch_means_se(gaps, batch_count),
+        mean_gap_se=batch_means_se(gaps),
         n_hits=int(positions.size),
     )
 
 
-def ergodic_cell_se(
-    gaps: np.ndarray, cell_test: Callable[[np.ndarray], np.ndarray],
-    batch_count: int = DEFAULT_BATCH_COUNT,
-) -> float:
+def ergodic_cell_se(gaps: np.ndarray, cell_test: Callable[[np.ndarray], np.ndarray]) -> float:
     """Batch-means standard error of a cell frequency along dependent gaps."""
-    indicator = cell_test(np.asarray(gaps)).astype(float)
-    return batch_means_se(indicator, batch_count)
+    return batch_means_se(cell_test(np.asarray(gaps)).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +368,8 @@ class ReportRow:
     """One cell of a ratio report against a closed-form prediction."""
 
     cell: tuple[int, ...]
-    count: int | None
-    n: int | None
+    count: int
+    n: int
     estimate: float
     prediction: float
     ratio: float
@@ -398,21 +378,15 @@ class ReportRow:
 
     def as_tuple(self) -> tuple:
         return self.cell + (
-            self.count if self.count is not None else "",
-            self.n if self.n is not None else "",
-            self.estimate,
-            self.prediction,
-            self.ratio,
-            self.ci_low,
-            self.ci_high,
+            self.count, self.n, self.estimate, self.prediction, self.ratio, self.ci_low, self.ci_high
         )
 
 
-def wilson_interval(count: int, n: int, level: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(count: int, n: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if n < 1 or not (0 <= count <= n):
         raise ValidationError("need 0 <= count <= n with n >= 1")
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = float(stats.norm.ppf(0.995))
     phat = count / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -421,67 +395,47 @@ def wilson_interval(count: int, n: int, level: float = 0.99) -> tuple[float, flo
 
 
 def llt_report(
-    estimates: EmpiricalPMF | Mapping[tuple[int, ...], float],
+    pmf: EmpiricalPMF,
     predictor: Callable[[tuple[int, ...]], float],
     cells: Sequence[tuple[int, ...]],
-    ci_level: float = 0.99,
-    ci_relwidth_max: float | None = None,
 ) -> tuple[list[ReportRow], float]:
     """Per-cell ratio rows against a prediction, plus the summary deviation.
 
-    The summary is max |ratio - 1| over cells whose relative CI width is
-    below ``ci_relwidth_max`` (all cells when no bound is given or the input
-    is exact). Exact inputs (a plain mapping) carry degenerate CIs. The
-    Wilson intervals treat observations as independent, which is right for
-    replica counts; for ergodic gap counts use `ergodic_cell_se` bands.
+    The summary is max |ratio - 1| over all the cells; no CI-width bound
+    drops a cell from it. Each row carries the 99% Wilson interval of its
+    count, which treats observations as independent. That is right for
+    replica counts and wrong for ergodic gap counts, which are dependent
+    (batch-means bands from `ergodic_cell_se` are the sound error bars there).
     """
     if not cells:
         raise ValidationError("cell selection must be nonempty")
     rows: list[ReportRow] = []
-    summary = 0.0
-    any_summarized = False
     for cell in cells:
         cell = tuple(int(x) for x in cell)
         pred = float(predictor(cell))
         if pred <= 0.0:
             raise ValidationError(f"prediction must be positive, got {pred} at {cell}")
-        if isinstance(estimates, EmpiricalPMF):
-            count = estimates.counts.get(cell, 0)
-            n = estimates.n_total
-            est = count / n
-            lo, hi = wilson_interval(count, n, ci_level)
-        else:
-            count, n = None, None
-            est = float(estimates[cell])
-            lo = hi = est
-        ratio = est / pred
+        count = pmf.counts.get(cell, 0)
+        est = count / pmf.n_total
+        lo, hi = wilson_interval(count, pmf.n_total)
         rows.append(
-            ReportRow(cell=cell, count=count, n=n, estimate=est,
-                      prediction=pred, ratio=ratio, ci_low=lo, ci_high=hi)
+            ReportRow(cell=cell, count=count, n=pmf.n_total, estimate=est,
+                      prediction=pred, ratio=est / pred, ci_low=lo, ci_high=hi)
         )
-        in_summary = True
-        if ci_relwidth_max is not None and est > 0.0:
-            in_summary = (hi - lo) / est <= ci_relwidth_max
-        if in_summary:
-            summary = max(summary, abs(ratio - 1.0))
-            any_summarized = True
-    if not any_summarized:
-        raise InsufficientDataError("no cell met the CI-width requirement for the summary")
-    return rows, summary
+    return rows, max(abs(r.ratio - 1.0) for r in rows)
 
 
 def chi_square_gof(
     observed: np.ndarray,
     probs: np.ndarray,
     n_total: int | None = None,
-    min_expected: float = 10.0,
 ) -> tuple[float, int, float]:
     """Chi-square goodness of fit with deterministic small-cell merging.
 
     ``n_total`` is the full sample size; observations not covered by the
     listed cells land in a remainder cell with the complementary probability.
     When omitted, the listed cells are taken to be exhaustive. Cells whose
-    expected count falls below ``min_expected`` are pooled into the remainder.
+    expected count falls below 10 are pooled into the remainder.
     Returns (statistic, degrees of freedom, p-value).
     """
     obs = np.asarray(observed, dtype=float)
@@ -494,7 +448,7 @@ def chi_square_gof(
     if n < obs.sum() - 1e-9:
         raise ValidationError("n_total smaller than the listed observations")
     rest_p = max(0.0, 1.0 - p.sum())
-    keep = p * n >= min_expected
+    keep = p * n >= 10.0
     stat = float(((obs[keep] - n * p[keep]) ** 2 / (n * p[keep])).sum())
     pooled_p = p[~keep].sum() + rest_p
     pooled_obs = n - obs[keep].sum()
@@ -541,14 +495,14 @@ def demo_pruned_return(
     scan_gaps: np.ndarray,
     reference_gaps: np.ndarray,
     k_prune: int,
-    batch_count: int = DEFAULT_BATCH_COUNT,
 ) -> PrunedReturnDemo:
     """Realize B = A n {phi_A != k_prune} by lookahead on materialized gaps.
 
     ``scan_gaps`` drives the pruning construction; ``reference_gaps`` (from an
     independent stream) provides the comparison value 1 - mu_A(phi = k_prune),
     so agreement is a genuine statistical consistency check rather than an
-    arithmetic identity.
+    arithmetic identity. Error bars are batch means over `DEFAULT_BATCH_COUNT`
+    batches, fewer when a stream holds under twice that many gaps.
     """
     if k_prune < 1:
         raise ValidationError(f"k_prune must be >= 1, got {k_prune}")
@@ -562,7 +516,7 @@ def demo_pruned_return(
     # position difference to the next kept visit
     positions = np.concatenate(([0], np.cumsum(gaps)))
     b_returns = np.diff(positions[b_idx])
-    batch_count = max(2, min(batch_count, gaps.size // 2, ref.size // 2))
+    batch_count = max(2, min(DEFAULT_BATCH_COUNT, gaps.size // 2, ref.size // 2))
     return PrunedReturnDemo(
         k_prune=k_prune,
         n_hits=int(gaps.size + 1),

@@ -80,13 +80,11 @@ class PrefixAutomaton:
     """Deterministic occurrence automaton for a word over symbols 0..S-1.
 
     ``table[s, c]`` is the next state after reading symbol c in state s, for
-    s in 0..l; state l is the full match. ``borders[i]`` is the failure
-    function value for the prefix of length i+1.
+    s in 0..l; state l is the full match.
     """
 
     word: tuple[int, ...]
     alphabet_size: int
-    borders: tuple[int, ...]
     table: np.ndarray
 
     @property
@@ -115,8 +113,7 @@ def build_automaton(target: PatternTarget, alphabet_size: int) -> PrefixAutomato
         raise ValidationError(f"alphabet size must be >= 2, got {alphabet_size}")
     if any(c >= alphabet_size for c in w):
         raise ValidationError(f"word symbols must lie in [0, {alphabet_size}), got {w}")
-    borders = _border_lengths(w)
-    fail = [0] + borders  # fail[s] for state s in 0..l
+    fail = [0] + _border_lengths(w)  # fail[s] for state s in 0..l
     table = np.zeros((l + 1, alphabet_size), dtype=np.int64)
     for c in range(alphabet_size):
         table[0, c] = 1 if c == w[0] else 0
@@ -127,6 +124,4 @@ def build_automaton(target: PatternTarget, alphabet_size: int) -> PrefixAutomato
             else:
                 table[s, c] = table[fail[s], c]
     table.setflags(write=False)
-    return PrefixAutomaton(
-        word=w, alphabet_size=alphabet_size, borders=tuple(borders), table=table
-    )
+    return PrefixAutomaton(word=w, alphabet_size=alphabet_size, table=table)

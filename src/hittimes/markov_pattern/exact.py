@@ -46,6 +46,7 @@ from .source import MarkovSource
 _MASS_DRIFT_TOL = 1e-9
 _UNDERFLOW = 1e-300
 _BLOCK = 512  # chain steps per block of `_absorption_series`
+_BUDGET_STATES = 2**22  # largest block chain, in states
 
 
 def _absorption_series(
@@ -210,15 +211,15 @@ def _escape_initial(
 def hitting_pmf(
     source: MarkovSource,
     target: PatternTarget,
-    initial: str | np.ndarray,
+    initial: str,
     k_max: int,
 ) -> ExactPMF:
     """Exact law of the first entrance time into a word cylinder.
 
     ``initial`` selects the starting law: "stationary" for the invariant
     measure, "in_target" for conditioning on the cylinder (the return law),
-    "escaping" for conditioning on the non-returning part of a periodic
-    target, or an explicit vector over the product-chain pairs.
+    or "escaping" for conditioning on the non-returning part of a periodic
+    target.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
@@ -226,37 +227,25 @@ def hitting_pmf(
     l = target.length
     scale = 1.0
     early_total = 0.0
-    if isinstance(initial, str):
-        if initial in ("in_target", "escaping") and source.word_measure(target.word) == 0.0:
-            raise ValidationError("cannot condition on a target of zero measure")
-        if initial == "stationary":
-            v = chain.stationary_vector()
-            lead = l - 1  # occurrence starting at k completes at step k + l - 1
-        elif initial == "in_target":
-            v = chain.entry_vector()
-            lead = 0
-        elif initial == "escaping":
-            v, early, mass = _escape_initial(chain, target)
-            scale = 1.0 / mass
-            early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
-            masses = np.zeros(k_max)
-            for k, m in early.items():
-                if 1 <= k <= k_max:
-                    masses[k - 1] = m * scale
-            lead = -(target.period_hint or 0)  # block steps already consumed
-        else:
-            raise ValidationError(f"unknown initial distribution {initial!r}")
-    else:
-        v = np.asarray(initial, dtype=float)
-        if v.shape != (chain.n_states,):
-            raise ValidationError(
-                f"explicit initial vector must have length {chain.n_states}, got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("explicit initial vector must be finite")
-        if np.any(v < 0.0):
-            raise ValidationError("explicit initial vector must be nonnegative")
+    if initial in ("in_target", "escaping") and source.word_measure(target.word) == 0.0:
+        raise ValidationError("cannot condition on a target of zero measure")
+    if initial == "stationary":
+        v = chain.stationary_vector()
+        lead = l - 1  # occurrence starting at k completes at step k + l - 1
+    elif initial == "in_target":
+        v = chain.entry_vector()
         lead = 0
+    elif initial == "escaping":
+        v, early, mass = _escape_initial(chain, target)
+        scale = 1.0 / mass
+        early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
+        masses = np.zeros(k_max)
+        for k, m in early.items():
+            if 1 <= k <= k_max:
+                masses[k - 1] = m * scale
+        lead = -(target.period_hint or 0)  # block steps already consumed
+    else:
+        raise ValidationError(f"unknown initial distribution {initial!r}")
 
     # absorption at chain step m realizes the time k = m - lead
     total_in = float(v.sum()) * scale + early_total
@@ -454,14 +443,14 @@ class BlockChain:
     arbitrary sets of equal-rank tuples, which covers unions of cylinders.
     """
 
-    def __init__(self, source: MarkovSource, rank: int, budget_states: int = 2**22) -> None:
+    def __init__(self, source: MarkovSource, rank: int) -> None:
         if rank < 1:
             raise ValidationError(f"rank must be >= 1, got {rank}")
         s = source.alphabet_size
         n = s**rank
-        if n > budget_states:
+        if n > _BUDGET_STATES:
             raise BudgetExceededError(
-                f"block chain needs {n} states for rank {rank}, budget is {budget_states}"
+                f"block chain needs {n} states for rank {rank}, budget is {_BUDGET_STATES}"
             )
         self.source = source
         self.rank = rank

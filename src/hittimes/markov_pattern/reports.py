@@ -16,7 +16,7 @@ from ..errors import BudgetExceededError, ValidationError
 from ..theory import consecutive_asymptote
 from .automaton import PatternTarget, build_automaton
 from .exact import (
-    ExactPMF,
+    _BUDGET_STATES,
     block_set_return_pmf,
     hitting_pmf,
     return_pmf,
@@ -124,7 +124,6 @@ class PrunedTargetReport:
     ratio: float  # mu(B) / mu(A)
     pruned_mass: float  # mu_A(phi_A = k_prune), from the word-target return law
     b_return_at_k_prune: float  # mu_B(phi_B = k_prune), structurally zero
-    b_return_pmf: ExactPMF
     n_cylinders_kept: int
     n_cylinders_pruned: int
 
@@ -148,7 +147,7 @@ def counterexample_pruned_target(
     l = len(word)
     s_count = source.alphabet_size
     rank = l + k_prune
-    if s_count**k_prune > 2**22 or s_count**rank > 2**22:
+    if s_count**rank > _BUDGET_STATES:
         raise BudgetExceededError(
             f"counterexample needs {s_count}**{rank} block states; too large"
         )
@@ -175,7 +174,6 @@ def counterexample_pruned_target(
         ratio=mu_b / mu_a,
         pruned_mass=ret.mass_at(k_prune),
         b_return_at_k_prune=b_pmf.mass_at(k_prune),
-        b_return_pmf=b_pmf,
         n_cylinders_kept=len(kept),
         n_cylinders_pruned=pruned,
     )

@@ -4,11 +4,8 @@ Everything here is a pure function of its inputs. The module collects the
 exponential limit family in one formula, `consecutive_asymptote`, for d
 consecutive inter-hit gaps (d = 1 gives the hitting factor theta*e^{-theta*t}
 and the return factor theta^2*e^{-theta*t}), the continued-fraction
-large-digit predictions with their prime-restricted variant, Gauss-measure
-digit-cell values, and a quadrature checker for the integral relation that
-ties a hitting-time limit law F to its return-time companion law:
-
-    integral_0^t (1 - Ftilde(s)) ds = F(t).
+large-digit predictions with their prime-restricted variant, and
+Gauss-measure digit-cell values.
 
 All logarithms are natural; base-2 logarithms enter only through the Gauss
 density normalization 1/ln(2) at formula boundaries.
@@ -88,19 +85,15 @@ class CFPrediction:
         if self.prime_variant and not all(is_prime(a) for a in self.marks):
             raise ValidationError(f"prime variant requires prime marks, got {self.marks}")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.gaps)
-
 
 def cf_joint_asymptote(prediction: CFPrediction) -> float:
     """Product-form prediction for a joint (gap, mark) cell of CF large digits.
 
-    Each factor is exp(-k / (l*ln2)) / (a^2 * ln2); in the prime variant the
-    exponential rate is 1 / (l * ln(l) * ln2) instead.
+    Each factor is exp(-k * rate) / (a^2 * ln2), where the rate is the
+    asymptotic target measure `cf_rare_set_measure`: 1 / (l * ln2), or
+    1 / (l * ln(l) * ln2) in the prime variant.
     """
-    l = prediction.threshold
-    rate = 1.0 / (l * math.log(l) * LN2) if prediction.prime_variant else 1.0 / (l * LN2)
+    rate = cf_rare_set_measure(prediction.threshold, prediction.prime_variant)
     value = 1.0
     for k, a in zip(prediction.gaps, prediction.marks):
         value *= math.exp(-k * rate) / (float(a) ** 2 * LN2)
@@ -154,37 +147,3 @@ def gauss_digit_cell_measure(k: int) -> float:
     if k < 1:
         raise ValidationError(f"digit index must be >= 1, got {k}")
     return math.log1p(1.0 / (k * (k + 2.0))) / LN2
-
-
-def check_integral_relation(
-    f_values: Sequence[float],
-    ftilde_values: Sequence[float],
-    grid: Sequence[float],
-) -> float:
-    """Sup deviation of the hitting/return integral relation on a grid.
-
-    Given tabulations of a hitting-time limit CDF F and a return-time limit
-    CDF Ftilde on a common increasing grid starting at 0, computes
-
-        sup_t | integral_0^t (1 - Ftilde(s)) ds  -  F(t) |
-
-    with trapezoidal quadrature on the tabulation. Ftilde is a sub-probability
-    CDF whose possible atom at 0 is carried by the tabulated value at the
-    first grid point, so the quadrature sees the post-jump value exactly.
-    """
-    t = np.asarray(grid, dtype=float)
-    f = np.asarray(f_values, dtype=float)
-    g = np.asarray(ftilde_values, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValidationError("grid must contain at least two points")
-    if f.shape != t.shape or g.shape != t.shape:
-        raise ValidationError("tabulations must match the grid length")
-    if t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValidationError("grid must be strictly increasing and start at >= 0")
-    if np.any(np.diff(f) < -1e-12) or np.any(np.diff(g) < -1e-12):
-        raise ValidationError("tabulated CDFs must be nondecreasing")
-    integrand = 1.0 - g
-    steps = np.diff(t) * (integrand[1:] + integrand[:-1]) / 2.0
-    integral = np.concatenate(([0.0], np.cumsum(steps)))
-    # F(t) - F(grid[0]) compared over [grid[0], t]; grid starts at 0 with F(0)=0
-    return float(np.max(np.abs(integral - (f - f[0]))))

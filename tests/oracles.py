@@ -159,24 +159,20 @@ def stepwise_hitting_masses(source, target, initial, k_max: int) -> tuple[np.nda
     scale = 1.0
     early_total = 0.0
     # absorption at chain step m realizes the time k = m - lead
-    if isinstance(initial, str):
-        if initial == "stationary":
-            v = chain.stationary_vector()
-            lead = l - 1  # occurrence starting at k completes at step k + l - 1
-        elif initial == "in_target":
-            v = chain.entry_vector()
-            lead = 0
-        else:
-            v, early, mass = _escape_initial(chain, target)
-            scale = 1.0 / mass
-            early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
-            for k, m in early.items():
-                if 1 <= k <= k_max:
-                    masses[k - 1] = m * scale
-            lead = -(target.period_hint or 0)  # block steps already consumed
-    else:
-        v = np.array(initial, dtype=float)
+    if initial == "stationary":
+        v = chain.stationary_vector()
+        lead = l - 1  # occurrence starting at k completes at step k + l - 1
+    elif initial == "in_target":
+        v = chain.entry_vector()
         lead = 0
+    else:
+        v, early, mass = _escape_initial(chain, target)
+        scale = 1.0 / mass
+        early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
+        for k, m in early.items():
+            if 1 <= k <= k_max:
+                masses[k - 1] = m * scale
+        lead = -(target.period_hint or 0)  # block steps already consumed
 
     total_in = float(v.sum()) * scale + early_total
     absorbed = _NeumaierSum()

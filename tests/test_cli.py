@@ -4,10 +4,12 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import hittimes.markov_pattern.exact
 from hittimes import cli
+from hittimes.branch_systems import DOUBLING, generate_stream
 from hittimes.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hittimes.errors import ConfigError
 from hittimes.tables import config_hash
@@ -153,6 +155,27 @@ class TestRunners:
             1.0 / (0.137503 / 1.0), rel=0.2
         )  # 1/mu({a>=10}), mu = log2(1+1/10) = 0.1375
 
+    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    def test_export_stream_holds_the_scanned_digits(self, tmp_path, fmt):
+        cfg = {
+            "kind": "simulate-doubling",
+            "mode": "ergodic",
+            "target": {"word": [1, 1]},
+            "n_digits": 5000,
+            "min_hits": 100,
+            "seed": 3,
+            "export_stream": fmt,
+            "out": str(tmp_path / "runs"),
+        }
+        run_dir, manifest = run_config(cfg)
+        want = generate_stream(DOUBLING, 3, 5000).digits
+        if fmt == "binary":
+            got = np.fromfile(run_dir / "stream.bin", dtype="<i8")
+        else:
+            got = np.array([int(x) for x in (run_dir / "stream.txt").read_text().split()])
+        np.testing.assert_array_equal(got, want)
+        assert manifest["artifacts"] == ["counts.csv"]
+
     def test_idempotent_reruns_byte_identical(self, tmp_path):
         cfg = dict(SIM_CFG, out=str(tmp_path / "runs"))
         run_dir1, _ = run_config(cfg)
@@ -287,6 +310,26 @@ class TestMainEntry:
         record = json.loads(err)
         assert record["error"] == "ConfigError"
         assert field in record["message"]
+
+    @pytest.mark.parametrize(
+        "subcommand,cfg,key",
+        [
+            ("simulate", {k: v for k, v in SIM_CFG.items() if k != "n_replicas"}, "n_replicas"),
+            ("simulate", {"kind": "simulate-cf", "mode": "ergodic", "target": {"threshold": 10}},
+             "n_digits"),
+            ("counterexample", {k: v for k, v in CE_CFG.items() if k != "word"}, "word"),
+            ("counterexample", {"kind": "counterexample", "flavor": "monte-carlo",
+                                "target": {"word": [1, 1]}, "k_prune": 3, "n_digits": 1000},
+             "system"),
+        ],
+        ids=["replica-n-replicas", "ergodic-n-digits", "exact-ce-word", "mc-ce-system"],
+    )
+    def test_runner_requires_its_keys(self, tmp_path, capsys, subcommand, cfg, key):
+        path = _write_config(tmp_path, dict(cfg, out=str(tmp_path / "r")))
+        assert main([subcommand, "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].endswith(f"requires {key}")
 
     def test_verify_rare_word_kac_and_relation_untruncated(self, tmp_path, capsys):
         # fair coin, word 1^18: E[R] = 2^18, and the return tail stays above

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
@@ -13,7 +12,6 @@ from hittimes.theory import (
     LN2,
     cf_joint_asymptote,
     cf_rare_set_measure,
-    check_integral_relation,
     consecutive_asymptote,
     gauss_digit_cell_measure,
     prime_threshold_measure,
@@ -204,42 +202,3 @@ class TestGaussCells:
         with pytest.raises(ValidationError):
             gauss_digit_cell_measure(0)
 
-
-class TestIntegralRelation:
-    def test_normalized_exponential_pair(self):
-        grid = np.arange(0.0, 10.0 + 1e-9, 1e-3)
-        f = 1.0 - np.exp(-grid)
-        assert check_integral_relation(f, f, grid) < 1e-6
-
-    def test_theta_pair(self):
-        theta = 0.5
-        grid = np.arange(0.0, 10.0 + 1e-9, 1e-3)
-        f = 1.0 - np.exp(-theta * grid)
-        ftilde = 1.0 - theta * np.exp(-theta * grid)
-        assert check_integral_relation(f, ftilde, grid) < 1e-6
-
-    def test_degenerate_pair(self):
-        grid = np.linspace(0.0, 5.0, 100)
-        assert check_integral_relation(np.zeros(100), np.ones(100), grid) == 0.0
-
-    def test_wrong_pairing_detected(self):
-        theta = 0.5
-        grid = np.arange(0.0, 10.0 + 1e-9, 1e-3)
-        f = 1.0 - np.exp(-theta * grid)
-        assert check_integral_relation(f, f, grid) > 1e-2
-
-    def test_non_monotone_rejected(self):
-        grid = np.linspace(0.0, 1.0, 50)
-        bad = np.sin(8 * grid)
-        good = np.minimum(grid, 1.0)
-        with pytest.raises(ValidationError):
-            check_integral_relation(bad, good, grid)
-        with pytest.raises(ValidationError):
-            check_integral_relation(good, bad, grid)
-
-    @given(st.floats(0.05, 1.0))
-    def test_exponential_family_members(self, theta):
-        grid = np.arange(0.0, 8.0, 4e-3)
-        f = 1.0 - np.exp(-theta * grid)
-        ftilde = 1.0 - theta * np.exp(-theta * grid)
-        assert check_integral_relation(f, ftilde, grid) < 1e-5
