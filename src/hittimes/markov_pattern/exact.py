@@ -223,6 +223,9 @@ def hitting_pmf(
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    # a vector start would reach the name comparisons below as an array
+    if not isinstance(initial, str) or initial not in ("stationary", "in_target", "escaping"):
+        raise ValidationError(f"unknown initial distribution {initial!r}")
     chain = ProductChain(source, build_automaton(target, source.alphabet_size))
     l = target.length
     scale = 1.0
@@ -235,7 +238,7 @@ def hitting_pmf(
     elif initial == "in_target":
         v = chain.entry_vector()
         lead = 0
-    elif initial == "escaping":
+    else:
         v, early, mass = _escape_initial(chain, target)
         scale = 1.0 / mass
         early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
@@ -244,8 +247,6 @@ def hitting_pmf(
             if 1 <= k <= k_max:
                 masses[k - 1] = m * scale
         lead = -(target.period_hint or 0)  # block steps already consumed
-    else:
-        raise ValidationError(f"unknown initial distribution {initial!r}")
 
     # absorption at chain step m realizes the time k = m - lead
     total_in = float(v.sum()) * scale + early_total

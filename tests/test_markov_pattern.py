@@ -181,6 +181,16 @@ class TestProductChain:
         assert float(np.sum(pmf.masses)) == 0.0
         assert pmf.tail == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "initial",
+        ["uniform", np.full(4, 0.25), [0.25, 0.25, 0.25, 0.25]],
+        ids=["name", "vector", "list"],
+    )
+    def test_unknown_initial_rejected(self, initial):
+        # a start vector is no longer a starting law: it is refused like a bad name
+        with pytest.raises(ValidationError, match="unknown initial distribution"):
+            hitting_pmf(FAIR, PatternTarget(word=(1, 1)), initial, 4)
+
 
 WORDS_BY_SOURCE = [
     (FAIR, (1,)),
@@ -442,6 +452,20 @@ class TestBlockedKernel:
         )
         target = PatternTarget(word=(0, 1, 2, 0, 1, 2))
         _assert_matches_stepwise(source, target, initial, 65536)
+
+    @pytest.mark.parametrize("k_max", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    def test_arbitrary_start_row_matches_stepwise(self, k_max):
+        # the kernel takes any nonnegative row, not only the three starting laws
+        chain = ProductChain(MARKOV3, build_automaton(self.TARGET, 3))
+        v = np.random.default_rng(7).random(chain.n_states)
+        v /= v.sum()
+        got = _absorption_series(chain.survive, chain.into_match, v, k_max)
+        want = np.empty(k_max)
+        for m in range(k_max):
+            want[m] = v @ chain.into_match
+            v = v @ chain.survive
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_stacked_rows_match_single_rows(self):
         chain = ProductChain(MARKOV3, build_automaton(self.TARGET, 3))
