@@ -164,8 +164,6 @@ CONFIG_SCHEMAS = {
                 "items": {"enum": ["return", "hitting"]},
                 "minItems": 1,
             },
-            "theta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "points_per_decade": {"type": "integer", "minimum": 1},
         },
         ["source", "targets", "delta"],
     ),
@@ -193,8 +191,6 @@ CONFIG_SCHEMAS = {
                 "items": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
             },
             "prediction": _PREDICTION_SCHEMA,
-            "mark_cap": {"type": "integer", "minimum": 2},
-            "chunk_size": {"type": "integer", "minimum": 1},
             "export_stream": {"enum": ["binary", "text"]},
         },
         ["mode", "target"],
@@ -331,14 +327,7 @@ def _run_exact_markov(cfg: dict, run_dir: Path) -> dict:
     targets = [_build_word_target(t) for t in cfg["targets"]]
     results = {}
     for side in cfg.get("sides", ["return", "hitting"]):
-        rows = llt_convergence_table(
-            source,
-            targets,
-            delta=cfg["delta"],
-            kind=side,
-            theta=cfg.get("theta"),
-            points_per_decade=cfg.get("points_per_decade", 32),
-        )
+        rows = llt_convergence_table(source, targets, delta=cfg["delta"], kind=side)
         _emit_table(run_dir, side, CONVERGENCE_HEADER, [r.as_tuple() for r in rows], cfg)
         worst_by_l: dict[int, float] = {}
         for r in rows:
@@ -404,8 +393,6 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
             d=cfg["d"],
             max_steps=cfg["max_steps"],
             seed=seed,
-            chunk_size=cfg.get("chunk_size", estimators.DEFAULT_CHUNK),
-            mark_cap=cfg.get("mark_cap"),
             workers=cfg.get("workers", 1),
         )
         results["n_total"] = pmf.n_total

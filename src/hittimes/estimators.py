@@ -236,18 +236,18 @@ def estimate_first_passage(
     max_steps: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK,
-    mark_cap: int | None = None,
     workers: int = 1,
 ) -> EmpiricalPMF:
     """Joint empirical law of the first d inter-hit gaps (and marks).
 
     Each replica is an independent stationary start; cells are keyed
     (tau_1, psi_1, ..., tau_d, psi_d) for threshold targets and
-    (tau_1, ..., tau_d) for word targets. Replicas without d hits inside
-    max_steps land in the censoring count; a censoring fraction above
-    ``DEFAULT_CENSOR_BOUND`` is flagged in ``meta`` (not fatal). Chunk
-    boundaries are fixed by ``chunk_size`` alone, so results do not depend on
-    ``workers``.
+    (tau_1, ..., tau_d) for word targets. A mark above the threshold plus
+    ``DEFAULT_MARK_CAP_EXCESS`` is recorded as ``OVERFLOW_MARK``. Replicas
+    without d hits inside max_steps land in the censoring count; a censoring
+    fraction above ``DEFAULT_CENSOR_BOUND`` is flagged in ``meta`` (not
+    fatal). Chunk boundaries are fixed by ``chunk_size`` alone, so results do
+    not depend on ``workers``.
     """
     if n_replicas < 1 or d < 1 or max_steps < 1 or chunk_size < 1:
         raise ValidationError("n_replicas, d, max_steps and chunk_size must all be >= 1")
@@ -258,8 +258,7 @@ def estimate_first_passage(
         # the backward stream carries the word reversed
         alpha = max(2, max(target.word) + 1)
         table = build_automaton(PatternTarget(word=target.word[::-1]), alpha + 1).table
-    if mark_cap is None:
-        mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
+    mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
     sizes = [chunk_size] * (n_replicas // chunk_size)
     if n_replicas % chunk_size:
         sizes.append(n_replicas % chunk_size)

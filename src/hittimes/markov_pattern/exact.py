@@ -47,6 +47,7 @@ _MASS_DRIFT_TOL = 1e-9
 _UNDERFLOW = 1e-300
 _BLOCK = 512  # chain steps per block of `_absorption_series`
 _BUDGET_STATES = 2**22  # largest block chain, in states
+_BUDGET_OPS = 10**9  # largest block-chain law, in state-symbol updates
 
 
 def _absorption_series(
@@ -319,13 +320,16 @@ def consecutive_joint_pmf(
     The first gap is a hitting time from the stationary law (or a return time
     when ``from_entry``); each later gap is a return time chained from the
     full-match state, which the word makes unique, so renormalizing onto the
-    post-hit distribution is exact.
+    post-hit distribution is exact. A start ``from_entry`` conditions on the
+    target, so, as in `return_pmf`, a target of zero measure is refused.
     """
     gaps = [int(k) for k in gaps]
     if not gaps:
         raise ValidationError("gap list must be nonempty")
     if any(k < 1 for k in gaps):
         raise ValidationError(f"gaps must be >= 1, got {gaps}")
+    if from_entry and source.word_measure(target.word) == 0.0:
+        raise ValidationError("cannot condition on a target of zero measure")
     chain = ProductChain(source, build_automaton(target, source.alphabet_size))
     sub, into = chain.survive, chain.into_match
     ret = _absorption_series(sub, into, chain.entry_vector(), max(gaps))
@@ -496,7 +500,6 @@ def _block_pmf(
     words: Sequence[Sequence[int]],
     k_max: int,
     from_inside: bool,
-    budget_ops: int = 10**9,
 ) -> tuple[ExactPMF, float]:
     """Hitting or return law of a union of equal-rank cylinders.
 
@@ -512,9 +515,9 @@ def _block_pmf(
         raise ValidationError("all words in a block target must have equal length")
     chain = BlockChain(source, rank)
     ops = (k_max + rank) * chain.n_states * source.alphabet_size
-    if ops > budget_ops:
+    if ops > _BUDGET_OPS:
         raise BudgetExceededError(
-            f"block computation needs ~{ops:.2e} ops, budget is {budget_ops:.2e}"
+            f"block computation needs ~{ops:.2e} ops, budget is {_BUDGET_OPS:.2e}"
         )
     # sorted distinct block indices: the target entries in ascending order
     target = np.unique([chain.encode(w) for w in words])
@@ -556,10 +559,7 @@ def block_return_pmf(source: MarkovSource, target: PatternTarget, k_max: int) ->
 
 
 def block_set_return_pmf(
-    source: MarkovSource,
-    words: Sequence[Sequence[int]],
-    k_max: int,
-    budget_ops: int = 10**9,
+    source: MarkovSource, words: Sequence[Sequence[int]], k_max: int
 ) -> tuple[ExactPMF, float]:
     """Return law and measure of a union of equal-rank cylinders."""
-    return _block_pmf(source, words, k_max, from_inside=True, budget_ops=budget_ops)
+    return _block_pmf(source, words, k_max, from_inside=True)

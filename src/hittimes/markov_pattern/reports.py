@@ -25,6 +25,7 @@ from .exact import (
 from .source import MarkovSource
 
 CONVERGENCE_HEADER = ("l", "k", "t", "exact", "predicted", "ratio")
+_POINTS_PER_DECADE = 32  # k-grid density of the LLT ratio tables
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,14 @@ class ConvergenceRow:
         return (self.l, self.k, self.t, self.exact, self.predicted, self.ratio)
 
 
-def k_grid(mu_a: float, delta: float, points_per_decade: int = 32) -> np.ndarray:
-    """Geometric grid of integer times covering the window delta <= mu_a*k <= 1/delta."""
+def k_grid(mu_a: float, delta: float) -> np.ndarray:
+    """Geometric grid of integer times, 32 per decade, over delta <= mu_a*k <= 1/delta."""
     if not (0.0 < delta <= 1.0):
         raise ValidationError(f"delta must lie in (0, 1], got {delta}")
     lo = delta / mu_a
     hi = 1.0 / (delta * mu_a)
     decades = math.log10(hi / lo) if hi > lo else 0.0
-    count = max(2, int(math.ceil(points_per_decade * decades)) + 1)
+    count = max(2, int(math.ceil(_POINTS_PER_DECADE * decades)) + 1)
     ks = np.unique(np.round(np.geomspace(lo, hi, count)).astype(np.int64))
     ks = ks[(ks >= 1) & (mu_a * ks >= delta) & (mu_a * ks <= 1.0 / delta)]
     if ks.size == 0:
@@ -62,8 +63,6 @@ def llt_convergence_table(
     targets: Sequence[PatternTarget],
     delta: float,
     kind: str = "return",
-    theta: float | None = None,
-    points_per_decade: int = 32,
 ) -> list[ConvergenceRow]:
     """Exact masses against the exponential LLT prediction over a k grid.
 
@@ -71,8 +70,8 @@ def llt_convergence_table(
     window [delta, 1/delta]; the prediction is `consecutive_asymptote` at the
     single gap k: theta^2*e^(-theta*t)*mu(A) for the return law and
     theta*e^(-theta*t)*mu(A) for the stationary hitting law, with
-    t = mu(A)*k. theta defaults to the exact escaping proportion of
-    a periodic target, and to 1 for targets without a period hint.
+    t = mu(A)*k. theta is the exact escaping proportion of a periodic
+    target, and 1 for a target without a period hint.
     """
     if kind not in ("return", "hitting"):
         raise ValidationError(f"kind must be 'return' or 'hitting', got {kind!r}")
@@ -81,10 +80,8 @@ def llt_convergence_table(
         mu_a = source.word_measure(target.word)
         if mu_a >= 1.0:
             raise ValidationError("target cylinder has full measure; not a rare event")
-        th = theta
-        if th is None:
-            th = theta_exact(source, target) if target.period_hint is not None else 1.0
-        ks = k_grid(mu_a, delta, points_per_decade)
+        th = theta_exact(source, target) if target.period_hint is not None else 1.0
+        ks = k_grid(mu_a, delta)
         k_max = int(ks.max())
         pmf = (
             return_pmf(source, target, k_max)
@@ -133,7 +130,6 @@ def counterexample_pruned_target(
     target: PatternTarget,
     k_prune: int,
     k_max: int | None = None,
-    budget_ops: int = 10**8,
 ) -> PrunedTargetReport:
     """Build B = A n {phi_A != k_prune} exactly and compute its return law.
 
@@ -164,7 +160,7 @@ def counterexample_pruned_target(
         raise ValidationError("pruning removed the whole target")
     if k_max is None:
         k_max = max(4 * k_prune, 64)
-    b_pmf, mu_b = block_set_return_pmf(source, kept, k_max, budget_ops=budget_ops)
+    b_pmf, mu_b = block_set_return_pmf(source, kept, k_max)
     mu_a = source.word_measure(word)
     ret = return_pmf(source, target, k_prune)
     return PrunedTargetReport(

@@ -18,32 +18,20 @@ from ..errors import ValidationError
 
 _ROW_TOL = 1e-12
 _STAT_TOL = 1e-12
-_POWER_TOL = 1e-14
 
 
 def _solve_stationary(transitions: np.ndarray) -> tuple[np.ndarray, float]:
-    """Stationary vector of a row-stochastic matrix.
+    """Stationary vector of a row-stochastic matrix, by a dense linear solve.
 
-    Dense linear solve for alphabets up to 64 symbols, power iteration with a
-    1e-14 residual target beyond that. Returns (pi, residual) where residual
-    is the sup-norm of pi @ P - pi actually achieved.
+    Returns (pi, residual) where residual is the sup-norm of pi @ P - pi
+    actually achieved.
     """
     s = transitions.shape[0]
-    if s <= 64:
-        a = transitions.T - np.eye(s)
-        a[-1, :] = 1.0
-        b = np.zeros(s)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
-    else:
-        pi = np.full(s, 1.0 / s)
-        for _ in range(100_000):
-            nxt = pi @ transitions
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - pi)) < _POWER_TOL:
-                pi = nxt
-                break
-            pi = nxt
+    a = transitions.T - np.eye(s)
+    a[-1, :] = 1.0
+    b = np.zeros(s)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ transitions - pi)))
@@ -88,9 +76,8 @@ def _check_mixing(transitions: np.ndarray) -> None:
 class MarkovSource:
     """Stationary ergodic Markov law on symbols 0..S-1.
 
-    ``stationary_residual`` records the achieved invariance residual when the
-    stationary vector was obtained by power iteration; it is surfaced in
-    reports rather than silently absorbed.
+    ``stationary_residual`` records the invariance residual that the
+    stationary solve achieved; it is surfaced rather than silently absorbed.
     """
 
     transitions: np.ndarray

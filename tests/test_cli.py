@@ -40,6 +40,22 @@ CE_CFG = {
     "k_prune": 3,
 }
 
+EXACT_CFG = {
+    "kind": "exact-markov",
+    "source": {"type": "iid", "probs": [0.5, 0.5]},
+    "targets": [{"word": [0, 0], "period_hint": 1}],
+    "delta": 0.5,
+}
+
+SIM_CF_CFG = {
+    "kind": "simulate-cf",
+    "mode": "replica",
+    "target": {"threshold": 50},
+    "n_replicas": 1000,
+    "d": 1,
+    "max_steps": 64,
+}
+
 SIM_CFG = {
     "kind": "simulate-doubling",
     "mode": "replica",
@@ -85,6 +101,10 @@ class TestValidation:
              "targets": [{"word": [0, -1]}], "delta": 0.5},
             dict(VERIFY_CFG, words=[[1], [0, -1]]),
             dict(CE_CFG, word=[-1, 0]),
+            dict(EXACT_CFG, theta=0.5),
+            dict(EXACT_CFG, points_per_decade=8),
+            dict(SIM_CF_CFG, chunk_size=1024),
+            dict(SIM_CF_CFG, mark_cap=100),
         ],
     )
     def test_messages_match_jsonschema_validate(self, cfg):
@@ -301,6 +321,11 @@ class TestMainEntry:
                        "targets": [{"word": [0, 0]}], "delta": 0}, "delta"),
             ("verify", dict(VERIFY_CFG, words=[[1], [0, -1]]), "words/1/1"),
             ("counterexample", dict(CE_CFG, word=[-1, 0]), "word/0"),
+            # settings that are constants of the program, not config keys
+            ("exact", dict(EXACT_CFG, theta=0.5), "theta"),
+            ("exact", dict(EXACT_CFG, points_per_decade=8), "points_per_decade"),
+            ("simulate", dict(SIM_CF_CFG, chunk_size=1024), "chunk_size"),
+            ("simulate", dict(SIM_CF_CFG, mark_cap=100), "mark_cap"),
         ],
     )
     def test_malformed_config_exits_2_with_field(self, tmp_path, capsys, subcommand, cfg, field):

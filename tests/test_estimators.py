@@ -11,6 +11,7 @@ import pytest
 from hittimes.branch_systems import DOUBLING, GAUSS, generate_stream, make_rng
 from hittimes.errors import InsufficientDataError, ValidationError
 from hittimes.estimators import (
+    DEFAULT_MARK_CAP_EXCESS,
     EmpiricalPMF,
     OVERFLOW_MARK,
     TargetScan,
@@ -137,14 +138,13 @@ class TestReplicaEstimator:
     def test_register_scan_matches_materialized_reference(self, system, target, d):
         n, seed = 4000, 17
         max_steps = max(48, len(target.word or ()))
-        got = estimate_first_passage(
-            system, target, n, d, max_steps, seed, chunk_size=1024, mark_cap=50
-        )
+        got = estimate_first_passage(system, target, n, d, max_steps, seed, chunk_size=1024)
+        mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
         want_counts: dict[tuple, int] = {}
         want_censored = 0
         sizes = [1024, 1024, 1024, 928]
         for i, sz in enumerate(sizes):
-            c, cens = _replica_reference(system, target, sz, d, max_steps, seed, i, 50)
+            c, cens = _replica_reference(system, target, sz, d, max_steps, seed, i, mark_cap)
             want_censored += cens
             for k, v in c.items():
                 want_counts[k] = want_counts.get(k, 0) + v
@@ -248,12 +248,15 @@ class TestReplicaEstimator:
         assert inside / looks >= 0.99
 
     def test_mark_overflow_bucket(self):
+        # P(a > 2 + 10^4 | a >= 2) is about 3.5e-4 under the Gauss measure
         got = estimate_first_passage(
-            GAUSS, TargetScan.digit_threshold(2), 5000, 1, 64, seed=9, mark_cap=5
+            GAUSS, TargetScan.digit_threshold(2), 100_000, 1, 64, seed=9
         )
+        cap = 2 + DEFAULT_MARK_CAP_EXCESS
+        assert got.meta["mark_cap"] == cap
         overflow = sum(c for key, c in got.counts.items() if key[1] == OVERFLOW_MARK)
         assert overflow > 0
-        assert all(key[1] <= 5 or key[1] == OVERFLOW_MARK for key in got.counts)
+        assert all(key[1] <= cap or key[1] == OVERFLOW_MARK for key in got.counts)
 
     def test_renewal_target_gaps_independent(self):
         # single-symbol word in an i.i.d. stream: (tau1, tau2) factorizes

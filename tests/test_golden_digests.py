@@ -1,11 +1,11 @@
-"""Pinned SHA-256 digests of the artifacts of six small configs.
+"""Pinned SHA-256 digests of the artifacts of seven small configs.
 
 A rerun only shows that a change is deterministic; these digests show that
 it left the bytes of earlier runs alone. The four Monte-Carlo configs must
-never move unless their sampling changes on purpose. The exact-markov and
-verify-identities digests move whenever the exact oracle's floating-point
-evaluation order changes; a change that moves one must state the tolerance
-the new values are held to.
+never move unless their sampling changes on purpose. The exact-markov,
+verify-identities and exact counterexample digests move whenever the exact
+oracle's floating-point evaluation order changes; a change that moves one
+must state the tolerance the new values are held to.
 """
 
 import hashlib
@@ -59,6 +59,17 @@ CONFIGS = {
         },
         "words": [[0, 1, 2, 0, 1, 2], [0, 0, 1, 1, 2, 2]],
     },
+    "counterexample-exact": {
+        "kind": "counterexample",
+        "flavor": "exact-markov",
+        "source": {
+            "type": "markov",
+            "transitions": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+        },
+        "word": [0, 1, 2],
+        "k_prune": 7,
+        "k_max": 512,
+    },
     "counterexample-mc": {
         "kind": "counterexample",
         "flavor": "monte-carlo",
@@ -93,6 +104,10 @@ GOLDEN = {
     "verify-identities": {
         "identities.csv": "291d979f38298dc623031e0ac44ef39bb4c9e6489e7d33cd733e3fb13f7e0b2e",
         "manifest.json": "9c7167f13decfeefa1f354bc17efd6b32af574cd10cc36f39427bb430307edb2",
+    },
+    "counterexample-exact": {
+        "counterexample.csv": "afecde49bb3525bb1cc4c4745783e58d85f0f4a44d0812c1ac977cf34ac953bc",
+        "manifest.json": "cdbff1a46fcb67005813eca19fb123019626088194eddc264a4314ae1eb69247",
     },
     "counterexample-mc": {
         "counterexample.csv": "1a86fb6ee50088f6bc1447f76e4ddd04ae1419fb2eea3b8bf419a564ad63ce00",

@@ -78,12 +78,25 @@ class TestMarkovSource:
         assert np.allclose(pi @ MARKOV2.transitions, pi, atol=1e-14)
         assert pi.sum() == pytest.approx(1.0, abs=1e-14)
 
-    def test_large_alphabet_power_iteration(self):
+    def test_large_alphabet_stationary_solve(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         p = rng.random((80, 80)) + 0.01
         p /= p.sum(axis=1, keepdims=True)
         src = MarkovSource.from_transitions(p)
         assert np.max(np.abs(src.stationary @ p - src.stationary)) < 1e-12
+
+    def test_slowly_mixing_large_alphabet(self):
+        # two uniform halves of 33 states, leaving A at rate 1e-9 and B at
+        # 3e-9, so pi(A) = 3/4; iterating pi @ P stalls near 1/2 long before
+        # the halves balance, with a tiny step-to-step change
+        h = 33
+        p = np.empty((2 * h, 2 * h))
+        p[:h, :h] = (1 - 1e-9) / h
+        p[:h, h:] = 1e-9 / h
+        p[h:, :h] = 3e-9 / h
+        p[h:, h:] = (1 - 3e-9) / h
+        src = MarkovSource.from_transitions(p)
+        assert src.stationary[:h].sum() == pytest.approx(0.75, abs=1e-6)
 
     def test_word_measure(self):
         assert FAIR.word_measure((1, 1)) == 0.25
@@ -622,6 +635,17 @@ class TestConsecutive:
         t = PatternTarget(word=(0,) * 8)
         with pytest.raises(ProbabilityUnderflowError):
             consecutive_joint_pmf(FAIR, t, [200000, 200000])
+
+    @pytest.mark.parametrize("gaps", [[1], [2, 3]])
+    def test_zero_measure_target(self, gaps):
+        # 1 -> 1 is impossible, so the word 11 has measure 0
+        source = MarkovSource.from_transitions([[0.5, 0.5], [1.0, 0.0]])
+        target = PatternTarget(word=(1, 1))
+        assert consecutive_joint_pmf(source, target, gaps) == 0.0
+        with pytest.raises(ValidationError, match="zero measure"):
+            return_pmf(source, target, 4)
+        with pytest.raises(ValidationError, match="zero measure"):
+            consecutive_joint_pmf(source, target, gaps, from_entry=True)
 
 
 class TestConvergenceTable:
