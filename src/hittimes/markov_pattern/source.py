@@ -20,12 +20,8 @@ _ROW_TOL = 1e-12
 _STAT_TOL = 1e-12
 
 
-def _solve_stationary(transitions: np.ndarray) -> tuple[np.ndarray, float]:
-    """Stationary vector of a row-stochastic matrix, by a dense linear solve.
-
-    Returns (pi, residual) where residual is the sup-norm of pi @ P - pi
-    actually achieved.
-    """
+def _solve_stationary(transitions: np.ndarray) -> np.ndarray:
+    """Stationary vector of a row-stochastic matrix, by a dense linear solve."""
     s = transitions.shape[0]
     a = transitions.T - np.eye(s)
     a[-1, :] = 1.0
@@ -34,8 +30,7 @@ def _solve_stationary(transitions: np.ndarray) -> tuple[np.ndarray, float]:
     pi = np.linalg.solve(a, b)
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
-    residual = float(np.max(np.abs(pi @ transitions - pi)))
-    return pi, residual
+    return pi
 
 
 def _check_mixing(transitions: np.ndarray) -> None:
@@ -76,13 +71,14 @@ def _check_mixing(transitions: np.ndarray) -> None:
 class MarkovSource:
     """Stationary ergodic Markov law on symbols 0..S-1.
 
-    ``stationary_residual`` records the invariance residual that the
-    stationary solve achieved; it is surfaced rather than silently absorbed.
+    ``stationary_residual`` is the invariance residual max |pi P - pi| of the
+    given stationary vector, measured at construction and held to
+    ``_STAT_TOL``; it is surfaced rather than silently absorbed.
     """
 
     transitions: np.ndarray
     stationary: np.ndarray
-    stationary_residual: float = field(default=0.0)
+    stationary_residual: float = field(init=False)
 
     def __post_init__(self) -> None:
         p = np.array(self.transitions, dtype=float)
@@ -100,13 +96,15 @@ class MarkovSource:
             raise ValidationError("stationary vector must sum to 1")
         if np.any(pi <= 0.0):
             raise ValidationError("stationary vector must be strictly positive (ergodicity)")
-        if np.max(np.abs(pi @ p - pi)) > max(_STAT_TOL, 10.0 * self.stationary_residual):
+        residual = float(np.max(np.abs(pi @ p - pi)))
+        if residual > _STAT_TOL:
             raise ValidationError("stationary vector is not invariant under the transitions")
         _check_mixing(p)
         p.setflags(write=False)
         pi.setflags(write=False)
         object.__setattr__(self, "transitions", p)
         object.__setattr__(self, "stationary", pi)
+        object.__setattr__(self, "stationary_residual", residual)
 
     @property
     def alphabet_size(self) -> int:
@@ -120,10 +118,10 @@ class MarkovSource:
             raise ValidationError(f"transitions must be square, got shape {p.shape}")
         _check_mixing(p)
         try:
-            pi, residual = _solve_stationary(p)
+            pi = _solve_stationary(p)
         except np.linalg.LinAlgError as exc:
             raise ValidationError(f"stationary solve failed: {exc}") from exc
-        return cls(transitions=p, stationary=pi, stationary_residual=residual)
+        return cls(transitions=p, stationary=pi)
 
     @classmethod
     def iid(cls, probs: Sequence[float]) -> "MarkovSource":

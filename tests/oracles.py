@@ -12,6 +12,8 @@ the block chain's original scatter step, so that the shift-structured step can
 be held to it bit for bit. `allocating_replica_chunk`, with the allocating
 branch kernels of `GAUSS_ALLOCATING` and `DOUBLING_ALLOCATING`, keeps the
 replica estimator's original boolean-mask register kernel for the same use.
+`scalar_stream` keeps `generate_stream`'s original loop, one scalar backward
+step per digit, so that the lane-parallel stream can be held to it bit for bit.
 
 `gauss_branch_prob` and `gauss_branch_cum` are the Gauss map's backward branch
 law in closed form, which the sampler tests check the sampler against.
@@ -23,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from hittimes.branch_systems import DIGIT_CAP, DOUBLING, GAUSS, make_rng
+from hittimes.branch_systems import DIGIT_CAP, DOUBLING, GAUSS, DigitStream, make_rng
 from hittimes.errors import SamplingError, ValidationError
 from hittimes.estimators import OVERFLOW_MARK, _prime_mask
 from hittimes.markov_pattern import build_automaton
@@ -294,3 +296,27 @@ def allocating_replica_chunk(
     keys = np.stack(columns, axis=1)
     uniq, cnt = np.unique(keys, axis=0, return_counts=True)
     return {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}, censored
+
+
+def scalar_stream(system, seed: int, n: int, substream: int = 0) -> DigitStream:
+    """`generate_stream` as it was before the lanes: n scalar backward steps
+    from a stationary start, uniforms drawn in blocks of 2**16, digits
+    returned in reverse generation order."""
+    rng = make_rng(seed, substream)
+    y = system.stationary_point(float(rng.random()))
+    buf = np.empty(n, dtype=np.int64)
+    sample = system.branch_sample
+    pos = 0
+    while pos < n:
+        us = rng.random(min(2**16, n - pos))
+        for u in us:
+            k, y = sample(y, float(u))
+            buf[pos] = k
+            pos += 1
+    return DigitStream(
+        system=system.name,
+        seed=int(seed),
+        substream=int(substream),
+        digits=buf[::-1].copy(),
+        anchor_point=y,
+    )

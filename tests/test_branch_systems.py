@@ -2,17 +2,28 @@
 0.01 chi-square level; exact cylinder probabilities come from continuant
 interval endpoints (test-local, independent of the package)."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from hittimes import branch_systems
 from hittimes.branch_systems import (
+    _LANES,
+    _MIN_LANE,
+    _WARMUP,
     DEFAULT_BLOCK,
     DOUBLING,
     GAUSS,
+    DigitStream,
+    _advance,
+    _lane_bounds,
+    _run_lanes,
+    _scalar_steps,
     doubling_branch_sample,
     gauss_branch_sample,
     gauss_stationary_point,
@@ -20,9 +31,9 @@ from hittimes.branch_systems import (
     make_rng,
     system_by_name,
 )
-from hittimes.errors import ValidationError
+from hittimes.errors import SamplingError, ValidationError
 from hittimes.theory import gauss_digit_cell_measure, threshold_cell_measure
-from oracles import gauss_branch_cum, gauss_branch_prob
+from oracles import gauss_branch_cum, gauss_branch_prob, scalar_stream
 
 LN2 = math.log(2.0)
 
@@ -284,3 +295,140 @@ class TestStreams:
         assert np.array_equal(back, stream.digits)
         lines = txt_path.read_text().splitlines()
         assert [int(x) for x in lines] == stream.digits.tolist()
+
+
+def assert_same_stream(got, want):
+    assert np.array_equal(got.digits, want.digits)
+    assert repr(got.anchor_point) == repr(want.anchor_point)  # bitwise, and a float
+
+
+# lengths around the one-lane limit (2W), the first two-lane chunk (2 * 2W),
+# the lane cap (_LANES lanes of 2W) and the chunk size
+STREAM_LENGTHS = [
+    1,
+    2,
+    2 * _WARMUP - 1,
+    2 * _WARMUP,
+    2 * _WARMUP + 1,
+    2 * _MIN_LANE - 1,
+    2 * _MIN_LANE,
+    2 * _MIN_LANE + 1,
+    _LANES * _MIN_LANE - 1,
+    _LANES * _MIN_LANE + 1,
+    DEFAULT_BLOCK - 1,
+    DEFAULT_BLOCK + 1,
+    3 * DEFAULT_BLOCK + 5,
+]
+
+
+def chunk(system, seed, size):
+    """(start point, uniforms) of the first chunk of a stream."""
+    rng = make_rng(seed)
+    return system.stationary_point(float(rng.random())), rng.random(size)
+
+
+class TestLaneStream:
+    @pytest.mark.parametrize("n", STREAM_LENGTHS)
+    @pytest.mark.parametrize("substream", [0, 1])
+    @pytest.mark.parametrize("system", [GAUSS, DOUBLING], ids=["gauss", "doubling"])
+    def test_matches_scalar_stream(self, system, substream, n):
+        got = generate_stream(system, 40 + n % 7, n, substream)
+        assert_same_stream(got, scalar_stream(system, 40 + n % 7, n, substream))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from([GAUSS, DOUBLING]),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 3 * DEFAULT_BLOCK),
+    )
+    def test_matches_scalar_stream_randomized(self, system, seed, n):
+        assert_same_stream(generate_stream(system, seed, n), scalar_stream(system, seed, n))
+
+    @pytest.mark.parametrize("wrong", ["half", "nextafter"])
+    @pytest.mark.parametrize("system", [GAUSS, DOUBLING], ids=["gauss", "doubling"])
+    def test_every_lane_repaired(self, system, wrong, monkeypatch):
+        # every guessed start is wrong, so the sweep recomputes every lane
+        # (doubling digits do not depend on the point, so there only the
+        # count of recomputed lanes and the end point can tell)
+        repaired = []
+
+        def counting(system, y, u, out):
+            repaired.append(u.size)
+            return _scalar_steps(system, y, u, out)
+
+        monkeypatch.setattr(branch_systems, "_scalar_steps", counting)
+        size = DEFAULT_BLOCK + 77  # 256 lanes, the first 77 one step longer
+        y0, u = chunk(system, 61, size)
+        bounds = _lane_bounds(size, _LANES)
+        lane_starts = set(bounds)
+        true_starts = []
+        y = y0
+        for t, uj in enumerate(u.tolist()):
+            if t in lane_starts:
+                true_starts.append(y)
+            y = system.branch_sample(y, uj)[1]
+        true_starts = np.array(true_starts)
+        if wrong == "half":
+            starts = np.full(_LANES, 0.5)
+        else:
+            starts = np.nextafter(true_starts, 1.0)
+        assert np.all(starts[1:] != true_starts[1:])
+        u_before = u.copy()
+        out = np.empty(size, dtype=np.int64)
+        end = _run_lanes(system, y0, u, starts, out)
+        want = scalar_stream(system, 61, size)
+        assert np.array_equal(out, want.digits[::-1])
+        assert repr(end) == repr(want.anchor_point)
+        assert np.array_equal(u, u_before)
+        assert repaired == np.diff(bounds)[1:].tolist()
+
+    @pytest.mark.parametrize("size", [10, DEFAULT_BLOCK])
+    def test_gauss_chunk_from_zero_raises(self, size):
+        # from y = 0 a first uniform of 0.1 gives digit 1 and preimage
+        # 1/(1 + 0) = 1.0, which the next scalar step refuses
+        assert gauss_branch_sample(0.0, 0.1) == (1, 1.0)
+        with pytest.raises(ValidationError):
+            gauss_branch_sample(1.0, 0.5)
+        u = make_rng(62).random(size)
+        u[0] = 0.1
+        with pytest.raises(ValidationError):
+            _advance(GAUSS, 0.0, u, np.empty(size, dtype=np.int64))
+
+    def test_doubling_run_of_ones_raises_inside_a_lane(self):
+        # 54 one-bits in a row take any point to (y + 1)/2 = 1.0 in float64,
+        # which the next scalar step refuses; here that happens in lane 5
+        size = DEFAULT_BLOCK
+        y0, u = chunk(DOUBLING, 63, size)
+        at = _lane_bounds(size, _LANES)[5] + 20
+        u[at : at + 60] = 0.75
+        with pytest.raises(ValidationError):
+            _scalar_steps(DOUBLING, y0, u, np.empty(size, dtype=np.int64))
+        with pytest.raises(ValidationError):
+            _advance(DOUBLING, y0, u, np.empty(size, dtype=np.int64))
+
+    def test_sampling_error_in_a_lane_replays_the_chunk(self):
+        # a SamplingError from the vector kernel only sends the chunk through
+        # the scalar steps, which raise if and only if the true orbit does
+        def refusing(y, u, k):
+            raise SamplingError("digit above cap 2**62; refusing to wrap")
+
+        system = dataclasses.replace(GAUSS, branch_array=refusing)
+        size = DEFAULT_BLOCK
+        y0, u = chunk(GAUSS, 64, size)
+        out = np.empty(size, dtype=np.int64)
+        end = _advance(system, y0, u, out)
+        want = scalar_stream(GAUSS, 64, size)
+        assert np.array_equal(out, want.digits[::-1])
+        assert repr(end) == repr(want.anchor_point)
+
+
+def test_export_text_matches_per_line_format(tmp_path):
+    digits = np.array([1, 0, 7, 2**62, 10**18, 123456789], dtype=np.int64)
+    streams = [
+        DigitStream(system="gauss", seed=0, substream=0, digits=digits, anchor_point=0.5),
+        generate_stream(GAUSS, seed=24, n=5000),
+    ]
+    for i, stream in enumerate(streams):
+        path = tmp_path / f"s{i}.txt"
+        stream.export_text(path)
+        assert path.read_bytes() == b"".join(f"{int(d)}\n".encode("ascii") for d in stream.digits)

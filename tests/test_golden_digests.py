@@ -1,8 +1,9 @@
-"""Pinned SHA-256 digests of the artifacts of seven small configs.
+"""Pinned SHA-256 digests of the artifacts of seven small configs, and of two
+digit streams long enough to cross the stream's chunk and lane boundaries.
 
 A rerun only shows that a change is deterministic; these digests show that
-it left the bytes of earlier runs alone. The four Monte-Carlo configs must
-never move unless their sampling changes on purpose. The exact-markov,
+it left the bytes of earlier runs alone. The four Monte-Carlo configs and the
+two streams must never move unless their sampling changes on purpose. The exact-markov,
 verify-identities and exact counterexample digests move whenever the exact
 oracle's floating-point evaluation order changes; a change that moves one
 must state the tolerance the new values are held to.
@@ -12,6 +13,7 @@ import hashlib
 
 import pytest
 
+from hittimes.branch_systems import DOUBLING, GAUSS, generate_stream
 from hittimes.cli import run_config
 
 CONFIGS = {
@@ -127,3 +129,18 @@ def test_artifact_digests(name, tmp_path, monkeypatch):
         if p.suffix in (".csv", ".json")
     }
     assert got == GOLDEN[name]
+
+
+# (system, seed) -> SHA-256 of the little-endian int64 digits followed by
+# repr(anchor_point), for 3 * 2**16 + 12345 digits
+STREAM_GOLDEN = {
+    (GAUSS, 31): "d41405545ce5a2972836814f0aa8ecad1027a8c21cf2e531db0a8efe9b0ddf05",
+    (DOUBLING, 32): "059c037d42684f1492fbcbd1a18bb44437f97ed95d2e0530b7c31c738d8f5fdc",
+}
+
+
+@pytest.mark.parametrize("system, seed", list(STREAM_GOLDEN), ids=["gauss", "doubling"])
+def test_stream_digests(system, seed):
+    stream = generate_stream(system, seed, 3 * 2**16 + 12345)
+    payload = stream.digits.astype("<i8").tobytes() + repr(stream.anchor_point).encode()
+    assert hashlib.sha256(payload).hexdigest() == STREAM_GOLDEN[system, seed]

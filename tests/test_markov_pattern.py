@@ -65,6 +65,19 @@ class TestMarkovSource:
             MarkovSource(transitions=np.array([[0.2, 0.8], [0.6, 0.4]]),
                          stationary=np.array([0.5, 0.5]))
 
+    def test_caller_cannot_loosen_the_invariance_check(self):
+        # the residual is measured, not passed in: a claimed residual of 0.1
+        # once let (1/2, 1/2) through, and word_measure((0,)) then read 0.5
+        # where the true stationary law gives 3/7
+        with pytest.raises(TypeError):
+            MarkovSource(transitions=[[0.2, 0.8], [0.6, 0.4]], stationary=[0.5, 0.5],
+                         stationary_residual=0.1)
+        with pytest.raises(ValidationError):
+            MarkovSource(transitions=[[0.2, 0.8], [0.6, 0.4]], stationary=[0.5, 0.5])
+        src = MarkovSource.from_transitions([[0.2, 0.8], [0.6, 0.4]])
+        assert src.word_measure((0,)) == pytest.approx(3 / 7, abs=1e-15)
+        assert src.stationary_residual <= 1e-15
+
     def test_rejects_reducible(self):
         with pytest.raises(ValidationError):
             MarkovSource.from_transitions([[1.0, 0.0], [0.0, 1.0]])
