@@ -172,7 +172,8 @@ class BranchSystem:
     the vectorized forms used by the replica estimators and the stream's
     lanes; ``branch_array(y, u, k)`` works in place and returns None: it overwrites ``y`` with the
     preimages and ``k`` with the digits as float64 (integer-valued, exact
-    below ``DIGIT_CAP``), and may use ``u`` as scratch.
+    below ``DIGIT_CAP``), and may use ``u`` as scratch. Every digit lies in
+    ``digit_range``.
     """
 
     name: str
@@ -180,6 +181,7 @@ class BranchSystem:
     branch_sample: Callable[[float, float], tuple[int, float]]
     stationary_array: Callable[[np.ndarray], np.ndarray]
     branch_array: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    digit_range: tuple[int, float]
 
 
 GAUSS = BranchSystem(
@@ -188,6 +190,7 @@ GAUSS = BranchSystem(
     branch_sample=gauss_branch_sample,
     stationary_array=_gauss_stationary_array,
     branch_array=_gauss_branch_array,
+    digit_range=(1, math.inf),
 )
 
 DOUBLING = BranchSystem(
@@ -196,6 +199,7 @@ DOUBLING = BranchSystem(
     branch_sample=doubling_branch_sample,
     stationary_array=_doubling_stationary_array,
     branch_array=_doubling_branch_array,
+    digit_range=(0, 1),
 )
 
 

@@ -93,7 +93,12 @@ _SCAN_TARGET_SCHEMA = {
             "required": ["threshold"],
             "additionalProperties": False,
         },
-        _WORD_TARGET_SCHEMA,
+        {
+            "type": "object",
+            "properties": {"word": _WORD_SCHEMA},
+            "required": ["word"],
+            "additionalProperties": False,
+        },
     ]
 }
 
@@ -261,9 +266,21 @@ def _build_word_target(spec: dict) -> PatternTarget:
     return PatternTarget(word=tuple(spec["word"]), period_hint=spec.get("period_hint"))
 
 
-def _build_scan_target(spec: dict) -> estimators.TargetScan:
+def _build_scan_target(spec: dict, system: branch_systems.BranchSystem) -> estimators.TargetScan:
+    """The scanned event; one of measure zero, which no orbit ever hits, is refused."""
+    lo, hi = system.digit_range
     if "word" in spec:
+        if not all(lo <= a <= hi for a in spec["word"]):
+            raise ConfigError(
+                f"config field target/word: {system.name} digits lie in [{lo}, {hi}], "
+                "so the word has measure zero"
+            )
         return estimators.TargetScan.word_pattern(spec["word"])
+    if spec["threshold"] > hi:
+        raise ConfigError(
+            f"config field target/threshold: {system.name} digits never reach "
+            f"{spec['threshold']}, so the target has measure zero"
+        )
     return estimators.TargetScan.digit_threshold(spec["threshold"], spec.get("prime", False))
 
 
@@ -373,7 +390,7 @@ def _run_verify_identities(cfg: dict, run_dir: Path) -> dict:
 
 def _run_simulate(cfg: dict, run_dir: Path) -> dict:
     system = branch_systems.GAUSS if cfg["kind"] == "simulate-cf" else branch_systems.DOUBLING
-    target = _build_scan_target(cfg["target"])
+    target = _build_scan_target(cfg["target"], system)
     seed = cfg["seed"]
     results: dict = {"system": system.name, "mode": cfg["mode"]}
     replica = cfg["mode"] == "replica"
@@ -467,7 +484,7 @@ def _run_counterexample(cfg: dict, run_dir: Path) -> dict:
         if req not in cfg:
             raise ConfigError(f"monte-carlo counterexample requires {req}")
     system = branch_systems.system_by_name(cfg["system"])
-    target = _build_scan_target(cfg["target"])
+    target = _build_scan_target(cfg["target"], system)
     s1 = branch_systems.generate_stream(system, cfg["seed"], cfg["n_digits"], substream=0)
     s2 = branch_systems.generate_stream(system, cfg["seed"], cfg["n_digits"], substream=1)
     g1 = np.diff(estimators.scan_hits(s1, target)[0])

@@ -17,6 +17,10 @@ step per digit, so that the lane-parallel stream can be held to it bit for bit.
 
 `gauss_branch_prob` and `gauss_branch_cum` are the Gauss map's backward branch
 law in closed form, which the sampler tests check the sampler against.
+
+`chi_square_gof` is the goodness-of-fit test the statistical tests score
+counts with. It lives here, not in the package, because it needs
+`scipy.stats` and the package imports no SciPy.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy import stats
 
 from hittimes.branch_systems import DIGIT_CAP, DOUBLING, GAUSS, DigitStream, make_rng
 from hittimes.errors import SamplingError, ValidationError
@@ -320,3 +325,40 @@ def scalar_stream(system, seed: int, n: int, substream: int = 0) -> DigitStream:
         digits=buf[::-1].copy(),
         anchor_point=y,
     )
+
+
+def chi_square_gof(
+    observed: np.ndarray,
+    probs: np.ndarray,
+    n_total: int | None = None,
+) -> tuple[float, int, float]:
+    """Chi-square goodness of fit with deterministic small-cell merging.
+
+    ``n_total`` is the full sample size; observations not covered by the
+    listed cells land in a remainder cell with the complementary probability.
+    When omitted, the listed cells are taken to be exhaustive. Cells whose
+    expected count falls below 10 are pooled into the remainder.
+    Returns (statistic, degrees of freedom, p-value).
+    """
+    obs = np.asarray(observed, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    if obs.shape != p.shape:
+        raise ValidationError("observed and probs must have equal length")
+    if np.any(p < 0.0) or p.sum() > 1.0 + 1e-9:
+        raise ValidationError("probs must be nonnegative with sum <= 1")
+    n = float(n_total) if n_total is not None else obs.sum()
+    if n < obs.sum() - 1e-9:
+        raise ValidationError("n_total smaller than the listed observations")
+    rest_p = max(0.0, 1.0 - p.sum())
+    keep = p * n >= 10.0
+    stat = float(((obs[keep] - n * p[keep]) ** 2 / (n * p[keep])).sum())
+    pooled_p = p[~keep].sum() + rest_p
+    pooled_obs = n - obs[keep].sum()
+    if pooled_p > 0.0:
+        expected = n * pooled_p
+        stat += float((pooled_obs - expected) ** 2 / expected)
+        df = int(keep.sum())  # kept cells + pooled cell - 1
+    else:
+        df = int(keep.sum()) - 1
+    pvalue = float(stats.chi2.sf(stat, df))
+    return stat, df, pvalue

@@ -18,7 +18,7 @@ from hittimes.branch_systems import DOUBLING, GAUSS, generate_stream
 from hittimes.cli import run_config
 from hittimes.estimators import (
     TargetScan,
-    chi_square_gof,
+    batch_means_se,
     demo_pruned_return,
     estimate_first_passage,
     estimate_return_law_ergodic,
@@ -43,10 +43,11 @@ from hittimes.theory import (
     cf_joint_asymptote,
     cf_rare_set_measure,
     gauss_digit_cell_measure,
+    prime_threshold_measure,
     threshold_cell_measure,
 )
 
-from oracles import brute_hitting_masses, brute_return_masses
+from oracles import brute_hitting_masses, brute_return_masses, chi_square_gof
 
 FAIR = MarkovSource.iid([0.5, 0.5])
 BIASED = MarkovSource.iid([0.3, 0.7])
@@ -350,6 +351,29 @@ def test_criterion_09a_prime_digit_hit_rate():
         )
     elapsed = time.time() - started
     _report("9a", ok, detail + f"; {elapsed:.0f}s (budget 1800s shared with 9b)")
+
+
+def test_criterion_09a_companion_prime_hit_rate_against_exact_measure():
+    """9a's stream and rate against the near-exact measure (4 batch-means sigma).
+
+    9a is red because its asymptote converges only like 1/ln l; this companion
+    holds the sampler itself to `prime_threshold_measure`, with the error bar of
+    the dependent 0/1 hit indicator taken from batch means.
+    """
+    started = time.time()
+    _, rate, _, stream, positions = _prime_rate_error(100, 4 * 10**6, seed=105)
+    hit = np.zeros(len(stream))
+    hit[positions] = 1.0
+    se = batch_means_se(hit)
+    exact = prime_threshold_measure(100)
+    z = abs(rate - exact) / se
+    elapsed = time.time() - started
+    _report(
+        "9a-exact",
+        z <= 4.0,
+        f"{positions.size} hits, rate {rate:.4e} vs exact {exact:.4e}, "
+        f"sigma {se / exact:.2%} relative, z = {z:.2f}; {elapsed:.1f}s",
+    )
 
 
 def test_criterion_09b_prime_digit_gap_histogram():

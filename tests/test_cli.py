@@ -356,6 +356,27 @@ class TestMainEntry:
         assert record["error"] == "ConfigError"
         assert record["message"].endswith(f"requires {key}")
 
+    @pytest.mark.parametrize(
+        "cfg,field",
+        [
+            (dict(SIM_CF_CFG, target={"word": [0, 1]}), "target/word"),
+            (dict(SIM_CF_CFG, kind="simulate-doubling", target={"word": [1, 2]}), "target/word"),
+            (dict(SIM_CF_CFG, kind="simulate-doubling", target={"threshold": 2}),
+             "target/threshold"),
+            # an exact-oracle key that the scan target would silently drop
+            (dict(SIM_CF_CFG, target={"word": [1], "period_hint": 5}), "target"),
+        ],
+        ids=["cf-word-with-0", "doubling-word-with-2", "doubling-threshold", "period-hint"],
+    )
+    def test_simulate_target_without_an_answer_exits_2(self, tmp_path, capsys, cfg, field):
+        # the first three have measure zero: no digit of the system hits them
+        path = _write_config(tmp_path, dict(cfg, out=str(tmp_path / "r")))
+        assert main(["simulate", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"config field {field}:")
+        assert not list((tmp_path / "r").glob("*/counts.csv"))  # refused before any sampling
+
     def test_verify_rare_word_kac_and_relation_untruncated(self, tmp_path, capsys):
         # fair coin, word 1^18: E[R] = 2^18, and the return tail stays above
         # 1e-12 past 2^22 steps, so no truncated return law can meet these

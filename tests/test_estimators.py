@@ -15,9 +15,9 @@ from hittimes.estimators import (
     EmpiricalPMF,
     OVERFLOW_MARK,
     TargetScan,
+    _WILSON_Z,
     _replica_chunk,
     batch_means_se,
-    chi_square_gof,
     demo_pruned_return,
     ergodic_cell_se,
     estimate_first_passage,
@@ -34,7 +34,12 @@ from hittimes.markov_pattern import (
     return_pmf,
 )
 from hittimes.theory import threshold_cell_measure
-from oracles import DOUBLING_ALLOCATING, GAUSS_ALLOCATING, allocating_replica_chunk
+from oracles import (
+    DOUBLING_ALLOCATING,
+    GAUSS_ALLOCATING,
+    allocating_replica_chunk,
+    chi_square_gof,
+)
 
 FAIR = MarkovSource.iid([0.5, 0.5])
 # every digit is 1, so a word of ones occurs at every start of the stream
@@ -361,6 +366,16 @@ class TestReportsAndStats:
         assert lo < 0.5 < hi
         assert 0.0 <= lo < hi <= 1.0
         assert wilson_interval(0, 10)[0] == 0.0
+
+    def test_wilson_z_is_scipys_quantile_bitwise(self):
+        from scipy import stats
+
+        assert _WILSON_Z.hex() == float(stats.norm.ppf(0.995)).hex()
+        # the bounds the scipy-computed z gave, pinned as hex
+        assert [x.hex() for x in wilson_interval(50, 100)] == [
+            "0x1.80494d51b0e01p-2", "0x1.3fdb595727900p-1"
+        ]
+        assert [x.hex() for x in wilson_interval(0, 10)] == ["0x0.0p+0", "0x1.986d351a7b335p-2"]
 
     def test_chi_square_gof_uniform(self):
         rng = make_rng(16)
