@@ -25,11 +25,17 @@ they become bit-equal after a median of 17 steps for Gauss and 54 for
 doubling (the most in 20 000 pairs was 29 and 68). `generate_stream` cuts
 each chunk of uniforms into contiguous lanes. Lane 0 starts from the exact
 point; every other lane starts from a guess, a fixed point run through the
-uniforms just before the lane. All lanes advance in lockstep through the vector kernel, and a sweep
-in lane order recomputes, from the exact end of the lane before, every lane
-whose guess is not bitwise that end. So the digits and the anchor point are
-those of one scalar step per digit whether or not the guesses coalesce;
-coalescence only decides how many lanes are recomputed.
+uniforms just before the lane. All lanes advance in lockstep through
+``branch_array``, the one step kernel. Then every lane whose start is not
+bitwise the end of the lane before it runs again from that end, all such
+lanes in lockstep, until none is left. So the digits and the anchor point are
+those of one backward step per digit whether or not the guesses coalesce;
+coalescence only decides how many lanes run again.
+
+A preimage can round to 1.0 (after 54 one-bits in a row for doubling, or a
+Gauss digit near 2^53). The kernels are continuous there, so such an orbit
+carries on: the Gauss step maps 1.0 to 1/(k+1), and doubling digits do not
+depend on the point at all.
 
 The generator is pinned by specification to Philox (counter-based, 64-bit
 seed, substream index in the second key word) so streams are reproducible
@@ -45,7 +51,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import SamplingError, ValidationError
-from .primes import is_prime
 
 __all__ = [
     "BranchSystem",
@@ -56,7 +61,6 @@ __all__ = [
     "gauss_branch_sample",
     "gauss_stationary_point",
     "generate_stream",
-    "is_prime",
     "make_rng",
     "system_by_name",
 ]
@@ -101,10 +105,12 @@ def gauss_branch_sample(y: float, u: float) -> tuple[int, float]:
     """Closed-form backward step: digit k and preimage 1/(k+y).
 
     k is the smallest K with C_K(y) >= u, which solves to
-    k = max(1, ceil((1+y)/(1-u) - 1 - y)).
+    k = max(1, ceil((1+y)/(1-u) - 1 - y)). The scalar reference that
+    ``GAUSS.branch_array`` is held to bit for bit. y may be 1.0, since a
+    preimage can round to it.
     """
-    if not (0.0 <= y < 1.0):
-        raise ValidationError(f"y must lie in [0, 1), got {y}")
+    if not (0.0 <= y <= 1.0):
+        raise ValidationError(f"y must lie in [0, 1], got {y}")
     if not (0.0 <= u < 1.0):
         raise ValidationError(f"u must lie in [0, 1), got {u}")
     raw = (1.0 + y) / (1.0 - u) - 1.0 - y
@@ -140,9 +146,13 @@ def _gauss_branch_array(y: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
 
 
 def doubling_branch_sample(y: float, u: float) -> tuple[int, float]:
-    """Backward step of the doubling map: fair bit, preimage (y+bit)/2."""
-    if not (0.0 <= y < 1.0):
-        raise ValidationError(f"y must lie in [0, 1), got {y}")
+    """Backward step of the doubling map: fair bit, preimage (y+bit)/2.
+
+    The scalar reference that ``DOUBLING.branch_array`` is held to bit for
+    bit. y may be 1.0, since a preimage can round to it.
+    """
+    if not (0.0 <= y <= 1.0):
+        raise ValidationError(f"y must lie in [0, 1], got {y}")
     if not (0.0 <= u < 1.0):
         raise ValidationError(f"u must lie in [0, 1), got {u}")
     bit = 1 if u >= 0.5 else 0
@@ -168,17 +178,17 @@ def _doubling_branch_array(y: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
 class BranchSystem:
     """A piecewise-invertible interval map with closed-form backward sampling.
 
-    ``branch_sample(y, u)`` returns (digit, preimage). The array variants are
-    the vectorized forms used by the replica estimators and the stream's
-    lanes; ``branch_array(y, u, k)`` works in place and returns None: it overwrites ``y`` with the
-    preimages and ``k`` with the digits as float64 (integer-valued, exact
-    below ``DIGIT_CAP``), and may use ``u`` as scratch. Every digit lies in
-    ``digit_range``.
+    ``stationary_point(u)`` is the inverse CDF of the invariant law, and
+    ``stationary_array`` its vectorized form. ``branch_array(y, u, k)`` is the
+    one backward step kernel, for the replica estimators and the stream's
+    lanes alike. It works in place and returns None: it overwrites ``y``
+    with the preimages and ``k`` with the digits as float64 (integer-valued,
+    exact below ``DIGIT_CAP``), and may use ``u`` as scratch. It takes y in
+    [0, 1] and u in [0, 1). Every digit lies in ``digit_range``.
     """
 
     name: str
     stationary_point: Callable[[float], float]
-    branch_sample: Callable[[float, float], tuple[int, float]]
     stationary_array: Callable[[np.ndarray], np.ndarray]
     branch_array: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     digit_range: tuple[int, float]
@@ -187,7 +197,6 @@ class BranchSystem:
 GAUSS = BranchSystem(
     name="gauss",
     stationary_point=gauss_stationary_point,
-    branch_sample=gauss_branch_sample,
     stationary_array=_gauss_stationary_array,
     branch_array=_gauss_branch_array,
     digit_range=(1, math.inf),
@@ -196,7 +205,6 @@ GAUSS = BranchSystem(
 DOUBLING = BranchSystem(
     name="doubling",
     stationary_point=lambda u: u,
-    branch_sample=doubling_branch_sample,
     stationary_array=_doubling_stationary_array,
     branch_array=_doubling_branch_array,
     digit_range=(0, 1),
@@ -243,18 +251,6 @@ class DigitStream:
             handle.write("".join(f"{d}\n" for d in self.digits.tolist()))
 
 
-def _scalar_steps(system: BranchSystem, y: float, u: np.ndarray, out: np.ndarray) -> float:
-    """Advance y through the uniforms u one ``branch_sample`` at a time, writing
-    the j-th digit to out[j]; return the end point."""
-    sample = system.branch_sample
-    digits = []
-    for uj in u.tolist():
-        k, y = sample(y, uj)
-        digits.append(k)
-    out[:] = digits
-    return y
-
-
 def _lane_bounds(size: int, lanes: int) -> list[int]:
     """The lanes + 1 bounds of ``lanes`` contiguous lanes that cover ``size``
     steps; the first ``size % lanes`` lanes are one step longer."""
@@ -262,83 +258,64 @@ def _lane_bounds(size: int, lanes: int) -> list[int]:
     return [i * m + min(i, r) for i in range(lanes + 1)]
 
 
-def _speculative_starts(system: BranchSystem, u: np.ndarray, lanes: int) -> np.ndarray:
-    """Guesses at the points the lanes start from: for lane i >= 1,
-    ``_SEED_POINT`` advanced through the ``_WARMUP`` uniforms before the lane,
-    every lane at once. Entry 0 is a placeholder."""
-    starts = np.array(_lane_bounds(u.size, lanes)[1:-1])
-    warm = u[starts + np.arange(-_WARMUP, 0)[:, None]]
+def _speculative_starts(system: BranchSystem, u: np.ndarray) -> np.ndarray:
+    """Guesses at the points the lanes of the chunk u start from: for lane
+    i >= 1, ``_SEED_POINT`` advanced through the ``_WARMUP`` uniforms before
+    the lane, every lane at once. Entry 0 is a placeholder. The chunk gets as
+    many lanes of ``_MIN_LANE`` steps as fit, at least 1 and at most
+    ``_LANES``."""
+    lanes = max(1, min(_LANES, u.size // _MIN_LANE))
     y = np.full(lanes, _SEED_POINT)
-    k = np.empty(lanes - 1)
-    for row in warm:
-        system.branch_array(y[1:], row, k)
+    if lanes > 1:
+        starts = np.array(_lane_bounds(u.size, lanes)[1:-1])
+        k = np.empty(lanes - 1)
+        for row in u[starts + np.arange(-_WARMUP, 0)[:, None]]:
+            system.branch_array(y[1:], row, k)
     return y
 
 
 def _run_lanes(
     system: BranchSystem, y: float, u: np.ndarray, starts: np.ndarray, out: np.ndarray
-) -> float | None:
+) -> float:
     """Advance y through the uniforms u in ``starts.size`` lanes (`_lane_bounds`),
     writing the j-th digit to out[j]; return the end point.
 
     Lane 0 starts from y, lane i >= 1 from starts[i]. Every lane runs in
-    lockstep through ``branch_array``, which is bit-identical to
-    ``branch_sample``. Then, in lane order, each lane whose start is not
-    bitwise the end of the lane before it is recomputed from that end by
-    scalar steps, so the result is exact whatever the starts were.
-
-    Returns None, with ``out`` untouched, if a lockstep point reached 1.0:
-    the scalar step refuses such a point, and only a replay can tell whether
-    it lay on the true orbit.
+    lockstep through ``branch_array``. Then every lane whose start is not
+    bitwise the end of the lane before it runs again from that end, all such
+    lanes in lockstep, until none is left. The first such lane starts from an
+    exact end, so each round leaves one more lane exact and at most
+    ``starts.size`` rounds run: the result is exact whatever the starts were.
     """
     lanes = starts.size
     m, r = divmod(u.size, lanes)
     head = r * (m + 1)
-    y_lanes = starts.copy()
-    y_lanes[0] = y
-    uu = np.empty((m + 1, lanes))
-    kk = np.empty((m + 1, lanes))
-    uu[:, :r] = u[:head].reshape(r, m + 1).T
-    uu[:m, r:] = u[head:].reshape(lanes - r, m).T
-    top = np.zeros(lanes)
-    for j in range(m):
-        system.branch_array(y_lanes, uu[j], kk[j])
-        np.maximum(top, y_lanes, out=top)
-    if r:
-        system.branch_array(y_lanes[:r], uu[m, :r], kk[m, :r])
-        np.maximum(top[:r], y_lanes[:r], out=top[:r])
-    if top.max() >= 1.0:
-        return None
-    out[:head].reshape(r, m + 1)[...] = kk[:, :r].T
-    out[head:].reshape(lanes - r, m)[...] = kk[:m, r:].T
-    bounds = _lane_bounds(u.size, lanes)
-    begins = starts.tolist()
-    ends = y_lanes.tolist()
-    for i in range(1, lanes):
-        if begins[i] != ends[i - 1]:
-            lo, hi = bounds[i], bounds[i + 1]
-            ends[i] = _scalar_steps(system, ends[i - 1], u[lo:hi], out[lo:hi])
-    return ends[-1]
-
-
-def _advance(system: BranchSystem, y: float, u: np.ndarray, out: np.ndarray) -> float:
-    """Advance y through the uniforms u, writing the j-th digit to out[j]: the
-    digits, end point and errors of one ``branch_sample`` per uniform.
-
-    Runs in lanes when at least two lanes of ``_MIN_LANE`` steps fit. A start
-    outside [0, 1), a lockstep point at 1.0 or a ``SamplingError`` in a lane
-    sends the whole chunk through the scalar steps, which raise exactly where
-    they would have.
-    """
-    lanes = min(_LANES, u.size // _MIN_LANE)
-    if lanes > 1 and 0.0 <= y < 1.0:
-        try:
-            end = _run_lanes(system, y, u, _speculative_starts(system, u, lanes), out)
-        except SamplingError:
-            end = None
-        if end is not None:
-            return end
-    return _scalar_steps(system, y, u, out)
+    # row i of the long (the first r) or of the short lanes' block is lane i
+    u_long, u_short = u[:head].reshape(r, m + 1), u[head:].reshape(lanes - r, m)
+    k_long, k_short = out[:head].reshape(r, m + 1), out[head:].reshape(lanes - r, m)
+    begins = starts.copy()
+    begins[0] = y
+    ends = np.empty(lanes)
+    todo = np.arange(lanes)
+    while todo.size:
+        n_long = int(np.searchsorted(todo, r))
+        long, short = todo[:n_long], todo[n_long:] - r
+        # laid out again each round: the Gauss kernel uses uniforms as scratch
+        uu = np.empty((m + 1, todo.size))
+        uu[:, :n_long] = u_long[long].T
+        uu[:m, n_long:] = u_short[short].T
+        kk = np.empty_like(uu)
+        y_lanes = begins[todo]
+        for j in range(m):
+            system.branch_array(y_lanes, uu[j], kk[j])
+        if n_long:
+            system.branch_array(y_lanes[:n_long], uu[m, :n_long], kk[m, :n_long])
+        k_long[long] = kk[:, :n_long].T
+        k_short[short] = kk[:m, n_long:].T
+        ends[todo] = y_lanes
+        todo = np.flatnonzero(begins.view(np.int64)[1:] != ends.view(np.int64)[:-1]) + 1
+        begins[todo] = ends[todo - 1]
+    return float(ends[-1])
 
 
 def generate_stream(
@@ -353,10 +330,12 @@ def generate_stream(
     indices in reverse generation order, written straight into place. The
     uniforms are drawn in chunks of ``DEFAULT_BLOCK``, the same numbers one
     draw of n would give, and each chunk runs in lanes (`_run_lanes`): a lane
-    starts from a guess and is recomputed unless the guess is bitwise its true
-    start. Digits, anchor point and errors are those of n scalar
-    ``branch_sample`` steps.
+    starts from a guess and runs again unless the guess is bitwise its true
+    start. Digits and anchor point are those of n steps of the scalar
+    reference ``gauss_branch_sample`` or ``doubling_branch_sample``.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"stream length must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"stream length must be >= 1, got {n}")
     rng = make_rng(seed, substream)
@@ -364,7 +343,8 @@ def generate_stream(
     digits = np.empty(n, dtype=np.int64)
     for hi in range(n, 0, -DEFAULT_BLOCK):
         lo = max(0, hi - DEFAULT_BLOCK)
-        y = _advance(system, y, rng.random(hi - lo), digits[lo:hi][::-1])
+        u = rng.random(hi - lo)
+        y = _run_lanes(system, y, u, _speculative_starts(system, u), digits[lo:hi][::-1])
     return DigitStream(
         system=system.name,
         seed=int(seed),

@@ -315,6 +315,8 @@ class ErgodicReturnEstimate:
 
 def batch_means_se(values: np.ndarray, batch_count: int = DEFAULT_BATCH_COUNT) -> float:
     """Standard error of the mean of a dependent sequence via batch means."""
+    if batch_count < 2:
+        raise ValidationError(f"batch_count must be >= 2, got {batch_count}")
     x = np.asarray(values, dtype=float)
     if x.size < 2 * batch_count:
         raise InsufficientDataError(
@@ -343,13 +345,14 @@ def estimate_return_law_ergodic(
             f"only {positions.size} hits; at least {min_hits} required"
         )
     gaps = np.diff(positions)
+    mean_gap_se = batch_means_se(gaps)  # refuses too few gaps before any mean
     uniq, cnt = np.unique(gaps, return_counts=True)
     counts = {(int(g),): int(c) for g, c in zip(uniq, cnt)}
     return ErgodicReturnEstimate(
         pmf=EmpiricalPMF(counts=counts, n_total=int(gaps.size), kind="ergodic"),
         gaps=gaps,
         mean_gap=float(gaps.mean()),
-        mean_gap_se=batch_means_se(gaps),
+        mean_gap_se=mean_gap_se,
         n_hits=int(positions.size),
     )
 

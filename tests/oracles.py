@@ -13,7 +13,8 @@ be held to it bit for bit. `allocating_replica_chunk`, with the allocating
 branch kernels of `GAUSS_ALLOCATING` and `DOUBLING_ALLOCATING`, keeps the
 replica estimator's original boolean-mask register kernel for the same use.
 `scalar_stream` keeps `generate_stream`'s original loop, one scalar backward
-step per digit, so that the lane-parallel stream can be held to it bit for bit.
+step per digit (`scalar_steps`, which looks the step up by system name), so
+that the lane-parallel stream can be held to it bit for bit.
 
 `gauss_branch_prob` and `gauss_branch_cum` are the Gauss map's backward branch
 law in closed form, which the sampler tests check the sampler against.
@@ -30,7 +31,15 @@ import dataclasses
 import numpy as np
 from scipy import stats
 
-from hittimes.branch_systems import DIGIT_CAP, DOUBLING, GAUSS, DigitStream, make_rng
+from hittimes.branch_systems import (
+    DIGIT_CAP,
+    DOUBLING,
+    GAUSS,
+    DigitStream,
+    doubling_branch_sample,
+    gauss_branch_sample,
+    make_rng,
+)
 from hittimes.errors import SamplingError, ValidationError
 from hittimes.estimators import OVERFLOW_MARK, _prime_mask
 from hittimes.markov_pattern import build_automaton
@@ -303,26 +312,35 @@ def allocating_replica_chunk(
     return {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}, censored
 
 
+SCALAR_STEP = {"gauss": gauss_branch_sample, "doubling": doubling_branch_sample}
+
+
+def scalar_steps(system, y: float, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """One scalar backward step of ``system`` per uniform of u from y: the
+    digits in generation order and the end point."""
+    sample = SCALAR_STEP[system.name]
+    digits = []
+    for uj in u.tolist():
+        k, y = sample(y, uj)
+        digits.append(k)
+    return np.array(digits, dtype=np.int64), y
+
+
 def scalar_stream(system, seed: int, n: int, substream: int = 0) -> DigitStream:
     """`generate_stream` as it was before the lanes: n scalar backward steps
     from a stationary start, uniforms drawn in blocks of 2**16, digits
     returned in reverse generation order."""
     rng = make_rng(seed, substream)
     y = system.stationary_point(float(rng.random()))
-    buf = np.empty(n, dtype=np.int64)
-    sample = system.branch_sample
-    pos = 0
-    while pos < n:
-        us = rng.random(min(2**16, n - pos))
-        for u in us:
-            k, y = sample(y, float(u))
-            buf[pos] = k
-            pos += 1
+    blocks = []
+    for pos in range(0, n, 2**16):
+        digits, y = scalar_steps(system, y, rng.random(min(2**16, n - pos)))
+        blocks.append(digits)
     return DigitStream(
         system=system.name,
         seed=int(seed),
         substream=int(substream),
-        digits=buf[::-1].copy(),
+        digits=np.concatenate(blocks)[::-1].copy(),
         anchor_point=y,
     )
 

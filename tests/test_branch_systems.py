@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from hittimes import branch_systems
 from hittimes.branch_systems import (
     _LANES,
     _MIN_LANE,
@@ -20,10 +19,9 @@ from hittimes.branch_systems import (
     DOUBLING,
     GAUSS,
     DigitStream,
-    _advance,
     _lane_bounds,
     _run_lanes,
-    _scalar_steps,
+    _speculative_starts,
     doubling_branch_sample,
     gauss_branch_sample,
     gauss_stationary_point,
@@ -33,7 +31,7 @@ from hittimes.branch_systems import (
 )
 from hittimes.errors import SamplingError, ValidationError
 from hittimes.theory import gauss_digit_cell_measure, threshold_cell_measure
-from oracles import gauss_branch_cum, gauss_branch_prob, scalar_stream
+from oracles import gauss_branch_cum, gauss_branch_prob, scalar_stream, scalar_steps
 
 LN2 = math.log(2.0)
 
@@ -135,6 +133,7 @@ class TestGaussSampler:
         us = np.concatenate(([0.0, top, 0.0, top, 0.5], rng.random(5000)))
         k, y_next = branch_array(system, ys, us)
         assert k.dtype == np.float64
+        assert k.max() <= 2**54  # so no uniform can reach DIGIT_CAP
         for i in range(ys.size):
             k_i, y_i = sample(float(ys[i]), float(us[i]))
             assert k[i] == k_i and y_next[i] == y_i, i
@@ -274,8 +273,9 @@ class TestStreams:
         assert abs(freq - mu) < 4 * se
 
     def test_generate_stream_validation(self):
-        with pytest.raises(ValidationError):
-            generate_stream(GAUSS, seed=1, n=0)
+        for n in (0, 2.5, True):
+            with pytest.raises(ValidationError):
+                generate_stream(GAUSS, seed=1, n=n)
         with pytest.raises(ValidationError):
             make_rng(-1)
 
@@ -346,27 +346,24 @@ class TestLaneStream:
 
     @pytest.mark.parametrize("wrong", ["half", "nextafter"])
     @pytest.mark.parametrize("system", [GAUSS, DOUBLING], ids=["gauss", "doubling"])
-    def test_every_lane_repaired(self, system, wrong, monkeypatch):
-        # every guessed start is wrong, so the sweep recomputes every lane
-        # (doubling digits do not depend on the point, so there only the
-        # count of recomputed lanes and the end point can tell)
-        repaired = []
+    def test_every_lane_repaired(self, system, wrong):
+        # every guessed start is wrong, so a second round reruns every lane
+        # i >= 1 from the end of lane i - 1 (doubling digits do not depend on
+        # the point, so there only the rounds and the end point can tell)
+        steps = []
 
-        def counting(system, y, u, out):
-            repaired.append(u.size)
-            return _scalar_steps(system, y, u, out)
+        def counting(y, u, k):
+            steps.append(y.size)
+            system.branch_array(y, u, k)
 
-        monkeypatch.setattr(branch_systems, "_scalar_steps", counting)
-        size = DEFAULT_BLOCK + 77  # 256 lanes, the first 77 one step longer
+        size = DEFAULT_BLOCK + 77  # 256 lanes of 256 steps, the first 77 one step longer
         y0, u = chunk(system, 61, size)
         bounds = _lane_bounds(size, _LANES)
-        lane_starts = set(bounds)
         true_starts = []
         y = y0
-        for t, uj in enumerate(u.tolist()):
-            if t in lane_starts:
-                true_starts.append(y)
-            y = system.branch_sample(y, uj)[1]
+        for lo, hi in zip(bounds, bounds[1:]):
+            true_starts.append(y)
+            y = scalar_steps(system, y, u[lo:hi])[1]
         true_starts = np.array(true_starts)
         if wrong == "half":
             starts = np.full(_LANES, 0.5)
@@ -375,51 +372,52 @@ class TestLaneStream:
         assert np.all(starts[1:] != true_starts[1:])
         u_before = u.copy()
         out = np.empty(size, dtype=np.int64)
-        end = _run_lanes(system, y0, u, starts, out)
+        end = _run_lanes(dataclasses.replace(system, branch_array=counting), y0, u, starts, out)
         want = scalar_stream(system, 61, size)
         assert np.array_equal(out, want.digits[::-1])
         assert repr(end) == repr(want.anchor_point)
         assert np.array_equal(u, u_before)
-        assert repaired == np.diff(bounds)[1:].tolist()
+        # one round of all lanes, then one of lanes 1..255 (76 of them long)
+        m = size // _LANES
+        assert steps == [_LANES] * m + [77] + [_LANES - 1] * m + [76]
 
     @pytest.mark.parametrize("size", [10, DEFAULT_BLOCK])
-    def test_gauss_chunk_from_zero_raises(self, size):
+    def test_gauss_chunk_through_one_completes(self, size):
         # from y = 0 a first uniform of 0.1 gives digit 1 and preimage
-        # 1/(1 + 0) = 1.0, which the next scalar step refuses
+        # 1/(1 + 0) = 1.0; the orbit carries on through the kernel from there
         assert gauss_branch_sample(0.0, 0.1) == (1, 1.0)
-        with pytest.raises(ValidationError):
-            gauss_branch_sample(1.0, 0.5)
+        assert gauss_branch_sample(1.0, 0.5) == (2, 1.0 / 3.0)
         u = make_rng(62).random(size)
         u[0] = 0.1
-        with pytest.raises(ValidationError):
-            _advance(GAUSS, 0.0, u, np.empty(size, dtype=np.int64))
+        out = np.empty(size, dtype=np.int64)
+        end = _run_lanes(GAUSS, 0.0, u, _speculative_starts(GAUSS, u), out)
+        want, want_end = scalar_steps(GAUSS, 0.0, u)
+        assert np.array_equal(out, want)
+        assert repr(end) == repr(want_end)
 
-    def test_doubling_run_of_ones_raises_inside_a_lane(self):
-        # 54 one-bits in a row take any point to (y + 1)/2 = 1.0 in float64,
-        # which the next scalar step refuses; here that happens in lane 5
+    def test_doubling_run_of_ones_completes_inside_a_lane(self):
+        # 54 one-bits in a row take any point to (y + 1)/2 = 1.0 in float64;
+        # here that happens in lane 5, and the orbit carries on from there
         size = DEFAULT_BLOCK
         y0, u = chunk(DOUBLING, 63, size)
         at = _lane_bounds(size, _LANES)[5] + 20
         u[at : at + 60] = 0.75
-        with pytest.raises(ValidationError):
-            _scalar_steps(DOUBLING, y0, u, np.empty(size, dtype=np.int64))
-        with pytest.raises(ValidationError):
-            _advance(DOUBLING, y0, u, np.empty(size, dtype=np.int64))
+        out = np.empty(size, dtype=np.int64)
+        end = _run_lanes(DOUBLING, y0, u, _speculative_starts(DOUBLING, u), out)
+        want, want_end = scalar_steps(DOUBLING, y0, u)
+        assert 1.0 in [scalar_steps(DOUBLING, y0, u[:t])[1] for t in range(at + 54, at + 61)]
+        assert np.array_equal(out, want)
+        assert np.array_equal(out, u >= 0.5)
+        assert repr(end) == repr(want_end)
 
-    def test_sampling_error_in_a_lane_replays_the_chunk(self):
-        # a SamplingError from the vector kernel only sends the chunk through
-        # the scalar steps, which raise if and only if the true orbit does
+    def test_sampling_error_in_a_lane_propagates(self):
         def refusing(y, u, k):
             raise SamplingError("digit above cap 2**62; refusing to wrap")
 
         system = dataclasses.replace(GAUSS, branch_array=refusing)
-        size = DEFAULT_BLOCK
-        y0, u = chunk(GAUSS, 64, size)
-        out = np.empty(size, dtype=np.int64)
-        end = _advance(system, y0, u, out)
-        want = scalar_stream(GAUSS, 64, size)
-        assert np.array_equal(out, want.digits[::-1])
-        assert repr(end) == repr(want.anchor_point)
+        for n in (10, DEFAULT_BLOCK):
+            with pytest.raises(SamplingError):
+                generate_stream(system, seed=64, n=n)
 
 
 def test_export_text_matches_per_line_format(tmp_path):

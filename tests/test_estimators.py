@@ -319,6 +319,14 @@ class TestErgodicEstimator:
         with pytest.raises(InsufficientDataError):
             estimate_return_law_ergodic(stream, TargetScan.digit_threshold(50))
 
+    def test_one_hit_raises_before_any_mean(self):
+        # one hit leaves no gap; the empty mean would warn, and under the
+        # suite's RuntimeWarning filter the caller would get that instead
+        digits = np.ones(1000, dtype=np.int64)
+        digits[500] = 60
+        with pytest.raises(InsufficientDataError):
+            estimate_return_law_ergodic(digits, TargetScan.digit_threshold(50), min_hits=1)
+
     def test_gap_histogram_matches_exact_return_law(self):
         stream = generate_stream(DOUBLING, seed=13, n=400_000)
         est = estimate_return_law_ergodic(stream, TargetScan.word_pattern((1, 1)),
@@ -408,6 +416,11 @@ class TestReportsAndStats:
         se = batch_means_se(x)
         naive = x.std(ddof=1) / math.sqrt(x.size)
         assert se == pytest.approx(naive, rel=0.4)
+
+    @pytest.mark.parametrize("batch_count", [0, 1])
+    def test_batch_means_se_refuses_fewer_than_two_batches(self, batch_count):
+        with pytest.raises(ValidationError):
+            batch_means_se(np.arange(100.0), batch_count=batch_count)
 
 
 class TestPrunedDemo:
