@@ -81,12 +81,20 @@ def make_rng(seed: int, substream: int = 0) -> np.random.Generator:
 
     Distinct substreams are independent by construction of the keyed counter
     generator, which is what makes replica parallelism reproducible.
+    Integral floats such as 1.0 are accepted, as a JSON "integer" is.
     """
-    if not (0 <= int(seed) < 2**64):
-        raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if not (0 <= int(substream) < 2**64):
-        raise ValidationError(f"substream must be an unsigned 64-bit integer, got {substream}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, substream], dtype=np.uint64)))
+    key = [_key_word("seed", seed), _key_word("substream", substream)]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def _key_word(name: str, value) -> int:
+    """An unsigned 64-bit Philox key word; anything not an integral number is refused."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    if isinstance(value, (bool, np.bool_)) or not integral or not 0 <= int(value) < 2**64:
+        raise ValidationError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -444,8 +444,12 @@ class BlockChain:
     (t, m) moves to (m, c): the S predecessors of output (m, c) are the S rows
     of ``v.reshape(S, S^(r-1))`` at column m, one per dropped symbol t. Their
     weights are the transitions out of each predecessor's own last symbol,
-    ``index mod S`` (which is t, not m mod S, at rank 1). Targets are
-    arbitrary sets of equal-rank tuples, which covers unions of cylinders.
+    ``index mod S`` (which is t, not m mod S, at rank 1). The weights are
+    held as one C-contiguous (S, S, S^(r-1)) table laid out [c, t, m], so a
+    step's products and adds all run over contiguous rows, into two buffers of
+    S^(r-1) entries; only the copy of each symbol's column into the output is
+    strided. Targets are arbitrary sets of equal-rank tuples, which covers
+    unions of cylinders.
     """
 
     def __init__(self, source: MarkovSource, rank: int) -> None:
@@ -463,14 +467,18 @@ class BlockChain:
         self._mod = s ** (rank - 1)
         last = np.arange(n, dtype=np.int64) % s
         # weight[c, t, m]: transition into c from block t * S^(r-1) + m
-        self._weight = source.transitions[last].T.reshape(s, s, self._mod)
+        self._weight = np.ascontiguousarray(source.transitions[last].T).reshape(s, s, self._mod)
 
     def encode(self, block: Sequence[int]) -> int:
-        if len(block) != self.rank:
+        s = self.source.alphabet_size
+        w = [int(c) for c in block]
+        if len(w) != self.rank:
             raise ValidationError(f"block must have length {self.rank}")
+        if any(c < 0 or c >= s for c in w):
+            raise ValidationError(f"word symbols must lie in [0, {s}), got {w}")
         idx = 0
-        for c in block:
-            idx = idx * self.source.alphabet_size + int(c)
+        for c in w:
+            idx = idx * s + c
         return idx
 
     def stationary_blocks(self) -> np.ndarray:
@@ -488,10 +496,17 @@ class BlockChain:
         out = np.empty_like(v)
         columns = out.reshape(self._mod, s)
         rows = v.reshape(s, self._mod)
-        # an axis-0 sum adds the rows in order, t ascending, so each output is
-        # the same left-to-right sum as a scatter over ascending block indices
-        for c in range(s):
-            columns[:, c] = (rows * self._weight[c]).sum(axis=0)
+        acc = np.empty(self._mod)
+        tmp = np.empty(self._mod)
+        # each output (m, c) is accumulated in place over the dropped symbol,
+        # t ascending: the same left-to-right sum as a scatter over ascending
+        # block indices, with every product and add over contiguous rows
+        for c, weight in enumerate(self._weight):
+            np.multiply(rows[0], weight[0], out=acc)
+            for t in range(1, s):
+                np.multiply(rows[t], weight[t], out=tmp)
+                acc += tmp
+            columns[:, c] = acc
         return out
 
 

@@ -279,6 +279,25 @@ class TestStreams:
         with pytest.raises(ValidationError):
             make_rng(-1)
 
+    @pytest.mark.parametrize("bad", [1.5, True, np.bool_(True), "1", math.nan, math.inf, None, 2**64])
+    def test_non_integer_seed_refused(self, bad):
+        # a truncated seed used to draw the stream of its integer part
+        with pytest.raises(ValidationError, match="seed must be"):
+            make_rng(bad)
+        with pytest.raises(ValidationError, match="substream must be"):
+            make_rng(1, bad)
+        with pytest.raises(ValidationError, match="seed must be"):
+            generate_stream(GAUSS, seed=bad, n=8)
+        with pytest.raises(ValidationError, match="substream must be"):
+            generate_stream(GAUSS, seed=1, n=8, substream=bad)
+
+    def test_integral_seeds_accepted(self):
+        first = make_rng(1).random()
+        for seed in (np.int64(1), np.uint64(1), 1.0, np.float64(1.0)):
+            assert make_rng(seed).random() == first
+        assert make_rng(0, 2.0).random() == make_rng(0, 2).random()
+        assert generate_stream(GAUSS, seed=1.0, n=8).seed == 1
+
     def test_system_lookup(self):
         assert system_by_name("gauss") is GAUSS
         assert system_by_name("doubling") is DOUBLING

@@ -48,6 +48,9 @@ MARKOV2 = MarkovSource.from_transitions([[0.2, 0.8], [0.6, 0.4]])
 MARKOV3 = MarkovSource.from_transitions(
     [[0.1, 0.5, 0.4], [0.3, 0.3, 0.4], [0.25, 0.5, 0.25]]
 )
+MARKOV4 = MarkovSource.from_transitions(
+    [[0.1, 0.2, 0.3, 0.4], [0.4, 0.1, 0.1, 0.4], [0.25, 0.25, 0.3, 0.2], [0.05, 0.6, 0.15, 0.2]]
+)
 
 
 class TestMarkovSource:
@@ -518,14 +521,18 @@ class TestBlockStep:
     """`BlockChain.step` against the scatter step it replaced, bit for bit."""
 
     @pytest.mark.parametrize(
-        "source,rank", [(MARKOV2, 1), (MARKOV2, 2), (MARKOV2, 5), (MARKOV3, 1), (MARKOV3, 6)]
+        "source,rank,steps",
+        [(MARKOV2, 1, 40), (MARKOV2, 2, 40), (MARKOV2, 5, 40), (MARKOV3, 1, 40), (MARKOV3, 6, 40),
+         (MARKOV4, 1, 40), (MARKOV4, 3, 40), (FAIR, 16, 3), (MARKOV3, 10, 3)],
     )
-    def test_step_matches_scatter(self, source, rank):
-        # rank 1 is where a predecessor's last symbol is the dropped one
+    def test_step_matches_scatter(self, source, rank, steps):
+        # rank 1 is where a predecessor's last symbol is the dropped one; the
+        # 4-symbol source runs three in-place adds per output, and the last
+        # two shapes are the 2^16 and 3^10 chains of the block benchmark
         chain = BlockChain(source, rank)
         v = chain.stationary_blocks()
         want = v.copy()
-        for _ in range(40):
+        for _ in range(steps):
             v = chain.step(v)
             want = scatter_block_step(chain, want)
             assert np.array_equal(v, want)
@@ -551,6 +558,15 @@ class TestBlockStep:
         for new, old in zip(got, laws()):
             assert np.array_equal(new.masses, old.masses)
             assert new.tail == old.tail
+
+    def test_out_of_range_symbols_refused(self):
+        # such symbols used to alias other blocks: (0, 2) encoded as (1, 0)
+        for words in ([(0, 2)], [(0, -1)], [(5, 5)], [(0, 1), (1, 2)]):
+            with pytest.raises(ValidationError, match=r"word symbols must lie in \[0, 2\)"):
+                block_set_return_pmf(MARKOV2, words, 8)
+        for law in (block_return_pmf, block_hitting_pmf, return_pmf):
+            with pytest.raises(ValidationError, match=r"word symbols must lie in \[0, 2\)"):
+                law(MARKOV2, PatternTarget(word=(0, 2)), 8)
 
 
 class TestTheta:
