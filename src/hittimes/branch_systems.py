@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SamplingError, ValidationError
+from .errors import SamplingError, ValidationError, _is_integral
 
 __all__ = [
     "BranchSystem",
@@ -89,10 +89,7 @@ def make_rng(seed: int, substream: int = 0) -> np.random.Generator:
 
 def _key_word(name: str, value) -> int:
     """An unsigned 64-bit Philox key word; anything not an integral number is refused."""
-    integral = isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating)) and float(value).is_integer()
-    )
-    if isinstance(value, (bool, np.bool_)) or not integral or not 0 <= int(value) < 2**64:
+    if not _is_integral(value) or not 0 <= int(value) < 2**64:
         raise ValidationError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     return int(value)
 
@@ -228,16 +225,13 @@ def system_by_name(name: str) -> BranchSystem:
 
 @dataclass(frozen=True)
 class DigitStream:
-    """A stationary forward digit sequence a_1..a_N of a branch system.
+    """A stationary forward digit sequence a_1..a_N, as read-only int64 ``digits``.
 
     ``anchor_point`` is the orbit point whose digits the stream holds (the
     final point of the backward chain); successive forward points satisfy
     y_prev = v_digit(y_next) exactly, which tests verify to one ulp.
     """
 
-    system: str
-    seed: int
-    substream: int
     digits: np.ndarray
     anchor_point: float
 
@@ -353,10 +347,4 @@ def generate_stream(
         lo = max(0, hi - DEFAULT_BLOCK)
         u = rng.random(hi - lo)
         y = _run_lanes(system, y, u, _speculative_starts(system, u), digits[lo:hi][::-1])
-    return DigitStream(
-        system=system.name,
-        seed=int(seed),
-        substream=int(substream),
-        digits=digits,
-        anchor_point=y,
-    )
+    return DigitStream(digits=digits, anchor_point=y)

@@ -516,13 +516,12 @@ def _run_report(cfg: dict, run_dir: Path) -> dict:
     try:
         manifest = json.loads(manifest_path.read_text())
         n_total = manifest["results"]["n_total"]
-        kind = "replica" if manifest["config"]["mode"] == "replica" else "ergodic"
         if not isinstance(n_total, int) or n_total < 1:
             raise ValueError(f"results.n_total is {n_total!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"{manifest_path} is not a simulation manifest with a positive integer "
-            f"results.n_total and a config.mode ({type(exc).__name__}: {exc})"
+            f"results.n_total ({type(exc).__name__}: {exc})"
         ) from exc
     lines = counts_path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -535,7 +534,7 @@ def _run_report(cfg: dict, run_dir: Path) -> dict:
             counts[tuple(parts[:-1])] = parts[-1]
     except ValueError as exc:
         raise ConfigError(f"{counts_path} is not an integer counts table ({exc})") from exc
-    pmf = estimators.EmpiricalPMF(counts=counts, n_total=n_total, kind=kind)
+    pmf = estimators.EmpiricalPMF(counts=counts, n_total=n_total)
     key_names = tuple(header[:-1])
     predictor = make_predictor(cfg["prediction"], key_names)
     if predictor is None:

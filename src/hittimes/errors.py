@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class HitTimesError(Exception):
     """Base error for this package."""
@@ -33,3 +35,23 @@ class SamplingError(HitTimesError):
 
 class ConfigError(ValidationError):
     """An experiment configuration failed schema validation."""
+
+
+def _is_integral(value) -> bool:
+    """Whether ``value`` is an integer or an integral float such as 1.0, as a
+    JSON "integer" may be; bools, strings and non-finite floats are not."""
+    if type(value) is int:  # the common case, ahead of the slower ABC checks
+        return True
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def _int_tuple(values, what: str, lo: int, hi: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; anything that is not an integral number
+    in [lo, hi) (no upper bound when ``hi`` is None) raises, naming ``what``."""
+    v = tuple(values)
+    if not all(_is_integral(c) and lo <= c and (hi is None or c < hi) for c in v):
+        bounds = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi})"
+        raise ValidationError(f"{what} must {bounds}, as integers; got {v}")
+    return tuple(map(int, v))

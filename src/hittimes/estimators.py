@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .branch_systems import BranchSystem, DigitStream, make_rng
-from .errors import InsufficientDataError, ValidationError
+from .errors import InsufficientDataError, ValidationError, _int_tuple
 from .markov_pattern.automaton import PatternTarget, build_automaton
 from .primes import is_prime
 
@@ -75,9 +75,9 @@ class TargetScan:
         if self.threshold is not None and self.threshold < 2:
             raise ValidationError(f"threshold must be >= 2, got {self.threshold}")
         if self.word is not None:
-            w = tuple(int(c) for c in self.word)
-            if not w or any(c < 0 for c in w):
-                raise ValidationError(f"word must be nonempty with nonnegative symbols, got {w}")
+            w = _int_tuple(self.word, "word symbols", 0)
+            if not w:
+                raise ValidationError("word must be nonempty")
             object.__setattr__(self, "word", w)
             if self.prime_variant:
                 raise ValidationError("prime_variant applies to threshold targets only")
@@ -88,7 +88,7 @@ class TargetScan:
 
     @classmethod
     def word_pattern(cls, word: Sequence[int]) -> "TargetScan":
-        return cls(word=tuple(int(c) for c in word))
+        return cls(word=tuple(word))
 
 
 def _prime_mask(values: np.ndarray) -> np.ndarray:
@@ -141,21 +141,18 @@ def scan_hits(
 class EmpiricalPMF:
     """Sparse integer-keyed count table of an estimated law.
 
-    ``kind`` is "replica" (independent stationary starts; denominators are
-    replica counts) or "ergodic" (gaps along one orbit; denominators are gap
-    counts and error bars need batch means). ``censored`` counts replicas
-    that never completed the requested observation.
+    ``n_total`` is the denominator of every cell frequency: the replica count
+    of a replica estimate (censored replicas included), or the gap count of
+    an ergodic one, whose error bars need batch means. ``censored`` counts
+    replicas that never completed the requested observation.
     """
 
     counts: dict[tuple[int, ...], int]
     n_total: int
-    kind: str
     censored: int = 0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("replica", "ergodic"):
-            raise ValidationError(f"kind must be 'replica' or 'ergodic', got {self.kind!r}")
         if any(c < 0 for c in self.counts.values()) or self.censored < 0:
             raise ValidationError("counts must be nonnegative")
 
@@ -294,7 +291,7 @@ def estimate_first_passage(
         "censored_fraction": frac,
         "censoring_flag": frac > DEFAULT_CENSOR_BOUND,
     }
-    return EmpiricalPMF(counts=counts, n_total=n_replicas, kind="replica", censored=censored, meta=meta)
+    return EmpiricalPMF(counts=counts, n_total=n_replicas, censored=censored, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,7 @@ def estimate_return_law_ergodic(
     uniq, cnt = np.unique(gaps, return_counts=True)
     counts = {(int(g),): int(c) for g, c in zip(uniq, cnt)}
     return ErgodicReturnEstimate(
-        pmf=EmpiricalPMF(counts=counts, n_total=int(gaps.size), kind="ergodic"),
+        pmf=EmpiricalPMF(counts=counts, n_total=int(gaps.size)),
         gaps=gaps,
         mean_gap=float(gaps.mean()),
         mean_gap_se=mean_gap_se,
@@ -446,7 +443,6 @@ class PrunedReturnDemo:
     the total exceeds k_prune.
     """
 
-    k_prune: int
     n_hits: int
     n_b_visits: int
     b_fraction: float  # empirical mu(B)/mu(A) from the scan stream
@@ -487,7 +483,6 @@ def demo_pruned_return(
     b_returns = np.diff(positions[b_idx])
     batch_count = max(2, min(DEFAULT_BATCH_COUNT, gaps.size // 2, ref.size // 2))
     return PrunedReturnDemo(
-        k_prune=k_prune,
         n_hits=int(gaps.size + 1),
         n_b_visits=int(b_idx.size),
         b_fraction=float(keep.mean()),

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, _int_tuple
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,13 @@ class PatternTarget:
     period_hint: int | None = None
 
     def __post_init__(self) -> None:
-        w = tuple(int(c) for c in self.word)
+        w = _int_tuple(self.word, "word symbols", 0)
         if not w:
             raise ValidationError("target word must be nonempty")
-        if any(c < 0 for c in w):
-            raise ValidationError(f"word symbols must be nonnegative, got {w}")
         object.__setattr__(self, "word", w)
         p = self.period_hint
         if p is not None:
-            p = int(p)
-            if not (1 <= p <= len(w)):
-                raise ValidationError(f"period_hint must lie in [1, len(word)], got {p}")
+            (p,) = _int_tuple((p,), "period_hint", 1, len(w) + 1)
             bad = [i for i in range(len(w) - p) if w[i + p] != w[i]]
             if bad:
                 raise ValidationError(
@@ -84,12 +80,7 @@ class PrefixAutomaton:
     """
 
     word: tuple[int, ...]
-    alphabet_size: int
     table: np.ndarray
-
-    @property
-    def word_length(self) -> int:
-        return len(self.word)
 
     def first_match(self, symbols: Sequence[int], state: int = 0) -> tuple[int | None, int]:
         """1-based index of the first full match in ``symbols``, and the state there.
@@ -97,7 +88,7 @@ class PrefixAutomaton:
         Reading starts in ``state`` and stops at the first full match; without
         one the index is None and the state is the one after the last symbol.
         """
-        l = self.word_length
+        l = len(self.word)
         for i, c in enumerate(symbols, start=1):
             state = int(self.table[state, int(c)])
             if state == l:
@@ -124,4 +115,4 @@ def build_automaton(target: PatternTarget, alphabet_size: int) -> PrefixAutomato
             else:
                 table[s, c] = table[fail[s], c]
     table.setflags(write=False)
-    return PrefixAutomaton(word=w, alphabet_size=alphabet_size, table=table)
+    return PrefixAutomaton(word=w, table=table)

@@ -39,8 +39,9 @@ from ..errors import (
     NumericalDriftError,
     ProbabilityUnderflowError,
     ValidationError,
+    _int_tuple,
 )
-from .automaton import PatternTarget, PrefixAutomaton, build_automaton
+from .automaton import PatternTarget, build_automaton
 from .source import MarkovSource
 
 _MASS_DRIFT_TOL = 1e-9
@@ -79,13 +80,23 @@ def _absorption_series(
     return hits
 
 
+def _closing_tail(total_in: float, masses: np.ndarray) -> float:
+    """The tail of a truncated law: ``total_in`` minus the exact sum of ``masses``,
+    clamped at 0. Below -``_MASS_DRIFT_TOL`` it is drift, not rounding, and raises."""
+    tail = total_in - math.fsum(masses)
+    if tail < -_MASS_DRIFT_TOL:
+        raise NumericalDriftError(f"mass balance drifted past tolerance: tail={tail:.3e}")
+    return max(tail, 0.0)
+
+
 @dataclass(frozen=True)
 class ExactPMF:
     """Law of a hitting or return time, truncated at a finite horizon.
 
     ``masses[i]`` is the probability of the value ``support_start + i`` and
     ``tail`` the mass beyond the horizon, so that masses plus tail recover the
-    total mass of the initial distribution (1 for the laws computed here).
+    total mass of the initial distribution (1 for the laws computed here,
+    which all start at 1, so ``masses[i]`` is P(value = i + 1)).
     """
 
     support_start: int
@@ -120,16 +131,16 @@ class ExactPMF:
 class ProductChain:
     """Markov chain on (automaton state, last symbol) pairs.
 
+    It builds the occurrence automaton of ``target`` over the source's alphabet.
     Only reachable pairs are materialized: (0, c) for every symbol c plus
     (s, word[s-1]) for s = 1..l, so the state count is alphabet + length.
     The full-match pair is unique because the word fixes its last symbol.
     """
 
-    def __init__(self, source: MarkovSource, automaton: PrefixAutomaton) -> None:
-        if automaton.alphabet_size != source.alphabet_size:
-            raise ValidationError("alphabet sizes of source and automaton disagree")
-        word = automaton.word
+    def __init__(self, source: MarkovSource, target: PatternTarget) -> None:
         s_count = source.alphabet_size
+        automaton = build_automaton(target, s_count)
+        word = automaton.word
         l = len(word)
         pairs = [(0, c) for c in range(s_count)]
         pairs += [(s, word[s - 1]) for s in range(1, l + 1)]
@@ -227,7 +238,7 @@ def hitting_pmf(
     # a vector start would reach the name comparisons below as an array
     if not isinstance(initial, str) or initial not in ("stationary", "in_target", "escaping"):
         raise ValidationError(f"unknown initial distribution {initial!r}")
-    chain = ProductChain(source, build_automaton(target, source.alphabet_size))
+    chain = ProductChain(source, target)
     l = target.length
     scale = 1.0
     early_total = 0.0
@@ -256,12 +267,7 @@ def hitting_pmf(
         masses = hits[lead:]  # scale is 1 here
     else:
         masses[-lead:] = hits * scale  # after the escaping block's own matches
-    tail = total_in - math.fsum(masses)
-    if tail < -_MASS_DRIFT_TOL:
-        raise NumericalDriftError(
-            f"mass balance drifted past tolerance: tail={tail:.3e} after k_max={k_max}"
-        )
-    return ExactPMF(support_start=1, masses=masses, tail=max(tail, 0.0))
+    return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(total_in, masses))
 
 
 def return_pmf(source: MarkovSource, target: PatternTarget, k_max: int) -> ExactPMF:
@@ -280,12 +286,10 @@ def return_excess(
     right of the diagonal, never by a subtraction, so w keeps full relative
     precision although cond(I - Q) grows like 1/mu(A).
     """
-    ks = [int(k) for k in ks]
-    if any(k < 0 for k in ks):
-        raise ValidationError(f"ks must be >= 0, got {ks}")
+    ks = _int_tuple(ks, "ks", 0)
     if source.word_measure(target.word) == 0.0:
         raise ValidationError("cannot condition on a target of zero measure")
-    chain = ProductChain(source, build_automaton(target, source.alphabet_size))
+    chain = ProductChain(source, target)
     n = chain.n_states
     # eliminate on [Q | q | 1]: the Schur updates carry the absorption column
     # q and the right-hand side along with the rows of Q
@@ -323,14 +327,12 @@ def consecutive_joint_pmf(
     post-hit distribution is exact. A start ``from_entry`` conditions on the
     target, so, as in `return_pmf`, a target of zero measure is refused.
     """
-    gaps = [int(k) for k in gaps]
+    gaps = _int_tuple(gaps, "gaps", 1)
     if not gaps:
         raise ValidationError("gap list must be nonempty")
-    if any(k < 1 for k in gaps):
-        raise ValidationError(f"gaps must be >= 1, got {gaps}")
     if from_entry and source.word_measure(target.word) == 0.0:
         raise ValidationError("cannot condition on a target of zero measure")
-    chain = ProductChain(source, build_automaton(target, source.alphabet_size))
+    chain = ProductChain(source, target)
     sub, into = chain.survive, chain.into_match
     ret = _absorption_series(sub, into, chain.entry_vector(), max(gaps))
     legs = [ret[k - 1] for k in gaps]
@@ -418,7 +420,7 @@ def verify_shift_identity_grid(
         raise ValidationError("j_max and m_max must be >= 1")
     horizon = m_max + j_max - 1
     _require_horizon(ret, horizon, "return")
-    chain = ProductChain(source, build_automaton(target, source.alphabet_size))
+    chain = ProductChain(source, target)
     mu_a = source.word_measure(target.word)
     splits = _matched_split(chain, target.length, j_max)
     lhs = _absorption_series(chain.survive, chain.into_match, splits, m_max)
@@ -471,11 +473,9 @@ class BlockChain:
 
     def encode(self, block: Sequence[int]) -> int:
         s = self.source.alphabet_size
-        w = [int(c) for c in block]
+        w = _int_tuple(block, "word symbols", 0, s)
         if len(w) != self.rank:
             raise ValidationError(f"block must have length {self.rank}")
-        if any(c < 0 or c >= s for c in w):
-            raise ValidationError(f"word symbols must lie in [0, {s}), got {w}")
         idx = 0
         for c in w:
             idx = idx * s + c
@@ -555,10 +555,7 @@ def _block_pmf(
         v = chain.step(v)
         masses[k - 1] = float(v[target].sum())
         v[target] = 0.0
-    tail = total_in - math.fsum(masses)
-    if tail < -_MASS_DRIFT_TOL:
-        raise NumericalDriftError(f"block mass balance drifted: tail={tail:.3e}")
-    return ExactPMF(support_start=1, masses=masses, tail=max(tail, 0.0)), mu_target
+    return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(total_in, masses)), mu_target
 
 
 def block_hitting_pmf(source: MarkovSource, target: PatternTarget, k_max: int) -> ExactPMF:

@@ -115,7 +115,6 @@ class PrunedTargetReport:
     and on the rest they exceed k by at least 1.
     """
 
-    k_prune: int
     mu_a: float
     mu_b: float
     ratio: float  # mu(B) / mu(A)
@@ -164,7 +163,6 @@ def counterexample_pruned_target(
     mu_a = source.word_measure(word)
     ret = return_pmf(source, target, k_prune)
     return PrunedTargetReport(
-        k_prune=k_prune,
         mu_a=mu_a,
         mu_b=mu_b,
         ratio=mu_b / mu_a,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, _int_tuple
 
 _ROW_TOL = 1e-12
 _STAT_TOL = 1e-12
@@ -136,11 +136,9 @@ class MarkovSource:
 
     def word_measure(self, word: Sequence[int]) -> float:
         """Exact cylinder measure of a finite word."""
-        w = [int(c) for c in word]
+        w = _int_tuple(word, "word symbols", 0, self.alphabet_size)
         if not w:
             raise ValidationError("word must be nonempty")
-        if any(c < 0 or c >= self.alphabet_size for c in w):
-            raise ValidationError(f"word symbols must lie in [0, {self.alphabet_size}), got {w}")
         value = float(self.stationary[w[0]])
         for a, b in zip(w, w[1:]):
             value *= float(self.transitions[a, b])

@@ -42,7 +42,6 @@ from hittimes.branch_systems import (
 )
 from hittimes.errors import SamplingError, ValidationError
 from hittimes.estimators import OVERFLOW_MARK, _prime_mask
-from hittimes.markov_pattern import build_automaton
 from hittimes.markov_pattern.exact import ProductChain, _escape_initial
 
 
@@ -169,7 +168,7 @@ def stepwise_hitting_masses(source, target, initial, k_max: int) -> tuple[np.nda
     ``initial`` takes the same values as in `hitting_pmf`; inputs are assumed
     valid. The tail is not clipped at 0.
     """
-    chain = ProductChain(source, build_automaton(target, source.alphabet_size))
+    chain = ProductChain(source, target)
     l = target.length
     masses = np.zeros(k_max)
     scale = 1.0
@@ -336,13 +335,7 @@ def scalar_stream(system, seed: int, n: int, substream: int = 0) -> DigitStream:
     for pos in range(0, n, 2**16):
         digits, y = scalar_steps(system, y, rng.random(min(2**16, n - pos)))
         blocks.append(digits)
-    return DigitStream(
-        system=system.name,
-        seed=int(seed),
-        substream=int(substream),
-        digits=np.concatenate(blocks)[::-1].copy(),
-        anchor_point=y,
-    )
+    return DigitStream(digits=np.concatenate(blocks)[::-1].copy(), anchor_point=y)
 
 
 def chi_square_gof(

@@ -497,6 +497,22 @@ class TestMainEntry:
         assert json.loads((run_dir / "error.json").read_text()) == record
         assert record["error"] == "ConfigError"
 
+    def test_report_needs_only_n_total_from_the_manifest(self, tmp_path, capsys):
+        input_dir = tmp_path / "input"
+        input_dir.mkdir()
+        (input_dir / "counts.csv").write_text("k1,count\n1,3\n2,1\n")
+        (input_dir / "manifest.json").write_text(json.dumps({"results": {"n_total": 4}}))
+        cfg = {
+            "kind": "report",
+            "input_dir": str(input_dir),
+            "prediction": {"family": "exponential-hitting", "mu": 0.25},
+            "cells": [[1]],
+            "out": str(tmp_path / "r"),
+        }
+        assert main(["report", "--config", str(_write_config(tmp_path, cfg))]) == 0
+        lines = (Path(capsys.readouterr().out.strip()) / "estimate.csv").read_text().splitlines()
+        assert lines[1].split(",")[:3] == ["1", "3", "4"]
+
     def test_report_cell_width_must_match_counts_header(self, tmp_path, capsys):
         input_dir = tmp_path / "input"
         input_dir.mkdir()

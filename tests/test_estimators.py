@@ -361,7 +361,7 @@ class TestErgodicEstimator:
 
 class TestReportsAndStats:
     def test_llt_report_empirical_with_ci(self):
-        pmf = EmpiricalPMF(counts={(1,): 5200, (2,): 2400}, n_total=10_000, kind="replica")
+        pmf = EmpiricalPMF(counts={(1,): 5200, (2,): 2400}, n_total=10_000)
         rows, summary = llt_report(pmf, lambda c: 0.5 ** c[0], [(1,), (2,)])
         assert rows[0].ci_low < rows[0].estimate < rows[0].ci_high
         assert (rows[1].count, rows[1].n) == (2400, 10_000)

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from hittimes.errors import (
     BudgetExceededError,
+    NumericalDriftError,
     ProbabilityUnderflowError,
     ValidationError,
 )
+from hittimes.estimators import TargetScan
 from hittimes.markov_pattern import (
     BlockChain,
     MarkovSource,
@@ -31,7 +33,13 @@ from hittimes.markov_pattern import (
     verify_shift_identity_grid,
 )
 from hittimes.markov_pattern.automaton import _border_lengths
-from hittimes.markov_pattern.exact import _BLOCK, ProductChain, _absorption_series
+from hittimes.markov_pattern.exact import (
+    _BLOCK,
+    _MASS_DRIFT_TOL,
+    ProductChain,
+    _absorption_series,
+    _closing_tail,
+)
 
 from oracles import (
     brute_consecutive_joint,
@@ -175,14 +183,48 @@ class TestAutomaton:
         assert t.periodic_extension() == (0, 1, 0, 1, 0, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PatternTarget(word=(0, 1.5)),
+        lambda: PatternTarget(word=("1", 0)),
+        lambda: PatternTarget(word=(True, 0)),
+        lambda: PatternTarget(word=(0, 0), period_hint=1.5),
+        lambda: TargetScan(word=(1.5,)),
+        lambda: MARKOV2.word_measure((0, 1.5)),
+        lambda: consecutive_joint_pmf(MARKOV2, PatternTarget(word=(0, 1)), [2.5]),
+        lambda: return_excess(MARKOV2, PatternTarget(word=(0, 1)), [1.7]),
+        lambda: block_set_return_pmf(MARKOV2, [(0, 1.5)], 8),
+    ],
+    ids=["word-float", "word-str", "word-bool", "period-hint", "scan-word", "word-measure",
+         "joint-gap", "excess-k", "block-encode"],
+)
+def test_non_integral_inputs_refused(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_integral_numbers_accepted():
+    target = PatternTarget(word=(0, 1.0), period_hint=2.0)
+    assert target.word == (0, 1) and target.period_hint == 2
+    assert PatternTarget(word=np.array([0, 1])).word == (0, 1)
+    assert TargetScan(word=(1.0,)).word == (1,)
+    assert MARKOV2.word_measure((0, 1.0)) == MARKOV2.word_measure((0, 1))
+    t = PatternTarget(word=(0, 1))
+    assert consecutive_joint_pmf(MARKOV2, t, [2.0]) == consecutive_joint_pmf(MARKOV2, t, [2])
+    assert np.array_equal(return_excess(MARKOV2, t, [1.0]), return_excess(MARKOV2, t, [1]))
+    (got, _), (want, _) = (block_set_return_pmf(MARKOV2, [w], 8) for w in [(0, 1.0), (0, 1)])
+    assert np.array_equal(got.masses, want.masses)
+
+
 class TestProductChain:
     def test_reachable_pair_count(self):
-        chain = ProductChain(FAIR, build_automaton(PatternTarget(word=(1, 1)), 2))
+        chain = ProductChain(FAIR, PatternTarget(word=(1, 1)))
         assert chain.n_states <= 3 * 2
         assert chain.n_states == 4
 
     def test_single_symbol_target_set(self):
-        chain = ProductChain(FAIR, build_automaton(PatternTarget(word=(1,)), 2))
+        chain = ProductChain(FAIR, PatternTarget(word=(1,)))
         s, c = chain.pairs[chain.match_index]
         assert (s, c) == (1, 1)
 
@@ -192,7 +234,7 @@ class TestProductChain:
             assert pmf.mass_at(k) == pytest.approx(2.0**-k, abs=1e-15)
 
     def test_survive_plus_match_is_stochastic(self):
-        chain = ProductChain(MARKOV2, build_automaton(PatternTarget(word=(1, 0, 1)), 2))
+        chain = ProductChain(MARKOV2, PatternTarget(word=(1, 0, 1)))
         rows = chain.survive.sum(axis=1) + chain.into_match
         assert np.allclose(rows, 1.0, atol=1e-14)
         assert np.allclose(chain.kernel.sum(axis=1), 1.0, atol=1e-14)
@@ -307,6 +349,13 @@ class TestPMFInvariants:
         # 2^16 steps, blocked and summed with math.fsum, stay within tolerance
         pmf = return_pmf(FAIR, PatternTarget(word=(1, 1)), 2**16)
         assert abs(pmf.total() - 1.0) < 1e-10
+
+    def test_closing_tail_refuses_drift_and_clamps_rounding(self):
+        masses = np.full(4, 0.25)  # sums to 1 exactly
+        with pytest.raises(NumericalDriftError, match="drifted past tolerance"):
+            _closing_tail(1.0 - 2 * _MASS_DRIFT_TOL, masses)
+        assert _closing_tail(1.0 - 0.5 * _MASS_DRIFT_TOL, masses) == 0.0
+        assert _closing_tail(1.25, masses) == 0.25
 
 
 def _shift_cell(source, word, j, m):
@@ -485,7 +534,7 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("k_max", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
     def test_arbitrary_start_row_matches_stepwise(self, k_max):
         # the kernel takes any nonnegative row, not only the three starting laws
-        chain = ProductChain(MARKOV3, build_automaton(self.TARGET, 3))
+        chain = ProductChain(MARKOV3, self.TARGET)
         v = np.random.default_rng(7).random(chain.n_states)
         v /= v.sum()
         got = _absorption_series(chain.survive, chain.into_match, v, k_max)
@@ -497,7 +546,7 @@ class TestBlockedKernel:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_stacked_rows_match_single_rows(self):
-        chain = ProductChain(MARKOV3, build_automaton(self.TARGET, 3))
+        chain = ProductChain(MARKOV3, self.TARGET)
         rows = np.random.default_rng(3).random((4, chain.n_states))
         stacked = _absorption_series(chain.survive, chain.into_match, rows, 2 * _BLOCK + 7)
         for row, got in zip(rows, stacked):
