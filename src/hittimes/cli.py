@@ -22,7 +22,6 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -106,7 +105,7 @@ _PREDICTION_SCHEMA = {
     "type": "object",
     "properties": {
         "family": {
-            "enum": ["cf-joint", "exponential-hitting", "exponential-return", "none"]
+            "enum": ["cf-joint", "exponential-hitting", "exponential-return"]
         },
         "theta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "mu": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
@@ -131,6 +130,12 @@ _PREDICTION_SCHEMA = {
     ],
 }
 
+_CELLS_SCHEMA = {
+    "type": "array",
+    "items": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+    "minItems": 1,
+}
+
 _COMMON_PROPS = {
     "kind": {
         "enum": [
@@ -151,6 +156,7 @@ _COMMON_PROPS = {
 
 def _kind_schema(extra: dict, required: list[str]) -> dict:
     return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
         "type": "object",
         "properties": {**_COMMON_PROPS, **extra},
         "required": ["kind"] + required,
@@ -191,10 +197,7 @@ CONFIG_SCHEMAS = {
             "max_steps": {"type": "integer", "minimum": 1},
             "n_digits": {"type": "integer", "minimum": 1},
             "min_hits": {"type": "integer", "minimum": 1},
-            "cells": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-            },
+            "cells": _CELLS_SCHEMA,
             "prediction": _PREDICTION_SCHEMA,
             "export_stream": {"enum": ["binary", "text"]},
         },
@@ -217,14 +220,14 @@ CONFIG_SCHEMAS = {
         {
             "input_dir": {"type": "string"},
             "prediction": _PREDICTION_SCHEMA,
-            "cells": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-                "minItems": 1,
-            },
+            "cells": _CELLS_SCHEMA,
         },
         ["input_dir", "prediction", "cells"],
     ),
+}
+# an estimate report needs both; either alone would be dropped without a word
+CONFIG_SCHEMAS["simulate-cf"]["dependentRequired"] = {
+    "cells": ["prediction"], "prediction": ["cells"]
 }
 CONFIG_SCHEMAS["simulate-doubling"] = CONFIG_SCHEMAS["simulate-cf"]
 
@@ -284,54 +287,31 @@ def _build_scan_target(spec: dict, system: branch_systems.BranchSystem) -> estim
     return estimators.TargetScan.digit_threshold(spec["threshold"], spec.get("prime", False))
 
 
-def make_predictor(
-    spec: dict, names: tuple[str, ...]
-) -> Callable[[tuple[int, ...]], float] | None:
-    """Cell-level prediction from a config prediction spec, for cells keyed by ``names``."""
+def _predicted_cells(cfg: dict, names: tuple[str, ...]) -> list[tuple[tuple[int, ...], float]]:
+    """The config's cells, each of the counts key's width, paired with its positive prediction."""
+    spec = cfg["prediction"]
     family = spec["family"]
-    if family == "none":
-        return None
-    if family == "cf-joint":
-        threshold = spec["threshold"]
-        prime = spec.get("prime", False)
-
-        def cf_pred(cell: tuple[int, ...]) -> float:
-            if len(cell) % 2 != 0:
-                raise ConfigError("cf-joint cells must pair gaps with marks")
-            gaps = cell[0::2]
-            marks = cell[1::2]
-            pred = theory.CFPrediction(
-                threshold=threshold, gaps=tuple(gaps), marks=tuple(marks), prime_variant=prime
-            )
-            return theory.cf_joint_asymptote(pred)
-
-        return cf_pred
-    if any(name.startswith("a") for name in names):
+    if family != "cf-joint" and any(name.startswith("a") for name in names):
         raise ConfigError(f"{family} predicts cells of gaps only; cells keyed {names} carry marks")
-    theta = spec.get("theta", 1.0)
-    mu = spec["mu"]
-    hitting_start = family == "exponential-hitting"
-    return lambda cell: theory.consecutive_asymptote(theta, mu, cell, hitting_start)
-
-
-def _checked_cells(
-    cells: list, names: tuple[str, ...], predictor: Callable[[tuple[int, ...]], float]
-) -> list[tuple[int, ...]]:
-    """The cells as tuples, each of the counts key's width and with a positive prediction."""
-    if not cells:
-        raise ConfigError("cells must be nonempty")
-    checked = []
-    for cell in map(tuple, cells):
+    predicted = []
+    for cell in map(tuple, cfg["cells"]):
         if len(cell) != len(names):
             raise ConfigError(f"cell {list(cell)} does not have the {len(names)} entries {names}")
         try:
-            pred = predictor(cell)
+            if family == "cf-joint":
+                pred = theory.cf_joint_asymptote(theory.CFPrediction(
+                    spec["threshold"], cell[0::2], cell[1::2], spec.get("prime", False)
+                ))
+            else:
+                pred = theory.consecutive_asymptote(
+                    spec.get("theta", 1.0), spec["mu"], cell, family == "exponential-hitting"
+                )
         except ValidationError as exc:
             raise ConfigError(f"cell {list(cell)}: {exc}") from exc
         if not pred > 0.0:
             raise ConfigError(f"cell {list(cell)}: prediction {pred} is not positive")
-        checked.append(cell)
-    return checked
+        predicted.append((cell, pred))
+    return predicted
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +378,7 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
         if req not in cfg:
             raise ConfigError(f"{cfg['mode']} mode requires {req}")
     key_names = _cell_names(target, cfg["d"]) if replica else ("k",)
-    predictor = make_predictor(cfg["prediction"], key_names) if "prediction" in cfg else None
-    cells = None
-    if predictor is not None and "cells" in cfg:
-        cells = _checked_cells(cfg["cells"], key_names, predictor)
+    predicted = _predicted_cells(cfg, key_names) if "cells" in cfg else None
     if replica:
         pmf = estimators.estimate_first_passage(
             system,
@@ -410,7 +387,7 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
             d=cfg["d"],
             max_steps=cfg["max_steps"],
             seed=seed,
-            workers=cfg.get("workers", 1),
+            workers=cfg["workers"],
         )
         results["n_total"] = pmf.n_total
         results["censored"] = pmf.censored
@@ -432,15 +409,8 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
         results["mean_gap_se"] = est.mean_gap_se
     count_rows = [key + (c,) for key, c in sorted(pmf.counts.items())]
     _emit_table(run_dir, "counts", key_names + ("count",), count_rows, cfg)
-    if cells is not None:
-        rows, summary = estimators.llt_report(pmf, predictor, cells)
-        _emit_table(
-            run_dir,
-            "estimate",
-            key_names + estimators.REPORT_HEADER_SUFFIX,
-            [r.as_tuple() for r in rows],
-            cfg,
-        )
+    if predicted is not None:
+        summary = _emit_estimate(run_dir, pmf, key_names, predicted, cfg)
         results["summary_max_abs_ratio_minus_1"] = summary
     return results
 
@@ -536,18 +506,7 @@ def _run_report(cfg: dict, run_dir: Path) -> dict:
         raise ConfigError(f"{counts_path} is not an integer counts table ({exc})") from exc
     pmf = estimators.EmpiricalPMF(counts=counts, n_total=n_total)
     key_names = tuple(header[:-1])
-    predictor = make_predictor(cfg["prediction"], key_names)
-    if predictor is None:
-        raise ConfigError("report requires a non-trivial prediction family")
-    cells = _checked_cells(cfg["cells"], key_names, predictor)
-    rows, summary = estimators.llt_report(pmf, predictor, cells)
-    _emit_table(
-        run_dir,
-        "estimate",
-        key_names + estimators.REPORT_HEADER_SUFFIX,
-        [r.as_tuple() for r in rows],
-        cfg,
-    )
+    summary = _emit_estimate(run_dir, pmf, key_names, _predicted_cells(cfg, key_names), cfg)
     return {"summary_max_abs_ratio_minus_1": summary, "n_total": n_total}
 
 
@@ -570,12 +529,22 @@ _SUBCOMMAND_KINDS = {
 
 
 def _emit_table(run_dir: Path, name: str, header: tuple[str, ...], rows: list, cfg: dict) -> None:
-    fmt = cfg.get("format", "csv")
+    fmt = cfg["format"]
     if fmt in ("csv", "both"):
         write_csv(run_dir / f"{name}.csv", header, rows)
     if fmt in ("json", "both"):
         records = [dict(zip(header, row)) for row in rows]
         write_json(run_dir / f"{name}.json", records)
+
+
+def _emit_estimate(
+    run_dir: Path, pmf: estimators.EmpiricalPMF, names: tuple[str, ...], predicted: list, cfg: dict
+) -> float:
+    """Write the estimate table of the predicted cells; returns its summary deviation."""
+    rows, summary = estimators.llt_report(pmf, predicted)
+    header = names + estimators.REPORT_HEADER_SUFFIX
+    _emit_table(run_dir, "estimate", header, [r.as_tuple() for r in rows], cfg)
+    return summary
 
 
 def run_config(config: dict) -> tuple[Path, dict]:

@@ -72,8 +72,8 @@ class TargetScan:
     def __post_init__(self) -> None:
         if (self.threshold is None) == (self.word is None):
             raise ValidationError("specify exactly one of threshold or word")
-        if self.threshold is not None and self.threshold < 2:
-            raise ValidationError(f"threshold must be >= 2, got {self.threshold}")
+        if self.threshold is not None:
+            object.__setattr__(self, "threshold", _int_tuple((self.threshold,), "threshold", 2)[0])
         if self.word is not None:
             w = _int_tuple(self.word, "word symbols", 0)
             if not w:
@@ -398,25 +398,24 @@ def wilson_interval(count: int, n: int) -> tuple[float, float]:
 
 
 def llt_report(
-    pmf: EmpiricalPMF,
-    predictor: Callable[[tuple[int, ...]], float],
-    cells: Sequence[tuple[int, ...]],
+    pmf: EmpiricalPMF, predicted: Sequence[tuple[Sequence[int], float]]
 ) -> tuple[list[ReportRow], float]:
-    """Per-cell ratio rows against a prediction, plus the summary deviation.
+    """Per-cell ratio rows of (cell, positive prediction) pairs, plus the summary deviation.
 
-    The summary is max |ratio - 1| over all the cells; no CI-width bound
-    drops a cell from it. Each row carries the 99% Wilson interval of its
-    count, which treats observations as independent. That is right for
-    replica counts and wrong for ergodic gap counts, which are dependent
-    (batch-means bands from `ergodic_cell_se` are the sound error bars there).
+    Cells are keys of ``pmf``: integers, down to OVERFLOW_MARK. The summary is
+    max |ratio - 1| over all the cells; no CI-width bound drops a cell from it.
+    Each row carries the 99% Wilson interval of its count, which treats
+    observations as independent. That is right for replica counts and wrong
+    for ergodic gap counts, which are dependent (batch-means bands from
+    `ergodic_cell_se` are the sound error bars there).
     """
-    if not cells:
+    if not predicted:
         raise ValidationError("cell selection must be nonempty")
     rows: list[ReportRow] = []
-    for cell in cells:
-        cell = tuple(int(x) for x in cell)
-        pred = float(predictor(cell))
-        if pred <= 0.0:
+    for cell, pred in predicted:
+        cell = _int_tuple(cell, "cell entries", OVERFLOW_MARK)
+        pred = float(pred)
+        if not pred > 0.0:
             raise ValidationError(f"prediction must be positive, got {pred} at {cell}")
         count = pmf.counts.get(cell, 0)
         est = count / pmf.n_total

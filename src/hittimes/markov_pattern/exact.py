@@ -369,9 +369,9 @@ def verify_inducing_identity(
     side is read from ``hit``, the right side is mu_a times the survival
     function of ``ret``.
     """
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 1:
-        raise ValidationError("k_range must contain integers >= 1")
+    ks = sorted(set(_int_tuple(k_range, "k_range", 1)))
+    if not ks:
+        raise ValidationError("k_range must be nonempty")
     _require_horizon(hit, ks[-1], "hitting")
     _require_horizon(ret, ks[-1], "return")
     # surv[k] = tail + masses[k:], accumulated backwards from the tail

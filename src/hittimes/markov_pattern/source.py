@@ -8,7 +8,6 @@ aperiodic) is required by every law computed downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,37 +33,23 @@ def _solve_stationary(transitions: np.ndarray) -> np.ndarray:
 
 
 def _check_mixing(transitions: np.ndarray) -> None:
-    """Reject reducible or periodic chains via BFS reachability and cycle gcd."""
+    """Reject reducible or periodic chains by boolean powers of the transition pattern.
+
+    A nonnegative S x S matrix A is irreducible iff (I + A)^(S-1) > 0, and an
+    irreducible A is primitive (aperiodic) iff A^((S-1)^2 + 1) > 0 (Wielandt;
+    Horn & Johnson, Matrix Analysis, Cor. 8.5.9). A positive power stays
+    positive, so squaring past each bound decides both.
+    """
     s = transitions.shape[0]
     adj = transitions > 0.0
-    for mat, label in ((adj, "forward"), (adj.T, "backward")):
-        seen = np.zeros(s, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = np.any(mat[frontier], axis=0) & ~seen
-            frontier = list(np.nonzero(nxt)[0])
-            seen |= nxt
-        if not seen.all():
-            raise ValidationError(f"transition matrix is reducible ({label} reachability fails)")
-    # aperiodicity: gcd over edges u->v of depth(u) + 1 - depth(v) in a BFS tree
-    depth = np.full(s, -1, dtype=int)
-    depth[0] = 0
-    frontier = [0]
-    while frontier:
-        new = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    new.append(int(v))
-        frontier = new
-    g = 0
-    for u in range(s):
-        for v in np.nonzero(adj[u])[0]:
-            g = math.gcd(g, depth[u] + 1 - depth[v])
-    if g != 1:
-        raise ValidationError(f"transition matrix is periodic with period {g}")
+    reach = adj | np.eye(s, dtype=bool)
+    for power, bound, fault in ((reach, s - 1, "reducible"), (adj, (s - 1) ** 2 + 1, "periodic")):
+        exponent = 1
+        while exponent < bound:
+            power = power @ power  # bool @ bool is an or of ands: the pattern of the product
+            exponent *= 2
+        if not power.all():
+            raise ValidationError(f"transition matrix is {fault}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _int_tuple
 from .primes import is_prime, primes_up_to
 
 LN2 = math.log(2.0)
@@ -72,18 +72,16 @@ class CFPrediction:
     prime_variant: bool = False
 
     def __post_init__(self) -> None:
-        if self.threshold < 2:
-            raise ValidationError(f"threshold must be >= 2, got {self.threshold}")
+        (threshold,) = _int_tuple((self.threshold,), "threshold", 2)
         if len(self.gaps) != len(self.marks) or not self.gaps:
             raise ValidationError("gaps and marks must be nonempty and of equal length")
-        if any(int(k) < 1 for k in self.gaps):
-            raise ValidationError(f"all gaps must be >= 1, got {self.gaps}")
-        if any(int(a) < self.threshold for a in self.marks):
-            raise ValidationError(
-                f"all marks must be >= threshold {self.threshold}, got {self.marks}"
-            )
-        if self.prime_variant and not all(is_prime(a) for a in self.marks):
-            raise ValidationError(f"prime variant requires prime marks, got {self.marks}")
+        gaps = _int_tuple(self.gaps, "gaps", 1)
+        marks = _int_tuple(self.marks, f"marks of threshold {threshold}", threshold)
+        if self.prime_variant and not all(is_prime(a) for a in marks):
+            raise ValidationError(f"prime variant requires prime marks, got {marks}")
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "marks", marks)
 
 
 def cf_joint_asymptote(prediction: CFPrediction) -> float:

@@ -13,7 +13,7 @@ from hittimes.branch_systems import DOUBLING, generate_stream
 from hittimes.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hittimes.errors import ConfigError
 from hittimes.tables import config_hash
-from hittimes.theory import consecutive_asymptote
+from hittimes.theory import CFPrediction, cf_joint_asymptote, consecutive_asymptote
 
 
 def _write_config(tmp_path: Path, cfg: dict) -> Path:
@@ -115,6 +115,11 @@ class TestValidation:
             with pytest.raises(ConfigError) as got:
                 validate_config(cfg)
             assert str(got.value) == f"config field {field}: {want.value.message}"
+
+    def test_every_schema_is_checked_as_draft_2020_12(self):
+        # dependentRequired is a 2019-09 keyword that an older draft ignores silently
+        for kind in CONFIG_SCHEMAS:
+            assert type(cli._validator(kind)) is jsonschema.Draft202012Validator
 
     def test_defaults_filled(self):
         cfg = validate_config(dict(VERIFY_CFG))
@@ -461,6 +466,45 @@ class TestMainEntry:
             row = line.split(",")
             assert [int(x) for x in row[:2]] == cell
             assert float(row[5]) == consecutive_asymptote(1.0, 0.25, cell, hitting_start=True)
+
+    @pytest.mark.parametrize(
+        "cfg,field",
+        [
+            ({k: v for k, v in SIM_CFG.items() if k != "prediction"}, "'prediction'"),
+            ({k: v for k, v in SIM_CFG.items() if k != "cells"}, "'cells'"),
+            (dict(SIM_CFG, prediction={"family": "none"}), "prediction/family"),
+            (dict(SIM_CFG, cells=[]), "config field cells:"),
+        ],
+        ids=["cells-without-prediction", "prediction-without-cells", "family-none", "no-cells"],
+    )
+    def test_estimate_request_that_writes_no_estimate_exits_2(self, tmp_path, capsys, cfg, field):
+        path = _write_config(tmp_path, dict(cfg, out=str(tmp_path / "r")))
+        assert main(["simulate", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert field in record["message"]
+        assert not (tmp_path / "r").exists()  # refused before any run directory
+
+    @pytest.mark.parametrize(
+        "prime,cells",
+        [(False, [[1, 10], [4, 12]]), (True, [[1, 11], [4, 13]])],
+        ids=["plain", "prime"],
+    )
+    def test_cf_joint_estimate_predicts_each_cell_by_the_asymptote(
+        self, tmp_path, capsys, prime, cells
+    ):
+        cfg = dict(SIM_CF_CFG, target={"threshold": 10, "prime": prime}, cells=cells,
+                   prediction={"family": "cf-joint", "threshold": 10, "prime": prime},
+                   out=str(tmp_path / "r"))
+        assert main(["simulate", "--config", str(_write_config(tmp_path, cfg))]) == 0
+        run_dir = Path(capsys.readouterr().out.strip())
+        lines = (run_dir / "estimate.csv").read_text().splitlines()
+        assert lines[0].startswith("k1,a1,count,N,estimate,prediction,")
+        assert len(lines) == len(cells) + 1
+        for (k, a), line in zip(cells, lines[1:]):
+            row = line.split(",")
+            assert [int(x) for x in row[:2]] == [k, a]
+            assert float(row[5]) == cf_joint_asymptote(CFPrediction(10, (k,), (a,), prime))
 
     @pytest.mark.parametrize(
         "cfg,cell",

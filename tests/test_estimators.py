@@ -32,8 +32,9 @@ from hittimes.markov_pattern import (
     build_automaton,
     hitting_pmf,
     return_pmf,
+    verify_inducing_identity,
 )
-from hittimes.theory import threshold_cell_measure
+from hittimes.theory import CFPrediction, threshold_cell_measure
 from oracles import (
     DOUBLING_ALLOCATING,
     GAUSS_ALLOCATING,
@@ -362,12 +363,38 @@ class TestErgodicEstimator:
 class TestReportsAndStats:
     def test_llt_report_empirical_with_ci(self):
         pmf = EmpiricalPMF(counts={(1,): 5200, (2,): 2400}, n_total=10_000)
-        rows, summary = llt_report(pmf, lambda c: 0.5 ** c[0], [(1,), (2,)])
+        rows, summary = llt_report(pmf, [((1,), 0.5), ((2,), 0.25)])
         assert rows[0].ci_low < rows[0].estimate < rows[0].ci_high
         assert (rows[1].count, rows[1].n) == (2400, 10_000)
         assert summary == pytest.approx(0.04, abs=1e-12)
         with pytest.raises(ValidationError):
-            llt_report(pmf, lambda c: 0.5 ** c[0], [])
+            llt_report(pmf, [])
+
+    def test_llt_report_cells_are_integral_keys_down_to_the_overflow_mark(self):
+        pmf = EmpiricalPMF(counts={(1, OVERFLOW_MARK): 3}, n_total=4)
+        (row,), _ = llt_report(pmf, [((1.0, OVERFLOW_MARK), 0.5)])
+        assert (row.cell, row.count) == ((1, OVERFLOW_MARK), 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: llt_report(EmpiricalPMF({(1,): 3}, 4), [((1.5,), 0.5)]),
+            lambda: llt_report(EmpiricalPMF({(1,): 3}, 4), [((1, -2), 0.5)]),
+            lambda: verify_inducing_identity(
+                hitting_pmf(FAIR, PatternTarget(word=(1,)), "stationary", 4),
+                return_pmf(FAIR, PatternTarget(word=(1,)), 4), 0.5, [2.5],
+            ),
+            lambda: TargetScan(threshold=2.5),
+            lambda: CFPrediction(threshold=50, gaps=(1,), marks=(53.5,), prime_variant=True),
+            lambda: CFPrediction(threshold=50, gaps=(1.5,), marks=(53,)),
+            lambda: CFPrediction(threshold=50.5, gaps=(1,), marks=(53,)),
+        ],
+        ids=["report-cell", "report-cell-below-overflow", "inducing-k", "scan-threshold",
+             "cf-prime-mark", "cf-gap", "cf-threshold"],
+    )
+    def test_fractions_refused_not_truncated(self, call):
+        with pytest.raises(ValidationError, match="as integers"):
+            call()
 
     def test_wilson_interval(self):
         lo, hi = wilson_interval(50, 100)

@@ -97,6 +97,24 @@ class TestMarkovSource:
         with pytest.raises(ValidationError):
             MarkovSource.from_transitions([[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "rows,fault",
+        [
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], "periodic"),
+            ([[0.5, 0.5, 0], [0, 0, 1], [1, 0, 0]], None),
+            ([[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]], "reducible"),
+            ([[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]],
+             "reducible"),
+        ],
+        ids=["3-cycle", "3-cycle-with-self-loop", "transient-state", "block-diagonal-pair"],
+    )
+    def test_mixing_check(self, rows, fault):
+        if fault is None:
+            assert MarkovSource.from_transitions(rows).alphabet_size == len(rows)
+        else:
+            with pytest.raises(ValidationError, match=fault):
+                MarkovSource.from_transitions(rows)
+
     def test_stationary_solve(self):
         pi = MARKOV2.stationary
         assert np.allclose(pi @ MARKOV2.transitions, pi, atol=1e-14)
