@@ -156,7 +156,6 @@ class ProductChain:
         sub = kernel.copy()
         sub[:, match_idx] = 0.0
         self.source = source
-        self.automaton = automaton
         self.pairs = pairs
         self.index = index
         self.kernel = kernel
@@ -180,46 +179,6 @@ class ProductChain:
         return v
 
 
-def _escape_initial(
-    chain: ProductChain, target: PatternTarget
-) -> tuple[np.ndarray, dict[int, float], float]:
-    """Initial data for conditioning on the escaping part of the target.
-
-    Enumerates the continuation block of length p after a full match,
-    excluding the single periodic continuation. Returns the surviving
-    (unnormalized) state vector, the masses of matches occurring inside the
-    block keyed by their return time, and the conditioning mass (which equals
-    the exact escaping proportion of the target).
-    """
-    p = target.period_hint
-    if p is None:
-        raise ValidationError("conditioning on the escaping part requires a period_hint")
-    word = target.word
-    s_count = chain.source.alphabet_size
-    if s_count**p > 2**20:
-        raise BudgetExceededError(f"escaping conditioning enumerates {s_count}**{p} blocks")
-    periodic_tail = target.periodic_extension()[len(word) :]
-    trans = chain.source.transitions
-    survivors = np.zeros(chain.n_states)
-    early: dict[int, float] = {}
-    weights: list[float] = []
-    # full enumeration (no early pruning) so the excluded periodic block is
-    # identified exactly even when it shares a prefix with early matches
-    for block in itertools.product(range(s_count), repeat=p):
-        if block == periodic_tail:
-            continue
-        weight = math.prod(trans[a, c] for a, c in zip((word[-1],) + block, block))
-        if weight == 0.0:
-            continue
-        weights.append(weight)
-        first, state = chain.automaton.first_match(block, len(word))
-        if first is not None:
-            early[first] = early.get(first, 0.0) + weight
-        else:
-            survivors[chain.index[(state, block[-1])]] += weight
-    return survivors, early, math.fsum(weights)
-
-
 def hitting_pmf(
     source: MarkovSource,
     target: PatternTarget,
@@ -229,45 +188,25 @@ def hitting_pmf(
     """Exact law of the first entrance time into a word cylinder.
 
     ``initial`` selects the starting law: "stationary" for the invariant
-    measure, "in_target" for conditioning on the cylinder (the return law),
-    or "escaping" for conditioning on the non-returning part of a periodic
-    target.
+    measure, or "in_target" for conditioning on the cylinder (the return law).
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     # a vector start would reach the name comparisons below as an array
-    if not isinstance(initial, str) or initial not in ("stationary", "in_target", "escaping"):
+    if not isinstance(initial, str) or initial not in ("stationary", "in_target"):
         raise ValidationError(f"unknown initial distribution {initial!r}")
     chain = ProductChain(source, target)
-    l = target.length
-    scale = 1.0
-    early_total = 0.0
-    if initial in ("in_target", "escaping") and source.word_measure(target.word) == 0.0:
-        raise ValidationError("cannot condition on a target of zero measure")
     if initial == "stationary":
         v = chain.stationary_vector()
-        lead = l - 1  # occurrence starting at k completes at step k + l - 1
-    elif initial == "in_target":
+        lead = target.length - 1  # occurrence starting at k completes at step k + l - 1
+    else:
+        if source.word_measure(target.word) == 0.0:
+            raise ValidationError("cannot condition on a target of zero measure")
         v = chain.entry_vector()
         lead = 0
-    else:
-        v, early, mass = _escape_initial(chain, target)
-        scale = 1.0 / mass
-        early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
-        masses = np.zeros(k_max)
-        for k, m in early.items():
-            if 1 <= k <= k_max:
-                masses[k - 1] = m * scale
-        lead = -(target.period_hint or 0)  # block steps already consumed
-
     # absorption at chain step m realizes the time k = m - lead
-    total_in = float(v.sum()) * scale + early_total
-    hits = _absorption_series(chain.survive, chain.into_match, v, k_max + lead)
-    if lead >= 0:
-        masses = hits[lead:]  # scale is 1 here
-    else:
-        masses[-lead:] = hits * scale  # after the escaping block's own matches
-    return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(total_in, masses))
+    masses = _absorption_series(chain.survive, chain.into_match, v, k_max + lead)[lead:]
+    return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(float(v.sum()), masses))
 
 
 def return_pmf(source: MarkovSource, target: PatternTarget, k_max: int) -> ExactPMF:

@@ -7,15 +7,17 @@ sufficient for all n < 3.3e24, which covers the full 64-bit range.
 
 from __future__ import annotations
 
+from .errors import ValidationError, _is_integral
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     """Exact primality test for integers 0 <= n < 2**64."""
+    if not _is_integral(n) or n < 0:
+        raise ValidationError(f"is_prime expects a nonnegative integer, got {n!r}")
     n = int(n)
-    if n < 0:
-        raise ValueError(f"is_prime expects a nonnegative integer, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

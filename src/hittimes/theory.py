@@ -41,11 +41,9 @@ def consecutive_asymptote(
     theta^2*e^(-theta*t)*mu_a at t = mu_a*k; the return law's missing mass
     1 - theta is its atom of instant returns.
     """
-    gaps = list(gaps)
+    gaps = _int_tuple(gaps, "gaps", 1)
     if not gaps:
         raise ValidationError("gap list must be nonempty")
-    if any(int(k) < 1 for k in gaps):
-        raise ValidationError(f"all gaps must be >= 1, got {gaps}")
     if not (0.0 < theta <= 1.0):
         raise ValidationError(f"theta must lie in (0, 1], got {theta}")
     if not (0.0 < mu_a < 1.0):

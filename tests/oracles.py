@@ -42,7 +42,7 @@ from hittimes.branch_systems import (
 )
 from hittimes.errors import SamplingError, ValidationError
 from hittimes.estimators import OVERFLOW_MARK, _prime_mask
-from hittimes.markov_pattern.exact import ProductChain, _escape_initial
+from hittimes.markov_pattern.exact import ProductChain
 
 
 def _enumerate_digits(s: int, m: int) -> np.ndarray:
@@ -169,35 +169,20 @@ def stepwise_hitting_masses(source, target, initial, k_max: int) -> tuple[np.nda
     valid. The tail is not clipped at 0.
     """
     chain = ProductChain(source, target)
-    l = target.length
-    masses = np.zeros(k_max)
-    scale = 1.0
-    early_total = 0.0
     # absorption at chain step m realizes the time k = m - lead
     if initial == "stationary":
         v = chain.stationary_vector()
-        lead = l - 1  # occurrence starting at k completes at step k + l - 1
-    elif initial == "in_target":
+        lead = target.length - 1  # occurrence starting at k completes at step k + l - 1
+    else:
         v = chain.entry_vector()
         lead = 0
-    else:
-        v, early, mass = _escape_initial(chain, target)
-        scale = 1.0 / mass
-        early_total = sum(early.values()) * scale  # beyond-k_max part feeds the tail
-        for k, m in early.items():
-            if 1 <= k <= k_max:
-                masses[k - 1] = m * scale
-        lead = -(target.period_hint or 0)  # block steps already consumed
-
-    total_in = float(v.sum()) * scale + early_total
+    total_in = float(v.sum())
+    masses = np.zeros(k_max)
     absorbed = _NeumaierSum()
-    for x in masses:
-        if x:
-            absorbed.add(float(x))
     sub = chain.survive
     into = chain.into_match
     for m in range(1, k_max + lead + 1):
-        hit = float(v @ into) * scale
+        hit = float(v @ into)
         k = m - lead
         if k >= 1:
             masses[k - 1] += hit

@@ -331,6 +331,9 @@ class TestMainEntry:
             ("exact", dict(EXACT_CFG, points_per_decade=8), "points_per_decade"),
             ("simulate", dict(SIM_CF_CFG, chunk_size=1024), "chunk_size"),
             ("simulate", dict(SIM_CF_CFG, mark_cap=100), "mark_cap"),
+            # a kind that is not a string is refused, not looked up
+            ("exact", {"kind": ["exact-markov"]}, "unknown experiment kind"),
+            ("exact", {"kind": {"a": 1}}, "unknown experiment kind"),
         ],
     )
     def test_malformed_config_exits_2_with_field(self, tmp_path, capsys, subcommand, cfg, field):

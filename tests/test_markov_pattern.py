@@ -272,8 +272,8 @@ class TestProductChain:
 
     @pytest.mark.parametrize(
         "initial",
-        ["uniform", np.full(4, 0.25), [0.25, 0.25, 0.25, 0.25]],
-        ids=["name", "vector", "list"],
+        ["uniform", "escaping", np.full(4, 0.25), [0.25, 0.25, 0.25, 0.25]],
+        ids=["name", "escaping", "vector", "list"],
     )
     def test_unknown_initial_rejected(self, initial):
         # a start vector is no longer a starting law: it is refused like a bad name
@@ -319,23 +319,6 @@ class TestAgainstEnumeration:
         ret_a = return_pmf(source, target, k_max)
         ret_b = block_return_pmf(source, target, k_max)
         assert np.max(np.abs(ret_a.masses - ret_b.masses)) < 1e-12
-
-    def test_escaping_start_matches_brute_force(self):
-        # mu_{A°} for A = [0 0], p = 1: condition on x2 = 1
-        target = PatternTarget(word=(0, 0), period_hint=1)
-        pmf = hitting_pmf(FAIR, target, "escaping", 9)
-        # brute force: strings 0 0 1 x3..x10; phi = first occurrence start of 00
-        from oracles import _enumerate_digits, _first_occurrence
-
-        digits = _enumerate_digits(2, 8)
-        prefix = np.tile(np.array([0, 0, 1])[:, None], (1, digits.shape[1]))
-        full = np.concatenate([prefix, digits])
-        w = np.full(digits.shape[1], 2.0**-8)
-        first = _first_occurrence(full, (0, 0), 1, 9)
-        for k in range(1, 10):
-            assert pmf.mass_at(k) == pytest.approx(
-                float(w[first == k].sum()), abs=1e-12
-            )
 
 
 class TestPMFInvariants:
@@ -533,13 +516,9 @@ class TestBlockedKernel:
     TARGET = PatternTarget(word=(0, 1, 2, 0, 1), period_hint=3)
 
     @pytest.mark.parametrize("k_max", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
-    @pytest.mark.parametrize("initial", ["stationary", "in_target", "escaping"])
+    @pytest.mark.parametrize("initial", ["stationary", "in_target"])
     def test_matches_stepwise(self, initial, k_max):
         _assert_matches_stepwise(MARKOV3, self.TARGET, initial, k_max)
-
-    @pytest.mark.parametrize("k_max", [1, 2, 3])
-    def test_escaping_within_the_period(self, k_max):
-        _assert_matches_stepwise(MARKOV3, self.TARGET, "escaping", k_max)
 
     @pytest.mark.parametrize("initial", ["stationary", "in_target"])
     def test_deep_tail(self, initial):
@@ -551,7 +530,7 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("k_max", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
     def test_arbitrary_start_row_matches_stepwise(self, k_max):
-        # the kernel takes any nonnegative row, not only the three starting laws
+        # the kernel takes any nonnegative row, not only the two starting laws
         chain = ProductChain(MARKOV3, self.TARGET)
         v = np.random.default_rng(7).random(chain.n_states)
         v /= v.sum()
@@ -656,42 +635,26 @@ class TestTheta:
         with pytest.raises(ValidationError):
             theta_exact(FAIR, PatternTarget(word=(0, 0)))
 
-    def test_escaping_mass_equals_theta(self):
-        t = PatternTarget(word=(0,) * 4, period_hint=1)
-        pmf = hitting_pmf(FAIR, t, "escaping", 64)
-        # the escaping law is a probability law; theta shows up as the
-        # conditioning mass, which tests the same enumeration exactly
-        assert abs(pmf.total() - 1.0) < 1e-12
-
-    def test_escaping_truncated_below_period_stays_balanced(self):
-        # k_max < p pushes in-block returns into the tail, not out of existence
-        t = PatternTarget(word=(0, 0, 0), period_hint=2)
-        pmf = hitting_pmf(FAIR, t, "escaping", 1)
-        assert abs(pmf.total() - 1.0) < 1e-12
-
-    def test_escaping_with_nonminimal_period(self):
-        # period_hint 2 on an all-zeros word: the excluded block (0,0) shares
-        # its first symbol with the early-matching (0,1) path, so only a full
-        # depth-p enumeration separates them; checked against direct
-        # conditional enumeration
-        t = PatternTarget(word=(0, 0, 0), period_hint=2)
-        pmf = hitting_pmf(FAIR, t, "escaping", 10)
-        # A° = [000] n {(x3,x4) != (0,0)}: three continuations, each weight 1/4,
-        # conditioning mass 3/4; (0,1) has phi = 1; (1,*) has no match in-block
-        assert pmf.mass_at(1) == pytest.approx((1.0 / 4.0) / (3.0 / 4.0), abs=1e-14)
-        from oracles import _enumerate_digits, _first_occurrence
-
-        digits = _enumerate_digits(2, 8)
-        weights = np.full(digits.shape[1], 2.0**-8)
-        prefix = np.tile(np.array([0, 0, 0])[:, None], (1, digits.shape[1]))
-        full = np.concatenate([prefix, digits])
-        # condition on (x3, x4) != (0, 0)
-        cond = ~((full[3] == 0) & (full[4] == 0))
-        first = _first_occurrence(full, (0, 0, 0), 1, 8)
-        norm = weights[cond].sum()
-        for k in range(1, 9):
-            want = float(weights[cond & (first == k)].sum()) / norm
-            assert pmf.mass_at(k) == pytest.approx(want, abs=1e-13)
+    @pytest.mark.parametrize(
+        "source,word,period",
+        [
+            (FAIR, (0, 0, 0, 0), 1),
+            (BIASED, (0, 0, 0, 0), 1),
+            (FAIR, (0, 1, 0, 1, 0), 2),
+            (MARKOV3, (0, 1, 2, 0, 1), 3),
+            (MARKOV3, (0, 1, 2, 0, 1, 2), 3),
+            (MARKOV3, (0, 0, 1, 0, 0), 3),
+        ],
+        ids=["fair-0000", "biased-0000", "fair-01010", "markov3-01201", "markov3-012012",
+             "markov3-00100"],
+    )
+    def test_matches_first_return_mass_of_the_product_chain(self, source, word, period):
+        # at the minimal period p no return comes before p, so the returns at
+        # p are exactly A n T^-p A and theta = 1 - P_A(R = p)
+        t = PatternTarget(word=word, period_hint=period)
+        ret = return_pmf(source, t, period)
+        assert math.fsum(ret.masses[: period - 1]) == 0.0
+        assert abs(theta_exact(source, t) - (1.0 - ret.mass_at(period))) <= 1e-15
 
 
 class TestConsecutive:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hittimes.errors import ValidationError
 from hittimes.primes import is_prime, primes_up_to
 
 
@@ -48,6 +49,15 @@ def test_carmichael_numbers_rejected():
 def test_negative_rejected():
     with pytest.raises(ValueError):
         is_prime(-7)
+
+
+def test_fraction_refused_integral_float_accepted():
+    # a fraction is refused, not truncated: 53.5 is not the prime 53
+    for bad in (53.5, 2.5, float("nan"), True, "7"):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            is_prime(bad)
+    assert is_prime(53.0)
+    assert not is_prime(91.0)
 
 
 def test_primes_up_to():

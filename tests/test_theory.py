@@ -84,6 +84,13 @@ class TestConsecutiveAsymptote:
         got = consecutive_asymptote(1.0, 0.25, [4, 4], hitting_start=True)
         assert got == pytest.approx(0.25**2 * math.exp(-2), rel=1e-14)
 
+    def test_fractional_gap_refused_integral_float_accepted(self):
+        # a gap of 1.5 has no mass in a discrete law; 2.0 is the gap 2
+        with pytest.raises(ValidationError, match="gaps must be >= 1, as integers"):
+            consecutive_asymptote(1.0, 0.25, [1.5], hitting_start=True)
+        want = consecutive_asymptote(1.0, 0.25, [2], hitting_start=True)
+        assert consecutive_asymptote(1.0, 0.25, [2.0], hitting_start=True) == want
+
     def test_conditioned_start_spec_value(self):
         got = consecutive_asymptote(0.5, 2.0**-10, [2048], hitting_start=False)
         assert got == pytest.approx(0.25 * math.exp(-1) * 2.0**-10, rel=1e-12)
