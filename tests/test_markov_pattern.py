@@ -520,6 +520,13 @@ class TestBlockedKernel:
     def test_matches_stepwise(self, initial, k_max):
         _assert_matches_stepwise(MARKOV3, self.TARGET, initial, k_max)
 
+    @pytest.mark.parametrize("k_max", [2, 3])
+    @pytest.mark.parametrize("initial", ["stationary", "in_target"])
+    def test_within_the_period(self, initial, k_max):
+        # laws no longer than the period p = 3: the in-target start has exact
+        # zeros before p and the whole law sits in one short block
+        _assert_matches_stepwise(MARKOV3, self.TARGET, initial, k_max)
+
     @pytest.mark.parametrize("initial", ["stationary", "in_target"])
     def test_deep_tail(self, initial):
         source = MarkovSource.from_transitions(
@@ -630,6 +637,14 @@ class TestTheta:
         src = MarkovSource.from_transitions([[0.5, 0.5], [1.0, 0.0]])
         t = PatternTarget(word=(1,), period_hint=1)
         assert theta_exact(src, t) == pytest.approx(1.0, abs=1e-15)
+
+    def test_in_target_truncated_below_period_stays_balanced(self):
+        # k_max < p pushes the later returns into the tail, not out of existence
+        t = PatternTarget(word=(0, 0, 0), period_hint=2)
+        pmf = hitting_pmf(FAIR, t, "in_target", 1)
+        assert pmf.mass_at(1) == pytest.approx(0.5, abs=1e-15)
+        assert pmf.tail == pytest.approx(0.5, abs=1e-15)
+        assert abs(pmf.total() - 1.0) < 1e-12
 
     def test_requires_period_hint(self):
         with pytest.raises(ValidationError):
