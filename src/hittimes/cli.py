@@ -258,7 +258,13 @@ def _build_source(spec: dict) -> MarkovSource:
 
 
 def _build_word_target(spec: dict) -> PatternTarget:
-    return PatternTarget(word=tuple(spec["word"]), period_hint=spec.get("period_hint"))
+    """The word's target; theta uses its minimal period, which a hint may only assert."""
+    target = PatternTarget(word=tuple(spec["word"]))
+    hint, p = spec.get("period_hint"), target.minimal_period
+    if hint is not None and (hint != p or p == target.length):
+        raise ConfigError(f"config field targets/period_hint: {hint} is not the minimal period "
+                          f"{p} of word {list(target.word)}, or that period is not below l")
+    return target
 
 
 def _build_scan_target(spec: dict, system: branch_systems.BranchSystem) -> estimators.TargetScan:

@@ -18,43 +18,25 @@ from ..errors import ValidationError, _int_tuple
 
 @dataclass(frozen=True)
 class PatternTarget:
-    """A word cylinder A = [w_0, ..., w_{l-1}], optionally marked p-periodic.
-
-    When ``period_hint`` = p is set the word must satisfy word[i+p] == word[i]
-    for all i <= l-p-1, so that A intersected with its p-shifted copy is the
-    (l+p)-cylinder obtained by extending the word periodically. p = l is
-    always admissible (the constraint set is empty) and corresponds to plain
-    self-concatenation.
-    """
+    """A word cylinder A = [w_0, ..., w_{l-1}]."""
 
     word: tuple[int, ...]
-    period_hint: int | None = None
 
     def __post_init__(self) -> None:
         w = _int_tuple(self.word, "word symbols", 0)
         if not w:
             raise ValidationError("target word must be nonempty")
         object.__setattr__(self, "word", w)
-        p = self.period_hint
-        if p is not None:
-            (p,) = _int_tuple((p,), "period_hint", 1, len(w) + 1)
-            bad = [i for i in range(len(w) - p) if w[i + p] != w[i]]
-            if bad:
-                raise ValidationError(
-                    f"word is not {p}-periodic as a prefix (first mismatch at index {bad[0]})"
-                )
-            object.__setattr__(self, "period_hint", p)
 
     @property
     def length(self) -> int:
         return len(self.word)
 
-    def periodic_extension(self) -> tuple[int, ...]:
-        """The (l+p)-word whose cylinder is A intersected with T^-p A."""
-        if self.period_hint is None:
-            raise ValidationError("target has no period_hint")
-        p = self.period_hint
-        return self.word + self.word[len(self.word) - p :]
+    @property
+    def minimal_period(self) -> int:
+        """The least p >= 1 with word[i+p] == word[i] for all i < l-p: l minus
+        the longest proper border. It equals l for a word without a border."""
+        return len(self.word) - _border_lengths(self.word)[-1]
 
 
 def _border_lengths(word: Sequence[int]) -> list[int]:

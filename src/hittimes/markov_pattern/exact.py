@@ -48,7 +48,7 @@ _MASS_DRIFT_TOL = 1e-9
 _UNDERFLOW = 1e-300
 _BLOCK = 512  # chain steps per block of `_absorption_series`
 _BUDGET_STATES = 2**22  # largest block chain, in states
-_BUDGET_OPS = 10**9  # largest block-chain law, in state-symbol updates
+_BUDGET_OPS = 10**9  # largest law, in state updates (state-symbol updates for the block chain)
 
 
 def _absorption_series(
@@ -60,8 +60,12 @@ def _absorption_series(
     ``v`` is one initial vector or a stack of them (one per row). The block
     C = [q, Qq, ..., Q^(B-1)q] and Q^B are built by doubling, so a short
     horizon costs O(log B) small matmuls; then every B masses are one ``v @ C``
-    followed by ``v = v @ Q^B``.
+    followed by ``v = v @ Q^B``. Past ``_BUDGET_OPS`` state updates it refuses.
     """
+    if v.size * steps > _BUDGET_OPS:
+        raise BudgetExceededError(
+            f"product chain needs ~{v.size * steps:.2e} state updates, budget is {_BUDGET_OPS:.2e}"
+        )
     b_size = min(_BLOCK, steps)
     if b_size < 1:
         return np.zeros(v.shape[:-1] + (0,))
@@ -243,13 +247,19 @@ def return_excess(
 
 
 def theta_exact(source: MarkovSource, target: PatternTarget) -> float:
-    """Escaping proportion of a periodic target: 1 - mu(A n T^-p A)/mu(A)."""
-    if target.period_hint is None:
-        raise ValidationError("theta_exact requires a target with a period_hint")
+    """Escaping proportion 1 - mu(A n T^-p A)/mu(A) at the word's minimal period p.
+
+    It is 1 for a word with no border (p = l). A word with several periods
+    below l, such as 0000001000000, has no single finite-l theta: this value,
+    P_A(R >= l) and the escape rate differ by about l mu(A), and agree only in
+    the limit along a family. The minimal period is used.
+    """
     mu_a = source.word_measure(target.word)
     if mu_a == 0.0:
-        raise ValidationError("target cylinder has zero measure under this source")
-    return 1.0 - source.word_measure(target.periodic_extension()) / mu_a
+        raise ValidationError(f"target {target.word} has zero measure under this source")
+    l, p = target.length, target.minimal_period
+    # A n T^-p A is the cylinder of the word extended by its last p symbols
+    return 1.0 if p == l else 1.0 - source.word_measure(target.word + target.word[l - p :]) / mu_a
 
 
 def consecutive_joint_pmf(

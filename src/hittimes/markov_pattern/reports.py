@@ -70,17 +70,18 @@ def llt_convergence_table(
     window [delta, 1/delta]; the prediction is `consecutive_asymptote` at the
     single gap k: theta^2*e^(-theta*t)*mu(A) for the return law and
     theta*e^(-theta*t)*mu(A) for the stationary hitting law, with
-    t = mu(A)*k. theta is the exact escaping proportion of a periodic
-    target, and 1 for a target without a period hint.
+    t = mu(A)*k, and 0 < mu(A) < 1. theta is `theta_exact`: the escaping
+    proportion at the word's minimal period, which is 1 for a word without a
+    border (a word with several periods below l has no single finite-l theta).
     """
     if kind not in ("return", "hitting"):
         raise ValidationError(f"kind must be 'return' or 'hitting', got {kind!r}")
     rows: list[ConvergenceRow] = []
     for target in targets:
         mu_a = source.word_measure(target.word)
-        if mu_a >= 1.0:
-            raise ValidationError("target cylinder has full measure; not a rare event")
-        th = theta_exact(source, target) if target.period_hint is not None else 1.0
+        if not 0.0 < mu_a < 1.0:
+            raise ValidationError(f"target {target.word} has measure {mu_a}, not in (0, 1)")
+        th = theta_exact(source, target)
         ks = k_grid(mu_a, delta)
         k_max = int(ks.max())
         pmf = (

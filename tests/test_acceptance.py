@@ -124,9 +124,7 @@ def _ratio_errors(kind: str, ls, make_target, theta=None) -> dict[int, float]:
     for l in ls:
         target = make_target(l)
         mu = FAIR.word_measure(target.word)
-        th = theta if theta is not None else (
-            theta_exact(FAIR, target) if target.period_hint else 1.0
-        )
+        th = theta if theta is not None else theta_exact(FAIR, target)
         ks = k_grid(mu, 0.5)
         k_max = int(ks.max())
         pmf = (return_pmf(FAIR, target, k_max) if kind == "return"
@@ -144,10 +142,10 @@ def _ratio_errors(kind: str, ls, make_target, theta=None) -> dict[int, float]:
 def test_criterion_03_periodic_cylinder_return_llt():
     """Return-law ratios against the periodic-target exponential prediction."""
     started = time.time()
-    target18 = PatternTarget(word=(0,) * 18, period_hint=1)
+    target18 = PatternTarget(word=(0,) * 18)
     assert theta_exact(FAIR, target18) == pytest.approx(0.5, abs=1e-15)
     errors = _ratio_errors(
-        "return", (6, 10, 14, 18), lambda l: PatternTarget(word=(0,) * l, period_hint=1)
+        "return", (6, 10, 14, 18), lambda l: PatternTarget(word=(0,) * l)
     )
     decreasing = all(errors[a] > errors[b] for a, b in ((6, 10), (10, 14), (14, 18)))
     ok = decreasing and errors[18] <= 0.10
@@ -165,7 +163,7 @@ def test_criterion_04_hitting_side_llt():
     """Hitting-law ratios for periodic targets, plus the non-periodic family."""
     started = time.time()
     errors = _ratio_errors(
-        "hitting", (6, 10, 14, 18), lambda l: PatternTarget(word=(0,) * l, period_hint=1)
+        "hitting", (6, 10, 14, 18), lambda l: PatternTarget(word=(0,) * l)
     )
     decreasing = all(errors[a] > errors[b] for a, b in ((6, 10), (10, 14), (14, 18)))
     ok = decreasing and errors[18] <= 0.10
@@ -193,7 +191,7 @@ def test_criterion_05_consecutive_gaps_llt():
     started = time.time()
 
     def worst_pair_error(l: int) -> tuple[float, float]:
-        target = PatternTarget(word=(0,) * l, period_hint=1)
+        target = PatternTarget(word=(0,) * l)
         mu = FAIR.word_measure(target.word)
         th = theta_exact(FAIR, target)
         worst_stat, worst_entry = 0.0, 0.0

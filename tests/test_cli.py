@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hittimes.markov_pattern.exact
-from hittimes import cli
+from hittimes import cli, errors
 from hittimes.branch_systems import DOUBLING, generate_stream
 from hittimes.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hittimes.errors import ConfigError
@@ -401,6 +401,32 @@ class TestMainEntry:
         residual = {check: float(value) for _, check, value in (r.split(",") for r in lines)}
         assert residual["kac_expectation"] <= 1e-9 * 2**18
         assert residual["discrete_integral_relation"] <= 1e-10
+
+    @pytest.mark.parametrize(
+        "target",
+        [{"word": [0] * 8, "period_hint": 2}, {"word": [0, 1, 1], "period_hint": 3},
+         {"word": [0, 1, 1], "period_hint": 1}, {"word": [1], "period_hint": 1}],
+        ids=["zeros-non-minimal", "borderless-own-length", "borderless-short", "one-symbol"],
+    )
+    def test_period_hint_must_be_the_minimal_period_below_l(self, tmp_path, capsys, target):
+        cfg = dict(EXACT_CFG, targets=[target], out=str(tmp_path / "r"))
+        path = _write_config(tmp_path, cfg)
+        assert main(["exact", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("config field targets/period_hint:")
+        assert not list((tmp_path / "r").rglob("*.csv"))
+
+    def test_exact_zero_measure_word_exits_1_without_traceback(self, tmp_path, capsys):
+        # 1 -> 1 is impossible, so the word 11 has measure 0
+        cfg = dict(EXACT_CFG, source={"type": "markov", "transitions": [[0.5, 0.5], [1, 0]]},
+                   targets=[{"word": [1, 1]}], out=str(tmp_path / "r"))
+        path = _write_config(tmp_path, cfg)
+        assert main(["exact", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert issubclass(getattr(errors, record["error"]), errors.HitTimesError)
+        assert "(1, 1)" in record["message"]
+        assert "traceback" not in record
 
     def test_binary_word_of_length_40_runs(self, tmp_path, capsys):
         cfg = dict(SIM_CFG, target={"word": [1] * 40}, out=str(tmp_path / "r"))

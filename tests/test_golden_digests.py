@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of the artifacts of seven small configs, and of two
+"""Pinned SHA-256 digests of the artifacts of eight small configs, and of two
 digit streams long enough to cross the stream's chunk and lane boundaries.
 
 A rerun only shows that a change is deterministic; these digests show that
@@ -21,6 +21,14 @@ CONFIGS = {
         "kind": "exact-markov",
         "source": {"type": "iid", "probs": [0.5, 0.5]},
         "targets": [{"word": [0] * 8, "period_hint": 1}, {"word": [0, 1, 1]}],
+        "delta": 0.5,
+    },
+    # theta from the minimal period 2 of the bordered word 01010, with no hint;
+    # its CSVs equal those of the same config with period_hint 2
+    "exact-markov-derived-period": {
+        "kind": "exact-markov",
+        "source": {"type": "iid", "probs": [0.5, 0.5]},
+        "targets": [{"word": [0, 1, 0, 1, 0]}],
         "delta": 0.5,
     },
     "replica": {
@@ -88,6 +96,11 @@ GOLDEN = {
         "hitting.csv": "ee0d8dfc81fb4ed273e3dcb383a60beee895945e908c5a8b7a557ce38b4b2998",
         "manifest.json": "60118a8e6ec9b5b123bd095a991756efb6ad00046900e655217c2a691b410e26",
         "return.csv": "139a111812afba24fcf55cc6e6e471ae71074938883bfee8166bd30ae91c20b3",
+    },
+    "exact-markov-derived-period": {
+        "hitting.csv": "e04e9c8e7204c26c1ee890de64be35d21229c95be083bd5917b57b9b313d0f2f",
+        "manifest.json": "18bc1142952116753115c6b534cb1cb3ab5cf9416b1195d66032cc5952bdf31e",
+        "return.csv": "0642d4dab7f1ee6ce764fad1adadcb9c7bcbf28da6439df12f0c830b4fb86787",
     },
     "replica": {
         "counts.csv": "d49a2f7bd1a9b56bceeb38cab53a856dab963addcd423612f584ccaa83c81a75",

@@ -189,17 +189,6 @@ class TestAutomaton:
         with pytest.raises(ValidationError):
             PatternTarget(word=())
 
-    def test_period_hint_validation(self):
-        PatternTarget(word=(0, 1, 0, 1, 0), period_hint=2)
-        with pytest.raises(ValidationError):
-            PatternTarget(word=(0, 1, 1), period_hint=2)
-        # p = len(word) is vacuously periodic
-        PatternTarget(word=(0, 1, 1), period_hint=3)
-
-    def test_periodic_extension(self):
-        t = PatternTarget(word=(0, 1, 0, 1, 0), period_hint=2)
-        assert t.periodic_extension() == (0, 1, 0, 1, 0, 1, 0)
-
 
 @pytest.mark.parametrize(
     "call",
@@ -207,14 +196,13 @@ class TestAutomaton:
         lambda: PatternTarget(word=(0, 1.5)),
         lambda: PatternTarget(word=("1", 0)),
         lambda: PatternTarget(word=(True, 0)),
-        lambda: PatternTarget(word=(0, 0), period_hint=1.5),
         lambda: TargetScan(word=(1.5,)),
         lambda: MARKOV2.word_measure((0, 1.5)),
         lambda: consecutive_joint_pmf(MARKOV2, PatternTarget(word=(0, 1)), [2.5]),
         lambda: return_excess(MARKOV2, PatternTarget(word=(0, 1)), [1.7]),
         lambda: block_set_return_pmf(MARKOV2, [(0, 1.5)], 8),
     ],
-    ids=["word-float", "word-str", "word-bool", "period-hint", "scan-word", "word-measure",
+    ids=["word-float", "word-str", "word-bool", "scan-word", "word-measure",
          "joint-gap", "excess-k", "block-encode"],
 )
 def test_non_integral_inputs_refused(call):
@@ -223,8 +211,7 @@ def test_non_integral_inputs_refused(call):
 
 
 def test_integral_numbers_accepted():
-    target = PatternTarget(word=(0, 1.0), period_hint=2.0)
-    assert target.word == (0, 1) and target.period_hint == 2
+    assert PatternTarget(word=(0, 1.0)).word == (0, 1)
     assert PatternTarget(word=np.array([0, 1])).word == (0, 1)
     assert TargetScan(word=(1.0,)).word == (1,)
     assert MARKOV2.word_measure((0, 1.0)) == MARKOV2.word_measure((0, 1))
@@ -251,6 +238,13 @@ class TestProductChain:
         for k in range(1, 21):
             assert pmf.mass_at(k) == pytest.approx(2.0**-k, abs=1e-15)
 
+    def test_horizon_over_budget_refused_before_allocating(self):
+        # 2^40 steps of 42 states would be 2^40 * 8 bytes of masses alone
+        with pytest.raises(BudgetExceededError, match="budget"):
+            hitting_pmf(FAIR, PatternTarget(word=(0,) * 40), "stationary", 2**40)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            consecutive_joint_pmf(FAIR, PatternTarget(word=(0,) * 8), [2**40])
+
     def test_survive_plus_match_is_stochastic(self):
         chain = ProductChain(MARKOV2, PatternTarget(word=(1, 0, 1)))
         rows = chain.survive.sum(axis=1) + chain.into_match
@@ -260,7 +254,7 @@ class TestProductChain:
     def test_zero_measure_target_rejected_for_conditioning(self):
         # transition 1 -> 1 impossible, so the cylinder [1,1] has measure zero
         src = MarkovSource.from_transitions([[0.5, 0.5], [1.0, 0.0]])
-        target = PatternTarget(word=(1, 1), period_hint=1)
+        target = PatternTarget(word=(1, 1))
         with pytest.raises(ValidationError):
             return_pmf(src, target, 8)
         with pytest.raises(ValidationError):
@@ -513,7 +507,7 @@ def _assert_matches_stepwise(source, target, initial, k_max):
 class TestBlockedKernel:
     """`_absorption_series` against the one-matvec-per-step iteration."""
 
-    TARGET = PatternTarget(word=(0, 1, 2, 0, 1), period_hint=3)
+    TARGET = PatternTarget(word=(0, 1, 2, 0, 1))
 
     @pytest.mark.parametrize("k_max", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
     @pytest.mark.parametrize("initial", ["stationary", "in_target"])
@@ -625,30 +619,27 @@ class TestBlockStep:
 class TestTheta:
     def test_fair_zeros_theta_half(self):
         for l in (3, 5, 10):
-            t = PatternTarget(word=(0,) * l, period_hint=1)
+            t = PatternTarget(word=(0,) * l)
             assert theta_exact(FAIR, t) == pytest.approx(0.5, abs=1e-15)
 
     def test_biased_zeros(self):
-        t = PatternTarget(word=(0, 0, 0, 0), period_hint=1)
+        t = PatternTarget(word=(0, 0, 0, 0))
         assert theta_exact(BIASED, t) == pytest.approx(0.7, abs=1e-15)
 
     def test_zero_extension_mass_gives_theta_one(self):
-        # chain where 1 -> 1 is impossible: extension of word "1" by period 1
+        # chain where 1 -> 1 is impossible: the period-1 extension 11 of word
+        # "1" has zero mass, and a one-symbol word has no border anyway
         src = MarkovSource.from_transitions([[0.5, 0.5], [1.0, 0.0]])
-        t = PatternTarget(word=(1,), period_hint=1)
+        t = PatternTarget(word=(1,))
         assert theta_exact(src, t) == pytest.approx(1.0, abs=1e-15)
 
     def test_in_target_truncated_below_period_stays_balanced(self):
         # k_max < p pushes the later returns into the tail, not out of existence
-        t = PatternTarget(word=(0, 0, 0), period_hint=2)
+        t = PatternTarget(word=(0, 0, 0))
         pmf = hitting_pmf(FAIR, t, "in_target", 1)
         assert pmf.mass_at(1) == pytest.approx(0.5, abs=1e-15)
         assert pmf.tail == pytest.approx(0.5, abs=1e-15)
         assert abs(pmf.total() - 1.0) < 1e-12
-
-    def test_requires_period_hint(self):
-        with pytest.raises(ValidationError):
-            theta_exact(FAIR, PatternTarget(word=(0, 0)))
 
     @pytest.mark.parametrize(
         "source,word,period",
@@ -666,10 +657,23 @@ class TestTheta:
     def test_matches_first_return_mass_of_the_product_chain(self, source, word, period):
         # at the minimal period p no return comes before p, so the returns at
         # p are exactly A n T^-p A and theta = 1 - P_A(R = p)
-        t = PatternTarget(word=word, period_hint=period)
+        t = PatternTarget(word=word)
+        assert t.minimal_period == period
         ret = return_pmf(source, t, period)
         assert math.fsum(ret.masses[: period - 1]) == 0.0
         assert abs(theta_exact(source, t) - (1.0 - ret.mass_at(period))) <= 1e-15
+
+    def test_several_periods_use_the_minimal_one(self):
+        # 0000001000000 has periods 7..12 below l = 13; the least is 7
+        t = PatternTarget(word=(0,) * 6 + (1,) + (0,) * 6)
+        assert t.minimal_period == 7
+        assert theta_exact(FAIR, t) == 1.0 - 2.0**-7
+
+    @pytest.mark.parametrize("word", [(0, 1, 1), (0, 0, 1, 0, 1, 1), (1,), (0,)])
+    def test_borderless_and_one_symbol_words_have_theta_one(self, word):
+        t = PatternTarget(word=word)
+        assert t.minimal_period == len(word)
+        assert theta_exact(BIASED, t) == 1.0
 
 
 class TestConsecutive:
@@ -725,7 +729,7 @@ class TestConsecutive:
 class TestConvergenceTable:
     def test_prediction_column_spec_value(self):
         rows = llt_convergence_table(
-            FAIR, [PatternTarget(word=(0,) * 10, period_hint=1)], delta=1.0, kind="return"
+            FAIR, [PatternTarget(word=(0,) * 10)], delta=1.0, kind="return"
         )
         by_k = {r.k: r for r in rows}
         assert 1024 in by_k  # t = 1 sits in the delta = 1 window
@@ -737,7 +741,7 @@ class TestConvergenceTable:
         assert row.exact == pytest.approx(row.ratio * row.predicted, rel=1e-12)
 
     def test_ratio_trend_in_l(self):
-        targets = [PatternTarget(word=(0,) * l, period_hint=1) for l in (6, 10)]
+        targets = [PatternTarget(word=(0,) * l) for l in (6, 10)]
         rows = llt_convergence_table(FAIR, targets, delta=0.5, kind="return")
         worst = {}
         for r in rows:
@@ -752,6 +756,17 @@ class TestConvergenceTable:
             assert r.predicted == pytest.approx(
                 math.exp(-r.t) * 2.0**-4, rel=1e-12
             )
+
+    def test_bordered_word_reads_its_minimal_period(self):
+        # (01)^7 with theta from period 2; with theta = 1 it read 0.362
+        rows = llt_convergence_table(FAIR, [PatternTarget(word=(0, 1) * 7)], delta=0.5)
+        assert max(abs(r.ratio - 1.0) for r in rows) <= 2e-3
+
+    def test_zero_measure_word_refused(self):
+        src = MarkovSource.from_transitions([[0.5, 0.5], [1.0, 0.0]])
+        for kind in ("return", "hitting"):
+            with pytest.raises(ValidationError, match=r"target \(1, 1\) has measure 0\.0"):
+                llt_convergence_table(src, [PatternTarget(word=(1, 1))], 0.5, kind)
 
     def test_k_grid_covers_window(self):
         ks = k_grid(2.0**-10, 0.5)
