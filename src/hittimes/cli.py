@@ -220,6 +220,20 @@ CONFIG_SCHEMAS = {
 CONFIG_SCHEMAS["simulate-cf"]["dependentRequired"] = {
     "cells": ["prediction"], "prediction": ["cells"]
 }
+
+
+def _required_by(key: str, cases: dict[str, list[str]]) -> list[dict]:
+    """If/then blocks: the keys that each value of ``key`` requires."""
+    return [{"if": {"properties": {key: {"const": v}}, "required": [key]}, "then": {"required": r}}
+            for v, r in cases.items()]
+
+
+CONFIG_SCHEMAS["simulate-cf"]["allOf"] = _required_by(
+    "mode", {"replica": ["n_replicas", "d", "max_steps"], "ergodic": ["n_digits"]}
+)
+CONFIG_SCHEMAS["counterexample"]["allOf"] = _required_by(
+    "flavor", {"exact-markov": ["source", "word"], "monte-carlo": ["system", "target", "n_digits"]}
+)
 CONFIG_SCHEMAS["simulate-doubling"] = CONFIG_SCHEMAS["simulate-cf"]
 
 _DEFAULTS = {"seed": 1, "out": "runs", "format": "csv", "workers": 1}
@@ -372,9 +386,6 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
     seed = cfg["seed"]
     results: dict = {"system": system.name, "mode": cfg["mode"]}
     replica = cfg["mode"] == "replica"
-    for req in ("n_replicas", "d", "max_steps") if replica else ("n_digits",):
-        if req not in cfg:
-            raise ConfigError(f"{cfg['mode']} mode requires {req}")
     key_names = _cell_names(target, cfg["d"]) if replica else ("k",)
     predicted = _predicted_cells(cfg, key_names) if "cells" in cfg else None
     if replica:
@@ -424,9 +435,6 @@ def _cell_names(target: estimators.TargetScan, d: int) -> tuple[str, ...]:
 
 def _run_counterexample(cfg: dict, run_dir: Path) -> dict:
     if cfg["flavor"] == "exact-markov":
-        for req in ("source", "word"):
-            if req not in cfg:
-                raise ConfigError(f"exact counterexample requires {req}")
         source = _build_source(cfg["source"])
         target = PatternTarget(word=tuple(cfg["word"]))
         report = counterexample_pruned_target(
@@ -448,9 +456,6 @@ def _run_counterexample(cfg: dict, run_dir: Path) -> dict:
             "b_return_at_k_prune": report.b_return_at_k_prune,
             "ratio_discrepancy": abs(report.ratio - expected_ratio),
         }
-    for req in ("system", "target", "n_digits"):
-        if req not in cfg:
-            raise ConfigError(f"monte-carlo counterexample requires {req}")
     system = branch_systems.system_by_name(cfg["system"])
     target = _build_scan_target(cfg["target"], system)
     s1 = branch_systems.generate_stream(system, cfg["seed"], cfg["n_digits"], substream=0)

@@ -17,6 +17,10 @@ Substochastic iteration is blocked: one kernel, `_absorption_series`, emits
 _BLOCK absorbed masses per product with the impulse-response block
 [q, Qq, ..., Q^(B-1)q] and then advances the distribution by Q^B (Kemeny and
 Snell, *Finite Markov Chains*, 1960, for the algebra of substochastic kernels).
+Every product-chain series is one call of it: the hitting and return laws,
+the gap legs, the shift identity's matched/unmatched split (itself a
+substochastic chain on twice the states) and the return excess. The block
+chain keeps its own step loop, the independent cross-check.
 Return-time expectations need no horizon: `return_excess` solves (I - Q) w = 1
 by GTH elimination (Grassmann, Taksar and Heyman, *Oper. Res.* 1985), which
 keeps full relative precision however rare the target.
@@ -243,7 +247,9 @@ def return_excess(
     w = a[:, n + 1]
     for k in range(n - 2, -1, -1):
         w[k] += a[k, k + 1 : n] @ w[k + 1 :]
-    return np.array([np.linalg.matrix_power(chain.survive, k)[chain.match_index] @ w for k in ks])
+    # with w in place of q, the series term at step K + 1 is e Q^K w
+    steps = max(ks, default=-1) + 1
+    return _absorption_series(chain.survive, w, chain.entry_vector(), steps)[list(ks)]
 
 
 def theta_exact(source: MarkovSource, target: PatternTarget) -> float:
@@ -329,39 +335,20 @@ def verify_inducing_identity(
     return float(np.max(np.abs(hit.masses[idx] - mu_a * surv[idx])))
 
 
-def _matched_split(chain: ProductChain, l: int, j_max: int) -> np.ndarray:
-    """Stationary mass with some occurrence start in 1..j, for j = 1..j_max.
-
-    Row j-1 is that mass spread over the chain states after the j + l - 1
-    steps that complete an occurrence starting at j. It evolves a
-    matched/unmatched split with the full kernel.
-    """
-    kernel = chain.kernel
-    match = chain.match_index
-    u = chain.stationary_vector()  # no occurrence start in 1..j yet
-    f = np.zeros_like(u)  # some occurrence start in 1..j
-    rows = np.empty((j_max, u.size))
-    for step in range(1, j_max + l):
-        u = u @ kernel
-        f = f @ kernel
-        moved = u[match]
-        if moved:
-            u[match] = 0.0
-            f[match] += moved
-        if step >= l:
-            rows[step - l] = f
-    return rows
-
-
 def verify_shift_identity_grid(
     source: MarkovSource, target: PatternTarget, ret: ExactPMF, j_max: int, m_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the j-shift occurrence identity on 1 <= j <= j_max, 1 <= m <= m_max.
 
     Returns (lhs, rhs) as (j_max, m_max) arrays with cell [j-1, m-1] for (j, m).
-    Left: mu({phi_A <= j} n {phi_A o T^j = m}), from a product-chain
-    matched/unmatched split through the first j occurrence starts, extended
-    incrementally in j, then one blocked substochastic sweep over m for all j.
+    Left: mu({phi_A <= j} n {phi_A o T^j = m}). Split the stationary mass
+    into u, with no occurrence start yet, and f, with one: u steps by the
+    survival kernel Q and hands its absorption q to f's full-match state e,
+    and f steps by the full kernel K. That is one substochastic chain on 2n
+    states, stacked = [[Q, q e^T], [0, K]] from [stationary, 0], and f after
+    the j + l - 1 steps that complete an occurrence starting at j is one
+    series of its transpose. One sweep over m then runs every f on to the
+    next occurrence. Every entry is nonnegative, so nothing cancels.
     Right: mu(A n {m <= phi_A < m + j}) from ``ret``, the target's return
     law to at least j_max + m_max - 1.
     """
@@ -371,8 +358,13 @@ def verify_shift_identity_grid(
     _require_horizon(ret, horizon, "return")
     chain = ProductChain(source, target)
     mu_a = source.word_measure(target.word)
-    splits = _matched_split(chain, target.length, j_max)
-    lhs = _absorption_series(chain.survive, chain.into_match, splits, m_max)
+    n, l = chain.n_states, target.length
+    stacked = np.block([[chain.survive, np.outer(chain.into_match, chain.entry_vector())],
+                        [np.zeros((n, n)), chain.kernel]])
+    start = np.concatenate((chain.stationary_vector(), np.zeros(n)))
+    # f_i after s steps is e_(n+i) (stacked^T)^s start: s = j + l - 1 is term j + l
+    series = _absorption_series(stacked.T, start, np.eye(2 * n)[n:], j_max + l)
+    lhs = _absorption_series(chain.survive, chain.into_match, series[:, l:].T, m_max)
     # rhs(j, m) = mu(A) * sum of return masses over m..m+j-1, via prefix sums
     prefix = np.concatenate(([0.0], np.cumsum(ret.masses[:horizon])))
     j = np.arange(1, j_max + 1)[:, None]

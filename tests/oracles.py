@@ -7,11 +7,14 @@ lengths <= 6 and horizons <= 12.
 
 `stepwise_hitting_masses` is the other kind of reference: the product-chain
 oracle's original one-matvec-per-step iteration, kept so that the blocked
-kernel can be held to it at any horizon. `scatter_block_step` likewise keeps
-the block chain's original scatter step, so that the shift-structured step can
-be held to it bit for bit. `allocating_replica_chunk`, with the allocating
-branch kernels of `GAUSS_ALLOCATING` and `DOUBLING_ALLOCATING`, keeps the
-replica estimator's original boolean-mask register kernel for the same use.
+kernel can be held to it at any horizon. `stepwise_shift_lhs` keeps the shift
+identity's original matched/unmatched step loop and `matrix_power_excess` the
+return excess's original matrix power per K, for the same use.
+`scatter_block_step` likewise keeps the block chain's original scatter step,
+so that the shift-structured step can be held to it bit for bit.
+`allocating_replica_chunk`, with the allocating branch kernels of
+`GAUSS_ALLOCATING` and `DOUBLING_ALLOCATING`, keeps the replica estimator's
+original boolean-mask register kernel for the same use.
 `scalar_stream` keeps `generate_stream`'s original loop, one scalar backward
 step per digit (`scalar_steps`, which looks the step up by system name), so
 that the lane-parallel stream can be held to it bit for bit.
@@ -27,6 +30,7 @@ counts with. It lives here, not in the package, because it needs
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -189,6 +193,66 @@ def stepwise_hitting_masses(source, target, initial, k_max: int) -> tuple[np.nda
             absorbed.add(hit)
         v = v @ sub
     return masses, total_in - absorbed.value()
+
+
+def stepwise_shift_lhs(source, target, j_max: int, m_max: int) -> np.ndarray:
+    """Left side of `verify_shift_identity_grid` by one matvec per chain step.
+
+    u holds the stationary mass with no occurrence start in 1..j yet and f the
+    mass with one; both step by the full kernel, and the mass u puts on the
+    full match moves to f. Row j-1 is f after the j + l - 1 steps that
+    complete an occurrence starting at j, and each row then takes one
+    survival step per m. The loop runs in ``np.longdouble``: in float64 its
+    own rounding drifts by 2.3e-14 relative over the 700 rows of 0^20 under
+    (0.3, 0.7), more than the tolerance it is a reference for.
+    """
+    chain = ProductChain(source, target)
+    kernel, survive, into = (
+        a.astype(np.longdouble) for a in (chain.kernel, chain.survive, chain.into_match)
+    )
+    match, l = chain.match_index, target.length
+    u = chain.stationary_vector().astype(np.longdouble)
+    f = np.zeros_like(u)
+    rows = np.empty((j_max, u.size), dtype=np.longdouble)
+    for step in range(1, j_max + l):
+        u = u @ kernel
+        f = f @ kernel
+        f[match] += u[match]
+        u[match] = 0.0
+        if step >= l:
+            rows[step - l] = f
+    lhs = np.empty((j_max, m_max), dtype=np.longdouble)
+    for m in range(m_max):
+        lhs[:, m] = rows @ into
+        rows = rows @ survive
+    return lhs
+
+
+def matrix_power_excess(source, target, ks) -> np.ndarray:
+    """`return_excess` as e Q^K w with one matrix power per K.
+
+    w solves (D - Q) w = 1 in exact rationals (every float is one), where D
+    holds the row masses of [Q | q], so each row counts as exactly stochastic,
+    as the GTH pivots do. Solving with I in place of D would move E[R] of
+    0^20 under (0.3, 0.7) by 2.3e-6 relative: the rows sum to 1 only to
+    rounding, and cond(I - Q) is about 1/mu(A).
+    """
+    chain = ProductChain(source, target)
+    n = chain.n_states
+    q = [[Fraction(x) for x in row] for row in chain.survive.tolist()]
+    a = [[-x for x in row] + [Fraction(1)] for row in q]
+    for i, into in enumerate(chain.into_match.tolist()):
+        a[i][i] = Fraction(into) + sum(q[i]) - q[i][i]
+    for k in range(n):  # Gaussian elimination; an M-matrix needs no pivoting
+        for i in range(k + 1, n):
+            ratio = a[i][k] / a[k][k]
+            for c in range(k, n + 1):
+                a[i][c] -= ratio * a[k][c]
+    w = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        w[k] = (a[k][n] - sum(a[k][c] * w[c] for c in range(k + 1, n))) / a[k][k]
+    w = np.array([float(x) for x in w])
+    return np.array([np.linalg.matrix_power(chain.survive, k)[chain.match_index] @ w for k in ks])
 
 
 def scatter_block_step(chain, v: np.ndarray) -> np.ndarray:

@@ -358,11 +358,13 @@ class TestMainEntry:
         ids=["replica-n-replicas", "ergodic-n-digits", "exact-ce-word", "mc-ce-system"],
     )
     def test_runner_requires_its_keys(self, tmp_path, capsys, subcommand, cfg, key):
+        # the schema asks for each mode's and flavor's keys, so no run directory is made
         path = _write_config(tmp_path, dict(cfg, out=str(tmp_path / "r")))
         assert main([subcommand, "--config", str(path)]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
-        assert record["message"].endswith(f"requires {key}")
+        assert record["message"] == f"config field (root): '{key}' is a required property"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "cfg,field",

@@ -117,7 +117,7 @@ GOLDEN = {
         "manifest.json": "97dd34d9692b5ff8063d0c89673f9df188a5102aa3e42b3ca30054c1efb67ec0",
     },
     "verify-identities": {
-        "identities.csv": "291d979f38298dc623031e0ac44ef39bb4c9e6489e7d33cd733e3fb13f7e0b2e",
+        "identities.csv": "2f38acd610dc11fb4e5bf78497fee23c496b3134ae6830ee6c8e32aebf2da593",
         "manifest.json": "9c7167f13decfeefa1f354bc17efd6b32af574cd10cc36f39427bb430307edb2",
     },
     "counterexample-exact": {

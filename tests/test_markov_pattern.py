@@ -36,6 +36,7 @@ from hittimes.markov_pattern.automaton import _border_lengths
 from hittimes.markov_pattern.exact import (
     _BLOCK,
     _MASS_DRIFT_TOL,
+    ExactPMF,
     ProductChain,
     _absorption_series,
     _closing_tail,
@@ -46,8 +47,10 @@ from oracles import (
     brute_hitting_masses,
     brute_return_masses,
     brute_shift_identity_lhs,
+    matrix_power_excess,
     scatter_block_step,
     stepwise_hitting_masses,
+    stepwise_shift_lhs,
 )
 
 FAIR = MarkovSource.iid([0.5, 0.5])
@@ -396,6 +399,13 @@ class TestIdentities:
         lhs, rhs = verify_shift_identity_grid(FAIR, target, ret, 8, 9)
         assert np.max(np.abs(lhs - rhs)) < 1e-15
 
+    def test_shift_split_over_budget_refused_before_stepping(self):
+        # 72 * (2^24 + 3) ~ 1.21e9 state updates of the 12-state split chain;
+        # np.zeros maps its pages lazily, so the law costs no memory
+        law = ExactPMF(1, np.zeros(2**24), 0.0)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            verify_shift_identity_grid(MARKOV3, PatternTarget(word=(0, 1, 2)), law, 2**24, 1)
+
     def test_inducing_identity_k1_is_mu_a(self):
         # at k = 1 both sides equal mu(A)
         pmf = hitting_pmf(FAIR, PatternTarget(word=(1, 1)), "stationary", 1)
@@ -493,14 +503,18 @@ class TestReturnExcess:
             return_excess(FAIR, PatternTarget(word=(1,)), [0, -1])
 
 
+def _assert_rtol_zeros_exact(got, want, rtol=1e-14):
+    zero = want == 0.0
+    np.testing.assert_array_equal(got == 0.0, zero)
+    rel = np.abs(got[~zero] - want[~zero]) / want[~zero]
+    assert rel.max(initial=0.0) <= rtol
+
+
 def _assert_matches_stepwise(source, target, initial, k_max):
     """Blocked masses within 1e-12 relative of the step loop, zeros exact, tails 1e-12."""
     pmf = hitting_pmf(source, target, initial, k_max)
     masses, tail = stepwise_hitting_masses(source, target, initial, k_max)
-    zero = masses == 0.0
-    np.testing.assert_array_equal(pmf.masses == 0.0, zero)
-    rel = np.abs(pmf.masses[~zero] - masses[~zero]) / masses[~zero]
-    assert rel.max(initial=0.0) <= 1e-12
+    _assert_rtol_zeros_exact(pmf.masses, masses, 1e-12)
     assert abs(pmf.tail - max(tail, 0.0)) <= 1e-12
 
 
@@ -774,12 +788,10 @@ class TestConvergenceTable:
         assert t.min() >= 0.5 - 1e-9 and t.max() <= 2.0 + 1e-9
         assert ks.size >= 10
 
-    def test_full_measure_target_rejected(self):
-        src = MarkovSource.iid([0.5, 0.5])
-        with pytest.raises(ValidationError):
-            # single-symbol words always have measure < 1, so force mu >= 1
-            # via a tiny two-symbol chain is impossible; use delta validation
-            k_grid(0.5, 0.0)
+    @pytest.mark.parametrize("delta", [0.0, -0.5, 1.5, math.nan])
+    def test_k_grid_refuses_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ValidationError, match="delta must lie in"):
+            k_grid(0.5, delta)
 
 
 class TestCounterexample:
@@ -826,6 +838,59 @@ def small_markov_sources(draw):
 def small_words(draw):
     length = draw(st.integers(1, 4))
     return tuple(draw(st.integers(0, 1)) for _ in range(length))
+
+
+VERIFY_MARKOV3 = MarkovSource.from_transitions(
+    [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+)
+# the identity words, both words of the verify-identities golden, and a rare
+# word whose occurrences overlap at every shift
+SERIES_WORDS = IDENTITY_WORDS + [
+    (VERIFY_MARKOV3, (0, 1, 2, 0, 1, 2)), (VERIFY_MARKOV3, (0, 0, 1, 1, 2, 2)),
+    (BIASED, (0,) * 20),
+]
+
+
+class TestSeriesAgainstStepLoops:
+    """The split grid and the return excess, both `_absorption_series` calls,
+    against the step loops they replaced."""
+
+    @pytest.mark.parametrize("source,word", SERIES_WORDS)
+    def test_shift_grid_matches_step_loop(self, source, word):
+        target = PatternTarget(word=word)
+        j_max, m_max = 700, 600
+        lhs, _ = verify_shift_identity_grid(
+            source, target, return_pmf(source, target, j_max + m_max - 1), j_max, m_max
+        )
+        _assert_rtol_zeros_exact(lhs, stepwise_shift_lhs(source, target, j_max, m_max))
+
+    @pytest.mark.parametrize("source,word", SERIES_WORDS)
+    def test_excess_matches_matrix_powers(self, source, word):
+        target = PatternTarget(word=word)
+        ks = [0, 1, 3, 16, 64, 511, 512, 513]
+        _assert_rtol_zeros_exact(
+            return_excess(source, target, ks), matrix_power_excess(source, target, ks)
+        )
+
+    def test_empty_ks_give_no_excess(self):
+        assert return_excess(FAIR, PatternTarget(word=(1, 1)), []).shape == (0,)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        small_markov_sources(),
+        st.lists(st.integers(0, 2), min_size=1, max_size=5),
+        st.integers(1, 20),
+        st.integers(1, 20),
+    )
+    def test_randomized(self, source, word, j_max, m_max):
+        target = PatternTarget(word=tuple(c % source.alphabet_size for c in word))
+        ret = return_pmf(source, target, j_max + m_max - 1)
+        lhs, _ = verify_shift_identity_grid(source, target, ret, j_max, m_max)
+        _assert_rtol_zeros_exact(lhs, stepwise_shift_lhs(source, target, j_max, m_max))
+        ks = [0, j_max, m_max]
+        _assert_rtol_zeros_exact(
+            return_excess(source, target, ks), matrix_power_excess(source, target, ks)
+        )
 
 
 class TestProperties:
