@@ -14,6 +14,15 @@ generation order yields a stationary forward digit sequence: if y_0 ~ mu and
 y_j = v_{k_j}(y_{j-1}), then (y_n, k_n, k_{n-1}, ..., k_1) is distributed as
 (x, a_1(x), ..., a_n(x)) with x ~ mu.
 
+For the two systems here generation order has the forward law as well:
+doubling digits are i.i.d., and Gauss cylinders are reversal-symmetric,
+mu[a_1..a_n] = mu[a_n..a_1], since the natural extension's density
+1/((1+xy)^2 ln 2) is symmetric in x and y. So (k_1, ..., k_n) is distributed
+as (a_1, ..., a_n) too, and the replica estimator reads hits in generation
+order, which lets a replica stop at its last needed hit. `generate_stream`
+returns the reversed order, which is exact for any system and ends at the
+anchor point.
+
 Concrete systems: the continued-fraction (Gauss) map, whose branch law has a
 closed-form inverse CDF thanks to the telescoping cumulative
 C_K(y) = 1 - (1+y)/(K+1+y), and the doubling map as the fair-bit reference

@@ -35,6 +35,7 @@ from .markov_pattern import (
     counterexample_pruned_target,
     hitting_pmf,
     llt_convergence_table,
+    require_shift_split_budget,
     return_excess,
     return_pmf,
     verify_inducing_identity,
@@ -350,10 +351,12 @@ def _run_verify_identities(cfg: dict, run_dir: Path) -> dict:
     k_max = cfg.get("k_max", 4096)
     j_max = cfg.get("j_max", 64)
     m_max = cfg.get("m_max", 64)
+    targets = [PatternTarget(word=tuple(word)) for word in cfg["words"]]
+    for target in targets:  # the split's cost is known before any law is computed
+        require_shift_split_budget(source, target, j_max)
     rows = []
     worst = 0.0
-    for word in cfg["words"]:
-        target = PatternTarget(word=tuple(word))
+    for word, target in zip(cfg["words"], targets):
         label = "".join(str(c) for c in word)
         mu = source.word_measure(target.word)
         # one stationary and one return law per word, each at the largest horizon read

@@ -11,18 +11,26 @@ Two estimator modes, matching the two conditioning measures of the limit laws:
 
 Replica generation is vectorized over chunks of fixed size; each chunk owns a
 Philox substream keyed by its index, and merging is integer-count addition,
-so results are independent of worker scheduling. Because streams are built
-backward (see `branch_systems`), a replica's first forward hit is the last
-qualifying step of its backward chain; registers of the last d backward hits
-therefore capture the first d forward gaps and marks without materializing
-the stream. Word hits come from the occurrence automaton of the reversed word
-(`markov_pattern.build_automaton`), one table lookup per replica-step, so the
-word length is unlimited.
+so results are independent of worker scheduling. A replica's backward chain
+emits digits in generation order, the reverse of the forward digits of its
+end point (see `branch_systems`). Both systems are time-reversible: doubling
+digits are i.i.d., and a Gauss cylinder has mu[a_1..a_n] = mu[a_n..a_1],
+because the density 1/((1+xy)^2 ln 2) of the natural extension is symmetric
+(Nakada, Ito and Tanaka 1977; Iosifescu and Kraaikamp, *Metrical Theory of
+Continued Fractions*, 2002). So the digits in generation order have the law
+of the forward digits, and the first d hits read in that order have the law
+of the first d forward hits. A replica therefore stops at its d-th hit, and
+``max_steps`` only censors. Step s draws one uniform per replica with fewer
+than d hits, in replica order. Word hits come from the occurrence automaton
+of the word (`markov_pattern.build_automaton`), one table lookup per
+replica-step, so the word length is unlimited; a hit marks an occurrence's
+end, l - 1 steps after its start.
 
-A chunk's step allocates no n-element array: `BranchSystem.branch_array(y, u,
-k)` overwrites ``y`` with the preimages and ``k`` with the digits (float64,
-integer-valued) and may use ``u`` as scratch; the uniforms are drawn into one
-buffer, and every register takes the step's hit indices, computed once.
+`BranchSystem.branch_array(y, u, k)` steps the live replicas in place: it
+overwrites ``y`` with the preimages and ``k`` with the digits (float64,
+integer-valued) and may use ``u`` as scratch. The uniforms and digits go into
+two chunk-sized buffers cut to the live count, and the live arrays are
+compacted on every step where a replica finishes.
 
 The library imports no SciPy: its one distribution value, the 99% normal
 quantile of `wilson_interval`, is a constant, and importing `scipy.stats`
@@ -172,22 +180,27 @@ def _replica_chunk(
     seed: int,
     substream: int,
     mark_cap: int,
-) -> tuple[dict[tuple[int, ...], int], int]:
-    """Counts of (tau, psi) tuples for one chunk of replicas.
+) -> tuple[dict[tuple[int, ...], int], int, int]:
+    """Counts of (tau, psi) tuples for one chunk of replicas, the censored
+    count and the number of replica-steps run.
 
-    The backward chain runs max_steps steps; registers hold the positions and
-    values of the last d qualifying backward steps, which are the first d
-    forward hits in reverse order. For word targets ``table`` is the
-    occurrence automaton of the reversed word over alpha + 1 symbols: digits
-    >= alpha read as the extra symbol alpha, which no word symbol equals.
+    Hits are read in generation order, which has the forward law (module
+    docstring), so a replica stops at its d-th hit; ``max_steps`` only
+    censors. Step s draws one uniform per replica with fewer than d hits, in
+    replica order, and the live arrays are compacted on every step where a
+    replica finishes. For word targets ``table`` is the occurrence automaton
+    of the word itself over alpha + 1 symbols: digits >= alpha read as the
+    extra symbol alpha, which no word symbol equals. A hit then marks an
+    occurrence's end, so tau_1 is the hit step minus (l - 1).
     """
     rng = make_rng(seed, substream)
     y = system.stationary_array(rng.random(n))
     u = np.empty(n)
     k = np.empty(n)
-    mask = np.empty(n, dtype=bool)
-    # (position, mark) of the last d hits; word cells carry no mark
-    reg = np.zeros((d, 2 if table is None else 1, n))
+    ids = np.arange(n)  # replica index of each live entry
+    count = np.zeros(n, dtype=np.int64)  # hits so far of each live entry
+    # step and mark of every replica's hits, by replica index; word hits carry no mark
+    reg = np.zeros((d, 2 if table is None else 1, n), dtype=np.int64)
     if table is not None:
         # states are kept premultiplied by the row length, so that
         # state + symbol indexes the flattened table
@@ -195,26 +208,43 @@ def _replica_chunk(
         flat = (table * (alpha + 1)).ravel()
         full = flat.size - (alpha + 1)
         state = np.zeros(n, dtype=np.int64)
-        idx = np.empty(n, dtype=np.int64)
+    steps_run = 0
     for step in range(1, max_steps + 1):
-        system.branch_array(y, rng.random(out=u), k)
+        live = y.size
+        steps_run += live
+        uu, kk = u[:live], k[:live]
+        system.branch_array(y, rng.random(out=uu), kk)
         if table is None:
-            hits = np.flatnonzero(np.greater_equal(k, target.threshold, out=mask))
+            hits = np.flatnonzero(kk >= target.threshold)
             if target.prime_variant:
-                hits = hits[_prime_mask(k[hits])]
+                hits = hits[_prime_mask(kk[hits])]
         else:
-            np.copyto(idx, np.minimum(k, alpha, out=k), casting="unsafe")
+            idx = np.minimum(kk, alpha).astype(np.int64)
             idx += state
-            np.take(flat, idx, out=state)
-            hits = np.flatnonzero(np.equal(state, full, out=mask))
-        reg[1:, :, hits] = reg[:-1, :, hits]
-        reg[0, 0, hits] = step
+            state = flat[idx]
+            hits = np.flatnonzero(state == full)
+        if not hits.size:
+            continue
+        nth, who = count[hits], ids[hits]
+        reg[nth, 0, who] = step
         if table is None:
-            reg[0, 1, hits] = k[hits]
-    done = reg[:, :, reg[d - 1, 0] > 0].astype(np.int64)
+            reg[nth, 1, who] = kk[hits]
+        nth += 1
+        count[hits] = nth
+        finished = hits[nth == d]
+        if finished.size == live:
+            break
+        if finished.size:
+            keep = np.ones(live, dtype=bool)
+            keep[finished] = False
+            y, ids, count = y[keep], ids[keep], count[keep]
+            if table is not None:
+                state = state[keep]
+    done = reg[:, :, reg[d - 1, 0] > 0]
     censored = n - done.shape[2]
-    # forward gaps: the first from the chain's end, then between backward hits
-    done[:, 0] = -np.diff(done[:, 0], axis=0, prepend=max_steps + 1)
+    # forward gaps: the first from the start of the occurrence, then between hits
+    lead = 0 if table is None else len(target.word) - 1
+    done[:, 0] = np.diff(done[:, 0], axis=0, prepend=lead)
     if table is None:
         marks = done[:, 1]
         marks[marks > mark_cap] = OVERFLOW_MARK
@@ -226,7 +256,7 @@ def _replica_chunk(
     np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=len(keys))
-    return dict(zip(map(tuple, keys[starts].tolist()), counts.tolist())), censored
+    return dict(zip(map(tuple, keys[starts].tolist()), counts.tolist())), censored, steps_run
 
 
 def estimate_first_passage(
@@ -247,8 +277,10 @@ def estimate_first_passage(
     ``DEFAULT_MARK_CAP_EXCESS`` is recorded as ``OVERFLOW_MARK``. Replicas
     without d hits inside max_steps land in the censoring count; a censoring
     fraction above ``DEFAULT_CENSOR_BOUND`` is flagged in ``meta`` (not
-    fatal). Chunk boundaries are fixed by ``chunk_size`` alone, so results do
-    not depend on ``workers``.
+    fatal). A replica stops at its d-th hit, so ``max_steps`` is only the
+    censoring cap, and ``meta["replica_steps"]`` counts the replica-steps
+    that ran. Chunk boundaries are fixed by ``chunk_size`` alone, so results
+    do not depend on ``workers``.
     """
     if n_replicas < 1 or d < 1 or max_steps < 1 or chunk_size < 1:
         raise ValidationError("n_replicas, d, max_steps and chunk_size must all be >= 1")
@@ -256,15 +288,14 @@ def estimate_first_passage(
         raise ValidationError("max_steps shorter than the target word")
     table = None
     if target.word is not None:
-        # the backward stream carries the word reversed
         alpha = max(2, max(target.word) + 1)
-        table = build_automaton(PatternTarget(word=target.word[::-1]), alpha + 1).table
+        table = build_automaton(PatternTarget(word=target.word), alpha + 1).table
     mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
     sizes = [chunk_size] * (n_replicas // chunk_size)
     if n_replicas % chunk_size:
         sizes.append(n_replicas % chunk_size)
 
-    def run(i: int) -> tuple[dict[tuple[int, ...], int], int]:
+    def run(i: int) -> tuple[dict[tuple[int, ...], int], int, int]:
         return _replica_chunk(
             system, target, table, sizes[i], d, max_steps, seed, i, mark_cap
         )
@@ -275,9 +306,10 @@ def estimate_first_passage(
     else:
         results = [run(i) for i in range(len(sizes))]
     counts: dict[tuple[int, ...], int] = {}
-    censored = 0
-    for part, cens in results:
+    censored = steps_run = 0
+    for part, cens, steps in results:
         censored += cens
+        steps_run += steps
         for key, c in part.items():
             counts[key] = counts.get(key, 0) + c
     frac = censored / n_replicas
@@ -290,6 +322,7 @@ def estimate_first_passage(
         "mark_cap": mark_cap,
         "censored_fraction": frac,
         "censoring_flag": frac > DEFAULT_CENSOR_BOUND,
+        "replica_steps": steps_run,
     }
     return EmpiricalPMF(counts=counts, n_total=n_replicas, censored=censored, meta=meta)
 

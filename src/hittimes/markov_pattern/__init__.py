@@ -10,6 +10,7 @@ from .exact import (
     block_set_return_pmf,
     consecutive_joint_pmf,
     hitting_pmf,
+    require_shift_split_budget,
     return_excess,
     return_pmf,
     theta_exact,
@@ -45,6 +46,7 @@ __all__ = [
     "hitting_pmf",
     "k_grid",
     "llt_convergence_table",
+    "require_shift_split_budget",
     "return_excess",
     "return_pmf",
     "theta_exact",

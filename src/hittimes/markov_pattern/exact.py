@@ -55,6 +55,13 @@ _BUDGET_STATES = 2**22  # largest block chain, in states
 _BUDGET_OPS = 10**9  # largest law, in state updates (state-symbol updates for the block chain)
 
 
+def _require_budget(updates: int) -> None:
+    if updates > _BUDGET_OPS:
+        raise BudgetExceededError(
+            f"product chain needs ~{updates:.2e} state updates, budget is {_BUDGET_OPS:.2e}"
+        )
+
+
 def _absorption_series(
     sub: np.ndarray, into: np.ndarray, v: np.ndarray, steps: int
 ) -> np.ndarray:
@@ -66,10 +73,7 @@ def _absorption_series(
     horizon costs O(log B) small matmuls; then every B masses are one ``v @ C``
     followed by ``v = v @ Q^B``. Past ``_BUDGET_OPS`` state updates it refuses.
     """
-    if v.size * steps > _BUDGET_OPS:
-        raise BudgetExceededError(
-            f"product chain needs ~{v.size * steps:.2e} state updates, budget is {_BUDGET_OPS:.2e}"
-        )
+    _require_budget(v.size * steps)
     b_size = min(_BLOCK, steps)
     if b_size < 1:
         return np.zeros(v.shape[:-1] + (0,))
@@ -333,6 +337,17 @@ def verify_inducing_identity(
     surv = np.cumsum(np.concatenate(([ret.tail], ret.masses[::-1])))[::-1]
     idx = np.array(ks) - 1
     return float(np.max(np.abs(hit.masses[idx] - mu_a * surv[idx])))
+
+
+def require_shift_split_budget(source: MarkovSource, target: PatternTarget, j_max: int) -> None:
+    """Refuse a shift split past the series kernel's budget before any law is computed.
+
+    The split of `verify_shift_identity_grid` is one series of j_max + l
+    steps from the n rows of a 2n-state chain, n = alphabet + l: 2n^2 (j_max
+    + l) state updates, checked as `_absorption_series` checks them.
+    """
+    n = source.alphabet_size + target.length
+    _require_budget(2 * n * n * (j_max + target.length))
 
 
 def verify_shift_identity_grid(

@@ -12,9 +12,11 @@ identity's original matched/unmatched step loop and `matrix_power_excess` the
 return excess's original matrix power per K, for the same use.
 `scatter_block_step` likewise keeps the block chain's original scatter step,
 so that the shift-structured step can be held to it bit for bit.
-`allocating_replica_chunk`, with the allocating branch kernels of
-`GAUSS_ALLOCATING` and `DOUBLING_ALLOCATING`, keeps the replica estimator's
-original boolean-mask register kernel for the same use.
+`generation_order_replica_chunk` replays the replica chunk's draws and
+reads each replica's materialized digits with `scan_hits`, so that the chunk
+can be held to it exactly. `backward_register_replica_chunk` keeps the chunk
+as it was before replicas stopped at their d-th hit, the old-order sample
+that the two-sample tests compare the chunk's law with.
 `scalar_stream` keeps `generate_stream`'s original loop, one scalar backward
 step per digit (`scalar_steps`, which looks the step up by system name), so
 that the lane-parallel stream can be held to it bit for bit.
@@ -29,23 +31,19 @@ counts with. It lives here, not in the package, because it needs
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
 from scipy import stats
 
 from hittimes.branch_systems import (
-    DIGIT_CAP,
-    DOUBLING,
-    GAUSS,
     DigitStream,
     doubling_branch_sample,
     gauss_branch_sample,
     make_rng,
 )
-from hittimes.errors import SamplingError, ValidationError
-from hittimes.estimators import OVERFLOW_MARK, _prime_mask
+from hittimes.errors import ValidationError
+from hittimes.estimators import OVERFLOW_MARK, _prime_mask, scan_hits
 from hittimes.markov_pattern.exact import ProductChain
 
 
@@ -280,26 +278,7 @@ def gauss_branch_cum(k_top: int, y: float) -> float:
     return 1.0 - (1.0 + y) / (k_top + 1.0 + y)
 
 
-def _gauss_branch_array(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    raw = np.ceil((1.0 + y) / (1.0 - u) - 1.0 - y)
-    k = np.maximum(raw, 1.0)
-    if np.any(k > DIGIT_CAP):
-        raise SamplingError("digit above cap 2**62; refusing to wrap")
-    k = k.astype(np.int64)
-    return k, 1.0 / (k + y)
-
-
-def _doubling_branch_array(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    bit = (u >= 0.5).astype(np.int64)
-    return bit, (y + bit) / 2.0
-
-
-# branch_array(y, u) -> (int64 digits, new preimages), allocating both
-GAUSS_ALLOCATING = dataclasses.replace(GAUSS, branch_array=_gauss_branch_array)
-DOUBLING_ALLOCATING = dataclasses.replace(DOUBLING, branch_array=_doubling_branch_array)
-
-
-def allocating_replica_chunk(
+def backward_register_replica_chunk(
     system,
     target,
     table: np.ndarray | None,
@@ -310,54 +289,114 @@ def allocating_replica_chunk(
     substream: int,
     mark_cap: int,
 ) -> tuple[dict[tuple[int, ...], int], int]:
-    """`estimators._replica_chunk` as it was before the in-place step: fresh
-    arrays every step and one boolean-mask update per register. ``system``
-    must carry an allocating ``branch_array``."""
+    """`estimators._replica_chunk` as it was before replicas stopped at their
+    d-th hit: every replica runs all ``max_steps`` backward steps, and
+    registers of its last d backward hits, which are the first d forward hits
+    in reverse order, make the key. For word targets ``table`` is the
+    occurrence automaton of the *reversed* word. It draws n uniforms every
+    step, so it samples the same law as the chunk from other bytes."""
     rng = make_rng(seed, substream)
     y = system.stationary_array(rng.random(n))
-    reg_pos = np.zeros((d, n), dtype=np.int64)
-    reg_val = np.zeros((d, n), dtype=np.int64)
+    u = np.empty(n)
+    k = np.empty(n)
+    mask = np.empty(n, dtype=bool)
+    # (position, mark) of the last d hits; word cells carry no mark
+    reg = np.zeros((d, 2 if table is None else 1, n))
     if table is not None:
+        # states are kept premultiplied by the row length, so that
+        # state + symbol indexes the flattened table
         alpha = table.shape[1] - 1
-        full = table.shape[0] - 1
+        flat = (table * (alpha + 1)).ravel()
+        full = flat.size - (alpha + 1)
         state = np.zeros(n, dtype=np.int64)
+        idx = np.empty(n, dtype=np.int64)
     for step in range(1, max_steps + 1):
-        u = rng.random(n)
-        k, y = system.branch_array(y, u)
+        system.branch_array(y, rng.random(out=u), k)
         if table is None:
-            hit = k >= target.threshold
-            if target.prime_variant and hit.any():
-                sub = np.zeros_like(hit)
-                sub[hit] = _prime_mask(k[hit])
-                hit = sub
+            hits = np.flatnonzero(np.greater_equal(k, target.threshold, out=mask))
+            if target.prime_variant:
+                hits = hits[_prime_mask(k[hits])]
         else:
-            state = table[state, np.minimum(k, alpha)]
-            hit = state == full
-        if hit.any():
-            for r in range(d - 1, 0, -1):
-                reg_pos[r][hit] = reg_pos[r - 1][hit]
-                reg_val[r][hit] = reg_val[r - 1][hit]
-            reg_pos[0][hit] = step
-            reg_val[0][hit] = k[hit]
-    complete = reg_pos[d - 1] > 0
-    n_complete = int(np.count_nonzero(complete))
-    censored = n - n_complete
-    if n_complete == 0:
-        return {}, censored
-    taus = np.empty((d, n_complete), dtype=np.int64)
-    taus[0] = max_steps - reg_pos[0][complete] + 1
-    for j in range(1, d):
-        taus[j] = reg_pos[j - 1][complete] - reg_pos[j][complete]
-    columns = []
-    for j in range(d):
-        columns.append(taus[j])
+            np.copyto(idx, np.minimum(k, alpha, out=k), casting="unsafe")
+            idx += state
+            np.take(flat, idx, out=state)
+            hits = np.flatnonzero(np.equal(state, full, out=mask))
+        reg[1:, :, hits] = reg[:-1, :, hits]
+        reg[0, 0, hits] = step
         if table is None:
-            marks = reg_val[j][complete].copy()
-            marks[marks > mark_cap] = OVERFLOW_MARK
-            columns.append(marks)
-    keys = np.stack(columns, axis=1)
-    uniq, cnt = np.unique(keys, axis=0, return_counts=True)
-    return {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, cnt)}, censored
+            reg[0, 1, hits] = k[hits]
+    done = reg[:, :, reg[d - 1, 0] > 0].astype(np.int64)
+    censored = n - done.shape[2]
+    # forward gaps: the first from the chain's end, then between backward hits
+    done[:, 0] = -np.diff(done[:, 0], axis=0, prepend=max_steps + 1)
+    if table is None:
+        marks = done[:, 1]
+        marks[marks > mark_cap] = OVERFLOW_MARK
+    # distinct keys with their counts, in lexicographic order; sorting the
+    # columns with lexsort is several times faster than np.unique(axis=0)
+    keys = done.transpose(2, 0, 1).reshape(-1, d * done.shape[1])
+    keys = keys[np.lexsort(keys.T[::-1])]
+    first = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys))
+    return dict(zip(map(tuple, keys[starts].tolist()), counts.tolist())), censored
+
+
+
+def generation_order_replica_chunk(
+    system, target, n: int, d: int, max_steps: int, seed: int, substream: int, mark_cap: int
+) -> tuple[dict[tuple[int, ...], int], int, int]:
+    """`estimators._replica_chunk` the slow way, to the byte: the same draws,
+    each replica's digits materialized in generation order and read with
+    `scan_hits`.
+
+    Step s draws one uniform per replica with fewer than d occurrences, in
+    replica order. A replica stops at the step where its d-th occurrence
+    ends: its new digit qualifies, or its last l digits spell the word. Then
+    `scan_hits` over its digits gives the occurrence starts and marks of its
+    key, and must find exactly d of them. Keys come in lexicographic order;
+    the last entry counts the replica-steps run.
+    """
+    rng = make_rng(seed, substream)
+    y = system.stationary_array(rng.random(n))
+    digits = np.zeros((n, max_steps), dtype=np.int64)
+    n_steps = np.zeros(n, dtype=np.int64)
+    n_hits = np.zeros(n, dtype=np.int64)
+    l = len(target.word or (0,))
+    live = np.arange(n)
+    for s in range(max_steps):
+        if not live.size:
+            break
+        y_live, k = y[live], np.empty(live.size)
+        system.branch_array(y_live, rng.random(live.size), k)
+        y[live] = y_live
+        digits[live, s] = k
+        n_steps[live] += 1
+        if target.word is None:
+            ended = scan_hits(digits[live, s], target)[0] - 1
+        elif s + 1 < l:
+            ended = np.empty(0, dtype=np.int64)
+        else:
+            ended = np.flatnonzero((digits[live, s + 1 - l : s + 1] == target.word).all(axis=1))
+        n_hits[live[ended]] += 1
+        live = live[n_hits[live] < d]
+    counts: dict[tuple[int, ...], int] = {}
+    censored = 0
+    for r in range(n):
+        pos, vals = scan_hits(digits[r, : n_steps[r]], target)
+        if n_hits[r] < d:
+            assert pos.size < d
+            censored += 1
+            continue
+        assert pos.size == d
+        key = []
+        for j in range(d):
+            key.append(int(pos[j] - (pos[j - 1] if j else 0)))
+            if target.word is None:
+                key.append(int(vals[j]) if vals[j] <= mark_cap else OVERFLOW_MARK)
+        counts[tuple(key)] = counts.get(tuple(key), 0) + 1
+    return dict(sorted(counts.items())), censored, int(n_steps.sum())
 
 
 SCALAR_STEP = {"gauss": gauss_branch_sample, "doubling": doubling_branch_sample}
@@ -422,3 +461,22 @@ def chi_square_gof(
         df = int(keep.sum()) - 1
     pvalue = float(stats.chi2.sf(stat, df))
     return stat, df, pvalue
+
+
+def chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, int, float]:
+    """Chi-square test that two count vectors over the same cells share one law.
+
+    Cells where the two samples hold fewer than 20 counts together are pooled
+    into one remainder cell. Returns (statistic, degrees of freedom, p-value).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValidationError("the two samples must have equal length")
+    keep = a + b >= 20.0
+    table = np.stack((a[keep], b[keep]))
+    rest = np.array([[a[~keep].sum()], [b[~keep].sum()]])
+    if rest.sum() > 0.0:
+        table = np.hstack((table, rest))
+    stat, pvalue, df, _ = stats.chi2_contingency(table, correction=False)
+    return float(stat), int(df), float(pvalue)

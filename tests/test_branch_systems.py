@@ -3,6 +3,7 @@
 interval endpoints (test-local, independent of the package)."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -43,8 +44,10 @@ def branch_array(system, y, u):
     return k, y_next
 
 
-def cf_cylinder_measure(word) -> float:
-    """Exact Gauss measure of {a_1..a_m = word} via continuant endpoints."""
+def cf_cylinder_ratio(word) -> Fraction:
+    """(1 + hi) / (1 + lo) for the endpoints lo < hi of the cylinder
+    {a_1..a_m = word}, exactly, from its continuants; the cylinder's Gauss
+    measure is log2 of it."""
     h_prev, h_cur = 1, 0
     k_prev, k_cur = 0, 1
     for a in word:
@@ -54,7 +57,12 @@ def cf_cylinder_measure(word) -> float:
     hi = Fraction(h_cur + h_prev, k_cur + k_prev)
     if lo > hi:
         lo, hi = hi, lo
-    return math.log2(float((1 + hi) / (1 + lo)))
+    return (1 + hi) / (1 + lo)
+
+
+def cf_cylinder_measure(word) -> float:
+    """Exact Gauss measure of {a_1..a_m = word} via continuant endpoints."""
+    return math.log2(float(cf_cylinder_ratio(word)))
 
 
 class TestCylinderOracle:
@@ -69,6 +77,26 @@ class TestCylinderOracle:
         for c1 in (1, 3):
             total = math.fsum(cf_cylinder_measure((c1, c2)) for c2 in range(1, 401))
             assert total == pytest.approx(cf_cylinder_measure((c1,)), rel=5e-3)
+
+
+class TestTimeReversal:
+    """Gauss cylinders are reversal-symmetric, mu[a_1..a_n] = mu[a_n..a_1]
+    (the natural extension's density 1/((1+xy)^2 ln 2) is symmetric), so
+    digits in generation order have the forward law, as the replica
+    estimator assumes. Doubling digits are i.i.d., so there it is immediate."""
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 5])
+    def test_cylinder_measure_is_reversal_symmetric(self, length):
+        for word in itertools.product((1, 2, 3, 7, 50, 61), repeat=length):
+            ratio = cf_cylinder_ratio(word)
+            assert ratio == cf_cylinder_ratio(word[::-1]), word
+            # the measure, to full relative precision however small
+            mu = math.log1p(float(ratio - 1)) / LN2
+            assert mu == math.log1p(float(cf_cylinder_ratio(word[::-1]) - 1)) / LN2 > 0.0
+
+    def test_permutations_other_than_reversal_move_the_measure(self):
+        # the symmetry is of reversal only: 1 2 3 and 2 1 3 differ
+        assert cf_cylinder_ratio((1, 2, 3)) != cf_cylinder_ratio((2, 1, 3))
 
 
 class TestGaussSampler:

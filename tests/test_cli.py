@@ -291,6 +291,31 @@ class TestRunners:
             for initial, k_max in (("stationary", 64), ("in_target", 79))
         ]
 
+    def test_verify_refuses_an_over_budget_shift_split_before_any_law(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the golden 3-state source, word 012012: the split's 2 * 9^2 *
+        # (10^7 + 6) state updates are past the 10^9 budget
+        calls = []
+        for name in ("hitting_pmf", "return_pmf", "verify_inducing_identity", "return_excess"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: calls.append(name))
+        cfg = {
+            "kind": "verify-identities",
+            "source": {
+                "type": "markov",
+                "transitions": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+            },
+            "words": [[0, 1, 2, 0, 1, 2]],
+            "j_max": 10**7,
+            "out": str(tmp_path / "r"),
+        }
+        path = _write_config(tmp_path, cfg)
+        assert main(["verify", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "BudgetExceededError"
+        assert "1.62e+09 state updates" in record["message"]
+        assert calls == []
+
     def test_report_over_previous_run(self, tmp_path):
         sim = dict(SIM_CFG, out=str(tmp_path / "runs"))
         sim_dir, _ = run_config(sim)

@@ -30,16 +30,17 @@ from hittimes.markov_pattern import (
     MarkovSource,
     PatternTarget,
     build_automaton,
+    consecutive_joint_pmf,
     hitting_pmf,
     return_pmf,
     verify_inducing_identity,
 )
 from hittimes.theory import CFPrediction, threshold_cell_measure
 from oracles import (
-    DOUBLING_ALLOCATING,
-    GAUSS_ALLOCATING,
-    allocating_replica_chunk,
+    backward_register_replica_chunk,
     chi_square_gof,
+    chi_square_two_sample,
+    generation_order_replica_chunk,
 )
 
 FAIR = MarkovSource.iid([0.5, 0.5])
@@ -84,42 +85,6 @@ class TestScanHits:
             TargetScan(word=(1, 0), prime_variant=True)
 
 
-def _replica_reference(system, target, n, d, max_steps, seed, substream, mark_cap):
-    """Slow reference: same uniform consumption as the chunk kernel, but
-    materializes each backward stream and scans the reversed (forward) digits."""
-    rng = make_rng(seed, substream)
-    y = system.stationary_array(rng.random(n))
-    k = np.empty(n)
-    digits = np.empty((n, max_steps), dtype=np.int64)
-    for step in range(max_steps):
-        u = rng.random(n)
-        system.branch_array(y, u.copy(), k)
-        digits[:, step] = k
-    counts: dict[tuple, int] = {}
-    censored = 0
-    for r in range(n):
-        fwd = digits[r, ::-1]
-        if target.word is not None:
-            pos, _ = scan_hits(fwd, target)
-            vals = None
-        else:
-            pos, vals = scan_hits(fwd, target)
-        if pos.size < d:
-            censored += 1
-            continue
-        key = []
-        prev = 0
-        for j in range(d):
-            key.append(int(pos[j]) - prev)
-            prev = int(pos[j])
-            if vals is not None:
-                v = int(vals[j])
-                key.append(v if v <= mark_cap else OVERFLOW_MARK)
-        key = tuple(key)
-        counts[key] = counts.get(key, 0) + 1
-    return counts, censored
-
-
 class TestReplicaEstimator:
     @pytest.mark.parametrize(
         "system,target,d",
@@ -141,21 +106,25 @@ class TestReplicaEstimator:
             (ONES, TargetScan.word_pattern((1,) * 40), 2),
         ],
     )
-    def test_register_scan_matches_materialized_reference(self, system, target, d):
+    def test_estimate_matches_materialized_reference(self, system, target, d):
         n, seed = 4000, 17
         max_steps = max(48, len(target.word or ()))
         got = estimate_first_passage(system, target, n, d, max_steps, seed, chunk_size=1024)
         mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
         want_counts: dict[tuple, int] = {}
-        want_censored = 0
+        want_censored = want_steps = 0
         sizes = [1024, 1024, 1024, 928]
         for i, sz in enumerate(sizes):
-            c, cens = _replica_reference(system, target, sz, d, max_steps, seed, i, mark_cap)
+            c, cens, steps = generation_order_replica_chunk(
+                system, target, sz, d, max_steps, seed, i, mark_cap
+            )
             want_censored += cens
+            want_steps += steps
             for k, v in c.items():
                 want_counts[k] = want_counts.get(k, 0) + v
         assert got.censored == want_censored
         assert got.counts == want_counts
+        assert got.meta["replica_steps"] == want_steps
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -170,21 +139,98 @@ class TestReplicaEstimator:
             (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 10**4),
         ],
     )
-    def test_chunk_matches_allocating_kernel_exactly(self, system, target, mark_cap, d):
-        allocating = {"gauss": GAUSS_ALLOCATING, "doubling": DOUBLING_ALLOCATING}[system.name]
+    def test_chunk_matches_generation_order_reference_exactly(self, system, target, mark_cap, d):
         table = None
         if target.word is not None:  # as estimate_first_passage builds it
             alpha = max(2, max(target.word) + 1)
-            table = build_automaton(PatternTarget(word=target.word[::-1]), alpha + 1).table
-        args = (target, table, 3000, d, 300, 19, 2, mark_cap)
-        counts, censored = _replica_chunk(system, *args)
-        want_counts, want_censored = allocating_replica_chunk(allocating, *args)
-        assert censored == want_censored
+            table = build_automaton(PatternTarget(word=target.word), alpha + 1).table
+        args = (3000, d, 300, 19, 2, mark_cap)
+        counts, censored, steps = _replica_chunk(system, target, table, *args)
+        want_counts, want_censored, want_steps = generation_order_replica_chunk(
+            system, target, *args
+        )
+        assert (censored, steps) == (want_censored, want_steps)
         assert counts == want_counts
         assert list(counts) == list(want_counts)  # the same key order too
         assert counts and censored < 3000
         if mark_cap == 6:
             assert any(OVERFLOW_MARK in key[1::2] for key in counts)
+
+    @pytest.mark.parametrize(
+        "system,target,d,max_steps,fields",
+        [
+            (GAUSS, TargetScan.digit_threshold(50), 1, 512, (0, 1)),
+            (DOUBLING, TargetScan.word_pattern((1, 1)), 1, 256, (0,)),
+            (GAUSS, TargetScan.digit_threshold(5), 2, 128, (0, 1, 2, 3)),
+            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 2, 256, (0, 1)),
+        ],
+        ids=["gauss", "doubling", "gauss-d2", "doubling-d2"],
+    )
+    def test_same_law_as_backward_registers(self, system, target, d, max_steps, fields):
+        # each key field's marginal, with censoring as one more cell, against
+        # the chunk as it ran every replica to max_steps; both seeds were
+        # fixed before either sample was drawn
+        n, chunk, seed = 2**17, 2**15, 191
+        new = estimate_first_passage(system, target, n, d, max_steps, seed, chunk_size=chunk)
+        table = None
+        if target.word is not None:
+            alpha = max(2, max(target.word) + 1)
+            table = build_automaton(PatternTarget(word=target.word[::-1]), alpha + 1).table
+        mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
+        old: dict[tuple, int] = {}
+        old_censored = 0
+        for i in range(n // chunk):
+            part, cens = backward_register_replica_chunk(
+                system, target, table, chunk, d, max_steps, seed + 1, i, mark_cap
+            )
+            old_censored += cens
+            for key, c in part.items():
+                old[key] = old.get(key, 0) + c
+
+        def marginal(counts, censored, field):
+            out = {None: censored}
+            for key, c in counts.items():
+                out[key[field]] = out.get(key[field], 0) + c
+            return out
+
+        for field in fields:
+            a = marginal(new.counts, new.censored, field)
+            b = marginal(old, old_censored, field)
+            cells = sorted(set(a) | set(b), key=lambda v: (v is None, v))
+            stat, df, p = chi_square_two_sample(
+                [a.get(v, 0) for v in cells], [b.get(v, 0) for v in cells]
+            )
+            assert df >= 3, field
+            assert p > 1e-3, (field, stat, df)
+
+    def test_replica_steps_count_the_steps_run(self):
+        # every replica-step runs the branch kernel once per live replica
+        ran = []
+
+        def counting(y, u, k):
+            ran.append(y.size)
+            GAUSS.branch_array(y, u, k)
+
+        system = dataclasses.replace(GAUSS, branch_array=counting)
+        for target, d in ((TargetScan.digit_threshold(3), 2), (TargetScan.word_pattern((2, 1, 1)), 1)):
+            ran.clear()
+            got = estimate_first_passage(system, target, 5000, d, 16, seed=4, chunk_size=2048)
+            assert got.meta["replica_steps"] == sum(ran)
+            assert 0 < got.censored and sum(ran) < 5000 * 16
+
+    def test_word_pairs_match_exact_joint_law(self):
+        # the first gap is shifted by l - 1 from the occurrence's end and the
+        # second is a return gap; both against the exact joint law at 5 sigma
+        n = 200_000
+        got = estimate_first_passage(
+            DOUBLING, TargetScan.word_pattern((1, 0, 1)), n, 2, 256, seed=24
+        )
+        target = PatternTarget(word=(1, 0, 1))
+        for k1 in range(1, 9):
+            for k2 in range(1, 9):
+                p = consecutive_joint_pmf(FAIR, target, [k1, k2])
+                c = got.counts.get((k1, k2), 0)
+                assert abs(c - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (k1, k2)
 
     def test_censoring_integer_identity(self):
         got = estimate_first_passage(

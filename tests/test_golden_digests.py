@@ -103,14 +103,14 @@ GOLDEN = {
         "return.csv": "0642d4dab7f1ee6ce764fad1adadcb9c7bcbf28da6439df12f0c830b4fb86787",
     },
     "replica": {
-        "counts.csv": "d49a2f7bd1a9b56bceeb38cab53a856dab963addcd423612f584ccaa83c81a75",
-        "estimate.csv": "46e28affce834732c085d5a524fcbfedd653586100bee60db5f2a0e6cc3798f2",
-        "manifest.json": "138e812949d6bde42768677850d69a3e5a274bb2492cdad71e300d9f216af280",
+        "counts.csv": "f68e65304ddc98e78afc6ac3db0dd012a63cb9dd2e227619ba15ad76eb06cc54",
+        "estimate.csv": "ca4437bd65df486062b0ffaaa36579669965096409f19f520059655391c0b520",
+        "manifest.json": "12b12e6273d164eca3934e03699068138cca5db5ad240844e4abb9d39b6effdf",
     },
     "replica-d2": {
-        "counts.csv": "32eaccb5ed04c35df64fa86356e99a1104b734a34676d88168fab87b637d851b",
-        "estimate.csv": "665c02c780dc1e01b2f9862be741b5ba694ac4117195db4c9c6c0805b138d692",
-        "manifest.json": "d63fbf5c48aa723de9913f9684388b20dce6bb0538e580b655278d6800462825",
+        "counts.csv": "4cbc43d8f053e6c84bf614a3867b2f7e235937e9b0b0888f55aea14714398070",
+        "estimate.csv": "2e100da7de74cb345ec94ad0719cab8578d202120495ba23d33780b64a287bbc",
+        "manifest.json": "38acc91281f33ca26c6949da2ab8adb85520a921455659defd1eb5c4bb8bd84d",
     },
     "ergodic": {
         "counts.csv": "a0d47b377ed2c80f30ab1fd1a38fab96ef838a75c8e4c3305ed355f72375d8fa",
