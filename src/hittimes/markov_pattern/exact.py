@@ -20,7 +20,9 @@ Snell, *Finite Markov Chains*, 1960, for the algebra of substochastic kernels).
 Every product-chain series is one call of it: the hitting and return laws,
 the gap legs, the shift identity's matched/unmatched split (itself a
 substochastic chain on twice the states) and the return excess. The block
-chain keeps its own step loop, the independent cross-check.
+chain keeps its own step loop, the independent cross-check: a step at rank
+>= 2 sums out the dropped symbol, on which no weight depends, and then makes
+one multiply by the transitions out of the kept last symbol.
 Return-time expectations need no horizon: `return_excess` solves (I - Q) w = 1
 by GTH elimination (Grassmann, Taksar and Heyman, *Oper. Res.* 1985), which
 keeps full relative precision however rare the target.
@@ -202,8 +204,7 @@ def hitting_pmf(
     ``initial`` selects the starting law: "stationary" for the invariant
     measure, or "in_target" for conditioning on the cylinder (the return law).
     """
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    (k_max,) = _int_tuple((k_max,), "k_max", 1)
     # a vector start would reach the name comparisons below as an array
     if not isinstance(initial, str) or initial not in ("stationary", "in_target"):
         raise ValidationError(f"unknown initial distribution {initial!r}")
@@ -367,8 +368,7 @@ def verify_shift_identity_grid(
     Right: mu(A n {m <= phi_A < m + j}) from ``ret``, the target's return
     law to at least j_max + m_max - 1.
     """
-    if j_max < 1 or m_max < 1:
-        raise ValidationError("j_max and m_max must be >= 1")
+    j_max, m_max = _int_tuple((j_max, m_max), "j_max and m_max", 1)
     horizon = m_max + j_max - 1
     _require_horizon(ret, horizon, "return")
     chain = ProductChain(source, target)
@@ -399,20 +399,24 @@ class BlockChain:
     Tuples are encoded base-S with the most recent symbol in the lowest
     digit: index = sum_t block[t] * S^(r-1-t), so a shift-and-append is
     (index mod S^(r-1)) * S + c. Writing index = t * S^(r-1) + m, block
-    (t, m) moves to (m, c): the S predecessors of output (m, c) are the S rows
-    of ``v.reshape(S, S^(r-1))`` at column m, one per dropped symbol t. Their
-    weights are the transitions out of each predecessor's own last symbol,
-    ``index mod S`` (which is t, not m mod S, at rank 1). The weights are
-    held as one C-contiguous (S, S, S^(r-1)) table laid out [c, t, m], so a
-    step's products and adds all run over contiguous rows, into two buffers of
-    S^(r-1) entries; only the copy of each symbol's column into the output is
-    strided. Targets are arbitrary sets of equal-rank tuples, which covers
-    unions of cylinders.
+    (t, m) moves to (m, c) with the transition out of its last symbol,
+    ``index mod S``. At rank >= 2 that symbol is m mod S, whatever the
+    dropped symbol t, so a step sums t out of ``v.reshape(S, S^(r-1))`` and
+    multiplies the marginal once by a C-contiguous (S, S^(r-1)) table
+    weight[c, m] = P[m mod S, c], written into the outputs' columns c. At
+    rank 1 the last symbol is t, and the step sums the products v[t] P[t, c]
+    over t, as a scatter does, bit for bit.
+
+    Summing before multiplying rounds differently from a scatter's sum of
+    products. Against the scatter in extended precision, every entry after
+    k steps lies within 2 S k 2^-53 relative, and the zero entries are the
+    same. Transitions of 1/2 (the fair coin) scale exactly, so there the step
+    is the scatter's bit for bit at every rank. Targets are arbitrary sets of
+    equal-rank tuples, which covers unions of cylinders.
     """
 
     def __init__(self, source: MarkovSource, rank: int) -> None:
-        if rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {rank}")
+        (rank,) = _int_tuple((rank,), "rank", 1)
         s = source.alphabet_size
         n = s**rank
         if n > _BUDGET_STATES:
@@ -423,19 +427,8 @@ class BlockChain:
         self.rank = rank
         self.n_states = n
         self._mod = s ** (rank - 1)
-        last = np.arange(n, dtype=np.int64) % s
-        # weight[c, t, m]: transition into c from block t * S^(r-1) + m
-        self._weight = np.ascontiguousarray(source.transitions[last].T).reshape(s, s, self._mod)
-
-    def encode(self, block: Sequence[int]) -> int:
-        s = self.source.alphabet_size
-        w = _int_tuple(block, "word symbols", 0, s)
-        if len(w) != self.rank:
-            raise ValidationError(f"block must have length {self.rank}")
-        idx = 0
-        for c in w:
-            idx = idx * s + c
-        return idx
+        # weight[c, m]: transition into c from every block t * S^(r-1) + m, rank >= 2
+        self._weight = np.ascontiguousarray(source.transitions[np.arange(self._mod) % s].T)
 
     def stationary_blocks(self) -> np.ndarray:
         """Stationary law of length-r blocks."""
@@ -448,21 +441,12 @@ class BlockChain:
 
     def step(self, v: np.ndarray) -> np.ndarray:
         """One full-kernel step of a distribution over blocks."""
+        if self.rank == 1:
+            return np.add.reduce(v[:, None] * self.source.transitions, axis=0)
         s = self.source.alphabet_size
         out = np.empty_like(v)
-        columns = out.reshape(self._mod, s)
-        rows = v.reshape(s, self._mod)
-        acc = np.empty(self._mod)
-        tmp = np.empty(self._mod)
-        # each output (m, c) is accumulated in place over the dropped symbol,
-        # t ascending: the same left-to-right sum as a scatter over ascending
-        # block indices, with every product and add over contiguous rows
-        for c, weight in enumerate(self._weight):
-            np.multiply(rows[0], weight[0], out=acc)
-            for t in range(1, s):
-                np.multiply(rows[t], weight[t], out=tmp)
-                acc += tmp
-            columns[:, c] = acc
+        marginal = np.add.reduce(v.reshape(s, self._mod), axis=0)
+        np.multiply(marginal, self._weight, out=out.reshape(self._mod, s).T)
         return out
 
 
@@ -479,19 +463,28 @@ def _block_pmf(
     law with the first rank-1 steps run unrestricted, because matches there
     would correspond to occurrence starts <= 0.
     """
+    (k_max,) = _int_tuple((k_max,), "k_max", 1)
     if not words:
         raise ValidationError("word set must be nonempty")
     rank = len(words[0])
     if any(len(w) != rank for w in words):
         raise ValidationError("all words in a block target must have equal length")
     chain = BlockChain(source, rank)
-    ops = (k_max + rank) * chain.n_states * source.alphabet_size
+    s = source.alphabet_size
+    ops = (k_max + rank) * chain.n_states * s
     if ops > _BUDGET_OPS:
         raise BudgetExceededError(
             f"block computation needs ~{ops:.2e} ops, budget is {_BUDGET_OPS:.2e}"
         )
-    # sorted distinct block indices: the target entries in ascending order
-    target = np.unique([chain.encode(w) for w in words])
+    try:
+        symbols = _int_tuple(itertools.chain.from_iterable(words), "word symbols", 0, s)
+    except ValidationError:
+        for w in words:  # name the offending word, not the whole set
+            _int_tuple(w, "word symbols", 0, s)
+        raise
+    # the sorted distinct block indices, as `BlockChain` encodes blocks
+    places = s ** np.arange(rank - 1, -1, -1, dtype=np.int64)
+    target = np.unique(np.array(symbols, dtype=np.int64).reshape(-1, rank) @ places)
     v = chain.stationary_blocks()
     mu_target = float(v[target].sum())
     if mu_target <= 0.0:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import BudgetExceededError, ValidationError
+from ..errors import BudgetExceededError, ValidationError, _int_tuple
 from ..theory import consecutive_asymptote
 from .automaton import PatternTarget, build_automaton
 from .exact import (
@@ -137,8 +137,12 @@ def counterexample_pruned_target(
     law computed on the block chain of that rank; the word-target return law
     provides the independent value of the pruned mass.
     """
-    if k_prune < 1:
-        raise ValidationError(f"k_prune must be >= 1, got {k_prune}")
+    (k_prune,) = _int_tuple((k_prune,), "k_prune", 1)
+    if k_max is None:
+        k_max = max(4 * k_prune, 64)
+    (k_max,) = _int_tuple((k_max,), "k_max", 1)
+    if k_max < k_prune:
+        raise ValidationError(f"k_max = {k_max} must reach k_prune = {k_prune}")
     word = target.word
     l = len(word)
     s_count = source.alphabet_size
@@ -158,8 +162,6 @@ def counterexample_pruned_target(
             kept.append(word + suffix)
     if not kept:
         raise ValidationError("pruning removed the whole target")
-    if k_max is None:
-        k_max = max(4 * k_prune, 64)
     b_pmf, mu_b = block_set_return_pmf(source, kept, k_max)
     mu_a = source.word_measure(word)
     ret = return_pmf(source, target, k_prune)

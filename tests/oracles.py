@@ -11,7 +11,9 @@ kernel can be held to it at any horizon. `stepwise_shift_lhs` keeps the shift
 identity's original matched/unmatched step loop and `matrix_power_excess` the
 return excess's original matrix power per K, for the same use.
 `scatter_block_step` likewise keeps the block chain's original scatter step,
-so that the shift-structured step can be held to it bit for bit.
+so that the factored step can be held to it: run in long double, it is the
+reference of the step's stated rounding bound, and in double it is the step
+bit for bit on the fair coin and at rank 1.
 `generation_order_replica_chunk` replays the replica chunk's draws and
 reads each replica's materialized digits with `scan_hits`, so that the chunk
 can be held to it exactly. `backward_register_replica_chunk` keeps the chunk

@@ -257,6 +257,15 @@ class TestRunners:
         assert float(rows["expected_ratio"]) == 1.0 - float(rows["pruned_mass"])
         assert manifest["results"]["ratio_discrepancy"] < 1e-12
 
+    def test_counterexample_k_max_below_k_prune_exits_1(self, tmp_path, capsys):
+        cfg = dict(CE_CFG, k_prune=7, k_max=3, out=str(tmp_path / "r"))
+        path = _write_config(tmp_path, cfg)
+        assert main(["counterexample", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert "k_max = 3 must reach k_prune = 7" in record["message"]
+        assert not list((tmp_path / "r").rglob("*.csv"))
+
     def test_counterexample_mc_run(self, tmp_path):
         cfg = {
             "kind": "counterexample",

@@ -64,6 +64,17 @@ MARKOV4 = MarkovSource.from_transitions(
 )
 
 
+@st.composite
+def small_markov_sources(draw, max_symbols=3):
+    s = draw(st.integers(2, max_symbols))
+    rows = []
+    for _ in range(s):
+        row = [draw(st.floats(0.05, 1.0)) for _ in range(s)]
+        total = sum(row)
+        rows.append([x / total for x in row])
+    return MarkovSource.from_transitions(rows)
+
+
 class TestMarkovSource:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValidationError):
@@ -223,6 +234,54 @@ def test_integral_numbers_accepted():
     assert np.array_equal(return_excess(MARKOV2, t, [1.0]), return_excess(MARKOV2, t, [1]))
     (got, _), (want, _) = (block_set_return_pmf(MARKOV2, [w], 8) for w in [(0, 1.0), (0, 1)])
     assert np.array_equal(got.masses, want.masses)
+
+
+_WORD01 = PatternTarget(word=(0, 1))
+_SIZE_CALLS = {
+    "block-hitting": lambda k: block_hitting_pmf(MARKOV2, _WORD01, k).masses,
+    "block-return": lambda k: block_return_pmf(MARKOV2, _WORD01, k).masses,
+    "block-set-return": lambda k: block_set_return_pmf(MARKOV2, [(0, 1)], k)[0].masses,
+    "hitting": lambda k: hitting_pmf(MARKOV2, _WORD01, "stationary", k).masses,
+    "shift-j": lambda k: verify_shift_identity_grid(
+        MARKOV2, _WORD01, return_pmf(MARKOV2, _WORD01, 16), k, 4)[0],
+    "shift-m": lambda k: verify_shift_identity_grid(
+        MARKOV2, _WORD01, return_pmf(MARKOV2, _WORD01, 16), 4, k)[0],
+    "block-chain": lambda k: BlockChain(MARKOV2, k).stationary_blocks(),
+}
+
+
+@pytest.mark.parametrize("size", [0, -5, 2.5, True, "3"], ids=["zero", "negative", "fraction",
+                                                              "bool", "str"])
+@pytest.mark.parametrize("call", _SIZE_CALLS.values(), ids=_SIZE_CALLS.keys())
+def test_exact_sizes_refused(call, size):
+    # one refusal for every integer size of the exact layer, as the rest of
+    # the library refuses fractions: an empty law at 0 and a bare TypeError
+    # at 2.5 were the old answers of the block laws
+    with pytest.raises(ValidationError, match="must be >= 1, as integers"):
+        call(size)
+
+
+@pytest.mark.parametrize("call", _SIZE_CALLS.values(), ids=_SIZE_CALLS.keys())
+def test_integral_float_sizes_accepted(call):
+    assert np.array_equal(call(4.0), call(4))
+
+
+def test_block_targets_encode_words_in_reading_order():
+    # MARKOV3 is not reversible, so a word read backwards is another target
+    words = [(0, 1, 2), (0, 0, 2), (1, 2, 2)]
+    assert MARKOV3.word_measure((0, 1, 2)) != MARKOV3.word_measure((2, 1, 0))
+    target = PatternTarget(word=words[0])
+    want = hitting_pmf(MARKOV3, target, "stationary", 16).masses
+    _assert_rtol_zeros_exact(block_hitting_pmf(MARKOV3, target, 16).masses, want, 1e-12)
+    _, mu = block_set_return_pmf(MARKOV3, words, 4)
+    assert mu == pytest.approx(math.fsum(MARKOV3.word_measure(w) for w in words), rel=1e-15)
+
+
+def test_block_symbol_refusal_names_the_word():
+    with pytest.raises(ValidationError, match=r"got \(1, 2\)$"):
+        block_set_return_pmf(MARKOV2, [(0, 1), (1, 0), (1, 2), (0, 0)], 8)
+    with pytest.raises(ValidationError, match=r"got \(0, True\)$"):
+        block_set_return_pmf(MARKOV2, [(0, 1), (0, True)], 8)
 
 
 class TestProductChain:
@@ -578,47 +637,94 @@ class TestBlockedKernel:
                 assert cell[1] == pytest.approx(rhs[j - 1, m - 1], abs=1e-15)
 
 
+def _assert_steps_within_scatter_bound(chain, v, steps):
+    """``steps`` steps from ``v`` against the scatter in long double: every
+    entry within 2 S k 2^-53 relative after k steps, zeros exact."""
+    ref = v.astype(np.longdouble)
+    for k in range(1, steps + 1):
+        v = chain.step(v)
+        ref = scatter_block_step(chain, ref)
+        _assert_rtol_zeros_exact(v, ref, 2 * chain.source.alphabet_size * k * 2.0**-53)
+
+
+def _longdouble_scatter_step(chain, v):
+    return scatter_block_step(chain, v.astype(np.longdouble))
+
+
 class TestBlockStep:
-    """`BlockChain.step` against the scatter step it replaced, bit for bit."""
+    """`BlockChain.step` against the scatter step it replaced: within a stated
+    bound of the scatter in long double, and bit for bit where no rounding
+    moved (rank 1, where each output is the scatter's sum of products, and the
+    fair coin, whose transitions of 1/2 scale exactly)."""
 
     @pytest.mark.parametrize(
         "source,rank,steps",
         [(MARKOV2, 1, 40), (MARKOV2, 2, 40), (MARKOV2, 5, 40), (MARKOV3, 1, 40), (MARKOV3, 6, 40),
-         (MARKOV4, 1, 40), (MARKOV4, 3, 40), (FAIR, 16, 3), (MARKOV3, 10, 3)],
+         (MARKOV4, 1, 40), (MARKOV4, 3, 40), (FAIR, 16, 3), (MARKOV3, 10, 3), (MARKOV3, 4, 512)],
     )
     def test_step_matches_scatter(self, source, rank, steps):
         # rank 1 is where a predecessor's last symbol is the dropped one; the
-        # 4-symbol source runs three in-place adds per output, and the last
-        # two shapes are the 2^16 and 3^10 chains of the block benchmark
+        # 4-symbol source sums four dropped symbols per output, the 2^16 and
+        # 3^10 chains are those of the block benchmark, and the last shape
+        # holds the bound's growth in k over 512 steps
+        chain = BlockChain(source, rank)
+        _assert_steps_within_scatter_bound(chain, chain.stationary_blocks(), steps)
+
+    @pytest.mark.parametrize(
+        "source,rank",
+        [(FAIR, r) for r in (1, 2, 3, 5, 8, 16)] + [(MARKOV2, 1), (MARKOV3, 1), (MARKOV4, 1)],
+    )
+    def test_step_is_the_scatter_on_the_fair_coin_and_at_rank_1(self, source, rank):
         chain = BlockChain(source, rank)
         v = chain.stationary_blocks()
+        v[::3] = 0.0  # a start off the stationary law, with zeros
         want = v.copy()
-        for _ in range(steps):
+        for _ in range(3 if rank == 16 else 40):
             v = chain.step(v)
             want = scatter_block_step(chain, want)
             assert np.array_equal(v, want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_markov_sources(max_symbols=4), st.integers(1, 5), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    def test_step_within_bound_randomized(self, source, rank, steps, seed):
+        chain = BlockChain(source, rank)
+        v = chain.stationary_blocks()
+        v[np.random.default_rng(seed).random(v.size) < 0.3] = 0.0
+        _assert_steps_within_scatter_bound(chain, v, steps)
+
     @pytest.mark.parametrize(
         "source,word",
         [(MARKOV2, (1,)), (MARKOV2, (1, 0)), (MARKOV2, (1, 0, 1, 1, 0)), (MARKOV3, (2,)),
-         (MARKOV3, (0, 1, 2, 0, 1, 2))],
+         (MARKOV3, (0, 1, 2, 0, 1, 2)), (FAIR, (0, 0, 1, 1))],
     )
     def test_block_laws_match_scatter(self, source, word, monkeypatch):
+        # masses within 1e-14 relative of the laws the scatter gives in long
+        # double, zeros exact; bit for bit on the fair coin and at rank 1. By
+        # k = 512 the 2-state return law of (1,) reaches subnormal masses,
+        # which the long-double run holds unrounded
         target = PatternTarget(word=word)
         words = [word, tuple(reversed(word))]
 
         def laws():
             return [
-                block_hitting_pmf(source, target, 64),
-                block_return_pmf(source, target, 64),
-                block_set_return_pmf(source, words, 64)[0],
+                block_hitting_pmf(source, target, 512),
+                block_return_pmf(source, target, 512),
+                block_set_return_pmf(source, words, 512)[0],
             ]
 
         got = laws()
-        monkeypatch.setattr(BlockChain, "step", scatter_block_step)
-        for new, old in zip(got, laws()):
-            assert np.array_equal(new.masses, old.masses)
-            assert new.tail == old.tail
+        monkeypatch.setattr(BlockChain, "step", _longdouble_scatter_step)
+        tiny = np.finfo(float).tiny  # below it a double holds only absolute precision
+        for new, ref in zip(got, laws()):
+            np.testing.assert_array_equal(new.masses == 0.0, ref.masses == 0.0)
+            assert np.all(np.abs(new.masses - ref.masses) <= 1e-14 * np.maximum(ref.masses, tiny))
+            assert new.tail == pytest.approx(ref.tail, rel=0, abs=1e-14)
+        if source is FAIR or len(word) == 1:
+            monkeypatch.setattr(BlockChain, "step", scatter_block_step)
+            for new, old in zip(got, laws()):
+                assert np.array_equal(new.masses, old.masses)
+                assert new.tail == old.tail
 
     def test_out_of_range_symbols_refused(self):
         # such symbols used to alias other blocks: (0, 2) encoded as (1, 0)
@@ -822,16 +928,19 @@ class TestCounterexample:
         with pytest.raises(BudgetExceededError):
             counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), 28)
 
+    def test_k_max_below_k_prune_refused_before_any_chain(self, monkeypatch):
+        # it used to build the rank-10 chain and then fail to read k = 7
+        for chain in (BlockChain, ProductChain):
+            monkeypatch.setattr(chain, "__init__", lambda *a: pytest.fail("a chain was built"))
+        with pytest.raises(ValidationError, match="k_max = 3 must reach k_prune = 7"):
+            counterexample_pruned_target(MARKOV3, PatternTarget(word=(0, 1, 2)), 7, k_max=3)
+        for k_prune, k_max in [(2.5, None), (0, None), (3, 2.5), (3, True)]:
+            with pytest.raises(ValidationError, match="must be >= 1, as integers"):
+                counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), k_prune, k_max)
 
-@st.composite
-def small_markov_sources(draw):
-    s = draw(st.integers(2, 3))
-    rows = []
-    for _ in range(s):
-        row = [draw(st.floats(0.05, 1.0)) for _ in range(s)]
-        total = sum(row)
-        rows.append([x / total for x in row])
-    return MarkovSource.from_transitions(rows)
+    def test_k_max_equal_to_k_prune_runs(self):
+        report = counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), 3, k_max=3.0)
+        assert report.b_return_at_k_prune == 0.0
 
 
 @st.composite
