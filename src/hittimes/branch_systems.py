@@ -68,7 +68,6 @@ __all__ = [
     "DOUBLING",
     "doubling_branch_sample",
     "gauss_branch_sample",
-    "gauss_stationary_point",
     "generate_stream",
     "make_rng",
     "system_by_name",
@@ -108,13 +107,6 @@ def _key_word(name: str, value) -> int:
 # ---------------------------------------------------------------------------
 
 
-def gauss_stationary_point(u: float) -> float:
-    """Inverse-CDF sample of the Gauss law: the CDF is log2(1+x), so x = 2^u - 1."""
-    if not (0.0 <= u < 1.0):
-        raise ValidationError(f"u must lie in [0, 1), got {u}")
-    return 2.0**u - 1.0
-
-
 def gauss_branch_sample(y: float, u: float) -> tuple[int, float]:
     """Closed-form backward step: digit k and preimage 1/(k+y).
 
@@ -135,6 +127,7 @@ def gauss_branch_sample(y: float, u: float) -> tuple[int, float]:
 
 
 def _gauss_stationary_array(u: np.ndarray) -> np.ndarray:
+    # inverse CDF of the Gauss law: the CDF is log2(1+x), so x = 2^u - 1
     return np.exp2(u) - 1.0
 
 
@@ -192,8 +185,9 @@ def _doubling_branch_array(y: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
 class BranchSystem:
     """A piecewise-invertible interval map with closed-form backward sampling.
 
-    ``stationary_point(u)`` is the inverse CDF of the invariant law, and
-    ``stationary_array`` its vectorized form. ``branch_array(y, u, k)`` is the
+    ``stationary_array(u)`` is the inverse CDF of the invariant law, applied
+    to an array of uniforms; it draws the replicas' starts and, from one
+    uniform, the stream's start. ``branch_array(y, u, k)`` is the
     one backward step kernel, for the replica estimators and the stream's
     lanes alike. It works in place and returns None: it overwrites ``y``
     with the preimages and ``k`` with the digits as float64 (integer-valued,
@@ -202,7 +196,6 @@ class BranchSystem:
     """
 
     name: str
-    stationary_point: Callable[[float], float]
     stationary_array: Callable[[np.ndarray], np.ndarray]
     branch_array: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     digit_range: tuple[int, float]
@@ -210,7 +203,6 @@ class BranchSystem:
 
 GAUSS = BranchSystem(
     name="gauss",
-    stationary_point=gauss_stationary_point,
     stationary_array=_gauss_stationary_array,
     branch_array=_gauss_branch_array,
     digit_range=(1, math.inf),
@@ -218,7 +210,6 @@ GAUSS = BranchSystem(
 
 DOUBLING = BranchSystem(
     name="doubling",
-    stationary_point=lambda u: u,
     stationary_array=_doubling_stationary_array,
     branch_array=_doubling_branch_array,
     digit_range=(0, 1),
@@ -339,18 +330,20 @@ def generate_stream(
 
     Runs n backward steps from a stationary start and returns the branch
     indices in reverse generation order, written straight into place. The
-    uniforms are drawn in chunks of ``DEFAULT_BLOCK``, the same numbers one
-    draw of n would give, and each chunk runs in lanes (`_run_lanes`): a lane
-    starts from a guess and runs again unless the guess is bitwise its true
-    start. Digits and anchor point are those of n steps of the scalar
-    reference ``gauss_branch_sample`` or ``doubling_branch_sample``.
+    start is ``stationary_array`` of the first uniform, the kernel that
+    starts the replicas too. The other uniforms are drawn in chunks of
+    ``DEFAULT_BLOCK``, the same numbers one draw would give, and each chunk
+    runs in lanes (`_run_lanes`): a lane starts from a guess and runs again
+    unless the guess is bitwise its true start. Digits and anchor point are
+    those of n steps of the scalar reference ``gauss_branch_sample`` or
+    ``doubling_branch_sample``.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValidationError(f"stream length must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"stream length must be >= 1, got {n}")
     rng = make_rng(seed, substream)
-    y = system.stationary_point(float(rng.random()))
+    y = float(system.stationary_array(rng.random(1))[0])
     digits = np.empty(n, dtype=np.int64)
     for hi in range(n, 0, -DEFAULT_BLOCK):
         lo = max(0, hi - DEFAULT_BLOCK)

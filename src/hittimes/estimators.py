@@ -21,10 +21,10 @@ Continued Fractions*, 2002). So the digits in generation order have the law
 of the forward digits, and the first d hits read in that order have the law
 of the first d forward hits. A replica therefore stops at its d-th hit, and
 ``max_steps`` only censors. Step s draws one uniform per replica with fewer
-than d hits, in replica order. Word hits come from the occurrence automaton
-of the word (`markov_pattern.build_automaton`), one table lookup per
-replica-step, so the word length is unlimited; a hit marks an occurrence's
-end, l - 1 steps after its start.
+than d hits, in replica order. Word hits come from the word's occurrence
+automaton, the table that `markov_pattern.build_automaton` returns, one
+lookup per replica-step, so the word length is unlimited; a hit marks an
+occurrence's end, l - 1 steps after its start.
 
 `BranchSystem.branch_array(y, u, k)` steps the live replicas in place: it
 overwrites ``y`` with the preimages and ``k`` with the digits (float64,
@@ -282,14 +282,16 @@ def estimate_first_passage(
     that ran. Chunk boundaries are fixed by ``chunk_size`` alone, so results
     do not depend on ``workers``.
     """
-    if n_replicas < 1 or d < 1 or max_steps < 1 or chunk_size < 1:
-        raise ValidationError("n_replicas, d, max_steps and chunk_size must all be >= 1")
+    n_replicas, d, max_steps, chunk_size, workers = _int_tuple(
+        (n_replicas, d, max_steps, chunk_size, workers),
+        "n_replicas, d, max_steps, chunk_size and workers", 1,
+    )
     if target.word is not None and max_steps < len(target.word):
         raise ValidationError("max_steps shorter than the target word")
     table = None
     if target.word is not None:
         alpha = max(2, max(target.word) + 1)
-        table = build_automaton(PatternTarget(word=target.word), alpha + 1).table
+        table = build_automaton(PatternTarget(word=target.word), alpha + 1)
     mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
     sizes = [chunk_size] * (n_replicas // chunk_size)
     if n_replicas % chunk_size:
@@ -345,8 +347,7 @@ class ErgodicReturnEstimate:
 
 def batch_means_se(values: np.ndarray, batch_count: int = DEFAULT_BATCH_COUNT) -> float:
     """Standard error of the mean of a dependent sequence via batch means."""
-    if batch_count < 2:
-        raise ValidationError(f"batch_count must be >= 2, got {batch_count}")
+    (batch_count,) = _int_tuple((batch_count,), "batch_count", 2)
     x = np.asarray(values, dtype=float)
     if x.size < 2 * batch_count:
         raise InsufficientDataError(
@@ -501,8 +502,7 @@ def demo_pruned_return(
     arithmetic identity. Error bars are batch means over `DEFAULT_BATCH_COUNT`
     batches, fewer when a stream holds under twice that many gaps.
     """
-    if k_prune < 1:
-        raise ValidationError(f"k_prune must be >= 1, got {k_prune}")
+    (k_prune,) = _int_tuple((k_prune,), "k_prune", 1)
     gaps = np.asarray(scan_gaps, dtype=np.int64)
     ref = np.asarray(reference_gaps, dtype=np.int64)
     if gaps.size < 2 or ref.size < 2:

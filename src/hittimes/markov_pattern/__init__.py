@@ -1,6 +1,6 @@
 """Exact hitting-/return-time oracle for word targets in finite Markov shifts."""
 
-from .automaton import PatternTarget, PrefixAutomaton, build_automaton
+from .automaton import PatternTarget, build_automaton
 from .exact import (
     BlockChain,
     ExactPMF,
@@ -34,7 +34,6 @@ __all__ = [
     "ExactPMF",
     "MarkovSource",
     "PatternTarget",
-    "PrefixAutomaton",
     "ProductChain",
     "PrunedTargetReport",
     "block_hitting_pmf",

@@ -53,33 +53,13 @@ def _border_lengths(word: Sequence[int]) -> list[int]:
     return borders
 
 
-@dataclass(frozen=True)
-class PrefixAutomaton:
-    """Deterministic occurrence automaton for a word over symbols 0..S-1.
+def build_automaton(target: PatternTarget, alphabet_size: int) -> np.ndarray:
+    """The occurrence automaton of a word target over symbols 0..S-1, as a
+    read-only (l + 1, S) table.
 
     ``table[s, c]`` is the next state after reading symbol c in state s, for
     s in 0..l; state l is the full match.
     """
-
-    word: tuple[int, ...]
-    table: np.ndarray
-
-    def first_match(self, symbols: Sequence[int], state: int = 0) -> tuple[int | None, int]:
-        """1-based index of the first full match in ``symbols``, and the state there.
-
-        Reading starts in ``state`` and stops at the first full match; without
-        one the index is None and the state is the one after the last symbol.
-        """
-        l = len(self.word)
-        for i, c in enumerate(symbols, start=1):
-            state = int(self.table[state, int(c)])
-            if state == l:
-                return i, state
-        return None, state
-
-
-def build_automaton(target: PatternTarget, alphabet_size: int) -> PrefixAutomaton:
-    """Build the occurrence automaton of a word target."""
     w = target.word
     l = len(w)
     if alphabet_size < 2:
@@ -97,4 +77,4 @@ def build_automaton(target: PatternTarget, alphabet_size: int) -> PrefixAutomato
             else:
                 table[s, c] = table[fail[s], c]
     table.setflags(write=False)
-    return PrefixAutomaton(word=w, table=table)
+    return table

@@ -3,7 +3,9 @@
 Two independent backends are maintained deliberately:
 
 * the product chain on (automaton state, last symbol) pairs, whose state count
-  grows like alphabet + word length (the scalable path);
+  is alphabet + word length (the scalable path): the S states (0, c) come
+  first, then (s, word[s-1]) for s = 1..l, so the full match is the last
+  state, and one table walk of the occurrence automaton lays out the kernel;
 * the block chain on all length-r symbol tuples (the S^r reference path),
   which also handles targets that are unions of equal-rank cylinders.
 
@@ -60,7 +62,7 @@ _BUDGET_OPS = 10**9  # largest law, in state updates (state-symbol updates for t
 def _require_budget(updates: int) -> None:
     if updates > _BUDGET_OPS:
         raise BudgetExceededError(
-            f"product chain needs ~{updates:.2e} state updates, budget is {_BUDGET_OPS:.2e}"
+            f"exact law needs ~{updates:.2e} state updates, budget is {_BUDGET_OPS:.2e}"
         )
 
 
@@ -145,51 +147,44 @@ class ExactPMF:
 class ProductChain:
     """Markov chain on (automaton state, last symbol) pairs.
 
-    It builds the occurrence automaton of ``target`` over the source's alphabet.
-    Only reachable pairs are materialized: (0, c) for every symbol c plus
-    (s, word[s-1]) for s = 1..l, so the state count is alphabet + length.
-    The full-match pair is unique because the word fixes its last symbol.
+    It builds the occurrence automaton of ``target`` over the source's
+    alphabet S. Only the S + l reachable pairs are states, in a fixed layout:
+    state c < S is (0, c), state S + s - 1 is (s, word[s-1]) for s = 1..l,
+    and the last state, index -1, is the full match, unique because the word
+    fixes its last symbol. Reading c moves a pair to automaton state
+    nxt = table[state, c], that is to pair (0, c) when nxt = 0 and to
+    (nxt, word[nxt-1]) otherwise. So row i of the kernel holds the transitions
+    out of its last symbol, each in its own column, and one
+    ``np.put_along_axis`` writes every row.
     """
 
     def __init__(self, source: MarkovSource, target: PatternTarget) -> None:
         s_count = source.alphabet_size
-        automaton = build_automaton(target, s_count)
-        word = automaton.word
-        l = len(word)
-        pairs = [(0, c) for c in range(s_count)]
-        pairs += [(s, word[s - 1]) for s in range(1, l + 1)]
-        index = {pc: i for i, pc in enumerate(pairs)}
-        n = len(pairs)
+        table = build_automaton(target, s_count)
+        # automaton state and last symbol of each chain state, in layout order
+        states = np.maximum(np.arange(1 - s_count, target.length + 1), 0)
+        last = np.concatenate((np.arange(s_count), target.word))
+        nxt = table[states]
+        n = states.size
         kernel = np.zeros((n, n))
-        table = automaton.table
-        p = source.transitions
-        for (st, c), i in index.items():
-            for c2 in range(s_count):
-                kernel[i, index[(int(table[st, c2]), c2)]] += p[c, c2]
-        match_idx = index[(l, word[l - 1])]
+        dest = np.where(nxt == 0, np.arange(s_count), s_count - 1 + nxt)
+        np.put_along_axis(kernel, dest, source.transitions[last], axis=1)
         sub = kernel.copy()
-        sub[:, match_idx] = 0.0
+        sub[:, -1] = 0.0
         self.source = source
-        self.pairs = pairs
-        self.index = index
+        self.n_states = n
         self.kernel = kernel
         self.survive = sub
-        self.into_match = kernel[:, match_idx].copy()
-        self.match_index = match_idx
-
-    @property
-    def n_states(self) -> int:
-        return len(self.pairs)
+        self.into_match = kernel[:, -1].copy()
 
     def stationary_vector(self) -> np.ndarray:
         v = np.zeros(self.n_states)
-        for c in range(self.source.alphabet_size):
-            v[self.index[(0, c)]] = self.source.stationary[c]
+        v[: self.source.alphabet_size] = self.source.stationary
         return v
 
     def entry_vector(self) -> np.ndarray:
         v = np.zeros(self.n_states)
-        v[self.match_index] = 1.0
+        v[-1] = 1.0
         return v
 
 
@@ -471,11 +466,7 @@ def _block_pmf(
         raise ValidationError("all words in a block target must have equal length")
     chain = BlockChain(source, rank)
     s = source.alphabet_size
-    ops = (k_max + rank) * chain.n_states * s
-    if ops > _BUDGET_OPS:
-        raise BudgetExceededError(
-            f"block computation needs ~{ops:.2e} ops, budget is {_BUDGET_OPS:.2e}"
-        )
+    _require_budget((k_max + rank) * chain.n_states * s)
     try:
         symbols = _int_tuple(itertools.chain.from_iterable(words), "word symbols", 0, s)
     except ValidationError:

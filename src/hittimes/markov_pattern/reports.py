@@ -5,7 +5,6 @@ a single return-time mass.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,17 +150,31 @@ def counterexample_pruned_target(
         raise BudgetExceededError(
             f"counterexample needs {s_count}**{rank} block states; too large"
         )
-    automaton = build_automaton(target, s_count)
-    kept: list[tuple[int, ...]] = []
-    pruned = 0
-    for suffix in itertools.product(range(s_count), repeat=k_prune):
-        first, _ = automaton.first_match(suffix, l)
-        if first == k_prune:
-            pruned += 1
-        else:
-            kept.append(word + suffix)
-    if not kept:
+    table = build_automaton(target, s_count)
+    is_full = np.zeros(l + 1, dtype=bool)
+    is_full[l] = True
+
+    def digit(codes: np.ndarray, t: int) -> np.ndarray:
+        return codes // s_count ** (k_prune - 1 - t) % s_count
+
+    # walk every continuation from the full match at once, in lexicographic
+    # order: continuation i spells i in base S, read one digit per step
+    codes = np.arange(s_count**k_prune)
+    state = np.full(codes.size, l)
+    early = np.zeros(codes.size, dtype=bool)  # a full match before step k_prune
+    for t in range(k_prune):
+        if t:
+            early |= is_full[state]
+        state = table[state, digit(codes, t)]
+    codes = codes[early | ~is_full[state]]  # the first full match is not at k_prune
+    if not codes.size:
         raise ValidationError("pruning removed the whole target")
+    words = np.empty((codes.size, rank), dtype=np.int64)
+    words[:, :l] = word
+    for t in range(k_prune):
+        words[:, l + t] = digit(codes, t)
+    kept = words.tolist()
+    del words  # freed before the block chain, where memory peaks
     b_pmf, mu_b = block_set_return_pmf(source, kept, k_max)
     mu_a = source.word_measure(word)
     ret = return_pmf(source, target, k_prune)
@@ -171,6 +184,6 @@ def counterexample_pruned_target(
         ratio=mu_b / mu_a,
         pruned_mass=ret.mass_at(k_prune),
         b_return_at_k_prune=b_pmf.mass_at(k_prune),
-        n_cylinders_kept=len(kept),
-        n_cylinders_pruned=pruned,
+        n_cylinders_kept=codes.size,
+        n_cylinders_pruned=s_count**k_prune - codes.size,
     )

@@ -22,6 +22,10 @@ that the two-sample tests compare the chunk's law with.
 `scalar_stream` keeps `generate_stream`'s original loop, one scalar backward
 step per digit (`scalar_steps`, which looks the step up by system name), so
 that the lane-parallel stream can be held to it bit for bit.
+`dict_product_kernel` keeps `ProductChain`'s original kernel, built pair by
+pair through a (state, symbol) dict, and `scalar_first_match` the original
+one-symbol-at-a-time walk of the occurrence automaton, so that the chain's
+one-scatter kernel and the counterexample's table walk can be held to them.
 
 `gauss_branch_prob` and `gauss_branch_cum` are the Gauss map's backward branch
 law in closed form, which the sampler tests check the sampler against.
@@ -46,6 +50,7 @@ from hittimes.branch_systems import (
 )
 from hittimes.errors import ValidationError
 from hittimes.estimators import OVERFLOW_MARK, _prime_mask, scan_hits
+from hittimes.markov_pattern import build_automaton
 from hittimes.markov_pattern.exact import ProductChain
 
 
@@ -210,15 +215,15 @@ def stepwise_shift_lhs(source, target, j_max: int, m_max: int) -> np.ndarray:
     kernel, survive, into = (
         a.astype(np.longdouble) for a in (chain.kernel, chain.survive, chain.into_match)
     )
-    match, l = chain.match_index, target.length
+    l = target.length
     u = chain.stationary_vector().astype(np.longdouble)
     f = np.zeros_like(u)
     rows = np.empty((j_max, u.size), dtype=np.longdouble)
     for step in range(1, j_max + l):
         u = u @ kernel
         f = f @ kernel
-        f[match] += u[match]
-        u[match] = 0.0
+        f[-1] += u[-1]
+        u[-1] = 0.0
         if step >= l:
             rows[step - l] = f
     lhs = np.empty((j_max, m_max), dtype=np.longdouble)
@@ -252,7 +257,37 @@ def matrix_power_excess(source, target, ks) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         w[k] = (a[k][n] - sum(a[k][c] * w[c] for c in range(k + 1, n))) / a[k][k]
     w = np.array([float(x) for x in w])
-    return np.array([np.linalg.matrix_power(chain.survive, k)[chain.match_index] @ w for k in ks])
+    return np.array([np.linalg.matrix_power(chain.survive, k)[-1] @ w for k in ks])
+
+
+def dict_product_kernel(source, target) -> np.ndarray:
+    """`ProductChain`'s kernel as it was built before the one scatter: the
+    reachable (automaton state, last symbol) pairs listed as (0, c) for every
+    symbol c, then (s, word[s-1]) for s = 1..l, and every (pair, symbol) move
+    added onto zeros through a pair -> index dict."""
+    s_count = source.alphabet_size
+    table = build_automaton(target, s_count)
+    word = target.word
+    pairs = [(0, c) for c in range(s_count)]
+    pairs += [(s, word[s - 1]) for s in range(1, len(word) + 1)]
+    index = {pc: i for i, pc in enumerate(pairs)}
+    kernel = np.zeros((len(pairs), len(pairs)))
+    for (st, c), i in index.items():
+        for c2 in range(s_count):
+            kernel[i, index[(int(table[st, c2]), c2)]] += source.transitions[c, c2]
+    return kernel
+
+
+def scalar_first_match(table: np.ndarray, symbols, state: int = 0) -> tuple[int | None, int]:
+    """1-based index of the first full match in ``symbols`` and the state
+    there, reading one symbol at a time through the automaton ``table`` from
+    ``state``; without a match, None and the state after the last symbol."""
+    full = table.shape[0] - 1
+    for i, c in enumerate(symbols, start=1):
+        state = int(table[state, int(c)])
+        if state == full:
+            return i, state
+    return None, state
 
 
 def scatter_block_step(chain, v: np.ndarray) -> np.ndarray:
@@ -415,12 +450,17 @@ def scalar_steps(system, y: float, u: np.ndarray) -> tuple[np.ndarray, float]:
     return np.array(digits, dtype=np.int64), y
 
 
-def scalar_stream(system, seed: int, n: int, substream: int = 0) -> DigitStream:
+def scalar_stream(system, seed: int, n: int, substream: int = 0, start=None) -> DigitStream:
     """`generate_stream` as it was before the lanes: n scalar backward steps
     from a stationary start, uniforms drawn in blocks of 2**16, digits
-    returned in reverse generation order."""
+    returned in reverse generation order. The start is ``start`` of the first
+    uniform, or ``system.stationary_array`` of it, as the library draws it,
+    when ``start`` is None."""
     rng = make_rng(seed, substream)
-    y = system.stationary_point(float(rng.random()))
+    if start is None:
+        y = float(system.stationary_array(rng.random(1))[0])
+    else:
+        y = start(float(rng.random()))
     blocks = []
     for pos in range(0, n, 2**16):
         digits, y = scalar_steps(system, y, rng.random(min(2**16, n - pos)))

@@ -25,7 +25,6 @@ from hittimes.branch_systems import (
     _speculative_starts,
     doubling_branch_sample,
     gauss_branch_sample,
-    gauss_stationary_point,
     generate_stream,
     make_rng,
     system_by_name,
@@ -101,13 +100,13 @@ class TestTimeReversal:
 
 class TestGaussSampler:
     def test_stationary_point_endpoints(self):
-        assert gauss_stationary_point(0.0) == 0.0
-        assert gauss_stationary_point(0.999999) == pytest.approx(1.0, abs=1e-5)
-        assert gauss_stationary_point(0.5) == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
-        with pytest.raises(ValidationError):
-            gauss_stationary_point(1.0)
-        with pytest.raises(ValidationError):
-            gauss_stationary_point(-0.1)
+        top = np.nextafter(1.0, 0.0)  # the largest uniform a generator draws
+        x = GAUSS.stationary_array(np.array([0.0, 0.999999, 0.5, top]))
+        assert x[0] == 0.0
+        assert x[1] == pytest.approx(1.0, abs=1e-5)
+        assert x[2] == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
+        # the branch kernels take y in [0, 1], 1.0 included
+        assert 0.0 < x[3] <= 1.0
 
     def test_branch_prob_formula_and_density_ratio(self):
         assert gauss_branch_prob(1, 0.0) == pytest.approx(0.5, abs=1e-15)
@@ -224,7 +223,7 @@ class TestStreams:
         n = DEFAULT_BLOCK + 3
         stream = generate_stream(GAUSS, seed=21, n=n)
         rng = make_rng(21)
-        y = gauss_stationary_point(float(rng.random()))
+        y = float(GAUSS.stationary_array(rng.random(1))[0])
         backward = stream.digits[::-1]
         for j in range(n):
             u = float(rng.random())
@@ -373,7 +372,7 @@ STREAM_LENGTHS = [
 def chunk(system, seed, size):
     """(start point, uniforms) of the first chunk of a stream."""
     rng = make_rng(seed)
-    return system.stationary_point(float(rng.random())), rng.random(size)
+    return float(system.stationary_array(rng.random(1))[0]), rng.random(size)
 
 
 class TestLaneStream:
@@ -383,6 +382,17 @@ class TestLaneStream:
     def test_matches_scalar_stream(self, system, substream, n):
         got = generate_stream(system, 40 + n % 7, n, substream)
         assert_same_stream(got, scalar_stream(system, 40 + n % 7, n, substream))
+
+    @pytest.mark.parametrize("seed,substream", [(19, 1), (41, 0), (59, 0)])
+    def test_gauss_start_one_ulp_from_the_old_start(self, seed, substream):
+        # the stream starts at exp2(u) - 1, which for these seeds is one ulp
+        # of 2^u away from the old start 2.0**u - 1; the backward chain
+        # contracts, so the digits and the anchor are the old start's
+        u = make_rng(seed, substream).random()
+        assert abs(np.exp2(u) - 2.0**u) == np.spacing(2.0**u)
+        old_start = lambda u: 2.0**u - 1.0
+        got = generate_stream(GAUSS, seed, 5000, substream)
+        assert_same_stream(got, scalar_stream(GAUSS, seed, 5000, substream, start=old_start))
 
     @settings(max_examples=12, deadline=None)
     @given(

@@ -143,7 +143,7 @@ class TestReplicaEstimator:
         table = None
         if target.word is not None:  # as estimate_first_passage builds it
             alpha = max(2, max(target.word) + 1)
-            table = build_automaton(PatternTarget(word=target.word), alpha + 1).table
+            table = build_automaton(PatternTarget(word=target.word), alpha + 1)
         args = (3000, d, 300, 19, 2, mark_cap)
         counts, censored, steps = _replica_chunk(system, target, table, *args)
         want_counts, want_censored, want_steps = generation_order_replica_chunk(
@@ -175,7 +175,7 @@ class TestReplicaEstimator:
         table = None
         if target.word is not None:
             alpha = max(2, max(target.word) + 1)
-            table = build_automaton(PatternTarget(word=target.word[::-1]), alpha + 1).table
+            table = build_automaton(PatternTarget(word=target.word[::-1]), alpha + 1)
         mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
         old: dict[tuple, int] = {}
         old_censored = 0
@@ -524,3 +524,31 @@ class TestPrunedDemo:
         demo = demo_pruned_return(g1, g2, k_prune=10)
         assert demo.b_returns_at_k_prune == 0
         assert abs(demo.discrepancy_z()) < 4.0
+
+
+_WORD11 = TargetScan.word_pattern((1, 1))
+_GAPS = np.array([2, 5, 3, 7, 4, 3, 2, 6])
+_MC_SIZE_CALLS = {
+    "n_replicas": lambda v: estimate_first_passage(DOUBLING, _WORD11, v, 1, 8, seed=3),
+    "d": lambda v: estimate_first_passage(DOUBLING, _WORD11, 10, v, 8, seed=3),
+    "max_steps": lambda v: estimate_first_passage(DOUBLING, _WORD11, 10, 1, v, seed=3),
+    "chunk_size": lambda v: estimate_first_passage(DOUBLING, _WORD11, 10, 1, 8, 3, chunk_size=v),
+    "workers": lambda v: estimate_first_passage(DOUBLING, _WORD11, 10, 1, 8, 3, workers=v),
+    "batch_count": lambda v: batch_means_se(np.arange(100.0), v),
+    "k_prune": lambda v: demo_pruned_return(_GAPS, _GAPS, v),
+}
+
+
+@pytest.mark.parametrize("size", [0, -5, 2.5, True, "3"], ids=["zero", "negative", "fraction",
+                                                              "bool", "str"])
+@pytest.mark.parametrize("call", _MC_SIZE_CALLS.values(), ids=_MC_SIZE_CALLS.keys())
+def test_monte_carlo_sizes_refused(call, size):
+    # a bare TypeError at 2.5 or True, or for k_prune = 2.5 a demo in which
+    # no gap equals k_prune, were the old answers
+    with pytest.raises(ValidationError, match="as integers"):
+        call(size)
+
+
+@pytest.mark.parametrize("call", _MC_SIZE_CALLS.values(), ids=_MC_SIZE_CALLS.keys())
+def test_integral_float_monte_carlo_sizes_accepted(call):
+    assert call(4.0) == call(4)

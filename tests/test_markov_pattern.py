@@ -1,5 +1,6 @@
 """Exact-oracle tests: enumeration brute force is the ground truth throughout."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from hittimes.markov_pattern import (
     verify_inducing_identity,
     verify_shift_identity_grid,
 )
+from hittimes.markov_pattern import reports
 from hittimes.markov_pattern.automaton import _border_lengths
 from hittimes.markov_pattern.exact import (
     _BLOCK,
@@ -47,7 +49,9 @@ from oracles import (
     brute_hitting_masses,
     brute_return_masses,
     brute_shift_identity_lhs,
+    dict_product_kernel,
     matrix_power_excess,
+    scalar_first_match,
     scatter_block_step,
     stepwise_hitting_masses,
     stepwise_shift_lhs,
@@ -167,35 +171,40 @@ class TestAutomaton:
         assert _border_lengths((0, 1, 0)) == [0, 0, 1]
 
     def test_single_symbol(self):
-        auto = build_automaton(PatternTarget(word=(1,)), 2)
-        assert auto.table.shape == (2, 2)
-        assert auto.first_match([0, 1, 1, 0]) == (2, 1)
-        assert auto.first_match([0, 0]) == (None, 0)
-        assert auto.first_match([1], state=1) == (1, 1)
+        table = build_automaton(PatternTarget(word=(1,)), 2)
+        assert table.shape == (2, 2)
+        assert scalar_first_match(table, [0, 1, 1, 0]) == (2, 1)
+        assert scalar_first_match(table, [0, 0]) == (None, 0)
+        assert scalar_first_match(table, [1], state=1) == (1, 1)
 
     def test_first_match_stops_at_the_first_full_match(self):
-        auto = build_automaton(PatternTarget(word=(0, 1, 0)), 2)
-        assert auto.first_match([1, 0, 1, 0, 1, 0]) == (4, 3)
-        assert auto.first_match([0, 1, 1]) == (None, 0)
-        assert auto.first_match([]) == (None, 0)
+        table = build_automaton(PatternTarget(word=(0, 1, 0)), 2)
+        assert scalar_first_match(table, [1, 0, 1, 0, 1, 0]) == (4, 3)
+        assert scalar_first_match(table, [0, 1, 1]) == (None, 0)
+        assert scalar_first_match(table, []) == (None, 0)
         # from the full match, "10" completes an overlapping occurrence
-        assert auto.first_match([1, 0], state=3) == (2, 3)
+        assert scalar_first_match(table, [1, 0], state=3) == (2, 3)
 
     def test_overlap_restart(self):
-        auto = build_automaton(PatternTarget(word=(0, 0)), 2)
+        table = build_automaton(PatternTarget(word=(0, 0)), 2)
         # from the full match, another 0 keeps the full match (overlap)
-        assert auto.table[2, 0] == 2
-        assert auto.table[2, 1] == 0
-        assert auto.first_match([0], state=2) == (1, 2)
-        assert auto.first_match([1, 0, 0], state=2) == (3, 2)
+        assert table[2, 0] == 2
+        assert table[2, 1] == 0
+        assert scalar_first_match(table, [0], state=2) == (1, 2)
+        assert scalar_first_match(table, [1, 0, 0], state=2) == (3, 2)
+
+    def test_table_is_read_only(self):
+        table = build_automaton(PatternTarget(word=(0, 1)), 2)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
     def test_kmp_monotonicity(self):
         for word in [(0, 1, 0, 0, 1), (1, 1, 0, 1, 1, 0), (0, 0, 0)]:
-            auto = build_automaton(PatternTarget(word=word), 2)
+            table = build_automaton(PatternTarget(word=word), 2)
             l = len(word)
             for s in range(l + 1):
                 for c in range(2):
-                    assert auto.table[s, c] <= s + 1
+                    assert table[s, c] <= s + 1
 
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValidationError):
@@ -291,9 +300,34 @@ class TestProductChain:
         assert chain.n_states == 4
 
     def test_single_symbol_target_set(self):
+        # states (0, 0), (0, 1) and the full match (1, 1), last: every state
+        # enters the full match on a 1 and (0, 0) on a 0
         chain = ProductChain(FAIR, PatternTarget(word=(1,)))
-        s, c = chain.pairs[chain.match_index]
-        assert (s, c) == (1, 1)
+        assert chain.n_states == 3
+        assert np.array_equal(chain.kernel, np.tile([0.5, 0.0, 0.5], (3, 1)))
+        assert np.array_equal(chain.into_match, [0.5, 0.5, 0.5])
+        assert np.array_equal(chain.entry_vector(), [0.0, 0.0, 1.0])
+        assert np.array_equal(chain.stationary_vector(), [0.5, 0.5, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_kernel_equals_the_dict_built_kernel(self, s_count, data):
+        # bordered words included: a random word, or a random period repeated
+        p = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.05, 1.0), min_size=s_count, max_size=s_count),
+            min_size=s_count, max_size=s_count)))
+        source = MarkovSource.from_transitions(p / p.sum(axis=1, keepdims=True))
+        l = data.draw(st.integers(1, 12))
+        period = data.draw(st.integers(1, l))
+        base = data.draw(st.lists(st.integers(0, s_count - 1), min_size=period, max_size=period))
+        target = PatternTarget(word=tuple(base[i % period] for i in range(l)))
+        chain = ProductChain(source, target)
+        kernel = dict_product_kernel(source, target)
+        assert np.array_equal(chain.kernel, kernel)
+        want_survive = kernel.copy()
+        want_survive[:, -1] = 0.0
+        assert np.array_equal(chain.survive, want_survive)
+        assert np.array_equal(chain.into_match, kernel[:, -1])
 
     def test_geometric_law_word_one(self):
         pmf = hitting_pmf(FAIR, PatternTarget(word=(1,)), "stationary", 20)
@@ -927,6 +961,33 @@ class TestCounterexample:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), 28)
+
+    @pytest.mark.parametrize("k_prune", range(1, 7))
+    @pytest.mark.parametrize(
+        "source,word",
+        [(MARKOV2, (0,)), (MARKOV2, (0, 0)), (MARKOV2, (0, 1, 0)), (MARKOV3, (0, 1, 2))],
+        ids=["0", "00", "010", "012"],
+    )
+    def test_kept_cylinders_match_the_scalar_walk(self, monkeypatch, source, word, k_prune):
+        # every continuation walked one symbol at a time from the full match,
+        # in itertools.product's order: kept unless its first match is at k_prune
+        table = build_automaton(PatternTarget(word=word), source.alphabet_size)
+        want, pruned = [], 0
+        for suffix in itertools.product(range(source.alphabet_size), repeat=k_prune):
+            if scalar_first_match(table, suffix, len(word))[0] == k_prune:
+                pruned += 1
+            else:
+                want.append(list(word + suffix))
+        seen = []
+
+        def spy(src, words, k_max):
+            seen.append(list(words))
+            return block_set_return_pmf(src, words, k_max)
+
+        monkeypatch.setattr(reports, "block_set_return_pmf", spy)
+        report = counterexample_pruned_target(source, PatternTarget(word=word), k_prune)
+        assert seen == [want]
+        assert (report.n_cylinders_kept, report.n_cylinders_pruned) == (len(want), pruned)
 
     def test_k_max_below_k_prune_refused_before_any_chain(self, monkeypatch):
         # it used to build the rank-10 chain and then fail to read k = 7

@@ -3,15 +3,18 @@
 `benchmarks/tracing.py` wraps library functions, `ExactPMF` methods and the
 branch systems' kernels by name, and reads `PatternTarget.word` in its
 `build_automaton` spans. A library change that deletes or renames one of
-these breaks traced benchmark runs (``--trace 1``). This test imports the
-tracer read-only from the benchmark directory, installs it on the current
-package, makes one traced call and checks that uninstalling puts every
-patched name back.
+these breaks traced benchmark runs (``--trace 1``). These tests import the
+tracer read-only from the benchmark directory and install it on the current
+package. One makes a traced exact call and checks that uninstalling puts
+every patched name back. The other builds an `ExactPMF` positionally, as the
+benchmark's checks do, and makes a traced Gauss stream, whose start and steps
+go through the wrapped `stationary_array` and `branch_array` kernels.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hittimes.cli
@@ -71,3 +74,24 @@ def test_install_wraps_and_uninstall_restores_every_name(tracing):
     assert _same(before["ExactPMF"], after["ExactPMF"])
     for name, attrs in before["modules"].items():
         assert _same(attrs, after["modules"][name]), name
+
+
+def test_positional_pmf_and_stream_kernels_traced(tracing):
+    want = branch_systems.generate_stream(branch_systems.GAUSS, 7, 1000)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pmf = ExactPMF(1, np.array([0.5, 0.25]), 0.25)
+        assert pmf.total() == 1.0
+        got = branch_systems.generate_stream(branch_systems.GAUSS, 7, 1000)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(got.digits, want.digits) and got.anchor_point == want.anchor_point
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span.name, []).append(span.work)
+    assert spans["markov_pattern.exactpmf_sum"] == [{"terms": 2}]
+    assert spans["branch_systems.generate_stream"] == [{"digits": 1000}]
+    assert spans["branch_systems.stationary_array"] == [{"elements": 1}]
+    # every digit is one element of a step; the lanes' warm-up steps are more
+    assert sum(w["elements"] for w in spans["branch_systems.branch_array"]) >= 1000
