@@ -419,7 +419,7 @@ def _run_simulate(cfg: dict, run_dir: Path) -> dict:
         results["n_hits"] = est.n_hits
         results["mean_gap"] = est.mean_gap
         results["mean_gap_se"] = est.mean_gap_se
-    count_rows = [key + (c,) for key, c in sorted(pmf.counts.items())]
+    count_rows = np.column_stack((pmf.keys, pmf.counts))
     _emit_table(run_dir, "counts", key_names + ("count",), count_rows, cfg)
     if predicted is not None:
         summary = _emit_estimate(run_dir, pmf, key_names, predicted, cfg)
@@ -501,16 +501,22 @@ def _run_report(cfg: dict, run_dir: Path) -> dict:
         ) from exc
     lines = counts_path.read_text().strip().split("\n")
     header = lines[0].split(",")
-    counts: dict[tuple[int, ...], int] = {}
     try:
+        if len(header) < 2:
+            raise ValueError(f"header {lines[0]!r} has no key column")
+        rows = []
         for line in lines[1:]:
             parts = [int(x) for x in line.split(",")]
             if len(parts) != len(header):
                 raise ValueError(f"row {line!r} has {len(parts)} fields, header {len(header)}")
-            counts[tuple(parts[:-1])] = parts[-1]
-    except ValueError as exc:
+            rows.append(parts)
+        table = np.array(rows, dtype=np.int64).reshape(-1, len(header))
+        keys, counts = estimators.sum_by_row(table[:, :-1], table[:, -1])
+        if len(keys) < len(table):
+            raise ValueError(f"{len(table) - len(keys)} cells repeat an earlier row")
+        pmf = estimators.EmpiricalPMF(keys, counts, n_total)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{counts_path} is not an integer counts table ({exc})") from exc
-    pmf = estimators.EmpiricalPMF(counts=counts, n_total=n_total)
     key_names = tuple(header[:-1])
     summary = _emit_estimate(run_dir, pmf, key_names, _predicted_cells(cfg, key_names), cfg)
     return {"summary_max_abs_ratio_minus_1": summary, "n_total": n_total}
@@ -534,11 +540,15 @@ _SUBCOMMAND_KINDS = {
 }
 
 
-def _emit_table(run_dir: Path, name: str, header: tuple[str, ...], rows: list, cfg: dict) -> None:
+def _emit_table(
+    run_dir: Path, name: str, header: tuple[str, ...], rows: list | np.ndarray, cfg: dict
+) -> None:
     fmt = cfg["format"]
     if fmt in ("csv", "both"):
         write_csv(run_dir / f"{name}.csv", header, rows)
     if fmt in ("json", "both"):
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         records = [dict(zip(header, row)) for row in rows]
         write_json(run_dir / f"{name}.json", records)
 

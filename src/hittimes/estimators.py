@@ -10,12 +10,14 @@ Two estimator modes, matching the two conditioning measures of the limit laws:
   dependent, so error bars come from batch means, not binomial counts.
 
 Replica generation is vectorized over chunks of fixed size; each chunk owns a
-Philox substream keyed by its index, and merging is integer-count addition,
-so results are independent of worker scheduling. A replica's backward chain
-emits digits in generation order, the reverse of the forward digits of its
-end point (see `branch_systems`). Both systems are time-reversible: doubling
-digits are i.i.d., and a Gauss cylinder has mu[a_1..a_n] = mu[a_n..a_1],
-because the density 1/((1+xy)^2 ln 2) of the natural extension is symmetric
+Philox substream keyed by its index. A count table is two int64 arrays, its
+distinct keys in lexicographic order and their counts; chunks merge by
+concatenation and one `sum_by_row`, so results are independent of worker
+scheduling. A replica's backward chain emits digits in generation order, the
+reverse of the forward digits of its end point (see `branch_systems`). Both
+systems are time-reversible: doubling digits are i.i.d., and a Gauss
+cylinder has mu[a_1..a_n] = mu[a_n..a_1], because the density
+1/((1+xy)^2 ln 2) of the natural extension is symmetric
 (Nakada, Ito and Tanaka 1977; Iosifescu and Kraaikamp, *Metrical Theory of
 Continued Fractions*, 2002). So the digits in generation order have the law
 of the forward digits, and the first d hits read in that order have the law
@@ -145,24 +147,84 @@ def scan_hits(
 # ---------------------------------------------------------------------------
 
 
+def sum_by_row(
+    keys: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the 2-D int64 ``keys``, in lexicographic order,
+    with the sum of ``weights`` over each (1 per row when None)."""
+    # sorting the columns with lexsort is several times faster than
+    # np.unique(axis=0)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    if weights is None:
+        return keys[starts], np.diff(starts, append=len(keys))
+    return keys[starts], np.add.reduceat(weights[order], starts)
+
+
 @dataclass
 class EmpiricalPMF:
     """Sparse integer-keyed count table of an estimated law.
 
+    ``keys`` (m, width) holds the distinct cells in strictly increasing
+    lexicographic order and ``counts`` (m,) their counts, both int64.
     ``n_total`` is the denominator of every cell frequency: the replica count
     of a replica estimate (censored replicas included), or the gap count of
     an ergodic one, whose error bars need batch means. ``censored`` counts
     replicas that never completed the requested observation.
     """
 
-    counts: dict[tuple[int, ...], int]
+    keys: np.ndarray
+    counts: np.ndarray
     n_total: int
     censored: int = 0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts.values()) or self.censored < 0:
+        keys, counts = self.keys, self.counts
+        if (keys.dtype != np.int64 or counts.dtype != np.int64 or keys.ndim != 2
+                or keys.shape[1] < 1 or counts.shape != keys.shape[:1]):
+            raise ValidationError(
+                f"need int64 keys (m, width >= 1) and counts (m,); got {keys.dtype} "
+                f"{keys.shape} and {counts.dtype} {counts.shape}"
+            )
+        if (counts < 0).any() or self.censored < 0:
             raise ValidationError("counts must be nonnegative")
+        # each row must exceed the one before it at their first differing entry
+        ne = keys[1:] != keys[:-1]
+        col = ne.argmax(axis=1)
+        row = np.arange(len(col))
+        if not (ne[row, col] & (keys[1:][row, col] > keys[:-1][row, col])).all():
+            raise ValidationError("keys must be distinct and in lexicographic order")
+        total = sum(counts.tolist()) + self.censored  # Python ints: no wraparound
+        if total > self.n_total:
+            raise ValidationError(
+                f"counts and censored add up to {total}, more than n_total {self.n_total}"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EmpiricalPMF):
+            return NotImplemented
+        return (
+            np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.counts, other.counts)
+            and (self.n_total, self.censored, self.meta)
+            == (other.n_total, other.censored, other.meta)
+        )
+
+    def count(self, cell: Sequence[int]) -> int:
+        """The count of ``cell``, 0 if absent; one binary search per key column."""
+        if len(cell) != self.keys.shape[1]:
+            raise ValidationError(
+                f"cell {tuple(cell)} does not have the table's {self.keys.shape[1]} entries"
+            )
+        lo, hi = 0, len(self.counts)
+        for j, v in enumerate(cell):
+            column = self.keys[lo:hi, j]
+            lo, hi = lo + np.searchsorted(column, v), lo + np.searchsorted(column, v, "right")
+        return int(self.counts[lo]) if lo < hi else 0
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +232,7 @@ class EmpiricalPMF:
 # ---------------------------------------------------------------------------
 
 
-def _replica_chunk(
+def _replica_rows(
     system: BranchSystem,
     target: TargetScan,
     table: np.ndarray | None,
@@ -180,9 +242,10 @@ def _replica_chunk(
     seed: int,
     substream: int,
     mark_cap: int,
-) -> tuple[dict[tuple[int, ...], int], int, int]:
-    """Counts of (tau, psi) tuples for one chunk of replicas, the censored
-    count and the number of replica-steps run.
+) -> tuple[np.ndarray, int, int]:
+    """The (tau, psi) key of every completed replica of one chunk, one int64
+    row each in replica order, the censored count and the number of
+    replica-steps run.
 
     Hits are read in generation order, which has the forward law (module
     docstring), so a replica stops at its d-th hit; ``max_steps`` only
@@ -248,15 +311,7 @@ def _replica_chunk(
     if table is None:
         marks = done[:, 1]
         marks[marks > mark_cap] = OVERFLOW_MARK
-    # distinct keys with their counts, in lexicographic order; sorting the
-    # columns with lexsort is several times faster than np.unique(axis=0)
-    keys = done.transpose(2, 0, 1).reshape(-1, d * done.shape[1])
-    keys = keys[np.lexsort(keys.T[::-1])]
-    first = np.ones(len(keys), dtype=bool)
-    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=len(keys))
-    return dict(zip(map(tuple, keys[starts].tolist()), counts.tolist())), censored, steps_run
+    return done.transpose(2, 0, 1).reshape(-1, d * done.shape[1]), censored, steps_run
 
 
 def estimate_first_passage(
@@ -297,23 +352,22 @@ def estimate_first_passage(
     if n_replicas % chunk_size:
         sizes.append(n_replicas % chunk_size)
 
-    def run(i: int) -> tuple[dict[tuple[int, ...], int], int, int]:
-        return _replica_chunk(
+    def run(i: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+        rows, censored, steps = _replica_rows(
             system, target, table, sizes[i], d, max_steps, seed, i, mark_cap
         )
+        return (*sum_by_row(rows), censored, steps)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(len(sizes))))
     else:
         results = [run(i) for i in range(len(sizes))]
-    counts: dict[tuple[int, ...], int] = {}
-    censored = steps_run = 0
-    for part, cens, steps in results:
-        censored += cens
-        steps_run += steps
-        for key, c in part.items():
-            counts[key] = counts.get(key, 0) + c
+    keys, counts, censored, steps_run = results[0]
+    if len(results) > 1:
+        parts = list(zip(*results))
+        keys, counts = sum_by_row(np.concatenate(parts[0]), np.concatenate(parts[1]))
+        censored, steps_run = sum(parts[2]), sum(parts[3])
     frac = censored / n_replicas
     meta = {
         "system": system.name,
@@ -326,7 +380,7 @@ def estimate_first_passage(
         "censoring_flag": frac > DEFAULT_CENSOR_BOUND,
         "replica_steps": steps_run,
     }
-    return EmpiricalPMF(counts=counts, n_total=n_replicas, censored=censored, meta=meta)
+    return EmpiricalPMF(keys, counts, n_replicas, censored, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +431,9 @@ def estimate_return_law_ergodic(
         )
     gaps = np.diff(positions)
     mean_gap_se = batch_means_se(gaps)  # refuses too few gaps before any mean
-    uniq, cnt = np.unique(gaps, return_counts=True)
-    counts = {(int(g),): int(c) for g, c in zip(uniq, cnt)}
+    uniq, counts = np.unique(gaps, return_counts=True)
     return ErgodicReturnEstimate(
-        pmf=EmpiricalPMF(counts=counts, n_total=int(gaps.size)),
+        pmf=EmpiricalPMF(uniq[:, None], counts, int(gaps.size)),
         gaps=gaps,
         mean_gap=float(gaps.mean()),
         mean_gap_se=mean_gap_se,
@@ -436,7 +489,8 @@ def llt_report(
 ) -> tuple[list[ReportRow], float]:
     """Per-cell ratio rows of (cell, positive prediction) pairs, plus the summary deviation.
 
-    Cells are keys of ``pmf``: integers, down to OVERFLOW_MARK. The summary is
+    Cells are keys of ``pmf``: int64 values down to OVERFLOW_MARK, of the
+    table's width, looked up in its sorted arrays. The summary is
     max |ratio - 1| over all the cells; no CI-width bound drops a cell from it.
     Each row carries the 99% Wilson interval of its count, which treats
     observations as independent. That is right for replica counts and wrong
@@ -447,11 +501,11 @@ def llt_report(
         raise ValidationError("cell selection must be nonempty")
     rows: list[ReportRow] = []
     for cell, pred in predicted:
-        cell = _int_tuple(cell, "cell entries", OVERFLOW_MARK)
+        cell = _int_tuple(cell, "cell entries", OVERFLOW_MARK, 2**63)
         pred = float(pred)
         if not pred > 0.0:
             raise ValidationError(f"prediction must be positive, got {pred} at {cell}")
-        count = pmf.counts.get(cell, 0)
+        count = pmf.count(cell)
         est = count / pmf.n_total
         lo, hi = wilson_interval(count, pmf.n_total)
         rows.append(

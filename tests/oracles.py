@@ -18,7 +18,11 @@ bit for bit on the fair coin and at rank 1.
 reads each replica's materialized digits with `scan_hits`, so that the chunk
 can be held to it exactly. `backward_register_replica_chunk` keeps the chunk
 as it was before replicas stopped at their d-th hit, the old-order sample
-that the two-sample tests compare the chunk's law with.
+that the two-sample tests compare the chunk's law with. `dict_chunk_tail`
+and `dict_first_passage` keep the count table as it was before it stayed two
+arrays: each chunk's rows summed into a dict of key tuples, and the chunks'
+dicts added key by key, so that the array sum and merge can be held to them;
+`pmf_dict` reads an `EmpiricalPMF` back as such a dict.
 `scalar_stream` keeps `generate_stream`'s original loop, one scalar backward
 step per digit (`scalar_steps`, which looks the step up by system name), so
 that the lane-parallel stream can be held to it bit for bit.
@@ -49,8 +53,14 @@ from hittimes.branch_systems import (
     make_rng,
 )
 from hittimes.errors import ValidationError
-from hittimes.estimators import OVERFLOW_MARK, _prime_mask, scan_hits
-from hittimes.markov_pattern import build_automaton
+from hittimes.estimators import (
+    DEFAULT_MARK_CAP_EXCESS,
+    OVERFLOW_MARK,
+    _prime_mask,
+    _replica_rows,
+    scan_hits,
+)
+from hittimes.markov_pattern import PatternTarget, build_automaton
 from hittimes.markov_pattern.exact import ProductChain
 
 
@@ -326,7 +336,7 @@ def backward_register_replica_chunk(
     substream: int,
     mark_cap: int,
 ) -> tuple[dict[tuple[int, ...], int], int]:
-    """`estimators._replica_chunk` as it was before replicas stopped at their
+    """The replica chunk as it was before replicas stopped at their
     d-th hit: every replica runs all ``max_steps`` backward steps, and
     registers of its last d backward hits, which are the first d forward hits
     in reverse order, make the key. For word targets ``table`` is the
@@ -384,9 +394,9 @@ def backward_register_replica_chunk(
 def generation_order_replica_chunk(
     system, target, n: int, d: int, max_steps: int, seed: int, substream: int, mark_cap: int
 ) -> tuple[dict[tuple[int, ...], int], int, int]:
-    """`estimators._replica_chunk` the slow way, to the byte: the same draws,
-    each replica's digits materialized in generation order and read with
-    `scan_hits`.
+    """`estimators._replica_rows`, summed by key, the slow way, to the byte:
+    the same draws, each replica's digits materialized in generation order
+    and read with `scan_hits`.
 
     Step s draws one uniform per replica with fewer than d occurrences, in
     replica order. A replica stops at the step where its d-th occurrence
@@ -434,6 +444,47 @@ def generation_order_replica_chunk(
                 key.append(int(vals[j]) if vals[j] <= mark_cap else OVERFLOW_MARK)
         counts[tuple(key)] = counts.get(tuple(key), 0) + 1
     return dict(sorted(counts.items())), censored, int(n_steps.sum())
+
+
+def dict_chunk_tail(rows: np.ndarray) -> dict[tuple[int, ...], int]:
+    """A replica chunk's key rows summed into a dict, the chunk's tail as it
+    was before count tables stayed arrays: the rows sorted with lexsort, then
+    one entry per distinct key, in lexicographic order."""
+    keys = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys))
+    return dict(zip(map(tuple, keys[starts].tolist()), counts.tolist()))
+
+
+def dict_first_passage(
+    system, target, n_replicas: int, d: int, max_steps: int, seed: int, chunk_size: int
+) -> tuple[dict[tuple[int, ...], int], int, int]:
+    """`estimate_first_passage`'s counts, sorted by key, censored count and
+    replica-steps as they were merged before count tables stayed arrays: the
+    chunks run one after another, and their `dict_chunk_tail` dicts are added
+    key by key."""
+    table = None
+    if target.word is not None:
+        alpha = max(2, max(target.word) + 1)
+        table = build_automaton(PatternTarget(word=target.word), alpha + 1)
+    mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
+    counts: dict[tuple[int, ...], int] = {}
+    censored = steps_run = 0
+    for i, start in enumerate(range(0, n_replicas, chunk_size)):
+        n = min(chunk_size, n_replicas - start)
+        rows, cens, steps = _replica_rows(system, target, table, n, d, max_steps, seed, i, mark_cap)
+        censored += cens
+        steps_run += steps
+        for key, c in dict_chunk_tail(rows).items():
+            counts[key] = counts.get(key, 0) + c
+    return dict(sorted(counts.items())), censored, steps_run
+
+
+def pmf_dict(pmf) -> dict[tuple[int, ...], int]:
+    """An `EmpiricalPMF`'s table as a dict of key tuples, in key order."""
+    return dict(zip(map(tuple, pmf.keys.tolist()), pmf.counts.tolist()))
 
 
 SCALAR_STEP = {"gauss": gauss_branch_sample, "doubling": doubling_branch_sample}

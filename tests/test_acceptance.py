@@ -236,10 +236,10 @@ def test_criterion_06_cross_oracle_monte_carlo():
         expected = n * p
         if expected < 100:
             continue
-        c = pmf.counts.get((k,), 0)
+        c = pmf.count((k,))
         if abs(c - expected) > 4.0 * math.sqrt(expected * (1.0 - p)):
             band_violations.append(k)
-    obs = np.array([pmf.counts.get((k,), 0) for k in range(1, 31)], dtype=float)
+    obs = np.array([pmf.count((k,)) for k in range(1, 31)], dtype=float)
     probs = np.array([exact.mass_at(k) for k in range(1, 31)])
     stat, df, pvalue = chi_square_gof(obs, probs, n_total=n)
     ok = not band_violations and pvalue > 0.01
@@ -262,7 +262,7 @@ def _cf_cell_errors(l: int, gaps, marks, n: int, max_steps: int, seed: int):
             pred = cf_joint_asymptote(CFPrediction(threshold=l, gaps=(k,), marks=(a,)))
             if n * pred < 500:
                 continue
-            est = pmf.counts.get((k, a), 0) / n
+            est = pmf.count((k, a)) / n
             rows.append(((k, a), est, pred, abs(est / pred - 1.0)))
     return rows, pmf
 

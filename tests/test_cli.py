@@ -1,6 +1,9 @@
 """CLI behaviour: schema rejection, artifact layout, idempotence, subcommands."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +15,7 @@ from hittimes import cli, errors
 from hittimes.branch_systems import DOUBLING, generate_stream
 from hittimes.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hittimes.errors import ConfigError
-from hittimes.tables import config_hash
+from hittimes.tables import config_hash, write_csv
 from hittimes.theory import CFPrediction, cf_joint_asymptote, consecutive_asymptote
 
 
@@ -346,7 +349,42 @@ class TestRunners:
         )
 
 
+class TestWriteCsv:
+    HEADER = ("k1", "a1", "count")
+
+    def _both_paths(self, tmp_path, rows: np.ndarray) -> tuple[bytes, bytes]:
+        write_csv(tmp_path / "array.csv", self.HEADER, rows)
+        write_csv(tmp_path / "cells.csv", self.HEADER, rows.tolist())
+        return (tmp_path / "array.csv").read_bytes(), (tmp_path / "cells.csv").read_bytes()
+
+    def test_integer_array_writes_the_per_cell_bytes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(-5, 2**40, size=(500, 3))
+        rows[::7, 1] = -1  # the overflow mark
+        rows[3] = [2**31, 2**32 + 1, 2**63 - 1]
+        rows[4] = [-(2**63), -(2**31) - 1, 0]
+        for table in (rows, rows[:0], (rows % 1000).astype(np.int32),
+                      (rows % 200).astype(np.uint8), rows[::2, :]):
+            array, cells = self._both_paths(tmp_path, table)
+            assert array == cells
+        assert array.startswith(b"k1,a1,count\n") and array.endswith(b"\n")
+
+    def test_integer_array_of_another_width_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="row width 2"):
+            write_csv(tmp_path / "x.csv", self.HEADER, np.zeros((3, 2), dtype=np.int64))
+
+
 class TestMainEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(hittimes.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))
+        ))
+        done = subprocess.run([sys.executable, "-m", "hittimes", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: hittimes")
+
     def test_verify_subcommand(self, tmp_path, capsys):
         path = _write_config(tmp_path, dict(VERIFY_CFG, out=str(tmp_path / "r")))
         assert main(["verify", "--config", str(path)]) == 0
@@ -498,8 +536,22 @@ class TestMainEntry:
             ("k1,count\n1,3\n", {"config": {"mode": "replica"}, "results": {}}, "manifest.json"),
             ("k1,count\n1,3\n", {"config": {"mode": "replica"}, "results": {"n_total": 0}},
              "manifest.json"),
+            # one cell twice, counts above n_total, a negative count, a count
+            # beyond int64, no key column
+            ("k1,count\n1,5\n1,7\n", {"config": {"mode": "replica"}, "results": {"n_total": 20}},
+             "counts.csv"),
+            ("k1,count\n1,20\n2,15\n", {"config": {"mode": "replica"}, "results": {"n_total": 20}},
+             "counts.csv"),
+            ("k1,count\n1,-3\n2,5\n", {"config": {"mode": "replica"}, "results": {"n_total": 20}},
+             "counts.csv"),
+            ("k1,count\n1,9223372036854775808\n",
+             {"config": {"mode": "replica"}, "results": {"n_total": 20}}, "counts.csv"),
+            ("count\n3\n", {"config": {"mode": "replica"}, "results": {"n_total": 4}},
+             "counts.csv"),
         ],
-        ids=["non-integer-cell", "row-wider-than-header", "no-n-total", "zero-n-total"],
+        ids=["non-integer-cell", "row-wider-than-header", "no-n-total", "zero-n-total",
+             "repeated-cell", "counts-above-n-total", "negative-count", "count-beyond-int64",
+             "no-key-column"],
     )
     def test_report_on_malformed_input_exits_2(self, tmp_path, capsys, counts, manifest, bad_file):
         input_dir = tmp_path / "input"
@@ -621,6 +673,24 @@ class TestMainEntry:
         assert main(["report", "--config", str(_write_config(tmp_path, cfg))]) == 0
         lines = (Path(capsys.readouterr().out.strip()) / "estimate.csv").read_text().splitlines()
         assert lines[1].split(",")[:3] == ["1", "3", "4"]
+
+    def test_report_reads_rows_in_any_order(self, tmp_path, capsys):
+        input_dir = tmp_path / "input"
+        input_dir.mkdir()
+        (input_dir / "counts.csv").write_text("k1,k2,count\n2,1,1\n1,-1,2\n1,2,3\n")
+        (input_dir / "manifest.json").write_text(json.dumps({"results": {"n_total": 8}}))
+        cfg = {
+            "kind": "report",
+            "input_dir": str(input_dir),
+            "prediction": {"family": "exponential-hitting", "mu": 0.25},
+            "cells": [[1, 2], [2, 1], [1, 1]],
+            "out": str(tmp_path / "r"),
+        }
+        assert main(["report", "--config", str(_write_config(tmp_path, cfg))]) == 0
+        lines = (Path(capsys.readouterr().out.strip()) / "estimate.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["1", "2", "3"], ["2", "1", "1"], ["1", "1", "0"]
+        ]
 
     def test_report_cell_width_must_match_counts_header(self, tmp_path, capsys):
         input_dir = tmp_path / "input"

@@ -16,7 +16,7 @@ from hittimes.estimators import (
     OVERFLOW_MARK,
     TargetScan,
     _WILSON_Z,
-    _replica_chunk,
+    _replica_rows,
     batch_means_se,
     demo_pruned_return,
     ergodic_cell_se,
@@ -24,6 +24,7 @@ from hittimes.estimators import (
     estimate_return_law_ergodic,
     llt_report,
     scan_hits,
+    sum_by_row,
     wilson_interval,
 )
 from hittimes.markov_pattern import (
@@ -40,12 +41,22 @@ from oracles import (
     backward_register_replica_chunk,
     chi_square_gof,
     chi_square_two_sample,
+    dict_chunk_tail,
+    dict_first_passage,
     generation_order_replica_chunk,
+    pmf_dict,
 )
 
 FAIR = MarkovSource.iid([0.5, 0.5])
 # every digit is 1, so a word of ones occurs at every start of the stream
 ONES = dataclasses.replace(DOUBLING, name="ones", branch_array=lambda y, u, k: k.fill(1.0))
+
+
+def _pmf(table: dict, n_total: int) -> EmpiricalPMF:
+    """The `EmpiricalPMF` of a nonempty {key tuple: count} table."""
+    cells = sorted(table)
+    return EmpiricalPMF(np.array(cells, dtype=np.int64),
+                        np.array([table[c] for c in cells], dtype=np.int64), n_total)
 
 
 class TestScanHits:
@@ -123,7 +134,7 @@ class TestReplicaEstimator:
             for k, v in c.items():
                 want_counts[k] = want_counts.get(k, 0) + v
         assert got.censored == want_censored
-        assert got.counts == want_counts
+        assert pmf_dict(got) == want_counts
         assert got.meta["replica_steps"] == want_steps
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -145,7 +156,9 @@ class TestReplicaEstimator:
             alpha = max(2, max(target.word) + 1)
             table = build_automaton(PatternTarget(word=target.word), alpha + 1)
         args = (3000, d, 300, 19, 2, mark_cap)
-        counts, censored, steps = _replica_chunk(system, target, table, *args)
+        rows, censored, steps = _replica_rows(system, target, table, *args)
+        counts = pmf_dict(EmpiricalPMF(*sum_by_row(rows), 3000, censored))
+        assert list(counts.items()) == list(dict_chunk_tail(rows).items())
         want_counts, want_censored, want_steps = generation_order_replica_chunk(
             system, target, *args
         )
@@ -194,7 +207,7 @@ class TestReplicaEstimator:
             return out
 
         for field in fields:
-            a = marginal(new.counts, new.censored, field)
+            a = marginal(pmf_dict(new), new.censored, field)
             b = marginal(old, old_censored, field)
             cells = sorted(set(a) | set(b), key=lambda v: (v is None, v))
             stat, df, p = chi_square_two_sample(
@@ -229,14 +242,14 @@ class TestReplicaEstimator:
         for k1 in range(1, 9):
             for k2 in range(1, 9):
                 p = consecutive_joint_pmf(FAIR, target, [k1, k2])
-                c = got.counts.get((k1, k2), 0)
+                c = got.count((k1, k2))
                 assert abs(c - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (k1, k2)
 
     def test_censoring_integer_identity(self):
         got = estimate_first_passage(
             DOUBLING, TargetScan.word_pattern((1, 1)), 5000, 1, 4, seed=3
         )
-        assert sum(got.counts.values()) + got.censored == 5000
+        assert got.counts.sum() + got.censored == 5000
         assert got.censored > 0  # max_steps=4 forces real censoring
         assert got.meta["censoring_flag"]
 
@@ -256,13 +269,13 @@ class TestReplicaEstimator:
             kw = dict(n_replicas=30_000, d=d, max_steps=64, seed=5, chunk_size=4096)
             a = estimate_first_passage(system, target, **kw)
             b = estimate_first_passage(system, target, workers=workers, **kw)
-            assert a.counts == b.counts and a.censored == b.censored
+            assert a == b
 
     def test_seeded_determinism(self):
         kw = dict(n_replicas=20_000, d=1, max_steps=64, seed=6)
         a = estimate_first_passage(GAUSS, TargetScan.digit_threshold(10), **kw)
         b = estimate_first_passage(GAUSS, TargetScan.digit_threshold(10), **kw)
-        assert a.counts == b.counts
+        assert a == b
 
     def test_matches_exact_oracle_doubling(self):
         n = 200_000
@@ -274,7 +287,7 @@ class TestReplicaEstimator:
             p = exact.mass_at(k)
             if n * p < 100:
                 continue
-            c = got.counts.get((k,), 0)
+            c = got.count((k,))
             assert abs(c - n * p) < 4 * math.sqrt(n * p * (1 - p)), k
 
     def test_unbiasedness_over_repeated_seeds(self):
@@ -293,7 +306,7 @@ class TestReplicaEstimator:
                 if n * p < 100:
                     continue
                 looks += 1
-                c = got.counts.get((k,), 0)
+                c = got.count((k,))
                 if abs(c - n * p) <= 4 * math.sqrt(n * p * (1 - p)):
                     inside += 1
         assert looks >= 50
@@ -306,9 +319,9 @@ class TestReplicaEstimator:
         )
         cap = 2 + DEFAULT_MARK_CAP_EXCESS
         assert got.meta["mark_cap"] == cap
-        overflow = sum(c for key, c in got.counts.items() if key[1] == OVERFLOW_MARK)
-        assert overflow > 0
-        assert all(key[1] <= cap or key[1] == OVERFLOW_MARK for key in got.counts)
+        marks = got.keys[:, 1]
+        assert got.counts[marks == OVERFLOW_MARK].sum() > 0
+        assert ((marks <= cap) | (marks == OVERFLOW_MARK)).all()
 
     def test_renewal_target_gaps_independent(self):
         # single-symbol word in an i.i.d. stream: (tau1, tau2) factorizes
@@ -321,7 +334,7 @@ class TestReplicaEstimator:
             for k2 in range(1, 7):
                 cells.append((k1, k2))
                 probs.append(2.0**-k1 * 2.0**-k2)
-        obs = np.array([got.counts.get(c, 0) for c in cells], dtype=float)
+        obs = np.array([got.count(c) for c in cells], dtype=float)
         stat, df, p = chi_square_gof(obs, np.array(probs), n_total=n)
         assert p > 0.01
 
@@ -334,11 +347,11 @@ class TestReplicaEstimator:
         got = estimate_first_passage(
             GAUSS, TargetScan.digit_threshold(l), n, 1, 512, seed=22
         )
-        n_hits = sum(got.counts.values())
+        n_hits = got.counts.sum()
         mu_l = threshold_cell_measure(l)
         marks = list(range(l, l + 31))
         obs = np.array(
-            [sum(c for key, c in got.counts.items() if key[1] == a) for a in marks],
+            [got.counts[got.keys[:, 1] == a].sum() for a in marks],
             dtype=float,
         )
         probs = np.array([gauss_digit_cell_measure(a) / mu_l for a in marks])
@@ -384,7 +397,7 @@ class TestErgodicEstimator:
             p = exact.mass_at(k)
             if n * p < 100:
                 continue
-            freq = est.pmf.counts.get((k,), 0) / n
+            freq = est.pmf.count((k,)) / n
             se = ergodic_cell_se(est.gaps, lambda g, kk=k: g == kk)
             assert abs(freq - p) < 4 * max(se, 1e-12), k
 
@@ -398,17 +411,93 @@ class TestErgodicEstimator:
         erg = estimate_return_law_ergodic(stream, TargetScan.word_pattern((1, 1)),
                                           min_hits=1000)
         for k in (1, 3, 4, 6):
-            rep_count = sum(c for key, c in rep.counts.items() if key[1] == k)
+            rep_count = rep.counts[rep.keys[:, 1] == k].sum()
             rep_freq = rep_count / n
-            erg_freq = erg.pmf.counts.get((k,), 0) / erg.pmf.n_total
+            erg_freq = erg.pmf.count((k,)) / erg.pmf.n_total
             se_rep = math.sqrt(max(rep_freq, 1e-9) / n)
             se_erg = ergodic_cell_se(erg.gaps, lambda g, kk=k: g == kk)
             assert abs(rep_freq - erg_freq) < 4 * math.hypot(se_rep, se_erg), k
 
 
+class TestCountTable:
+    def test_sum_by_row_matches_dict_tally(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(OVERFLOW_MARK, 4, size=(5000, 3))
+        weights = rng.integers(0, 2**40, size=5000)
+        keys, counts = sum_by_row(rows)
+        got = dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+        assert list(got.items()) == list(dict_chunk_tail(rows).items())
+        want: dict[tuple, int] = {}
+        for key, w in zip(map(tuple, rows.tolist()), weights.tolist()):
+            want[key] = want.get(key, 0) + w
+        keys, sums = sum_by_row(rows, weights)
+        assert list(zip(map(tuple, keys.tolist()), sums.tolist())) == sorted(want.items())
+        empty = rows[:0]
+        for keys, sums in (sum_by_row(empty), sum_by_row(empty, weights[:0])):
+            assert keys.shape == (0, 3) and sums.shape == (0,)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "system,target",
+        [(GAUSS, TargetScan.digit_threshold(20)), (DOUBLING, TargetScan.word_pattern((1, 0, 1)))],
+        ids=["gauss-a20", "doubling-101"],
+    )
+    def test_merge_matches_dict_merge(self, system, target, workers):
+        # 13 chunks, the last one short; at d = 2 about 100 Gauss marks overflow
+        n, d, max_steps, seed, chunk = 12 * 2048 + 700, 2, 256, 31, 2048
+        got = estimate_first_passage(
+            system, target, n, d, max_steps, seed, chunk_size=chunk, workers=workers
+        )
+        want, censored, steps = dict_first_passage(system, target, n, d, max_steps, seed, chunk)
+        assert list(pmf_dict(got).items()) == list(want.items())
+        assert (got.censored, got.meta["replica_steps"]) == (censored, steps)
+        if target.word is None:
+            assert (got.keys[:, 1::2] == OVERFLOW_MARK).any()
+
+    @pytest.mark.parametrize(
+        "keys,counts,n_total,censored,match",
+        [
+            ([[1.0], [2.0]], [1, 1], 4, 0, "int64"),
+            ([1, 2], [1, 1], 4, 0, "int64"),
+            ([[1], [2]], [1, 1, 1], 4, 0, "int64"),
+            (np.empty((0, 0), dtype=np.int64), [], 4, 0, "int64"),
+            ([[1], [2]], [3, -1], 4, 0, "nonnegative"),
+            ([[1], [2]], [1, 1], 4, -1, "nonnegative"),
+            ([[1], [1]], [1, 1], 4, 0, "lexicographic"),
+            ([[2], [1]], [1, 1], 4, 0, "lexicographic"),
+            ([[1, 5], [1, 3]], [1, 1], 4, 0, "lexicographic"),
+            ([[1], [2]], [3, 2], 4, 0, "n_total"),
+            ([[1]], [3], 4, 2, "n_total"),
+            ([[1], [2]], [2**62, 2**62], 4, 0, "n_total"),  # no int64 wraparound
+        ],
+        ids=["float-keys", "1-d-keys", "counts-length", "no-key-column", "negative-count",
+             "negative-censored", "repeated-key", "descending-key", "descending-second-entry",
+             "counts-above-n-total", "censored-above-n-total", "sum-beyond-int64"],
+    )
+    def test_table_invariants_refused(self, keys, counts, n_total, censored, match):
+        with pytest.raises(ValidationError, match=match):
+            EmpiricalPMF(np.asarray(keys), np.asarray(counts, dtype=np.int64), n_total, censored)
+
+    def test_count_looks_cells_up(self):
+        rng = np.random.default_rng(8)
+        table: dict[tuple, int] = {}
+        for key in map(tuple, rng.integers(OVERFLOW_MARK, 6, size=(400, 3)).tolist()):
+            table[key] = table.get(key, 0) + 1
+        pmf = _pmf(table, 400)
+        assert pmf.keys[0].tolist() < pmf.keys[-1].tolist()
+        for cell in map(tuple, rng.integers(OVERFLOW_MARK - 1, 8, size=(300, 3)).tolist()):
+            assert pmf.count(cell) == table.get(cell, 0), cell
+        with pytest.raises(ValidationError, match="3 entries"):
+            pmf.count((1, 2))
+
+    def test_report_refuses_a_cell_of_another_width(self):
+        with pytest.raises(ValidationError, match="1 entries"):
+            llt_report(_pmf({(1,): 3}, 4), [((1, 2), 0.5)])
+
+
 class TestReportsAndStats:
     def test_llt_report_empirical_with_ci(self):
-        pmf = EmpiricalPMF(counts={(1,): 5200, (2,): 2400}, n_total=10_000)
+        pmf = _pmf({(1,): 5200, (2,): 2400}, 10_000)
         rows, summary = llt_report(pmf, [((1,), 0.5), ((2,), 0.25)])
         assert rows[0].ci_low < rows[0].estimate < rows[0].ci_high
         assert (rows[1].count, rows[1].n) == (2400, 10_000)
@@ -417,15 +506,15 @@ class TestReportsAndStats:
             llt_report(pmf, [])
 
     def test_llt_report_cells_are_integral_keys_down_to_the_overflow_mark(self):
-        pmf = EmpiricalPMF(counts={(1, OVERFLOW_MARK): 3}, n_total=4)
+        pmf = _pmf({(1, OVERFLOW_MARK): 3}, 4)
         (row,), _ = llt_report(pmf, [((1.0, OVERFLOW_MARK), 0.5)])
         assert (row.cell, row.count) == ((1, OVERFLOW_MARK), 3)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: llt_report(EmpiricalPMF({(1,): 3}, 4), [((1.5,), 0.5)]),
-            lambda: llt_report(EmpiricalPMF({(1,): 3}, 4), [((1, -2), 0.5)]),
+            lambda: llt_report(_pmf({(1,): 3}, 4), [((1.5,), 0.5)]),
+            lambda: llt_report(_pmf({(1,): 3}, 4), [((1, -2), 0.5)]),
             lambda: verify_inducing_identity(
                 hitting_pmf(FAIR, PatternTarget(word=(1,)), "stationary", 4),
                 return_pmf(FAIR, PatternTarget(word=(1,)), 4), 0.5, [2.5],

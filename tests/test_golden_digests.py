@@ -1,8 +1,8 @@
-"""Pinned SHA-256 digests of the artifacts of eight small configs, and of two
+"""Pinned SHA-256 digests of the artifacts of nine small configs, and of two
 digit streams long enough to cross the stream's chunk and lane boundaries.
 
 A rerun only shows that a change is deterministic; these digests show that
-it left the bytes of earlier runs alone. The four Monte-Carlo configs and the
+it left the bytes of earlier runs alone. The five Monte-Carlo configs and the
 two streams must never move unless their sampling changes on purpose. The exact-markov,
 verify-identities and exact counterexample digests move whenever the exact
 oracle's floating-point evaluation order changes; a change that moves one
@@ -52,6 +52,21 @@ CONFIGS = {
         "seed": 1,
         "cells": [[1, 2], [2, 3], [3, 1]],
         "prediction": {"family": "exponential-hitting", "theta": 1.0, "mu": 0.25},
+    },
+    # a threshold target at d = 2 over two chunks, written as CSV and JSON;
+    # its keys include OVERFLOW_MARK, and the digests were taken before the
+    # count table stayed two arrays
+    "replica-cf-both": {
+        "kind": "simulate-cf",
+        "mode": "replica",
+        "target": {"threshold": 5},
+        "n_replicas": 70_000,
+        "d": 2,
+        "max_steps": 64,
+        "seed": 3,
+        "format": "both",
+        "cells": [[1, 5, 1, 5], [2, 6, 1, 7]],
+        "prediction": {"family": "cf-joint", "threshold": 5},
     },
     "ergodic": {
         "kind": "simulate-cf",
@@ -111,6 +126,13 @@ GOLDEN = {
         "counts.csv": "4cbc43d8f053e6c84bf614a3867b2f7e235937e9b0b0888f55aea14714398070",
         "estimate.csv": "2e100da7de74cb345ec94ad0719cab8578d202120495ba23d33780b64a287bbc",
         "manifest.json": "38acc91281f33ca26c6949da2ab8adb85520a921455659defd1eb5c4bb8bd84d",
+    },
+    "replica-cf-both": {
+        "counts.csv": "e1c64869ab976bcffa96b1906c60e5a2cd844a7fa489959aaf46cfbc3a0b0eb4",
+        "counts.json": "870fcfed8476e6a7fc331cf19b144c429b7ce58a44e8c038fcfcafaa9d7fad8c",
+        "estimate.csv": "0a93d5636f040eefb5d33ffeb7dbed1e9c4b6661224d6759ca483d81d96bac3b",
+        "estimate.json": "ec62a2dbec1753974a58a791073f1c1e0f21b5ad6b7727bf00d7afb4fc2c939d",
+        "manifest.json": "eb8d431265048d95dae649bb9f9ae0b71af9c4e3748e333ce79001bda3bd103f",
     },
     "ergodic": {
         "counts.csv": "a0d47b377ed2c80f30ab1fd1a38fab96ef838a75c8e4c3305ed355f72375d8fa",
