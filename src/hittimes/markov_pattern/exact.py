@@ -6,8 +6,13 @@ Two independent backends are maintained deliberately:
   is alphabet + word length (the scalable path): the S states (0, c) come
   first, then (s, word[s-1]) for s = 1..l, so the full match is the last
   state, and one table walk of the occurrence automaton lays out the kernel;
-* the block chain on all length-r symbol tuples (the S^r reference path),
-  which also handles targets that are unions of equal-rank cylinders.
+* the block chain on length-r symbol tuples (the S^r reference path), which
+  also handles targets that are unions of equal-rank cylinders. It
+  enumerates blocks and never builds an automaton, so it shares nothing with
+  the product chain. Its laws hold the (r-1)-block marginal, not the S^r
+  vector: outside the target a rank-r block's mass is that marginal times
+  one transition, so a rank-r target block is a transition between
+  (r-1)-blocks.
 
 Both reduce every law to substochastic iteration: evolve a distribution with
 the kernel restricted to survival (no entry into the target), and collect the
@@ -24,7 +29,10 @@ the gap legs, the shift identity's matched/unmatched split (itself a
 substochastic chain on twice the states) and the return excess. The block
 chain keeps its own step loop, the independent cross-check: a step at rank
 >= 2 sums out the dropped symbol, on which no weight depends, and then makes
-one multiply by the transitions out of the kept last symbol.
+one multiply by the transitions out of the kept last symbol. A rank-r law
+makes that step at rank r - 1, reads the absorbed mass off the target
+transitions, and recomputes the few marginal entries those transitions feed
+from their kept predecessors.
 Return-time expectations need no horizon: `return_excess` solves (I - Q) w = 1
 by GTH elimination (Grassmann, Taksar and Heyman, *Oper. Res.* 1985), which
 keeps full relative precision however rare the target.
@@ -35,6 +43,7 @@ interesting k run into the millions and naive accumulation would lose digits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,6 +66,7 @@ _UNDERFLOW = 1e-300
 _BLOCK = 512  # chain steps per block of `_absorption_series`
 _BUDGET_STATES = 2**22  # largest block chain, in states
 _BUDGET_OPS = 10**9  # largest law, in state updates (state-symbol updates for the block chain)
+_FSUM_CHUNK = 4096  # masses turned into Python floats at a time by `_closing_tail`
 
 
 def _require_budget(updates: int) -> None:
@@ -98,8 +108,11 @@ def _absorption_series(
 
 def _closing_tail(total_in: float, masses: np.ndarray) -> float:
     """The tail of a truncated law: ``total_in`` minus the exact sum of ``masses``,
-    clamped at 0. Below -``_MASS_DRIFT_TOL`` it is drift, not rounding, and raises."""
-    tail = total_in - math.fsum(masses)
+    clamped at 0. Below -``_MASS_DRIFT_TOL`` it is drift, not rounding, and raises.
+    The masses reach `math.fsum` as floats of a few chunks' ``tolist``, not as
+    numpy scalars one by one, and never as one list of the whole law."""
+    chunks = (masses[i : i + _FSUM_CHUNK].tolist() for i in range(0, masses.size, _FSUM_CHUNK))
+    tail = total_in - math.fsum(itertools.chain.from_iterable(chunks))
     if tail < -_MASS_DRIFT_TOL:
         raise NumericalDriftError(f"mass balance drifted past tolerance: tail={tail:.3e}")
     return max(tail, 0.0)
@@ -408,6 +421,14 @@ class BlockChain:
     same. Transitions of 1/2 (the fair coin) scale exactly, so there the step
     is the scatter's bit for bit at every rank. Targets are arbitrary sets of
     equal-rank tuples, which covers unions of cylinders.
+
+    The laws of rank-r targets (`_block_pmf`) never hold the S^r vector: they
+    step the rank-(r-1) chain on its marginal and read each target block as
+    a transition of it. They keep the S^r loop's bits on the fair coin at
+    every rank and for every source at rank <= 2. Elsewhere the mass
+    absorbed at chain step j lies within 2 S j 2^-53 relative of the S^r
+    scatter loop run in extended precision, and its zeros are exact; j is k
+    for a return time k and k + r - 1 for a hitting time k.
     """
 
     def __init__(self, source: MarkovSource, rank: int) -> None:
@@ -422,8 +443,13 @@ class BlockChain:
         self.rank = rank
         self.n_states = n
         self._mod = s ** (rank - 1)
-        # weight[c, m]: transition into c from every block t * S^(r-1) + m, rank >= 2
-        self._weight = np.ascontiguousarray(source.transitions[np.arange(self._mod) % s].T)
+
+    @functools.cached_property
+    def _weight(self) -> np.ndarray:
+        """weight[c, m]: transition into c from every block t * S^(r-1) + m, rank >= 2;
+        built on the first step, since a law reads only the measures of its own rank."""
+        s = self.source.alphabet_size
+        return np.ascontiguousarray(self.source.transitions[np.arange(self._mod) % s].T)
 
     def stationary_blocks(self) -> np.ndarray:
         """Stationary law of length-r blocks."""
@@ -445,56 +471,135 @@ class BlockChain:
         return out
 
 
+def _word_rows(words, rank: int, s: int) -> np.ndarray:
+    """The words as an (n, rank) int64 array of symbols in [0, s).
+
+    An integer array is range-checked with one min and one max; a list, or
+    an array that fails that check, symbol by symbol, and a refusal names
+    the first offending word, not the whole set.
+    """
+    if isinstance(words, np.ndarray):
+        if words.min() >= 0 and words.max() < s:
+            return words.astype(np.int64, copy=False)
+        words = words.tolist()
+    try:
+        symbols = _int_tuple(itertools.chain.from_iterable(words), "word symbols", 0, s)
+    except ValidationError:
+        for w in words:
+            _int_tuple(w, "word symbols", 0, s)
+        raise
+    return np.array(symbols, dtype=np.int64).reshape(-1, rank)
+
+
+def _transition_absorption(
+    lower: BlockChain, target: np.ndarray, marginal: np.ndarray, phantom: int, k_max: int
+) -> np.ndarray:
+    """Masses a rank-r target absorbs at steps 1..k_max, carried on the marginal.
+
+    ``lower`` is the rank-(r-1) chain and ``marginal`` the marginal of the
+    first rank-r step, after which ``phantom`` steps run unrestricted. A
+    target block b is the transition b // S -> b mod S of ``lower``'s
+    blocks, absorbing marginal[b // S] P[(b // S) mod S, b mod S]. After each
+    step the entries m' of the next marginal that a target block feeds are
+    recomputed from their kept predecessors t * S^(r-2) + m' // S, one per
+    dropped symbol t, summed in t's order as the rank-r step sums them.
+    """
+    s = lower.source.alphabet_size
+    p = lower.source.transitions
+    src, dst = np.divmod(target, s)
+    into = p[src % s, dst]
+    fed = np.unique(target % lower.n_states)
+    blocks = np.arange(s, dtype=np.int64)[:, None] * lower.n_states + fed
+    pred = blocks // s
+    weight = p[pred % s, fed % s]
+    kept = np.where(np.isin(blocks, target), 0.0, 1.0)
+    if lower.rank == 1:  # the predecessor t is the symbol the transition leaves
+        coef, post = kept * weight, 1.0
+    else:  # every predecessor of m' leaves the symbol (m' // S) mod S
+        coef, post = kept, weight[0]
+    for _ in range(phantom):
+        marginal = lower.step(marginal)
+    masses = np.empty(k_max)
+    for k in range(k_max):
+        masses[k] = (marginal[src] * into).sum()
+        if k + 1 == k_max:
+            break
+        nxt = lower.step(marginal)
+        terms = marginal[pred] * coef
+        for row in terms[1:]:  # in t's order; a reduce sums one column of 9+ pairwise
+            terms[0] += row
+        nxt[fed] = terms[0] * post
+        marginal = nxt
+    return masses
+
+
 def _block_pmf(
     source: MarkovSource,
-    words: Sequence[Sequence[int]],
+    words: Sequence[Sequence[int]] | np.ndarray,
     k_max: int,
     from_inside: bool,
 ) -> tuple[ExactPMF, float]:
     """Hitting or return law of a union of equal-rank cylinders.
 
-    Returns (pmf, target measure). ``from_inside`` starts from the stationary
-    law conditioned on the target (return law); otherwise from the stationary
-    law with the first rank-1 steps run unrestricted, because matches there
-    would correspond to occurrence starts <= 0.
+    Returns (pmf, target measure). ``words`` is a sequence of equal-length
+    words or a 2-D integer array with one word per row (a non-2-D array is
+    refused as words of unequal length). ``from_inside`` starts from the
+    stationary law conditioned on the target (return law); otherwise from
+    the stationary law with the first rank-1 steps run unrestricted, because
+    matches there would correspond to occurrence starts <= 0.
+
+    The measures and the start come from the rank-r stationary blocks. At
+    rank 1 the S states step and the target is zeroed after each step. At
+    rank r >= 2, after every step v[(m, c)] = marginal[m] P[m mod S, c]
+    outside the target, so the S^r vector is freed once its marginal is
+    formed and `_transition_absorption` carries the S^(r-1) marginal. No
+    entry is formed by a subtraction, so a structurally impossible time has
+    mass exactly 0. The fair coin's laws at every rank, and every law at
+    rank <= 2, are the S^r loop's bit for bit. Elsewhere the mass absorbed
+    at chain step j (j = k for a return time k, k + r - 1 for a hitting
+    time) lies within 2 S j 2^-53 relative of the S^r scatter loop run in
+    extended precision, with the same zeros.
     """
     (k_max,) = _int_tuple((k_max,), "k_max", 1)
-    if not words:
+    if isinstance(words, np.ndarray):
+        if words.ndim != 2:
+            raise ValidationError("all words in a block target must have equal length")
+        if words.dtype.kind not in "iu":
+            words = words.tolist()  # bools and fractions are refused as a list's are
+    if len(words) == 0:
         raise ValidationError("word set must be nonempty")
     rank = len(words[0])
-    if any(len(w) != rank for w in words):
+    if not isinstance(words, np.ndarray) and any(len(w) != rank for w in words):
         raise ValidationError("all words in a block target must have equal length")
     chain = BlockChain(source, rank)
     s = source.alphabet_size
     _require_budget((k_max + rank) * chain.n_states * s)
-    try:
-        symbols = _int_tuple(itertools.chain.from_iterable(words), "word symbols", 0, s)
-    except ValidationError:
-        for w in words:  # name the offending word, not the whole set
-            _int_tuple(w, "word symbols", 0, s)
-        raise
     # the sorted distinct block indices, as `BlockChain` encodes blocks
     places = s ** np.arange(rank - 1, -1, -1, dtype=np.int64)
-    target = np.unique(np.array(symbols, dtype=np.int64).reshape(-1, rank) @ places)
+    target = np.unique(_word_rows(words, rank, s) @ places)
     v = chain.stationary_blocks()
     mu_target = float(v[target].sum())
     if mu_target <= 0.0:
         raise ValidationError("target set has zero stationary measure")
     if from_inside:
-        inside = np.zeros_like(v)
-        inside[target] = v[target] / mu_target
-        v = inside
+        inside = v[target] / mu_target
+        v = np.zeros_like(v)
+        v[target] = inside
         phantom = 0
     else:
         phantom = rank - 1
-    masses = np.zeros(k_max)
     total_in = float(v.sum())
-    for _ in range(phantom):
-        v = chain.step(v)
-    for k in range(1, k_max + 1):
-        v = chain.step(v)
-        masses[k - 1] = float(v[target].sum())
-        v[target] = 0.0
+    if rank == 1:
+        masses = np.empty(k_max)
+        for k in range(k_max):
+            v = chain.step(v)
+            masses[k] = v[target].sum()
+            v[target] = 0.0
+    else:
+        marginal = np.add.reduce(v.reshape(s, -1), axis=0)
+        del v
+        lower = BlockChain(source, rank - 1)
+        masses = _transition_absorption(lower, target, marginal, phantom, k_max)
     return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(total_in, masses)), mu_target
 
 
@@ -511,7 +616,8 @@ def block_return_pmf(source: MarkovSource, target: PatternTarget, k_max: int) ->
 
 
 def block_set_return_pmf(
-    source: MarkovSource, words: Sequence[Sequence[int]], k_max: int
+    source: MarkovSource, words: Sequence[Sequence[int]] | np.ndarray, k_max: int
 ) -> tuple[ExactPMF, float]:
-    """Return law and measure of a union of equal-rank cylinders."""
+    """Return law and measure of a union of equal-rank cylinders, given as
+    equal-length words or as a 2-D integer array with one word per row."""
     return _block_pmf(source, words, k_max, from_inside=True)

@@ -173,9 +173,7 @@ def counterexample_pruned_target(
     words[:, :l] = word
     for t in range(k_prune):
         words[:, l + t] = digit(codes, t)
-    kept = words.tolist()
-    del words  # freed before the block chain, where memory peaks
-    b_pmf, mu_b = block_set_return_pmf(source, kept, k_max)
+    b_pmf, mu_b = block_set_return_pmf(source, words, k_max)
     mu_a = source.word_measure(word)
     ret = return_pmf(source, target, k_prune)
     return PrunedTargetReport(

@@ -13,7 +13,9 @@ return excess's original matrix power per K, for the same use.
 `scatter_block_step` likewise keeps the block chain's original scatter step,
 so that the factored step can be held to it: run in long double, it is the
 reference of the step's stated rounding bound, and in double it is the step
-bit for bit on the fair coin and at rank 1.
+bit for bit on the fair coin and at rank 1. `full_vector_block_pmf` keeps
+the block laws' original loop over the whole S^r vector, which the laws on
+the S^(r-1) marginal are held to, through that step in either precision.
 `generation_order_replica_chunk` replays the replica chunk's draws and
 reads each replica's materialized digits with `scan_hits`, so that the chunk
 can be held to it exactly. `backward_register_replica_chunk` keeps the chunk
@@ -61,7 +63,7 @@ from hittimes.estimators import (
     scan_hits,
 )
 from hittimes.markov_pattern import PatternTarget, build_automaton
-from hittimes.markov_pattern.exact import ProductChain
+from hittimes.markov_pattern.exact import BlockChain, ExactPMF, ProductChain, _closing_tail
 
 
 def _enumerate_digits(s: int, m: int) -> np.ndarray:
@@ -309,6 +311,39 @@ def scatter_block_step(chain, v: np.ndarray) -> np.ndarray:
     for c in range(s):
         np.add.at(out, shift + c, v * chain.source.transitions[last, c])
     return out
+
+
+def full_vector_block_pmf(source, words, k_max: int, from_inside: bool) -> tuple[ExactPMF, float]:
+    """(law, target measure) of `_block_pmf` by the full S^r loop it replaced:
+    step the rank-r `BlockChain` and zero the target after each step.
+
+    ``words`` is a list of equal-length words; inputs are assumed valid. The
+    loop calls ``BlockChain.step``, so a test that swaps that method for the
+    scatter in long double makes this the scatter loop of the stated bound.
+    """
+    s = source.alphabet_size
+    rank = len(words[0])
+    chain = BlockChain(source, rank)
+    places = s ** np.arange(rank - 1, -1, -1, dtype=np.int64)
+    target = np.unique(np.array(words, dtype=np.int64).reshape(-1, rank) @ places)
+    v = chain.stationary_blocks()
+    mu_target = float(v[target].sum())
+    if from_inside:
+        inside = np.zeros_like(v)
+        inside[target] = v[target] / mu_target
+        v = inside
+        phantom = 0
+    else:
+        phantom = rank - 1
+    masses = np.zeros(k_max)
+    total_in = float(v.sum())
+    for _ in range(phantom):
+        v = chain.step(v)
+    for k in range(1, k_max + 1):
+        v = chain.step(v)
+        masses[k - 1] = float(v[target].sum())
+        v[target] = 0.0
+    return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(total_in, masses)), mu_target
 
 
 def gauss_branch_prob(k: int, y: float) -> float:

@@ -40,7 +40,9 @@ from hittimes.markov_pattern.exact import (
     _MASS_DRIFT_TOL,
     ExactPMF,
     ProductChain,
+    _FSUM_CHUNK,
     _absorption_series,
+    _block_pmf,
     _closing_tail,
 )
 
@@ -50,6 +52,7 @@ from oracles import (
     brute_return_masses,
     brute_shift_identity_lhs,
     dict_product_kernel,
+    full_vector_block_pmf,
     matrix_power_excess,
     scalar_first_match,
     scatter_block_step,
@@ -293,6 +296,37 @@ def test_block_symbol_refusal_names_the_word():
         block_set_return_pmf(MARKOV2, [(0, 1), (0, True)], 8)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_array_words_are_the_list_words(dtype):
+    words = [(0, 1, 2), (0, 0, 2), (1, 2, 2), (0, 1, 2)]
+    (want, want_mu), (got, got_mu) = (
+        block_set_return_pmf(MARKOV3, w, 40) for w in (words, np.array(words, dtype=dtype)))
+    assert np.array_equal(got.masses, want.masses) and got.tail == want.tail
+    assert got_mu == want_mu
+
+
+@pytest.mark.parametrize(
+    "words,message",
+    [(np.array([[0, 1], [1, 2], [0, 0]]), r"word symbols must lie in \[0, 2\), as integers; got \(1, 2\)$"),
+     (np.array([[0, -1]]), r"got \(0, -1\)$"),
+     (np.array([[0, 1], [0, True]], dtype=bool), r"got \(False, True\)$"),
+     (np.array([[0, 1.5]]), r"got \(0.0, 1.5\)$"),
+     (np.empty((0, 2), dtype=np.int64), "word set must be nonempty$"),
+     (np.array([0, 1]), "all words in a block target must have equal length$"),
+     (np.zeros((1, 2, 2), dtype=np.int64), "all words in a block target must have equal length$")],
+    ids=["out-of-range", "negative", "bool", "fraction", "empty", "1-d", "3-d"],
+)
+def test_array_words_refused_as_lists_are(words, message):
+    with pytest.raises(ValidationError, match=message):
+        block_set_return_pmf(MARKOV2, words, 8)
+
+
+def test_integral_float_array_words_accepted():
+    (got, _), (want, _) = (block_set_return_pmf(MARKOV2, w, 8)
+                           for w in (np.array([[0, 1.0]]), [(0, 1)]))
+    assert np.array_equal(got.masses, want.masses)
+
+
 class TestProductChain:
     def test_reachable_pair_count(self):
         chain = ProductChain(FAIR, PatternTarget(word=(1, 1)))
@@ -447,6 +481,13 @@ class TestPMFInvariants:
             _closing_tail(1.0 - 2 * _MASS_DRIFT_TOL, masses)
         assert _closing_tail(1.0 - 0.5 * _MASS_DRIFT_TOL, masses) == 0.0
         assert _closing_tail(1.25, masses) == 0.25
+
+    def test_closing_tail_sums_chunked_masses_exactly(self):
+        # the chunks' floats reach fsum in order, so the tail is the exactly
+        # rounded one, across chunk edges and with an uneven last chunk
+        masses = np.random.default_rng(5).random(2 * _FSUM_CHUNK + 3) * 2.0**-20
+        assert _closing_tail(1.0, masses) == 1.0 - math.fsum(masses.tolist())
+        assert _closing_tail(1.0, masses[:0]) == 1.0
 
 
 def _shift_cell(source, word, j, m):
@@ -737,26 +778,28 @@ class TestBlockStep:
         # double, zeros exact; bit for bit on the fair coin and at rank 1. By
         # k = 512 the 2-state return law of (1,) reaches subnormal masses,
         # which the long-double run holds unrounded
+        # (the references are the S^r loop stepped by the scatter)
         target = PatternTarget(word=word)
         words = [word, tuple(reversed(word))]
+        got = [
+            block_hitting_pmf(source, target, 512),
+            block_return_pmf(source, target, 512),
+            block_set_return_pmf(source, words, 512)[0],
+        ]
 
-        def laws():
-            return [
-                block_hitting_pmf(source, target, 512),
-                block_return_pmf(source, target, 512),
-                block_set_return_pmf(source, words, 512)[0],
-            ]
+        def references():
+            return [full_vector_block_pmf(source, w, 512, inside)[0]
+                    for w, inside in (([word], False), ([word], True), (words, True))]
 
-        got = laws()
         monkeypatch.setattr(BlockChain, "step", _longdouble_scatter_step)
         tiny = np.finfo(float).tiny  # below it a double holds only absolute precision
-        for new, ref in zip(got, laws()):
+        for new, ref in zip(got, references()):
             np.testing.assert_array_equal(new.masses == 0.0, ref.masses == 0.0)
             assert np.all(np.abs(new.masses - ref.masses) <= 1e-14 * np.maximum(ref.masses, tiny))
             assert new.tail == pytest.approx(ref.tail, rel=0, abs=1e-14)
         if source is FAIR or len(word) == 1:
             monkeypatch.setattr(BlockChain, "step", scatter_block_step)
-            for new, old in zip(got, laws()):
+            for new, old in zip(got, references()):
                 assert np.array_equal(new.masses, old.masses)
                 assert new.tail == old.tail
 
@@ -768,6 +811,101 @@ class TestBlockStep:
         for law in (block_return_pmf, block_hitting_pmf, return_pmf):
             with pytest.raises(ValidationError, match=r"word symbols must lie in \[0, 2\)"):
                 law(MARKOV2, PatternTarget(word=(0, 2)), 8)
+
+
+_ROWS9 = np.random.default_rng(9).uniform(0.05, 1.0, (9, 9))
+MARKOV9 = MarkovSource.from_transitions(_ROWS9 / _ROWS9.sum(axis=1, keepdims=True))
+# the source and counterexample set of the block benchmark: word 012, k_prune 7
+BENCH_MARKOV3 = MarkovSource.from_transitions([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+
+
+def _longdouble_reference(source, words, k_max, from_inside):
+    """`_block_pmf`'s law by the S^r loop, each step the scatter in long double."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BlockChain, "step", _longdouble_scatter_step)
+        return full_vector_block_pmf(source, words, k_max, from_inside)[0]
+
+
+def _assert_masses_within_step_bound(law, ref, s, lead):
+    """Every mass within 2 S j 2^-53 relative of ``ref``, where j = k + lead
+    is the chain step that absorbs the mass of k; zeros exact."""
+    steps = np.arange(1, law.masses.size + 1) + lead
+    tiny = np.finfo(float).tiny
+    np.testing.assert_array_equal(law.masses == 0.0, ref.masses == 0.0)
+    err = np.abs(law.masses - ref.masses)
+    assert np.all(err <= 2 * s * steps * 2.0**-53 * np.maximum(ref.masses, tiny))
+
+
+def _assert_same_law(source, words, k_max, from_inside):
+    (got, got_mu), (want, want_mu) = (
+        law(source, words, k_max, from_inside) for law in (_block_pmf, full_vector_block_pmf))
+    assert np.array_equal(got.masses, want.masses)
+    assert got.tail == want.tail and got_mu == want_mu
+
+
+class TestBlockLawsOnTheMarginal:
+    """The block laws carry the S^(r-1) marginal and read rank-r target
+    blocks as its transitions. They are held to the S^r loop they replaced:
+    bit for bit on the fair coin and at rank <= 2, within 2 S j 2^-53 of its
+    long-double scatter run elsewhere (j the chain step), zeros exact."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("from_inside", [True, False], ids=["return", "hitting"])
+    def test_fair_coin_laws_are_the_full_vector_loop(self, rank, from_inside):
+        # 0^(r-1)1 and 10^(r-2)1 block both predecessors of 0^(r-2)1
+        words = [(0,) * (rank - 1) + (1,), (1,) * rank]
+        if rank >= 2:
+            words.append((1,) + (0,) * (rank - 2) + (1,))
+        _assert_same_law(FAIR, words, 512 if rank == 16 else 200, from_inside)
+        _assert_same_law(FAIR, words[:1], 64, from_inside)
+
+    @pytest.mark.parametrize("source", [MARKOV2, MARKOV3, MARKOV4, MARKOV9],
+                             ids=["2", "3", "4", "9"])
+    @pytest.mark.parametrize("from_inside", [True, False], ids=["return", "hitting"])
+    def test_rank_2_laws_are_the_full_vector_loop(self, source, from_inside):
+        # every predecessor of symbol 1 blocked; S - 1 of symbol 0; one of the
+        # last, alone too: with nine symbols that entry's eight kept terms
+        # are where a reduce over one column would sum pairwise
+        s = source.alphabet_size
+        words = [(t, 1) for t in range(s)] + [(t, 0) for t in range(1, s)] + [(0, s - 1)]
+        _assert_same_law(source, words, 200, from_inside)
+        _assert_same_law(source, words[-1:], 200, from_inside)
+
+    def test_counterexample_set_within_bound(self, monkeypatch):
+        seen = []
+
+        def spy(src, words, k_max):
+            seen.append(words)
+            return block_set_return_pmf(src, words, k_max)
+
+        monkeypatch.setattr(reports, "block_set_return_pmf", spy)
+        report = counterexample_pruned_target(BENCH_MARKOV3, PatternTarget(word=(0, 1, 2)), 7, 512)
+        (words,) = seen
+        assert words.shape == (report.n_cylinders_kept, 10)
+        law, mu = block_set_return_pmf(BENCH_MARKOV3, words, 512)
+        assert law.masses[6] == 0.0 and mu == report.mu_b
+        ref = _longdouble_reference(BENCH_MARKOV3, words.tolist(), 512, True)
+        _assert_masses_within_step_bound(law, ref, 3, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_markov_sources(max_symbols=3), st.integers(1, 5), st.data())
+    def test_random_word_sets(self, source, rank, data):
+        # a random set, plus the first `blocked` predecessors of one entry of
+        # the next marginal: several, or all S of them
+        s = source.alphabet_size
+        codes = data.draw(st.lists(st.integers(0, s**rank - 1), min_size=1, max_size=8))
+        if rank >= 2:
+            fed = data.draw(st.integers(0, s ** (rank - 1) - 1))
+            blocked = data.draw(st.integers(0, s))
+            codes += [t * s ** (rank - 1) + fed for t in range(blocked)]
+        words = [tuple(c // s ** (rank - 1 - i) % s for i in range(rank)) for c in codes]
+        k_max = data.draw(st.integers(1, 40))
+        from_inside = data.draw(st.booleans())
+        if rank <= 2:
+            _assert_same_law(source, words, k_max, from_inside)
+        law, _ = _block_pmf(source, words, k_max, from_inside)
+        ref = _longdouble_reference(source, words, k_max, from_inside)
+        _assert_masses_within_step_bound(law, ref, s, 0 if from_inside else rank - 1)
 
 
 class TestTheta:
@@ -981,7 +1119,7 @@ class TestCounterexample:
         seen = []
 
         def spy(src, words, k_max):
-            seen.append(list(words))
+            seen.append(np.asarray(words).tolist())
             return block_set_return_pmf(src, words, k_max)
 
         monkeypatch.setattr(reports, "block_set_return_pmf", spy)

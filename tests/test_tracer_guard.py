@@ -6,9 +6,11 @@ branch systems' kernels by name, and reads `PatternTarget.word` in its
 these breaks traced benchmark runs (``--trace 1``). These tests import the
 tracer read-only from the benchmark directory and install it on the current
 package. One makes a traced exact call and checks that uninstalling puts
-every patched name back. The other builds an `ExactPMF` positionally, as the
-benchmark's checks do, and makes a traced Gauss stream, whose start and steps
-go through the wrapped `stationary_array` and `branch_array` kernels.
+every patched name back. Another traces the exact counterexample, whose
+block law must stay one `block_pmf` span with its S^r state-step count. The
+last builds an `ExactPMF` positionally, as the benchmark's checks do, and
+makes a traced Gauss stream, whose start and steps go through the wrapped
+`stationary_array` and `branch_array` kernels.
 """
 
 import sys
@@ -74,6 +76,20 @@ def test_install_wraps_and_uninstall_restores_every_name(tracing):
     assert _same(before["ExactPMF"], after["ExactPMF"])
     for name, attrs in before["modules"].items():
         assert _same(attrs, after["modules"][name]), name
+
+
+def test_counterexample_traces_one_block_law(tracing):
+    # the S^r block law is one span, whatever state the kernel carries, so
+    # its state_steps stay S^(l + k_prune) * k_max across kernel changes
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        mp.counterexample_pruned_target(
+            mp.MarkovSource.iid([0.5, 0.5]), mp.PatternTarget(word=(1, 1)), 3, k_max=40)
+    finally:
+        tracer.uninstall()
+    block = [s.work for s in tracer.spans if s.name == "markov_pattern.block_pmf"]
+    assert block == [{"masses": 40, "state_steps": 2 ** (2 + 3) * 40}]
 
 
 def test_positional_pmf_and_stream_kernels_traced(tracing):
