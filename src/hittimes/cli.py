@@ -547,26 +547,10 @@ def _emit_table(
     if fmt in ("csv", "both"):
         write_csv(run_dir / f"{name}.csv", header, rows)
     if fmt in ("json", "both"):
-        path = run_dir / f"{name}.json"
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu":
-            path.write_text(_int_records_json(header, rows), encoding="ascii")
-        else:
-            write_json(path, [dict(zip(header, row)) for row in rows])
-
-
-def _int_records_json(header: tuple[str, ...], rows: np.ndarray) -> str:
-    """The text `write_json` writes for the records ``dict(zip(header, row))``
-    of an integer table, from one template over all its cells: sorted keys,
-    indent 2, ``[]`` for no rows."""
-    if rows.shape[1] != len(header):
-        raise ValueError(f"row width {rows.shape[1]} != header width {len(header)}")
-    if not len(rows):
-        return "[]\n"
-    order = sorted(range(len(header)), key=header.__getitem__)
-    fields = ",\n".join("    " + json.dumps(header[i]).replace("%", "%%") + ": %d" for i in order)
-    record = "  {\n" + fields + "\n  }"
-    body = ",\n".join([record] * len(rows)) % tuple(rows[:, order].ravel().tolist())
-    return "[\n" + body + "\n]\n"
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        records = [dict(zip(header, row)) for row in rows]
+        write_json(run_dir / f"{name}.json", records)
 
 
 def _emit_estimate(

@@ -43,7 +43,6 @@ interesting k run into the millions and naive accumulation would lose digits.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -434,30 +433,18 @@ class BlockChain:
     def __init__(self, source: MarkovSource, rank: int) -> None:
         (rank,) = _int_tuple((rank,), "rank", 1)
         s = source.alphabet_size
-        n = s**rank
-        if n > _BUDGET_STATES:
-            raise BudgetExceededError(
-                f"block chain needs {n} states for rank {rank}, budget is {_BUDGET_STATES}"
-            )
         self.source = source
         self.rank = rank
-        self.n_states = n
+        self.n_states = _block_states(s, rank)
         self._mod = s ** (rank - 1)
-
-    @functools.cached_property
-    def _weight(self) -> np.ndarray:
-        """weight[c, m]: transition into c from every block t * S^(r-1) + m, rank >= 2;
-        built on the first step, since a law reads only the measures of its own rank."""
-        s = self.source.alphabet_size
-        return np.ascontiguousarray(self.source.transitions[np.arange(self._mod) % s].T)
+        # weight[c, m]: transition into c from every block t * S^(r-1) + m, rank >= 2
+        self._weight = np.ascontiguousarray(source.transitions[np.arange(self._mod) % s].T)
 
     def stationary_blocks(self) -> np.ndarray:
         """Stationary law of length-r blocks."""
-        s = self.source.alphabet_size
         v = np.array(self.source.stationary, dtype=float)
         for _ in range(self.rank - 1):
-            last = np.arange(v.size, dtype=np.int64) % s
-            v = (v[:, None] * self.source.transitions[last]).reshape(-1)
+            v = _append_symbol(self.source, v)
         return v
 
     def step(self, v: np.ndarray) -> np.ndarray:
@@ -471,24 +458,52 @@ class BlockChain:
         return out
 
 
-def _word_rows(words, rank: int, s: int) -> np.ndarray:
-    """The words as an (n, rank) int64 array of symbols in [0, s).
+def _block_states(s: int, rank: int) -> int:
+    """S^rank, the states of the rank-``rank`` block chain, within the budget."""
+    n = s**rank
+    if n > _BUDGET_STATES:
+        raise BudgetExceededError(
+            f"block chain needs {n} states for rank {rank}, budget is {_BUDGET_STATES}"
+        )
+    return n
 
-    An integer array is range-checked with one min and one max; a list, or
-    an array that fails that check, symbol by symbol, and a refusal names
-    the first offending word, not the whole set.
+
+def _append_symbol(source: MarkovSource, v: np.ndarray) -> np.ndarray:
+    """The law of (r+1)-blocks that extends ``v``, a law of r-blocks, by one
+    transition out of each block's last symbol."""
+    last = np.arange(v.size, dtype=np.int64) % source.alphabet_size
+    return (v[:, None] * source.transitions[last]).reshape(-1)
+
+
+def _word_rows(words, s: int) -> np.ndarray:
+    """The words of a block target as an (n, rank) int64 array of symbols in [0, s).
+
+    ``words`` is a sequence of equal-length words or a 2-D array with one
+    word per row; an array of another dimension is refused as words of
+    unequal length. A nonempty integer array is range-checked with one min
+    and one max. Anything else (lists, other dtypes, an array that fails
+    that check) goes symbol by symbol as a list, so bools and fractions are
+    refused alike and a refusal names the first offending word, not the
+    whole set.
     """
     if isinstance(words, np.ndarray):
-        if words.min() >= 0 and words.max() < s:
+        if words.ndim != 2:
+            raise ValidationError("all words in a block target must have equal length")
+        if words.size and words.dtype.kind in "iu" and words.min() >= 0 and words.max() < s:
             return words.astype(np.int64, copy=False)
         words = words.tolist()
+    if not words:
+        raise ValidationError("word set must be nonempty")
+    rank = len(words[0])
+    if any(len(w) != rank for w in words):
+        raise ValidationError("all words in a block target must have equal length")
     try:
         symbols = _int_tuple(itertools.chain.from_iterable(words), "word symbols", 0, s)
     except ValidationError:
         for w in words:
             _int_tuple(w, "word symbols", 0, s)
         raise
-    return np.array(symbols, dtype=np.int64).reshape(-1, rank)
+    return np.array(symbols, dtype=np.int64).reshape(len(words), rank)
 
 
 def _transition_absorption(
@@ -542,15 +557,16 @@ def _block_pmf(
     """Hitting or return law of a union of equal-rank cylinders.
 
     Returns (pmf, target measure). ``words`` is a sequence of equal-length
-    words or a 2-D integer array with one word per row (a non-2-D array is
-    refused as words of unequal length). ``from_inside`` starts from the
+    words or a 2-D integer array with one word per row (`_word_rows`).
+    ``from_inside`` starts from the
     stationary law conditioned on the target (return law); otherwise from
     the stationary law with the first rank-1 steps run unrestricted, because
     matches there would correspond to occurrence starts <= 0.
 
-    The measures and the start come from the rank-r stationary blocks. At
-    rank 1 the S states step and the target is zeroed after each step. At
-    rank r >= 2, after every step v[(m, c)] = marginal[m] P[m mod S, c]
+    The measures and the start come from the rank-r stationary blocks, at
+    rank r >= 2 one symbol appended to the rank-(r-1) chain's. At rank 1 the
+    S states step and the target is zeroed after each step. At rank r >= 2,
+    after every step v[(m, c)] = marginal[m] P[m mod S, c]
     outside the target, so the S^r vector is freed once its marginal is
     formed and `_transition_absorption` carries the S^(r-1) marginal. No
     entry is formed by a subtraction, so a structurally impossible time has
@@ -561,23 +577,19 @@ def _block_pmf(
     extended precision, with the same zeros.
     """
     (k_max,) = _int_tuple((k_max,), "k_max", 1)
-    if isinstance(words, np.ndarray):
-        if words.ndim != 2:
-            raise ValidationError("all words in a block target must have equal length")
-        if words.dtype.kind not in "iu":
-            words = words.tolist()  # bools and fractions are refused as a list's are
-    if len(words) == 0:
-        raise ValidationError("word set must be nonempty")
-    rank = len(words[0])
-    if not isinstance(words, np.ndarray) and any(len(w) != rank for w in words):
-        raise ValidationError("all words in a block target must have equal length")
-    chain = BlockChain(source, rank)
     s = source.alphabet_size
-    _require_budget((k_max + rank) * chain.n_states * s)
+    rows = _word_rows(words, s)
+    rank = rows.shape[1]
+    _int_tuple((rank,), "rank", 1)  # words of length 0, refused as `BlockChain` refuses rank 0
+    _require_budget((k_max + rank) * _block_states(s, rank) * s)
     # the sorted distinct block indices, as `BlockChain` encodes blocks
     places = s ** np.arange(rank - 1, -1, -1, dtype=np.int64)
-    target = np.unique(_word_rows(words, rank, s) @ places)
+    target = np.unique(rows @ places)
+    # rank 1 steps its own S states; rank r >= 2 steps the (r-1)-block marginal
+    chain = BlockChain(source, max(rank - 1, 1))
     v = chain.stationary_blocks()
+    if rank >= 2:
+        v = _append_symbol(source, v)
     mu_target = float(v[target].sum())
     if mu_target <= 0.0:
         raise ValidationError("target set has zero stationary measure")
@@ -598,8 +610,7 @@ def _block_pmf(
     else:
         marginal = np.add.reduce(v.reshape(s, -1), axis=0)
         del v
-        lower = BlockChain(source, rank - 1)
-        masses = _transition_absorption(lower, target, marginal, phantom, k_max)
+        masses = _transition_absorption(chain, target, marginal, phantom, k_max)
     return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(total_in, masses)), mu_target
 
 
