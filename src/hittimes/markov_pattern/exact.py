@@ -37,8 +37,12 @@ Return-time expectations need no horizon: `return_excess` solves (I - Q) w = 1
 by GTH elimination (Grassmann, Taksar and Heyman, *Oper. Res.* 1985), which
 keeps full relative precision however rare the target.
 
-Mass totals use `math.fsum`, which is exactly rounded; for rare targets the
-interesting k run into the millions and naive accumulation would lose digits.
+Mass totals are exactly rounded: for rare targets the interesting k run into
+the millions, and naive accumulation would lose digits. `_exact_sum` gives the
+bits of `math.fsum` (Shewchuk, *Discrete Comput. Geom.* 1997) without a Python
+float per mass: it splits chunks of masses into levels whose sums are exact
+(error-free extraction, Rump, Ogita and Oishi, *SIAM J. Sci. Comput.* 31(1),
+2008) and rounds once, with one `math.fsum` of the few level sums.
 """
 
 from __future__ import annotations
@@ -65,7 +69,9 @@ _UNDERFLOW = 1e-300
 _BLOCK = 512  # chain steps per block of `_absorption_series`
 _BUDGET_STATES = 2**22  # largest block chain, in states
 _BUDGET_OPS = 10**9  # largest law, in state updates (state-symbol updates for the block chain)
-_FSUM_CHUNK = 4096  # masses turned into Python floats at a time by `_closing_tail`
+_SUM_CHUNK = 2**13  # values per chunk of `_exact_sum`; its scratch is two rows of 64 KiB
+_SUM_BITS = 14  # 2^_SUM_BITS >= _SUM_CHUNK + 2, so every level sum is exact
+_SUM_LIMIT = 2.0 ** (1023 - _SUM_BITS)  # values from here on would overflow sigma
 
 
 def _require_budget(updates: int) -> None:
@@ -105,14 +111,55 @@ def _absorption_series(
     return hits
 
 
+def _exact_sum(values: np.ndarray, *terms: float) -> float:
+    """The sum of ``values`` and ``terms``, exactly rounded: ``math.fsum`` of them,
+    bit for bit, by error-free extraction (Rump, Ogita and Oishi, 2008).
+
+    Each chunk p of ``_SUM_CHUNK`` values runs levels. With max|p| < 2^e and
+    sigma = 2^(_SUM_BITS + e), q = (sigma + p) - sigma is p rounded to
+    multiples of 2^(e + _SUM_BITS - 53), exactly, and so is the rest p - q.
+    The chunk's q are too few and too coarse for any partial sum of them to
+    round, so ``q.sum()`` is exact; p becomes p - q, 39 bits smaller, until it
+    is all zero, and entries gone to zero are compacted out once they are most
+    of the chunk. One `math.fsum` of the level sums and ``terms`` rounds once.
+    A NaN, an infinity, a value of magnitude >= ``_SUM_LIMIT``, for which
+    sigma would overflow, or a sum past the float range raises
+    `NumericalDriftError`.
+    """
+    if not all(map(math.isfinite, terms)):
+        raise NumericalDriftError(f"cannot sum a non-finite term: {terms}")
+    parts = list(terms)
+    buf = np.empty((2, min(values.size, _SUM_CHUNK)))
+    for start in range(0, values.size, _SUM_CHUNK):
+        p = values[start : start + _SUM_CHUNK]
+        q, rest = buf[:, : p.size]
+        top = float(np.abs(p, out=q).max())
+        if not top < _SUM_LIMIT:
+            raise NumericalDriftError(f"cannot sum a value of magnitude {top} exactly")
+        while top:
+            sigma = math.ldexp(1.0, _SUM_BITS + math.frexp(top)[1])
+            np.add(p, sigma, out=q)
+            q -= sigma
+            parts.append(float(q.sum()))
+            p = np.subtract(p, q, out=rest)
+            live = np.count_nonzero(p)
+            if live and 2 * live < p.size:
+                p = p[p != 0.0]
+                q, rest = buf[:, : p.size]
+            top = float(np.abs(p, out=q).max()) if live else 0.0
+    try:
+        return math.fsum(parts)
+    except OverflowError as exc:  # the exact sum lies past the float range
+        raise NumericalDriftError(f"cannot sum exactly: {exc}") from exc
+
+
 def _closing_tail(total_in: float, masses: np.ndarray) -> float:
-    """The tail of a truncated law: ``total_in`` minus the exact sum of ``masses``,
-    clamped at 0. Below -``_MASS_DRIFT_TOL`` it is drift, not rounding, and raises.
-    The masses reach `math.fsum` as floats of a few chunks' ``tolist``, not as
-    numpy scalars one by one, and never as one list of the whole law."""
-    chunks = (masses[i : i + _FSUM_CHUNK].tolist() for i in range(0, masses.size, _FSUM_CHUNK))
-    tail = total_in - math.fsum(itertools.chain.from_iterable(chunks))
-    if tail < -_MASS_DRIFT_TOL:
+    """The tail of a truncated law: ``total_in`` minus the exactly rounded sum of
+    ``masses`` (`_exact_sum`), clamped at 0. Below -``_MASS_DRIFT_TOL`` it is
+    drift, not rounding, and raises, as does a non-finite ``total_in``, mass
+    or tail."""
+    tail = total_in - _exact_sum(masses)
+    if not -_MASS_DRIFT_TOL <= tail < math.inf:
         raise NumericalDriftError(f"mass balance drifted past tolerance: tail={tail:.3e}")
     return max(tail, 0.0)
 
@@ -143,17 +190,17 @@ class ExactPMF:
         return float(self.masses[i])
 
     def total(self) -> float:
-        return math.fsum(itertools.chain(self.masses, (self.tail,)))
+        return _exact_sum(self.masses, self.tail)
 
     def expectation(self) -> float:
         """Mean of the truncated law; meaningful when tail is negligible."""
         values = np.arange(self.support_start, self.support_start + self.masses.size)
-        return math.fsum(values * self.masses)
+        return _exact_sum(values * self.masses)
 
     def survival(self, k: int) -> float:
         """P(value >= k), using the tail for the truncated part."""
         first = max(k - self.support_start, 0)
-        return math.fsum(itertools.chain(self.masses[first:], (self.tail,)))
+        return _exact_sum(self.masses[first:], self.tail)
 
 
 class ProductChain:
@@ -336,15 +383,31 @@ def verify_inducing_identity(
     side is read from ``hit``, the right side is mu_a times the survival
     function of ``ret``.
     """
-    ks = sorted(set(_int_tuple(k_range, "k_range", 1)))
-    if not ks:
-        raise ValidationError("k_range must be nonempty")
-    _require_horizon(hit, ks[-1], "hitting")
-    _require_horizon(ret, ks[-1], "return")
+    ks, horizon = _k_values(k_range)
+    _require_horizon(hit, horizon, "hitting")
+    _require_horizon(ret, horizon, "return")
     # surv[k] = tail + masses[k:], accumulated backwards from the tail
     surv = np.cumsum(np.concatenate(([ret.tail], ret.masses[::-1])))[::-1]
-    idx = np.array(ks) - 1
+    if isinstance(ks, range):  # within 1..horizon, so no longer than the laws
+        idx = np.arange(ks.start - 1, ks.stop - 1, ks.step)
+    else:
+        idx = np.array(ks) - 1
     return float(np.max(np.abs(hit.masses[idx] - mu_a * surv[idx])))
+
+
+def _k_values(k_range) -> tuple[range | tuple[int, ...], int]:
+    """``k_range``, checked to hold integers >= 1 only, and its largest value.
+
+    A nonempty ``range`` is checked by its ends. Anything else, or a range
+    that fails that check, goes element by element through `_int_tuple`,
+    whose refusal names the values.
+    """
+    if isinstance(k_range, range) and k_range and min(k_range[0], k_range[-1]) >= 1:
+        return k_range, max(k_range[0], k_range[-1])
+    ks = _int_tuple(k_range, "k_range", 1)
+    if not ks:
+        raise ValidationError("k_range must be nonempty")
+    return ks, max(ks)
 
 
 def require_shift_split_budget(source: MarkovSource, target: PatternTarget, j_max: int) -> None:

@@ -38,12 +38,14 @@ from hittimes.markov_pattern.automaton import _border_lengths
 from hittimes.markov_pattern.exact import (
     _BLOCK,
     _MASS_DRIFT_TOL,
+    _SUM_CHUNK,
+    _SUM_LIMIT,
     ExactPMF,
     ProductChain,
-    _FSUM_CHUNK,
     _absorption_series,
     _block_pmf,
     _closing_tail,
+    _exact_sum,
 )
 
 from oracles import (
@@ -60,6 +62,7 @@ from oracles import (
     stepwise_shift_lhs,
 )
 
+_FSUM_CHUNK = _SUM_CHUNK  # the chunk-edge test below spans the chunks of `_exact_sum`
 FAIR = MarkovSource.iid([0.5, 0.5])
 BIASED = MarkovSource.iid([0.3, 0.7])
 MARKOV2 = MarkovSource.from_transitions([[0.2, 0.8], [0.6, 0.4]])
@@ -489,6 +492,86 @@ class TestPMFInvariants:
         assert _closing_tail(1.0, masses) == 1.0 - math.fsum(masses.tolist())
         assert _closing_tail(1.0, masses[:0]) == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, _SUM_LIMIT, -_SUM_LIMIT, 1e308])
+    def test_exact_sum_refuses_what_it_cannot_extract(self, bad):
+        # a NaN or an infinity would never extract to zero, and from _SUM_LIMIT
+        # on sigma overflows; all are refused before the chunk's first level
+        values = np.zeros(_SUM_CHUNK + 5)
+        values[-1] = bad
+        with pytest.raises(NumericalDriftError, match="cannot sum"):
+            _exact_sum(values)
+        with pytest.raises(NumericalDriftError):
+            _closing_tail(1.0, np.array([0.5, bad]))
+        if math.isfinite(bad):  # a term goes to fsum as it is, never into sigma
+            assert _exact_sum(np.zeros(3), bad) == bad
+        else:
+            with pytest.raises(NumericalDriftError, match="cannot sum"):
+                _exact_sum(np.zeros(3), bad)
+            with pytest.raises(NumericalDriftError, match="tail="):
+                _closing_tail(bad, np.array([0.5]))
+        with pytest.raises(NumericalDriftError):
+            ExactPMF(1, values, 0.0).total()
+
+    def test_exact_sum_takes_values_just_below_the_limit(self):
+        top = np.nextafter(_SUM_LIMIT, 0.0)
+        values = np.array([top, -top, top, 5e-324, -2.0**-1000])
+        assert _exact_sum(values) == math.fsum(values.tolist())
+        assert _exact_sum(values, -top) == math.fsum([*values.tolist(), -top])
+        # where fsum itself overflows, the refusal is a NumericalDriftError
+        with pytest.raises(NumericalDriftError, match="overflow"):
+            _exact_sum(np.full(2**17, top))
+
+    def test_exact_pmf_sums_keep_fsum_bits(self):
+        # long enough for several chunks, with masses down to subnormals
+        law = return_pmf(MARKOV3, PatternTarget(word=(0, 1, 2)), 2 * _SUM_CHUNK + 7)
+        assert law.masses[-1] < 1e-300
+        terms = law.masses.tolist()
+        values = np.arange(1, law.masses.size + 1)
+        assert law.expectation() == math.fsum((values * law.masses).tolist())
+        for law in (law, ExactPMF(1, law.masses, 0.1)):  # the second with a tail
+            assert law.total() == math.fsum([*terms, law.tail])
+            for k in (1, 2, _SUM_CHUNK, _SUM_CHUNK + 1, law.masses.size, law.masses.size + 3):
+                assert law.survival(k) == math.fsum([*terms[k - 1 :], law.tail])
+
+
+_SUM_LENGTHS = [0, 1, 2, 3, 17, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 3]
+# a bound that keeps every test sum clear of fsum's own overflow
+_SUM_FLOATS = st.floats(-(2.0**990), 2.0**990, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.sampled_from(_SUM_LENGTHS),
+    pool=st.lists(_SUM_FLOATS, min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    signs=st.sampled_from(["kept", "mixed", "cancelling"]),
+)
+def test_exact_sum_is_fsum(length, pool, seed, signs):
+    """`_exact_sum` == math.fsum(x.tolist()) bit for bit: empty, all-zero,
+    mixed-sign, subnormal and 2^-1074..2^990 inputs, around the chunk size."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array(pool), length)
+    if signs == "mixed":
+        x *= rng.choice([-1.0, 1.0], length)
+    elif signs == "cancelling":
+        x[length // 2 :] = -x[: length - length // 2][::-1]
+    want = math.fsum(x.tolist())
+    got = _exact_sum(x)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert _exact_sum(x, *pool[:3]) == math.fsum([*x.tolist(), *pool[:3]])
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [[0.0], [-0.0, 0.0], [5e-324, -5e-324, 2.0**-1022], [1.0, 2.0**-1074, -(2.0**-600)],
+     [2.0**990, 1.0, -(2.0**990), 2.0**-1074]],
+    ids=["zeros", "signed-zeros", "subnormals", "wide-span", "cancelling-extremes"],
+)
+@pytest.mark.parametrize("length", _SUM_LENGTHS)
+def test_exact_sum_edge_pools(pool, length):
+    x = np.resize(np.array(pool), length)
+    assert _exact_sum(x) == math.fsum(x.tolist())
+
 
 def _shift_cell(source, word, j, m):
     """Both sides of the j-shift identity at (j, m): cell [j-1, m-1] of the grid."""
@@ -532,6 +615,38 @@ class TestIdentities:
         assert verify_inducing_identity(hit, ret, 0.25, range(1, 9)) < 1e-15
         lhs, rhs = verify_shift_identity_grid(FAIR, target, ret, 8, 9)
         assert np.max(np.abs(lhs - rhs)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "ks",
+        [range(1, 65), range(64, 0, -1), range(3, 65, 7), np.arange(1, 65),
+         np.array([5, 1, 5, 64], dtype=np.int32), np.array([7, 64], dtype=np.uint16), [64, 2, 2.0]],
+        ids=["range", "reversed", "stepped", "int64", "int32-repeats", "uint16", "list"],
+    )
+    def test_inducing_identity_takes_ranges_and_integer_arrays(self, ks):
+        target = PatternTarget(word=(1, 0, 1))
+        hit = hitting_pmf(MARKOV2, target, "stationary", 64)
+        ret = return_pmf(MARKOV2, target, 64)
+        mu = MARKOV2.word_measure(target.word)
+        got = verify_inducing_identity(hit, ret, mu, ks)
+        assert got == verify_inducing_identity(hit, ret, mu, tuple(int(k) for k in ks))
+        assert got < 1e-14
+
+    @pytest.mark.parametrize(
+        "ks,match",
+        [(range(0, 5), r"k_range must be >= 1, as integers; got \(0, 1, 2, 3, 4\)"),
+         (range(5, -1, -1), "k_range must be >= 1"), (range(1, 1), "nonempty"),
+         (np.array([3, 0]), "k_range must be >= 1"), (np.array([], dtype=np.int64), "nonempty"),
+         (np.array([1.0, 2.5]), "as integers"), (np.array([True, True]), "as integers"),
+         (np.array([[1, 2]]), "as integers"),
+         (np.array([2**64 - 1], dtype=np.uint64), "hitting law must cover 1..18446744073709551615")],
+        ids=["range-from-0", "reversed-to-0", "empty-range", "array-with-0", "empty-array",
+             "fraction", "bools", "2-d", "past-int64"],
+    )
+    def test_inducing_identity_refuses_bad_k(self, ks, match):
+        target = PatternTarget(word=(1, 1))
+        hit = hitting_pmf(FAIR, target, "stationary", 8)
+        with pytest.raises(ValidationError, match=match):
+            verify_inducing_identity(hit, return_pmf(FAIR, target, 8), 0.25, ks)
 
     def test_shift_split_over_budget_refused_before_stepping(self):
         # 72 * (2^24 + 3) ~ 1.21e9 state updates of the 12-state split chain;
