@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 import traceback
@@ -249,6 +250,19 @@ def _validator(kind: str) -> jsonschema.protocols.Validator:
     return cls(schema)
 
 
+def _nonfinite_field(value, path: tuple = ()) -> tuple | None:
+    """The path of the first NaN or infinite number in a JSON value, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path
+    if isinstance(value, list):
+        value = dict(enumerate(value))
+    for key, item in value.items() if isinstance(value, dict) else ():
+        found = _nonfinite_field(item, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(config: dict) -> dict:
     """Schema-validate a config and fill common defaults."""
     if not isinstance(config, dict) or "kind" not in config:
@@ -257,6 +271,10 @@ def validate_config(config: dict) -> dict:
     # an unhashable kind would raise TypeError from the dict lookup
     if not isinstance(kind, str) or kind not in CONFIG_SCHEMAS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    # JSON's NaN and Infinity pass every numeric bound, and no config can be hashed with them
+    field = _nonfinite_field(config)
+    if field is not None:
+        raise ConfigError(f"config field {'/'.join(map(str, field))}: numbers must be finite")
     # the error jsonschema.validate would raise, without re-checking the schema
     exc = jsonschema.exceptions.best_match(_validator(kind).iter_errors(config))
     if exc is not None:
@@ -362,7 +380,7 @@ def _run_verify_identities(cfg: dict, run_dir: Path) -> dict:
         # one stationary and one return law per word, each at the largest horizon read
         hit = hitting_pmf(source, target, "stationary", k_max)
         ret = return_pmf(source, target, max(k_max, j_max + m_max - 1))
-        inducing = verify_inducing_identity(hit, ret, mu, range(1, k_max + 1))
+        inducing = verify_inducing_identity(hit, ret, mu)
         lhs, rhs = verify_shift_identity_grid(source, target, ret, j_max, m_max)
         shift = float(np.max(np.abs(lhs - rhs)))
         # Kac (K = 0) and mu(phi_A > K) = mu(A) E_A[(phi_A - K)^+] at four K
@@ -440,9 +458,11 @@ def _run_counterexample(cfg: dict, run_dir: Path) -> dict:
     if cfg["flavor"] == "exact-markov":
         source = _build_source(cfg["source"])
         target = PatternTarget(word=tuple(cfg["word"]))
-        report = counterexample_pruned_target(
-            source, target, cfg["k_prune"], k_max=cfg.get("k_max")
-        )
+        k_prune = cfg["k_prune"]
+        # B's law is read at k_prune only, so k_max is a bound to check, not a horizon
+        if cfg.get("k_max", k_prune) < k_prune:
+            raise ValidationError(f"k_max = {cfg['k_max']} must reach k_prune = {k_prune}")
+        report = counterexample_pruned_target(source, target, k_prune)
         expected_ratio = 1.0 - report.pruned_mass
         rows = [
             ("mu_a", report.mu_a),
@@ -492,7 +512,7 @@ def _run_report(cfg: dict, run_dir: Path) -> dict:
     try:
         manifest = json.loads(manifest_path.read_text())
         n_total = manifest["results"]["n_total"]
-        if not isinstance(n_total, int) or n_total < 1:
+        if type(n_total) is not int or n_total < 1:  # a JSON true is an int to isinstance
             raise ValueError(f"results.n_total is {n_total!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(

@@ -373,41 +373,20 @@ def _require_horizon(law: ExactPMF, horizon: int, name: str) -> None:
         )
 
 
-def verify_inducing_identity(
-    hit: ExactPMF, ret: ExactPMF, mu_a: float, k_range: Iterable[int]
-) -> float:
-    """Max |mu(phi_A = k) - mu(A n {phi_A >= k})| over the given k.
+def verify_inducing_identity(hit: ExactPMF, ret: ExactPMF, mu_a: float) -> float:
+    """Max |mu(phi_A = k) - mu(A n {phi_A >= k})| over every k that ``hit`` covers.
 
     ``hit`` is the stationary hitting law and ``ret`` the return law of a
-    target A of measure ``mu_a``, each to at least max(k_range). The left
-    side is read from ``hit``, the right side is mu_a times the survival
-    function of ``ret``.
+    target A of measure ``mu_a``, both from k = 1 and ``ret`` at least as
+    long as ``hit``. The left side is read from ``hit``, the right side is
+    mu_a times the survival function of ``ret``.
     """
-    ks, horizon = _k_values(k_range)
+    horizon = max(hit.masses.size, 1)  # a law of no masses checks nothing: refused
     _require_horizon(hit, horizon, "hitting")
     _require_horizon(ret, horizon, "return")
     # surv[k] = tail + masses[k:], accumulated backwards from the tail
     surv = np.cumsum(np.concatenate(([ret.tail], ret.masses[::-1])))[::-1]
-    if isinstance(ks, range):  # within 1..horizon, so no longer than the laws
-        idx = np.arange(ks.start - 1, ks.stop - 1, ks.step)
-    else:
-        idx = np.array(ks) - 1
-    return float(np.max(np.abs(hit.masses[idx] - mu_a * surv[idx])))
-
-
-def _k_values(k_range) -> tuple[range | tuple[int, ...], int]:
-    """``k_range``, checked to hold integers >= 1 only, and its largest value.
-
-    A nonempty ``range`` is checked by its ends. Anything else, or a range
-    that fails that check, goes element by element through `_int_tuple`,
-    whose refusal names the values.
-    """
-    if isinstance(k_range, range) and k_range and min(k_range[0], k_range[-1]) >= 1:
-        return k_range, max(k_range[0], k_range[-1])
-    ks = _int_tuple(k_range, "k_range", 1)
-    if not ks:
-        raise ValidationError("k_range must be nonempty")
-    return ks, max(ks)
+    return float(np.max(np.abs(hit.masses - mu_a * surv[:horizon])))
 
 
 def require_shift_split_budget(source: MarkovSource, target: PatternTarget, j_max: int) -> None:

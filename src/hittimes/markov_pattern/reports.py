@@ -11,11 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import BudgetExceededError, ValidationError, _int_tuple
+from ..errors import ValidationError, _int_tuple
 from ..theory import consecutive_asymptote
 from .automaton import PatternTarget, build_automaton
 from .exact import (
-    _BUDGET_STATES,
+    _block_states,
     block_set_return_pmf,
     hitting_pmf,
     return_pmf,
@@ -128,31 +128,21 @@ def counterexample_pruned_target(
     source: MarkovSource,
     target: PatternTarget,
     k_prune: int,
-    k_max: int | None = None,
 ) -> PrunedTargetReport:
     """Build B = A n {phi_A != k_prune} exactly and compute its return law.
 
     B is enumerated as a union of rank-(k_prune + l) cylinders and its return
-    law computed on the block chain of that rank; the word-target return law
-    provides the independent value of the pruned mass.
+    law computed on the block chain of that rank, to the one horizon it is
+    read at, k_prune; the word-target return law provides the independent
+    value of the pruned mass.
     """
     (k_prune,) = _int_tuple((k_prune,), "k_prune", 1)
-    if k_max is None:
-        k_max = max(4 * k_prune, 64)
-    (k_max,) = _int_tuple((k_max,), "k_max", 1)
-    if k_max < k_prune:
-        raise ValidationError(f"k_max = {k_max} must reach k_prune = {k_prune}")
     word = target.word
     l = len(word)
     s_count = source.alphabet_size
     rank = l + k_prune
-    if s_count**rank > _BUDGET_STATES:
-        raise BudgetExceededError(
-            f"counterexample needs {s_count}**{rank} block states; too large"
-        )
+    _block_states(s_count, rank)  # before the walk allocates S^k_prune continuations
     table = build_automaton(target, s_count)
-    is_full = np.zeros(l + 1, dtype=bool)
-    is_full[l] = True
 
     def digit(codes: np.ndarray, t: int) -> np.ndarray:
         return codes // s_count ** (k_prune - 1 - t) % s_count
@@ -164,16 +154,16 @@ def counterexample_pruned_target(
     early = np.zeros(codes.size, dtype=bool)  # a full match before step k_prune
     for t in range(k_prune):
         if t:
-            early |= is_full[state]
+            early |= state == l
         state = table[state, digit(codes, t)]
-    codes = codes[early | ~is_full[state]]  # the first full match is not at k_prune
+    codes = codes[early | (state != l)]  # the first full match is not at k_prune
     if not codes.size:
         raise ValidationError("pruning removed the whole target")
     words = np.empty((codes.size, rank), dtype=np.int64)
     words[:, :l] = word
     for t in range(k_prune):
         words[:, l + t] = digit(codes, t)
-    b_pmf, mu_b = block_set_return_pmf(source, words, k_max)
+    b_pmf, mu_b = block_set_return_pmf(source, words, k_prune)
     mu_a = source.word_measure(word)
     ret = return_pmf(source, target, k_prune)
     return PrunedTargetReport(

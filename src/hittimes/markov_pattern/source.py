@@ -72,6 +72,8 @@ class MarkovSource:
             raise ValidationError(f"transitions must be SxS with S >= 2, got shape {p.shape}")
         if pi.shape != (p.shape[0],):
             raise ValidationError("stationary vector length must match the alphabet size")
+        if not (np.isfinite(p).all() and np.isfinite(pi).all()):
+            raise ValidationError("transitions and stationary vector must be finite")
         if np.any(p < 0.0):
             raise ValidationError("transition probabilities must be nonnegative")
         rows = p.sum(axis=1)
@@ -101,6 +103,8 @@ class MarkovSource:
         p = np.array(transitions, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValidationError(f"transitions must be square, got shape {p.shape}")
+        if not np.isfinite(p).all():  # a NaN would pass the mixing check and the solve
+            raise ValidationError("transitions and stationary vector must be finite")
         _check_mixing(p)
         try:
             pi = _solve_stationary(p)

@@ -72,7 +72,25 @@ SIM_CFG = {
 }
 
 
+NON_FINITE_CFGS = [
+    (dict(EXACT_CFG, source={"type": "iid", "probs": [float("nan"), 0.5]}), "source/probs/0"),
+    (dict(EXACT_CFG, delta=float("inf")), "delta"),
+    (dict(SIM_CFG, prediction={"family": "exponential-hitting", "mu": -float("inf")}),
+     "prediction/mu"),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("cfg,field", NON_FINITE_CFGS)
+    def test_non_finite_numbers_refused(self, tmp_path, cfg, field):
+        # NaN passes every numeric bound of the schema, and config_hash cannot
+        # hash a config holding one
+        out = tmp_path / "r"
+        for call in (validate_config, run_config):
+            with pytest.raises(ConfigError, match=f"config field {field}: numbers must be finite"):
+                call(dict(cfg, out=str(out)))
+        assert not out.exists()
+
     def test_unknown_keys_rejected(self):
         cfg = dict(VERIFY_CFG, rogue=1)
         with pytest.raises(ConfigError):
@@ -269,6 +287,19 @@ class TestRunners:
         assert "k_max = 3 must reach k_prune = 7" in record["message"]
         assert not list((tmp_path / "r").rglob("*.csv"))
 
+    def test_counterexample_k_max_is_a_bound_not_a_horizon(self, tmp_path):
+        # B's law is read at k_prune only, so any k_max that reaches it gives the same bytes
+        cfg = dict(CE_CFG, source={"type": "markov", "transitions": [
+            [0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]}, word=[0, 1, 2], k_prune=7)
+        runs = []
+        for k_max in (None, 7, 512):
+            extra = {} if k_max is None else {"k_max": k_max}
+            run_dir, manifest = run_config(dict(cfg, **extra, out=str(tmp_path / str(k_max))))
+            runs.append(((run_dir / "counterexample.csv").read_bytes(), manifest["results"],
+                         manifest["artifacts"]))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][1]["b_return_at_k_prune"] == 0.0
+
     def test_counterexample_mc_run(self, tmp_path):
         cfg = {
             "kind": "counterexample",
@@ -412,6 +443,18 @@ class TestMainEntry:
         assert main(["verify", "--config", str(path)]) == 0
         out = capsys.readouterr().out.strip()
         assert Path(out).is_dir()
+
+    @pytest.mark.parametrize("cfg,field", NON_FINITE_CFGS)
+    def test_non_finite_config_exits_2_with_one_record(self, tmp_path, capsys, cfg, field):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        path = _write_config(tmp_path, dict(cfg, out=str(tmp_path / "r")))
+        subcommand = "exact" if cfg["kind"] == "exact-markov" else "simulate"
+        assert main([subcommand, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        record = json.loads(err)  # one JSON record and nothing else
+        assert record == {"error": "ConfigError",
+                          "message": f"config field {field}: numbers must be finite"}
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "subcommand,cfg,field",
@@ -558,6 +601,9 @@ class TestMainEntry:
             ("k1,count\n1,3\n", {"config": {"mode": "replica"}, "results": {}}, "manifest.json"),
             ("k1,count\n1,3\n", {"config": {"mode": "replica"}, "results": {"n_total": 0}},
              "manifest.json"),
+            # JSON's true is an int to isinstance, and would be written as N = true
+            ("k1,count\n1,1\n", {"config": {"mode": "replica"}, "results": {"n_total": True}},
+             "manifest.json"),
             # one cell twice, counts above n_total, a negative count, a count
             # beyond int64, no key column
             ("k1,count\n1,5\n1,7\n", {"config": {"mode": "replica"}, "results": {"n_total": 20}},
@@ -572,8 +618,8 @@ class TestMainEntry:
              "counts.csv"),
         ],
         ids=["non-integer-cell", "row-wider-than-header", "no-n-total", "zero-n-total",
-             "repeated-cell", "counts-above-n-total", "negative-count", "count-beyond-int64",
-             "no-key-column"],
+             "true-n-total", "repeated-cell", "counts-above-n-total", "negative-count",
+             "count-beyond-int64", "no-key-column"],
     )
     def test_report_on_malformed_input_exits_2(self, tmp_path, capsys, counts, manifest, bad_file):
         input_dir = tmp_path / "input"

@@ -34,7 +34,6 @@ from hittimes.markov_pattern import (
     consecutive_joint_pmf,
     hitting_pmf,
     return_pmf,
-    verify_inducing_identity,
 )
 from hittimes.theory import CFPrediction, threshold_cell_measure
 from oracles import (
@@ -515,16 +514,12 @@ class TestReportsAndStats:
         [
             lambda: llt_report(_pmf({(1,): 3}, 4), [((1.5,), 0.5)]),
             lambda: llt_report(_pmf({(1,): 3}, 4), [((1, -2), 0.5)]),
-            lambda: verify_inducing_identity(
-                hitting_pmf(FAIR, PatternTarget(word=(1,)), "stationary", 4),
-                return_pmf(FAIR, PatternTarget(word=(1,)), 4), 0.5, [2.5],
-            ),
             lambda: TargetScan(threshold=2.5),
             lambda: CFPrediction(threshold=50, gaps=(1,), marks=(53.5,), prime_variant=True),
             lambda: CFPrediction(threshold=50, gaps=(1.5,), marks=(53,)),
             lambda: CFPrediction(threshold=50.5, gaps=(1,), marks=(53,)),
         ],
-        ids=["report-cell", "report-cell-below-overflow", "inducing-k", "scan-threshold",
+        ids=["report-cell", "report-cell-below-overflow", "scan-threshold",
              "cf-prime-mark", "cf-gap", "cf-threshold"],
     )
     def test_fractions_refused_not_truncated(self, call):

@@ -117,6 +117,21 @@ class TestMarkovSource:
         with pytest.raises(ValidationError):
             MarkovSource.from_transitions([[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN passes every < and > check, so a source with one would have an
+        # all-NaN stationary vector and word_measure would return nan
+        with pytest.raises(ValidationError, match="must be finite"):
+            MarkovSource.from_transitions([[bad, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="must be finite"):
+            MarkovSource(transitions=[[bad, 0.5], [0.5, 0.5]], stationary=[0.5, 0.5])
+        with pytest.raises(ValidationError, match="must be finite"):
+            MarkovSource(transitions=[[0.5, 0.5], [0.5, 0.5]], stationary=[bad, 0.5])
+        with pytest.raises(ValidationError):
+            MarkovSource.iid([bad, 0.5])
+        with pytest.raises(ValidationError):
+            MarkovSource.iid([bad, 0.5, 0.5])
+
     def test_rejects_periodic(self):
         with pytest.raises(ValidationError):
             MarkovSource.from_transitions([[0.0, 1.0], [1.0, 0.0]])
@@ -262,6 +277,8 @@ _SIZE_CALLS = {
     "shift-m": lambda k: verify_shift_identity_grid(
         MARKOV2, _WORD01, return_pmf(MARKOV2, _WORD01, 16), 4, k)[0],
     "block-chain": lambda k: BlockChain(MARKOV2, k).stationary_blocks(),
+    "counterexample-k-prune": lambda k: counterexample_pruned_target(
+        MARKOV2, _WORD01, k).mu_b,
 }
 
 
@@ -581,12 +598,13 @@ def _shift_cell(source, word, j, m):
     return float(lhs[j - 1, m - 1]), float(rhs[j - 1, m - 1])
 
 
-def _inducing_residual(source, word, k_max):
-    """The inducing identity over 1..k_max, from both laws at k_max."""
+def _inducing_residual(source, word, k_max, extra=0):
+    """The inducing identity over 1..k_max, from the hitting law at k_max and
+    the return law ``extra`` steps past it."""
     target = PatternTarget(word=word)
     hit = hitting_pmf(source, target, "stationary", k_max)
-    ret = return_pmf(source, target, k_max)
-    return verify_inducing_identity(hit, ret, source.word_measure(word), range(1, k_max + 1))
+    ret = return_pmf(source, target, k_max + extra)
+    return verify_inducing_identity(hit, ret, source.word_measure(word))
 
 
 IDENTITY_WORDS = [
@@ -605,48 +623,19 @@ class TestIdentities:
         target = PatternTarget(word=(1, 1))
         hit = hitting_pmf(FAIR, target, "stationary", 16)
         ret = return_pmf(FAIR, target, 16)
-        with pytest.raises(ValidationError, match="hitting law must cover 1..17"):
-            verify_inducing_identity(hit, return_pmf(FAIR, target, 17), 0.25, range(1, 18))
+        # the inducing check covers every k of the hitting law
         with pytest.raises(ValidationError, match="return law must cover 1..17"):
-            verify_inducing_identity(hitting_pmf(FAIR, target, "stationary", 17), ret, 0.25, range(1, 18))
+            verify_inducing_identity(hitting_pmf(FAIR, target, "stationary", 17), ret, 0.25)
+        with pytest.raises(ValidationError, match="return law must cover 1..16"):
+            verify_inducing_identity(hit, ExactPMF(2, ret.masses, ret.tail), 0.25)
+        with pytest.raises(ValidationError, match="hitting law must cover 1..1"):
+            verify_inducing_identity(ExactPMF(1, np.zeros(0), 1.0), ret, 0.25)
         with pytest.raises(ValidationError, match="return law must cover 1..17"):
             verify_shift_identity_grid(FAIR, target, ret, 8, 10)
         # a longer law serves a shorter horizon
-        assert verify_inducing_identity(hit, ret, 0.25, range(1, 9)) < 1e-15
+        assert verify_inducing_identity(hit, return_pmf(FAIR, target, 17), 0.25) < 1e-15
         lhs, rhs = verify_shift_identity_grid(FAIR, target, ret, 8, 9)
         assert np.max(np.abs(lhs - rhs)) < 1e-15
-
-    @pytest.mark.parametrize(
-        "ks",
-        [range(1, 65), range(64, 0, -1), range(3, 65, 7), np.arange(1, 65),
-         np.array([5, 1, 5, 64], dtype=np.int32), np.array([7, 64], dtype=np.uint16), [64, 2, 2.0]],
-        ids=["range", "reversed", "stepped", "int64", "int32-repeats", "uint16", "list"],
-    )
-    def test_inducing_identity_takes_ranges_and_integer_arrays(self, ks):
-        target = PatternTarget(word=(1, 0, 1))
-        hit = hitting_pmf(MARKOV2, target, "stationary", 64)
-        ret = return_pmf(MARKOV2, target, 64)
-        mu = MARKOV2.word_measure(target.word)
-        got = verify_inducing_identity(hit, ret, mu, ks)
-        assert got == verify_inducing_identity(hit, ret, mu, tuple(int(k) for k in ks))
-        assert got < 1e-14
-
-    @pytest.mark.parametrize(
-        "ks,match",
-        [(range(0, 5), r"k_range must be >= 1, as integers; got \(0, 1, 2, 3, 4\)"),
-         (range(5, -1, -1), "k_range must be >= 1"), (range(1, 1), "nonempty"),
-         (np.array([3, 0]), "k_range must be >= 1"), (np.array([], dtype=np.int64), "nonempty"),
-         (np.array([1.0, 2.5]), "as integers"), (np.array([True, True]), "as integers"),
-         (np.array([[1, 2]]), "as integers"),
-         (np.array([2**64 - 1], dtype=np.uint64), "hitting law must cover 1..18446744073709551615")],
-        ids=["range-from-0", "reversed-to-0", "empty-range", "array-with-0", "empty-array",
-             "fraction", "bools", "2-d", "past-int64"],
-    )
-    def test_inducing_identity_refuses_bad_k(self, ks, match):
-        target = PatternTarget(word=(1, 1))
-        hit = hitting_pmf(FAIR, target, "stationary", 8)
-        with pytest.raises(ValidationError, match=match):
-            verify_inducing_identity(hit, return_pmf(FAIR, target, 8), 0.25, ks)
 
     def test_shift_split_over_budget_refused_before_stepping(self):
         # 72 * (2^24 + 3) ~ 1.21e9 state updates of the 12-state split chain;
@@ -654,6 +643,18 @@ class TestIdentities:
         law = ExactPMF(1, np.zeros(2**24), 0.0)
         with pytest.raises(BudgetExceededError, match="budget"):
             verify_shift_identity_grid(MARKOV3, PatternTarget(word=(0, 1, 2)), law, 2**24, 1)
+
+    @pytest.mark.parametrize("k", [1, 33, 64])
+    def test_inducing_identity_reads_every_k_of_the_hitting_law(self, k):
+        # the horizon is the hitting law's length, so a defect at any of its k shows
+        target = PatternTarget(word=(1, 0, 1))
+        hit = hitting_pmf(MARKOV2, target, "stationary", 64)
+        ret = return_pmf(MARKOV2, target, 64)
+        masses = hit.masses.copy()
+        masses[k - 1] += 1e-6
+        got = verify_inducing_identity(
+            ExactPMF(1, masses, hit.tail), ret, MARKOV2.word_measure(target.word))
+        assert got == pytest.approx(1e-6, rel=1e-6)
 
     def test_inducing_identity_k1_is_mu_a(self):
         # at k = 1 both sides equal mu(A)
@@ -994,7 +995,7 @@ class TestBlockLawsOnTheMarginal:
             return block_set_return_pmf(src, words, k_max)
 
         monkeypatch.setattr(reports, "block_set_return_pmf", spy)
-        report = counterexample_pruned_target(BENCH_MARKOV3, PatternTarget(word=(0, 1, 2)), 7, 512)
+        report = counterexample_pruned_target(BENCH_MARKOV3, PatternTarget(word=(0, 1, 2)), 7)
         (words,) = seen
         assert words.shape == (report.n_cylinders_kept, 10)
         law, mu = block_set_return_pmf(BENCH_MARKOV3, words, 512)
@@ -1215,6 +1216,13 @@ class TestCounterexample:
         with pytest.raises(BudgetExceededError):
             counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), 28)
 
+    @pytest.mark.parametrize("k_prune", [2.5, 0, -1, True], ids=["fraction", "zero", "negative", "bool"])
+    def test_bad_k_prune_refused_before_any_chain(self, monkeypatch, k_prune):
+        for chain in (BlockChain, ProductChain):
+            monkeypatch.setattr(chain, "__init__", lambda *a: pytest.fail("a chain was built"))
+        with pytest.raises(ValidationError, match="k_prune must be >= 1, as integers"):
+            counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), k_prune)
+
     @pytest.mark.parametrize("k_prune", range(1, 7))
     @pytest.mark.parametrize(
         "source,word",
@@ -1241,20 +1249,6 @@ class TestCounterexample:
         report = counterexample_pruned_target(source, PatternTarget(word=word), k_prune)
         assert seen == [want]
         assert (report.n_cylinders_kept, report.n_cylinders_pruned) == (len(want), pruned)
-
-    def test_k_max_below_k_prune_refused_before_any_chain(self, monkeypatch):
-        # it used to build the rank-10 chain and then fail to read k = 7
-        for chain in (BlockChain, ProductChain):
-            monkeypatch.setattr(chain, "__init__", lambda *a: pytest.fail("a chain was built"))
-        with pytest.raises(ValidationError, match="k_max = 3 must reach k_prune = 7"):
-            counterexample_pruned_target(MARKOV3, PatternTarget(word=(0, 1, 2)), 7, k_max=3)
-        for k_prune, k_max in [(2.5, None), (0, None), (3, 2.5), (3, True)]:
-            with pytest.raises(ValidationError, match="must be >= 1, as integers"):
-                counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), k_prune, k_max)
-
-    def test_k_max_equal_to_k_prune_runs(self):
-        report = counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), 3, k_max=3.0)
-        assert report.b_return_at_k_prune == 0.0
 
 
 @st.composite
@@ -1327,10 +1321,10 @@ class TestProperties:
         assert np.max(np.abs(pmf.masses - brute)) < 1e-11
 
     @settings(max_examples=25, deadline=None)
-    @given(small_markov_sources(), small_words())
-    def test_inducing_identity_randomized(self, source, word):
+    @given(small_markov_sources(), small_words(), st.integers(0, 8))
+    def test_inducing_identity_randomized(self, source, word, extra):
         word = tuple(c % source.alphabet_size for c in word)
-        worst = _inducing_residual(source, word, 64)
+        worst = _inducing_residual(source, word, 64, extra)
         assert worst < 1e-12
 
     @settings(max_examples=20, deadline=None)

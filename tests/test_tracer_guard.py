@@ -80,16 +80,16 @@ def test_install_wraps_and_uninstall_restores_every_name(tracing):
 
 def test_counterexample_traces_one_block_law(tracing):
     # the S^r block law is one span, whatever state the kernel carries, so
-    # its state_steps stay S^(l + k_prune) * k_max across kernel changes
+    # its state_steps stay S^(l + k_prune) * k_prune across kernel changes
     tracer = tracing.Tracer()
     tracer.install()
     try:
         mp.counterexample_pruned_target(
-            mp.MarkovSource.iid([0.5, 0.5]), mp.PatternTarget(word=(1, 1)), 3, k_max=40)
+            mp.MarkovSource.iid([0.5, 0.5]), mp.PatternTarget(word=(1, 1)), 3)
     finally:
         tracer.uninstall()
     block = [s.work for s in tracer.spans if s.name == "markov_pattern.block_pmf"]
-    assert block == [{"masses": 40, "state_steps": 2 ** (2 + 3) * 40}]
+    assert block == [{"masses": 3, "state_steps": 2**5 * 3}]
 
 
 def test_positional_pmf_and_stream_kernels_traced(tracing):
