@@ -18,6 +18,7 @@ from .exact import (
     _block_states,
     block_set_return_pmf,
     hitting_pmf,
+    quasi_stationary_tail,
     return_pmf,
     theta_exact,
 )
@@ -48,6 +49,10 @@ def k_grid(mu_a: float, delta: float) -> np.ndarray:
         raise ValidationError(f"delta must lie in (0, 1], got {delta}")
     lo = delta / mu_a
     hi = 1.0 / (delta * mu_a)
+    if not hi < 2.0**63:
+        raise ValidationError(
+            f"time window ends at {hi:.3e}, past the int64 time limit 2^63 - 1 (mu(A) = {mu_a:.3e})"
+        )
     decades = math.log10(hi / lo) if hi > lo else 0.0
     count = max(2, int(math.ceil(_POINTS_PER_DECADE * decades)) + 1)
     ks = np.unique(np.round(np.geomspace(lo, hi, count)).astype(np.int64))
@@ -72,9 +77,18 @@ def llt_convergence_table(
     t = mu(A)*k, and 0 < mu(A) < 1. theta is `theta_exact`: the escaping
     proportion at the word's minimal period, which is 1 for a word without a
     border (a word with several periods below l has no single finite-l theta).
+
+    The exact masses from the law's crossover on are read in closed form from
+    `quasi_stationary_tail`, and those before it from `hitting_pmf` to the
+    last such time, so no law is built to 1/(delta mu)
+    and a table runs at any l whose window ends within the int64 times
+    (`k_grid`). The closed form is within about (1 + t) 1e-13 relative of
+    the law of exactly stochastic rows; the series is within k times the
+    source's row defect of it (`hitting_pmf`).
     """
     if kind not in ("return", "hitting"):
         raise ValidationError(f"kind must be 'return' or 'hitting', got {kind!r}")
+    initial = "in_target" if kind == "return" else "stationary"
     rows: list[ConvergenceRow] = []
     for target in targets:
         mu_a = source.word_measure(target.word)
@@ -82,20 +96,21 @@ def llt_convergence_table(
             raise ValidationError(f"target {target.word} has measure {mu_a}, not in (0, 1)")
         th = theta_exact(source, target)
         ks = k_grid(mu_a, delta)
-        k_max = int(ks.max())
-        pmf = (
-            return_pmf(source, target, k_max)
-            if kind == "return"
-            else hitting_pmf(source, target, "stationary", k_max)
-        )
-        for k in ks:
+        tail = quasi_stationary_tail(source, target, initial, int(ks[-1]))
+        head = ks[ks < tail.crossover] if tail else ks
+        masses = np.empty(ks.size)
+        if head.size:
+            pmf = hitting_pmf(source, target, initial, int(head[-1]))
+            masses[: head.size] = pmf.masses[head - 1]
+        if head.size < ks.size:
+            masses[head.size :] = tail.masses(ks[head.size :])
+        for k, exact in zip(ks.tolist(), masses.tolist()):
             t = mu_a * float(k)
             predicted = consecutive_asymptote(th, mu_a, [k], hitting_start=kind == "hitting")
-            exact = pmf.mass_at(int(k))
             rows.append(
                 ConvergenceRow(
                     l=target.length,
-                    k=int(k),
+                    k=k,
                     t=t,
                     exact=exact,
                     predicted=predicted,

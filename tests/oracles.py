@@ -33,6 +33,10 @@ pair through a (state, symbol) dict, and `scalar_first_match` the original
 one-symbol-at-a-time walk of the occurrence automaton, so that the chain's
 one-scatter kernel and the counterexample's table walk can be held to them.
 
+`mpmath_absorbed` is the closed-form tails' reference: the absorbed masses
+v Q^(m-1) q of the same float kernel, by binary powers of Q in 50-digit
+arithmetic, so that a mass at any step m costs log2 m products.
+
 `gauss_branch_prob` and `gauss_branch_cum` are the Gauss map's backward branch
 law in closed form, which the sampler tests check the sampler against.
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy import stats
 
@@ -608,3 +613,33 @@ def chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, int, flo
         table = np.hstack((table, rest))
     stat, pvalue, df, _ = stats.chi2_contingency(table, correction=False)
     return float(stat), int(df), float(pvalue)
+
+
+def mpmath_absorbed(sub: np.ndarray, into: np.ndarray, runs, dps: int = 50) -> list[list]:
+    """v Q^(m-1) q as mpmath numbers at ``dps`` digits, for each (v, steps) of
+    ``runs`` and each chain step m of its steps, by binary powers of Q."""
+    with mpmath.workdps(dps):
+        def to_mp(a):
+            return [mpmath.mpf(float(x)) for x in a]
+
+        def times(row, cols):  # row vector times a matrix held as its columns
+            return [mpmath.fdot(row, col) for col in cols]
+
+        cols = [to_mp(sub[:, j]) for j in range(sub.shape[1])]
+        top = max(max(steps) for _, steps in runs).bit_length()
+        powers = [cols]  # the columns of Q^(2^j)
+        for _ in range(top - 1):
+            rows = list(zip(*powers[-1]))
+            powers.append([list(c) for c in zip(*[times(r, powers[-1]) for r in rows])])
+        q = to_mp(into)
+        out = []
+        for v, steps in runs:
+            masses = []
+            for m in steps:
+                w = to_mp(v)
+                for j in range(top):
+                    if (m - 1) >> j & 1:
+                        w = times(w, powers[j])
+                masses.append(mpmath.fdot(w, q))
+            out.append(masses)
+        return out

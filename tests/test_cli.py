@@ -138,9 +138,12 @@ class TestValidation:
             assert str(got.value) == f"config field {field}: {want.value.message}"
 
     def test_every_schema_is_checked_as_draft_2020_12(self):
-        # dependentRequired is a 2019-09 keyword that an older draft ignores silently
-        for kind in CONFIG_SCHEMAS:
-            assert type(cli._validator(kind)) is jsonschema.Draft202012Validator
+        # dependentRequired is a 2019-09 keyword that an older draft ignores silently;
+        # the runner never checks its constant schemas, so this test does
+        for kind, schema in CONFIG_SCHEMAS.items():
+            validator = cli._validator(kind)
+            assert type(validator) is jsonschema.Draft202012Validator
+            type(validator).check_schema(schema)
 
     def test_defaults_filled(self):
         cfg = validate_config(dict(VERIFY_CFG))
@@ -566,6 +569,17 @@ class TestMainEntry:
         assert issubclass(getattr(errors, record["error"]), errors.HitTimesError)
         assert "(1, 1)" in record["message"]
         assert "traceback" not in record
+
+    def test_exact_table_at_length_32_runs(self, tmp_path, capsys):
+        # fair 0^31 1 reads k up to 2^33, which no series of the state budget reaches
+        cfg = dict(EXACT_CFG, targets=[{"word": [0] * 31 + [1]}], out=str(tmp_path / "r"))
+        path = _write_config(tmp_path, cfg)
+        assert main(["exact", "--config", str(path)]) == 0
+        run_dir = Path(capsys.readouterr().out.strip())
+        for side in ("return", "hitting"):
+            lines = (run_dir / f"{side}.csv").read_text().splitlines()
+            assert lines[0] == "l,k,t,exact,predicted,ratio" and len(lines) == 22
+            assert all(line.startswith("32,") for line in lines[1:])
 
     def test_binary_word_of_length_40_runs(self, tmp_path, capsys):
         cfg = dict(SIM_CFG, target={"word": [1] * 40}, out=str(tmp_path / "r"))

@@ -107,10 +107,12 @@ CONFIGS = {
 }
 
 GOLDEN = {
+    # re-pinned when grid points past the crossover moved to the closed-form
+    # tail: every mass within 1e-14 relative of the series' (6.7e-16 read)
     "exact-markov": {
-        "hitting.csv": "ee0d8dfc81fb4ed273e3dcb383a60beee895945e908c5a8b7a557ce38b4b2998",
-        "manifest.json": "60118a8e6ec9b5b123bd095a991756efb6ad00046900e655217c2a691b410e26",
-        "return.csv": "139a111812afba24fcf55cc6e6e471ae71074938883bfee8166bd30ae91c20b3",
+        "hitting.csv": "f79cba652bdbfca70cbffb6c2c3f472352a55a7d3e1c0a8ec5995d7051f8b463",
+        "manifest.json": "7ac9d4d39168f2c7d09dc97bd552be8fddd94e9ab472f8943219c41528ae6a28",
+        "return.csv": "f6fc06a6b0696753c3c3670093c422d7f2eae7e1d4e8dc67b41da31347967a6b",
     },
     "exact-markov-derived-period": {
         "hitting.csv": "e04e9c8e7204c26c1ee890de64be35d21229c95be083bd5917b57b9b313d0f2f",

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from hittimes.markov_pattern import (
     hitting_pmf,
     k_grid,
     llt_convergence_table,
+    quasi_stationary_tail,
     return_excess,
     return_pmf,
     theta_exact,
@@ -56,6 +58,7 @@ from oracles import (
     dict_product_kernel,
     full_vector_block_pmf,
     matrix_power_excess,
+    mpmath_absorbed,
     scalar_first_match,
     scatter_block_step,
     stepwise_hitting_masses,
@@ -72,6 +75,16 @@ MARKOV3 = MarkovSource.from_transitions(
 MARKOV4 = MarkovSource.from_transitions(
     [[0.1, 0.2, 0.3, 0.4], [0.4, 0.1, 0.1, 0.4], [0.25, 0.25, 0.3, 0.2], [0.05, 0.6, 0.15, 0.2]]
 )
+
+
+def _slowly_mixing_transitions(h: int = 33) -> np.ndarray:
+    """Two uniform halves of h states, leaving A at rate 1e-9 and B at 3e-9."""
+    p = np.empty((2 * h, 2 * h))
+    p[:h, :h] = (1 - 1e-9) / h
+    p[:h, h:] = 1e-9 / h
+    p[h:, :h] = 3e-9 / h
+    p[h:, h:] = (1 - 3e-9) / h
+    return p
 
 
 @st.composite
@@ -167,17 +180,22 @@ class TestMarkovSource:
         assert np.max(np.abs(src.stationary @ p - src.stationary)) < 1e-12
 
     def test_slowly_mixing_large_alphabet(self):
-        # two uniform halves of 33 states, leaving A at rate 1e-9 and B at
-        # 3e-9, so pi(A) = 3/4; iterating pi @ P stalls near 1/2 long before
-        # the halves balance, with a tiny step-to-step change
-        h = 33
-        p = np.empty((2 * h, 2 * h))
-        p[:h, :h] = (1 - 1e-9) / h
-        p[:h, h:] = 1e-9 / h
-        p[h:, :h] = 3e-9 / h
-        p[h:, h:] = (1 - 3e-9) / h
-        src = MarkovSource.from_transitions(p)
-        assert src.stationary[:h].sum() == pytest.approx(0.75, abs=1e-6)
+        # pi(A) = 3/4; iterating pi @ P stalls near 1/2 long before the
+        # halves balance, with a tiny step-to-step change
+        src = MarkovSource.from_transitions(_slowly_mixing_transitions())
+        assert src.stationary[:33].sum() == pytest.approx(0.75, abs=1e-6)
+
+    def test_rows_are_stochastic_to_a_few_ulps(self):
+        # a row leaking 1e-13 would move a series mass at k = 1e6 by about 1e-7
+        for rows in ([[0.5, 0.5 - 1e-13], [0.5, 0.5]], [[0.5, 0.5], [0.5 + 1e-13, 0.5]]):
+            with pytest.raises(ValidationError, match="rows must sum to 1"):
+                MarkovSource.from_transitions(rows)
+        with pytest.raises(ValidationError, match="sum to 1"):
+            MarkovSource.iid([0.5, 0.5 - 1e-13])
+        # rotations of [.1, .7, .2]: the row (.7, .2, .1) sums to one ulp below 1
+        cyclic = [[0.1, 0.7, 0.2], [0.2, 0.1, 0.7], [0.7, 0.2, 0.1]]
+        assert np.array(cyclic).sum(axis=1).min() == 1.0 - 2.0**-53
+        assert MarkovSource.from_transitions(cyclic).alphabet_size == 3
 
     def test_word_measure(self):
         assert FAIR.word_measure((1, 1)) == 0.25
@@ -1182,10 +1200,98 @@ class TestConvergenceTable:
         assert t.min() >= 0.5 - 1e-9 and t.max() <= 2.0 + 1e-9
         assert ks.size >= 10
 
+    def test_k_grid_refuses_times_past_int64(self):
+        # 1/(delta mu) = 2^63 would be cast to int64
+        with pytest.raises(ValidationError, match="int64 time limit"):
+            k_grid(2.0**-62, 0.5)
+
+    def test_table_at_the_rarest_int64_window(self):
+        ks = k_grid(2.0**-60, 0.5)
+        assert ks.size == 21 and ks[-1] == 2**61
+        target = PatternTarget(word=(0,) * 59 + (1,))
+        for kind in ("return", "hitting"):
+            rows = llt_convergence_table(FAIR, [target], 0.5, kind)
+            assert [r.k for r in rows] == ks.tolist()
+            # e_l is about 1.5 l mu = 8e-17 here (fair 0^(l-1)1, theta = 1)
+            assert max(abs(r.ratio - 1.0) for r in rows) <= 1e-13
+
     @pytest.mark.parametrize("delta", [0.0, -0.5, 1.5, math.nan])
     def test_k_grid_refuses_delta_outside_unit_interval(self, delta):
         with pytest.raises(ValidationError, match="delta must lie in"):
             k_grid(0.5, delta)
+
+
+class TestQuasiStationaryTail:
+    """Masses past the crossover in closed form, (u.q) lambda^(m - K0)."""
+
+    @pytest.mark.parametrize("l", [16, 32])
+    def test_tables_match_mpmath_at_every_grid_point(self, l):
+        # fair 0^(l-1)1; at l = 32 the grid reaches k = 2^33, past every series budget
+        target = PatternTarget(word=(0,) * (l - 1) + (1,))
+        chain = ProductChain(FAIR, target)
+        tables = {kind: llt_convergence_table(FAIR, [target], 0.5, kind)
+                  for kind in ("return", "hitting")}
+        runs = [(chain.entry_vector(), [r.k for r in tables["return"]]),
+                (chain.stationary_vector(), [r.k + l - 1 for r in tables["hitting"]])]
+        refs = mpmath_absorbed(chain.survive, chain.into_match, runs)
+        assert len(tables["return"]) == len(tables["hitting"]) == 21
+        for rows, ref in zip(tables.values(), refs):
+            worst = max(abs(mpmath.mpf(r.exact) / want - 1) for r, want in zip(rows, ref))
+            assert worst <= 4e-15
+
+    @pytest.mark.parametrize(
+        "source,word",
+        [(FAIR, (0,) * l) for l in (8, 12, 16, 20)]
+        + [(FAIR, (0,) * (l - 1) + (1,)) for l in (8, 12, 16)]
+        + [(MARKOV3, w) for w in ((0, 1, 2) * 3, (1,) * 8, (1, 2) * 4, (0,) * 4)],
+        ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else None,
+    )
+    @pytest.mark.parametrize("initial", ["stationary", "in_target"])
+    def test_closed_form_matches_the_series_where_both_run(self, source, word, initial):
+        # the series drifts like k 2^-53 / 150 and k times the row defect, so
+        # its horizons here stay below 2^21 and, on MARKOV3, below 2e4;
+        # fair 0^19 1 at k = 2^21 already differs by 1.5e-12
+        target = PatternTarget(word=word)
+        ks = k_grid(source.word_measure(word), 0.5)
+        tail = quasi_stationary_tail(source, target, initial, int(ks[-1]))
+        assert tail.crossover <= ks[0]
+        series = hitting_pmf(source, target, initial, int(ks[-1])).masses[ks - 1]
+        assert np.max(np.abs(tail.masses(ks) / series - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("initial,lead", [("stationary", 9), ("in_target", 0)])
+    def test_crossover_is_derived_and_agrees_with_the_series(self, initial, lead):
+        target = PatternTarget(word=(0,) * 9 + (1,))
+        tail = quasi_stationary_tail(FAIR, target, initial, 10**6)
+        # fair 0^9 1 settles at the first K0, chain step 4l + 64
+        assert tail.crossover == 4 * 10 + 64 - lead
+        law = hitting_pmf(FAIR, target, initial, tail.crossover + 200)
+        ks = np.arange(tail.crossover, tail.crossover + 201)
+        assert tail.masses(ks[:1])[0] == pytest.approx(law.mass_at(tail.crossover), rel=1e-14)
+        assert np.max(np.abs(tail.masses(ks) / law.masses[ks - 1] - 1.0)) <= 1e-14
+        with pytest.raises(ValidationError, match="before the crossover"):
+            tail.masses(ks - 1)
+
+    def test_unsettled_direction_leaves_the_grid_to_the_series(self):
+        # the halves of the slowly mixing chain balance over ~1e9 steps, so
+        # u never settles by 1/(delta mu); a frequent word's table is the series'
+        slow = MarkovSource.from_transitions(_slowly_mixing_transitions())
+        target = PatternTarget(word=(0, 1))
+        ks = k_grid(slow.word_measure(target.word), 0.5)
+        assert quasi_stationary_tail(slow, target, "in_target", int(ks[-1])) is None
+        rows = llt_convergence_table(slow, [target], 0.5)
+        series = return_pmf(slow, target, int(ks[-1])).masses[ks - 1]
+        assert [r.exact for r in rows] == series.tolist()
+
+    def test_slowly_mixing_source_is_refused(self):
+        slow = MarkovSource.from_transitions(_slowly_mixing_transitions())
+        target = PatternTarget(word=(0, 1, 2, 3, 4, 5))
+        for kind in ("return", "hitting"):
+            with pytest.raises(BudgetExceededError):
+                llt_convergence_table(slow, [target], 0.5, kind)
+
+    def test_tail_refuses_unknown_start(self):
+        with pytest.raises(ValidationError, match="unknown initial"):
+            quasi_stationary_tail(FAIR, PatternTarget(word=(0, 1)), "uniform", 100)
 
 
 class TestCounterexample:
