@@ -152,16 +152,36 @@ def sum_by_row(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the 2-D int64 ``keys``, in lexicographic order,
     with the sum of ``weights`` over each (1 per row when None)."""
-    # sorting the columns with lexsort is several times faster than
-    # np.unique(axis=0)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    # Rows are sorted by one int64 code, mixed-radix over the columns:
+    # code = code * span + (column - min), with 0 <= code < bound, so code
+    # order is row order. Where bound * span would reach 2^63, the code so
+    # far is replaced by its rank among the distinct codes, and then, if the
+    # product still reaches it, the column by its rank among its values.
+    # Ranks keep order and are below n, so the code stays below n^2.
+    n = len(keys)
+    code = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for col in keys.T if n else ():
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if bound * span >= 2**63:
+            uniq, code = np.unique(code, return_inverse=True)
+            bound = len(uniq)
+        if bound * span >= 2**63:
+            uniq, col = np.unique(col, return_inverse=True)
+            span, lo = len(uniq), 0
+        code *= span
+        code += col
+        code -= lo
+        bound *= span
+    order = np.argsort(code)
+    code = code[order]
+    first = np.ones(n, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     if weights is None:
-        return keys[starts], np.diff(starts, append=len(keys))
-    return keys[starts], np.add.reduceat(weights[order], starts)
+        return keys[order[starts]], np.diff(starts, append=n)
+    return keys[order[starts]], np.add.reduceat(weights[order], starts)
 
 
 @dataclass
@@ -250,8 +270,10 @@ def _replica_rows(
     Hits are read in generation order, which has the forward law (module
     docstring), so a replica stops at its d-th hit; ``max_steps`` only
     censors. Step s draws one uniform per replica with fewer than d hits, in
-    replica order, and the live arrays are compacted on every step where a
-    replica finishes. For word targets ``table`` is the occurrence automaton
+    replica order. The live arrays ``y``, ``ids`` and, for words, ``state``
+    are compacted on every step where a replica finishes; the hit counter
+    ``count`` and the register ``reg`` are indexed by replica, so they are
+    never compacted. For word targets ``table`` is the occurrence automaton
     of the word itself over alpha + 1 symbols: digits >= alpha read as the
     extra symbol alpha, which no word symbol equals. A hit then marks an
     occurrence's end, so tau_1 is the hit step minus (l - 1).
@@ -261,7 +283,7 @@ def _replica_rows(
     u = np.empty(n)
     k = np.empty(n)
     ids = np.arange(n)  # replica index of each live entry
-    count = np.zeros(n, dtype=np.int64)  # hits so far of each live entry
+    count = np.zeros(n, dtype=np.int64)  # hits so far, by replica index
     # step and mark of every replica's hits, by replica index; word hits carry no mark
     reg = np.zeros((d, 2 if table is None else 1, n), dtype=np.int64)
     if table is not None:
@@ -288,19 +310,20 @@ def _replica_rows(
             hits = np.flatnonzero(state == full)
         if not hits.size:
             continue
-        nth, who = count[hits], ids[hits]
+        who = ids[hits]
+        nth = count[who]
         reg[nth, 0, who] = step
         if table is None:
             reg[nth, 1, who] = kk[hits]
         nth += 1
-        count[hits] = nth
+        count[who] = nth
         finished = hits[nth == d]
         if finished.size == live:
             break
         if finished.size:
             keep = np.ones(live, dtype=bool)
             keep[finished] = False
-            y, ids, count = y[keep], ids[keep], count[keep]
+            y, ids = y[keep], ids[keep]
             if table is not None:
                 state = state[keep]
     done = reg[:, :, reg[d - 1, 0] > 0]

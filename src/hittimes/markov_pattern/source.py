@@ -77,13 +77,18 @@ class MarkovSource:
             raise ValidationError(f"transitions must be SxS with S >= 2, got shape {p.shape}")
         if pi.shape != (p.shape[0],):
             raise ValidationError("stationary vector length must match the alphabet size")
-        if not (np.isfinite(p).all() and np.isfinite(pi).all()):
-            raise ValidationError("transitions and stationary vector must be finite")
+        if not np.isfinite(p).all():
+            raise ValidationError("transitions must be finite")
         if np.any(p < 0.0):
             raise ValidationError("transition probabilities must be nonnegative")
         rows = p.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > _ROW_TOL:
             raise ValidationError(f"rows must sum to 1 within {_ROW_TOL}")
+        # ahead of the stationary vector, which a solve for a reducible chain
+        # may leave with zero or non-finite entries: the chain is the fault
+        _check_mixing(p)
+        if not np.isfinite(pi).all():
+            raise ValidationError("stationary vector must be finite")
         if abs(pi.sum() - 1.0) > _STAT_TOL:
             raise ValidationError("stationary vector must sum to 1")
         if np.any(pi <= 0.0):
@@ -91,7 +96,6 @@ class MarkovSource:
         residual = float(np.max(np.abs(pi @ p - pi)))
         if residual > _STAT_TOL:
             raise ValidationError("stationary vector is not invariant under the transitions")
-        _check_mixing(p)
         p.setflags(write=False)
         pi.setflags(write=False)
         object.__setattr__(self, "transitions", p)
@@ -109,11 +113,11 @@ class MarkovSource:
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValidationError(f"transitions must be square, got shape {p.shape}")
         if not np.isfinite(p).all():  # a NaN would pass the mixing check and the solve
-            raise ValidationError("transitions and stationary vector must be finite")
-        _check_mixing(p)
+            raise ValidationError("transitions must be finite")
         try:
             pi = _solve_stationary(p)
         except np.linalg.LinAlgError as exc:
+            _check_mixing(p)  # a reducible chain is the likely cause: name it
             raise ValidationError(f"stationary solve failed: {exc}") from exc
         return cls(transitions=p, stationary=pi)
 

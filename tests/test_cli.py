@@ -774,6 +774,41 @@ class TestMainEntry:
             ["1", "2", "3"], ["2", "1", "1"], ["1", "1", "0"]
         ]
 
+    def test_report_on_keys_across_the_int64_range(self, tmp_path, capsys):
+        # key columns span 2^64, so sum_by_row ranks them before it sorts
+        ends = [-(2**63), -1, 1, 2, 2**63 - 1]
+        table = np.array([[k1, k2, 0] for k1 in ends for k2 in ends], dtype=np.int64)
+        table[:, 2] = np.arange(1, len(table) + 1)
+        table = table[np.random.default_rng(3).permutation(len(table))]
+        keys, counts = cli.estimators.sum_by_row(table[:, :2], table[:, 2])
+        assert len(keys) == len(table)
+        pmf = cli.estimators.EmpiricalPMF(keys, counts, int(counts.sum()))
+        cells = [[1, 2], [2, 1], [2, 2], [1, 1], [2, 3]]
+        input_dir = tmp_path / "input"
+        input_dir.mkdir()
+        (input_dir / "manifest.json").write_text(json.dumps({"results": {"n_total": pmf.n_total}}))
+        cfg = {
+            "kind": "report",
+            "input_dir": str(input_dir),
+            "prediction": {"family": "exponential-hitting", "mu": 0.25},
+            "cells": cells,
+            "out": str(tmp_path / "r"),
+        }
+        path = _write_config(tmp_path, cfg)
+        csv = "k1,k2,count\n" + "".join(f"{a},{b},{c}\n" for a, b, c in table.tolist())
+        (input_dir / "counts.csv").write_text(csv)
+        assert main(["report", "--config", str(path)]) == 0
+        lines = (Path(capsys.readouterr().out.strip()) / "estimate.csv").read_text().splitlines()
+        assert [[int(x) for x in line.split(",")[:3]] for line in lines[1:]] == [
+            cell + [pmf.count(cell)] for cell in cells
+        ]
+        # the same table with one extreme row repeated is refused
+        (input_dir / "counts.csv").write_text(csv + f"{2**63 - 1},{-(2**63)},1\n")
+        assert main(["report", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "1 cells repeat an earlier row" in record["message"]
+
     def test_report_cell_width_must_match_counts_header(self, tmp_path, capsys):
         input_dir = tmp_path / "input"
         input_dir.mkdir()

@@ -419,31 +419,63 @@ class TestErgodicEstimator:
 
 
 class TestCountTable:
-    def test_sum_by_row_matches_dict_tally(self):
-        rng = np.random.default_rng(5)
-        rows = rng.integers(OVERFLOW_MARK, 4, size=(5000, 3))
-        weights = rng.integers(0, 2**40, size=5000)
+    @pytest.mark.parametrize("width", range(1, 7))
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            # heavy duplication down to OVERFLOW_MARK
+            np.arange(OVERFLOW_MARK, 4),
+            # spans near 2^40: the code so far is ranked, no column is
+            np.array([-(2**39), -7, 0, 2**39 - 1]),
+            # spans of 2^64: every column is ranked as well
+            np.array([-(2**63), -(2**62), OVERFLOW_MARK, 0, 2**62, 2**63 - 1]),
+        ],
+        ids=["small", "wide", "int64-extremes"],
+    )
+    def test_sum_by_row_matches_dict_tally(self, pool, width):
+        rng = np.random.default_rng(width)
+        rows = pool[rng.integers(0, len(pool), size=(3000, width))]
+        weights = rng.integers(0, 2**40, size=len(rows))
         keys, counts = sum_by_row(rows)
+        assert keys.dtype == counts.dtype == np.int64
         got = dict(zip(map(tuple, keys.tolist()), counts.tolist()))
         assert list(got.items()) == list(dict_chunk_tail(rows).items())
         want: dict[tuple, int] = {}
         for key, w in zip(map(tuple, rows.tolist()), weights.tolist()):
             want[key] = want.get(key, 0) + w
         keys, sums = sum_by_row(rows, weights)
+        assert sums.dtype == np.int64
         assert list(zip(map(tuple, keys.tolist()), sums.tolist())) == sorted(want.items())
-        empty = rows[:0]
-        for keys, sums in (sum_by_row(empty), sum_by_row(empty, weights[:0])):
-            assert keys.shape == (0, 3) and sums.shape == (0,)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_sum_by_row_of_one_row_and_of_empty_tables(self, width):
+        row = np.array([[2**63 - 1, -(2**63), OVERFLOW_MARK][:width]])
+        keys, counts = sum_by_row(row)
+        assert keys.tolist() == row.tolist() and counts.tolist() == [1]
+        keys, sums = sum_by_row(row, np.array([7]))
+        assert keys.tolist() == row.tolist() and sums.tolist() == [7]
+        empty = row[:0]
+        for keys, sums in (sum_by_row(empty), sum_by_row(empty, np.zeros(0, dtype=np.int64))):
+            assert keys.shape == (0, width) and sums.shape == (0,)
+            assert keys.dtype == sums.dtype == np.int64
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "system,target",
-        [(GAUSS, TargetScan.digit_threshold(20)), (DOUBLING, TargetScan.word_pattern((1, 0, 1)))],
-        ids=["gauss-a20", "doubling-101"],
+        "system,target,d",
+        [
+            (GAUSS, TargetScan.digit_threshold(20), 2),
+            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 2),
+            (GAUSS, TargetScan.digit_threshold(20), 1),
+            (GAUSS, TargetScan.digit_threshold(20), 3),
+            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 1),
+            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 3),
+        ],
+        ids=["gauss-a20", "doubling-101", "gauss-a20-d1", "gauss-a20-d3", "doubling-101-d1",
+             "doubling-101-d3"],
     )
-    def test_merge_matches_dict_merge(self, system, target, workers):
+    def test_merge_matches_dict_merge(self, system, target, d, workers):
         # 13 chunks, the last one short; at d = 2 about 100 Gauss marks overflow
-        n, d, max_steps, seed, chunk = 12 * 2048 + 700, 2, 256, 31, 2048
+        n, max_steps, seed, chunk = 12 * 2048 + 700, 256, 31, 2048
         got = estimate_first_passage(
             system, target, n, d, max_steps, seed, chunk_size=chunk, workers=workers
         )

@@ -36,6 +36,7 @@ from hittimes.markov_pattern import (
     verify_shift_identity_grid,
 )
 from hittimes.markov_pattern import reports
+from hittimes.markov_pattern import source as source_module
 from hittimes.markov_pattern.automaton import _border_lengths
 from hittimes.markov_pattern.exact import (
     _BLOCK,
@@ -166,6 +167,25 @@ class TestMarkovSource:
         else:
             with pytest.raises(ValidationError, match=fault):
                 MarkovSource.from_transitions(rows)
+
+    def test_mixing_is_checked_once_per_construction(self, monkeypatch):
+        calls = []
+        check = source_module._check_mixing
+        monkeypatch.setattr(source_module, "_check_mixing", lambda p: calls.append(1) or check(p))
+        MarkovSource.from_transitions([[0.5, 0.5], [0.2, 0.8]])
+        assert len(calls) == 1
+        # the identity's solve is singular; its refusal names the chain
+        with pytest.raises(ValidationError, match="reducible"):
+            MarkovSource.from_transitions([[1.0, 0.0], [0.0, 1.0]])
+        assert len(calls) == 2
+
+        def singular(p):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(source_module, "_solve_stationary", singular)
+        with pytest.raises(ValidationError, match="stationary solve failed: Singular matrix"):
+            MarkovSource.from_transitions([[0.5, 0.5], [0.2, 0.8]])
+        assert len(calls) == 3
 
     def test_stationary_solve(self):
         pi = MARKOV2.stationary
