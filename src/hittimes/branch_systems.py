@@ -30,16 +30,21 @@ system that cross-validates against the exact Markov-shift oracle.
 
 A single orbit is sequential, yet it runs in parallel lanes. The backward
 steps contract, so two orbits driven by the same uniforms coalesce: in float64
-they become bit-equal after a median of 17 steps for Gauss and 54 for
-doubling (the most in 20 000 pairs was 29 and 68). `generate_stream` cuts
-each chunk of uniforms into contiguous lanes. Lane 0 starts from the exact
-point; every other lane starts from a guess, a fixed point run through the
-uniforms just before the lane. All lanes advance in lockstep through
-``branch_array``, the one step kernel. Then every lane whose start is not
-bitwise the end of the lane before it runs again from that end, all such
-lanes in lockstep, until none is left. So the digits and the anchor point are
-those of one backward step per digit whether or not the guesses coalesce;
-coalescence only decides how many lanes run again.
+an orbit from 0.5 and one from a stationary point become bit-equal after a
+median of 17 steps for Gauss and 54 for doubling (99% of 20 000 pairs within
+24 and 61 steps, the most 31 and 70). `generate_stream` cuts each chunk of
+uniforms into up to 1024 contiguous lanes of 64 steps. Lane 0 starts from the
+exact point, every other lane from 0.5, and all lanes advance in lockstep
+through ``branch_array``, the one step kernel, recording their points every 8
+steps. Then every lane whose start is not bitwise the end of the lane before
+it runs again from that end, all such lanes in lockstep, but only until the
+first of those marks where every rerun point is bitwise the one recorded
+there: the lanes have rejoined their last run, whose digits and end stand.
+Rounds go on until every start is an end, so the digits and the anchor point
+are those of one backward step per digit whether or not the orbits coalesce;
+coalescence only decides how far the reruns go. A full Gauss chunk takes 96
+kernel calls (64 steps, then a rerun to step 32), a doubling chunk 128 or 136
+(its rerun can outlast the lane, and a third round reruns the lanes after).
 
 A preimage can round to 1.0 (after 54 one-bits in a row for doubling, or a
 Gauss digit near 2^53). The kernels are continuous there, so such an orbit
@@ -54,6 +59,7 @@ across platforms and replicas never overlap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,12 +81,12 @@ __all__ = [
 
 DIGIT_CAP = 2**62
 DEFAULT_BLOCK = 2**16
-# a stream chunk of DEFAULT_BLOCK steps runs as up to _LANES lanes; a lane's
-# guessed start is _SEED_POINT advanced through the _WARMUP steps before it,
-# and no lane is shorter than _MIN_LANE
-_LANES = 256
-_WARMUP = 96
-_MIN_LANE = 2 * _WARMUP
+# a stream chunk of DEFAULT_BLOCK steps runs as _LANES lanes of _MIN_LANE
+# steps, a shorter one as fewer lanes; lanes i >= 1 first run from
+# _SEED_POINT, and a rerun checks every _MARK steps whether it has rejoined
+_LANES = 1024
+_MIN_LANE = DEFAULT_BLOCK // _LANES
+_MARK = 8
 _SEED_POINT = 0.5
 
 
@@ -236,7 +242,10 @@ class DigitStream:
     anchor_point: float
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.digits, dtype=np.int64)
+        d = _digit_array(self.digits)
+        a = self.anchor_point
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0.0 <= a <= 1.0:
+            raise ValidationError(f"anchor point must be a finite number in [0, 1], got {a!r}")
         d.setflags(write=False)
         object.__setattr__(self, "digits", d)
 
@@ -253,70 +262,81 @@ class DigitStream:
             handle.write("".join(f"{d}\n" for d in self.digits.tolist()))
 
 
-def _lane_bounds(size: int, lanes: int) -> list[int]:
-    """The lanes + 1 bounds of ``lanes`` contiguous lanes that cover ``size``
-    steps; the first ``size % lanes`` lanes are one step longer."""
-    m, r = divmod(size, lanes)
-    return [i * m + min(i, r) for i in range(lanes + 1)]
+def _digit_array(values) -> np.ndarray:
+    """``values`` as a 1-D int64 array, the array itself when it is one.
+    Anything else that is not one axis of integral numbers in the int64
+    range is refused rather than cast, which would truncate 1.5 to 1."""
+    d = np.asarray(values)
+    if d.ndim != 1:
+        raise ValidationError(f"digits must be one-dimensional, got shape {d.shape}")
+    if d.dtype == np.int64:
+        return d
+    if d.dtype.kind == "f":
+        bad = ~(np.isfinite(d) & (np.trunc(d) == d) & (np.abs(d) < 2.0**63))
+    elif d.dtype.kind in "iu":
+        bad = d > np.iinfo(np.int64).max
+    else:
+        bad = np.ones(d.shape, dtype=bool)
+    if bad.any():
+        raise ValidationError(f"digits must be integers in the int64 range, got {d[bad].tolist()[0]!r}")
+    return d.astype(np.int64)
 
 
-def _speculative_starts(system: BranchSystem, u: np.ndarray) -> np.ndarray:
-    """Guesses at the points the lanes of the chunk u start from: for lane
-    i >= 1, ``_SEED_POINT`` advanced through the ``_WARMUP`` uniforms before
-    the lane, every lane at once. Entry 0 is a placeholder. The chunk gets as
-    many lanes of ``_MIN_LANE`` steps as fit, at least 1 and at most
-    ``_LANES``."""
-    lanes = max(1, min(_LANES, u.size // _MIN_LANE))
-    y = np.full(lanes, _SEED_POINT)
-    if lanes > 1:
-        starts = np.array(_lane_bounds(u.size, lanes)[1:-1])
-        k = np.empty(lanes - 1)
-        for row in u[starts + np.arange(-_WARMUP, 0)[:, None]]:
-            system.branch_array(y[1:], row, k)
-    return y
+def _run_lanes(system: BranchSystem, y: float, u: np.ndarray, out: np.ndarray) -> float:
+    """Advance y through the uniforms u in contiguous lanes, writing the j-th
+    digit to out[j]; return the end point.
 
-
-def _run_lanes(
-    system: BranchSystem, y: float, u: np.ndarray, starts: np.ndarray, out: np.ndarray
-) -> float:
-    """Advance y through the uniforms u in ``starts.size`` lanes (`_lane_bounds`),
-    writing the j-th digit to out[j]; return the end point.
-
-    Lane 0 starts from y, lane i >= 1 from starts[i]. Every lane runs in
-    lockstep through ``branch_array``. Then every lane whose start is not
-    bitwise the end of the lane before it runs again from that end, all such
-    lanes in lockstep, until none is left. The first such lane starts from an
-    exact end, so each round leaves one more lane exact and at most
-    ``starts.size`` rounds run: the result is exact whatever the starts were.
+    The chunk gets as many lanes of ``_MIN_LANE`` steps as fit, at least 1
+    and at most ``_LANES``; when they do not divide it, the first
+    ``u.size % lanes`` lanes are one step longer. Lane 0 starts from y, every
+    other lane from ``_SEED_POINT``, and round 1 runs them all in lockstep
+    through ``branch_array`` over their full length, recording every lane's
+    point every ``_MARK`` steps. Each later round reruns, in lockstep, the
+    lanes from the first to the last whose start is not bitwise the end of
+    the lane before it, each from that end (a lane between them whose start
+    was right repeats its last run). The round stops at the first mark where
+    every rerun lane's point is bitwise the one its last run recorded there:
+    the kernel is a function of (y, u), so from that mark on the digits and
+    ends are those of the last run. The first stale lane starts from an exact
+    end, so each round leaves one more lane exact and at most as many rounds
+    as lanes run: the result is exact whether or not the orbits rejoin.
     """
-    lanes = starts.size
+    lanes = max(1, min(_LANES, u.size // _MIN_LANE))
     m, r = divmod(u.size, lanes)
     head = r * (m + 1)
-    # row i of the long (the first r) or of the short lanes' block is lane i
-    u_long, u_short = u[:head].reshape(r, m + 1), u[head:].reshape(lanes - r, m)
-    k_long, k_short = out[:head].reshape(r, m + 1), out[head:].reshape(lanes - r, m)
-    begins = starts.copy()
+    # column i is lane i; row m holds the last step of the first r (long) lanes
+    uu = np.empty((m + 1, lanes))
+    uu[:, :r] = u[:head].reshape(r, m + 1).T
+    uu[:m, r:] = u[head:].reshape(lanes - r, m).T
+    kk = np.empty_like(uu)
+    marks = np.full((m // _MARK, lanes), np.nan)  # no point is NaN: round 1 runs out
+    begins = np.full(lanes, _SEED_POINT)
     begins[0] = y
     ends = np.empty(lanes)
-    todo = np.arange(lanes)
-    while todo.size:
-        n_long = int(np.searchsorted(todo, r))
-        long, short = todo[:n_long], todo[n_long:] - r
-        # laid out again each round: the Gauss kernel uses uniforms as scratch
-        uu = np.empty((m + 1, todo.size))
-        uu[:, :n_long] = u_long[long].T
-        uu[:m, n_long:] = u_short[short].T
-        kk = np.empty_like(uu)
-        y_lanes = begins[todo]
+    lo, hi = 0, lanes
+    while lo < hi:
+        y_lanes = begins[lo:hi].copy()
         for j in range(m):
-            system.branch_array(y_lanes, uu[j], kk[j])
-        if n_long:
-            system.branch_array(y_lanes[:n_long], uu[m, :n_long], kk[m, :n_long])
-        k_long[long] = kk[:, :n_long].T
-        k_short[short] = kk[:m, n_long:].T
-        ends[todo] = y_lanes
-        todo = np.flatnonzero(begins.view(np.int64)[1:] != ends.view(np.int64)[:-1]) + 1
-        begins[todo] = ends[todo - 1]
+            # a fresh copy each time: the Gauss kernel uses uniforms as scratch
+            system.branch_array(y_lanes, uu[j, lo:hi].copy(), kk[j, lo:hi])
+            t, off = divmod(j + 1, _MARK)
+            if not off:
+                seen = marks[t - 1, lo:hi]
+                if np.array_equal(seen.view(np.int64), y_lanes.view(np.int64)):
+                    break
+                seen[:] = y_lanes
+        else:
+            n_long = max(0, min(hi, r) - lo)
+            if n_long:
+                system.branch_array(
+                    y_lanes[:n_long], uu[m, lo : lo + n_long].copy(), kk[m, lo : lo + n_long]
+                )
+            ends[lo:hi] = y_lanes
+        stale = np.flatnonzero(begins.view(np.int64)[1:] != ends.view(np.int64)[:-1]) + 1
+        begins[stale] = ends[stale - 1]
+        lo, hi = (stale[0], stale[-1] + 1) if stale.size else (0, 0)
+    out[:head].reshape(r, m + 1)[...] = kk[:, :r].T
+    out[head:].reshape(lanes - r, m)[...] = kk[:m, r:].T
     return float(ends[-1])
 
 
@@ -333,9 +353,10 @@ def generate_stream(
     start is ``stationary_array`` of the first uniform, the kernel that
     starts the replicas too. The other uniforms are drawn in chunks of
     ``DEFAULT_BLOCK``, the same numbers one draw would give, and each chunk
-    runs in lanes (`_run_lanes`): a lane starts from a guess and runs again
-    unless the guess is bitwise its true start. Digits and anchor point are
-    those of n steps of the scalar reference ``gauss_branch_sample`` or
+    runs in lanes (`_run_lanes`): a lane starts from a fixed point, and while
+    its start is not bitwise the end of the lane before it, it reruns from
+    that end until it rejoins its last run. Digits and anchor point are those
+    of n steps of the scalar reference ``gauss_branch_sample`` or
     ``doubling_branch_sample``.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -348,5 +369,5 @@ def generate_stream(
     for hi in range(n, 0, -DEFAULT_BLOCK):
         lo = max(0, hi - DEFAULT_BLOCK)
         u = rng.random(hi - lo)
-        y = _run_lanes(system, y, u, _speculative_starts(system, u), digits[lo:hi][::-1])
+        y = _run_lanes(system, y, u, digits[lo:hi][::-1])
     return DigitStream(digits=digits, anchor_point=y)

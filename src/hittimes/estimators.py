@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .branch_systems import BranchSystem, DigitStream, make_rng
+from .branch_systems import BranchSystem, DigitStream, _digit_array, make_rng
 from .errors import InsufficientDataError, ValidationError, _int_tuple
 from .markov_pattern.automaton import PatternTarget, build_automaton
 from .primes import is_prime
@@ -111,7 +111,7 @@ def _prime_mask(values: np.ndarray) -> np.ndarray:
 def _digits_of(stream: DigitStream | np.ndarray | Sequence[int]) -> np.ndarray:
     if isinstance(stream, DigitStream):
         return stream.digits
-    return np.asarray(stream, dtype=np.int64)
+    return _digit_array(stream)
 
 
 def scan_hits(

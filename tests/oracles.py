@@ -27,7 +27,8 @@ dicts added key by key, so that the array sum and merge can be held to them;
 `pmf_dict` reads an `EmpiricalPMF` back as such a dict.
 `scalar_stream` keeps `generate_stream`'s original loop, one scalar backward
 step per digit (`scalar_steps`, which looks the step up by system name), so
-that the lane-parallel stream can be held to it bit for bit.
+that the lane-parallel stream can be held to it bit for bit; `rotation_step`
+is the step of a test system that does not contract.
 `dict_product_kernel` keeps `ProductChain`'s original kernel, built pair by
 pair through a (state, symbol) dict, and `scalar_first_match` the original
 one-symbol-at-a-time walk of the occurrence automaton, so that the chain's
@@ -47,6 +48,7 @@ counts with. It lives here, not in the package, because it needs
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -527,7 +529,15 @@ def pmf_dict(pmf) -> dict[tuple[int, ...], int]:
     return dict(zip(map(tuple, pmf.keys.tolist()), pmf.counts.tolist()))
 
 
-SCALAR_STEP = {"gauss": gauss_branch_sample, "doubling": doubling_branch_sample}
+def rotation_step(y: float, u: float) -> tuple[int, float]:
+    """The Gauss digit rule with the rotation y <- frac(y + u) as the step:
+    a test system whose orbits never coalesce."""
+    k = max(1, math.ceil((1.0 + y) / (1.0 - u) - 1.0 - y))
+    y += u
+    return k, y - math.floor(y)
+
+
+SCALAR_STEP = {"gauss": gauss_branch_sample, "doubling": doubling_branch_sample, "rotation": rotation_step}
 
 
 def scalar_steps(system, y: float, u: np.ndarray) -> tuple[np.ndarray, float]:

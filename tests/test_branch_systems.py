@@ -14,15 +14,14 @@ from scipy import stats
 
 from hittimes.branch_systems import (
     _LANES,
+    _MARK,
     _MIN_LANE,
-    _WARMUP,
+    _SEED_POINT,
     DEFAULT_BLOCK,
     DOUBLING,
     GAUSS,
     DigitStream,
-    _lane_bounds,
     _run_lanes,
-    _speculative_starts,
     doubling_branch_sample,
     gauss_branch_sample,
     generate_stream,
@@ -31,7 +30,7 @@ from hittimes.branch_systems import (
 )
 from hittimes.errors import SamplingError, ValidationError
 from hittimes.theory import gauss_digit_cell_measure, threshold_cell_measure
-from oracles import gauss_branch_cum, gauss_branch_prob, scalar_stream, scalar_steps
+from oracles import SCALAR_STEP, gauss_branch_cum, gauss_branch_prob, scalar_stream, scalar_steps
 
 LN2 = math.log(2.0)
 
@@ -350,20 +349,21 @@ def assert_same_stream(got, want):
     assert repr(got.anchor_point) == repr(want.anchor_point)  # bitwise, and a float
 
 
-# lengths around the one-lane limit (2W), the first two-lane chunk (2 * 2W),
-# the lane cap (_LANES lanes of 2W) and the chunk size
+# lengths around one lane (under 2 * _MIN_LANE steps), two lanes, the lane
+# cap (_LANES lanes of _MIN_LANE steps: a full chunk) and several chunks
 STREAM_LENGTHS = [
     1,
     2,
-    2 * _WARMUP - 1,
-    2 * _WARMUP,
-    2 * _WARMUP + 1,
+    _MIN_LANE - 1,
+    _MIN_LANE,
+    _MIN_LANE + 1,
     2 * _MIN_LANE - 1,
     2 * _MIN_LANE,
     2 * _MIN_LANE + 1,
-    _LANES * _MIN_LANE - 1,
-    _LANES * _MIN_LANE + 1,
+    3 * _MIN_LANE - 1,
+    (_LANES - 1) * _MIN_LANE - 1,
     DEFAULT_BLOCK - 1,
+    DEFAULT_BLOCK,
     DEFAULT_BLOCK + 1,
     3 * DEFAULT_BLOCK + 5,
 ]
@@ -373,6 +373,55 @@ def chunk(system, seed, size):
     """(start point, uniforms) of the first chunk of a stream."""
     rng = make_rng(seed)
     return float(system.stationary_array(rng.random(1))[0]), rng.random(size)
+
+
+def lane_bounds(size: int, lanes: int) -> list[int]:
+    """The lanes + 1 bounds of ``lanes`` contiguous lanes that cover ``size``
+    steps; the first ``size % lanes`` lanes are one step longer."""
+    m, r = divmod(size, lanes)
+    return [i * m + min(i, r) for i in range(lanes + 1)]
+
+
+def scalar_rounds(system, y0: float, u: np.ndarray) -> list[int]:
+    """The lockstep width of every kernel call `_run_lanes` makes on the
+    chunk (y0, u), worked out lane by lane with the scalar step of ``system``.
+
+    Round 1 runs every lane over its full length, lane 0 from y0 and the
+    others from _SEED_POINT. Each later round reruns lanes lo..hi - 1, the
+    first to the last lane whose start is not the end of the lane before
+    it, each from that end, and stops at the first mark (every _MARK steps)
+    where every rerun lane's point is the one its last run had there."""
+    step = SCALAR_STEP[system.name]
+    lanes = max(1, min(_LANES, u.size // _MIN_LANE))
+    bounds = lane_bounds(u.size, lanes)
+    m, r = divmod(u.size, lanes)
+
+    def path(i, y):  # the points after each step of lane i from y
+        points = []
+        for uj in u[bounds[i] : bounds[i + 1]].tolist():
+            y = step(y, uj)[1]
+            points.append(y)
+        return points
+
+    begins = [y0] + [_SEED_POINT] * (lanes - 1)
+    paths = [path(i, y) for i, y in enumerate(begins)]
+    widths = [lanes] * m + [r] * bool(r)
+    while True:
+        stale = [i for i in range(1, lanes) if begins[i] != paths[i - 1][-1]]
+        if not stale:
+            return widths
+        lo, hi = stale[0], stale[-1] + 1
+        for i in stale:
+            begins[i] = paths[i - 1][-1]
+        rerun = {i: path(i, begins[i]) for i in range(lo, hi)}
+        for t in range(_MARK, m + 1, _MARK):
+            if all(rerun[i][t - 1] == paths[i][t - 1] for i in range(lo, hi)):
+                widths += [hi - lo] * t
+                break
+        else:
+            widths += [hi - lo] * m + [min(hi, r) - lo] * (lo < r)
+        for i in range(lo, hi):
+            paths[i] = rerun[i]
 
 
 class TestLaneStream:
@@ -403,42 +452,76 @@ class TestLaneStream:
     def test_matches_scalar_stream_randomized(self, system, seed, n):
         assert_same_stream(generate_stream(system, seed, n), scalar_stream(system, seed, n))
 
-    @pytest.mark.parametrize("wrong", ["half", "nextafter"])
+    @pytest.mark.parametrize("size", [DEFAULT_BLOCK + 77, 5 * _MIN_LANE + 3])
     @pytest.mark.parametrize("system", [GAUSS, DOUBLING], ids=["gauss", "doubling"])
-    def test_every_lane_repaired(self, system, wrong):
-        # every guessed start is wrong, so a second round reruns every lane
-        # i >= 1 from the end of lane i - 1 (doubling digits do not depend on
-        # the point, so there only the rounds and the end point can tell)
+    def test_every_lane_repaired(self, system, size):
+        # lanes i >= 1 start from _SEED_POINT, which is never their true
+        # start here, so every one is rerun; the lockstep widths are exactly
+        # those of the rounds worked out lane by lane with the scalar step
+        # (doubling digits do not depend on the point, so there only the
+        # rounds and the end point can tell)
         steps = []
 
         def counting(y, u, k):
             steps.append(y.size)
             system.branch_array(y, u, k)
 
-        size = DEFAULT_BLOCK + 77  # 256 lanes of 256 steps, the first 77 one step longer
         y0, u = chunk(system, 61, size)
-        bounds = _lane_bounds(size, _LANES)
-        true_starts = []
-        y = y0
-        for lo, hi in zip(bounds, bounds[1:]):
-            true_starts.append(y)
-            y = scalar_steps(system, y, u[lo:hi])[1]
-        true_starts = np.array(true_starts)
-        if wrong == "half":
-            starts = np.full(_LANES, 0.5)
-        else:
-            starts = np.nextafter(true_starts, 1.0)
-        assert np.all(starts[1:] != true_starts[1:])
         u_before = u.copy()
         out = np.empty(size, dtype=np.int64)
-        end = _run_lanes(dataclasses.replace(system, branch_array=counting), y0, u, starts, out)
+        end = _run_lanes(dataclasses.replace(system, branch_array=counting), y0, u, out)
         want = scalar_stream(system, 61, size)
         assert np.array_equal(out, want.digits[::-1])
         assert repr(end) == repr(want.anchor_point)
         assert np.array_equal(u, u_before)
-        # one round of all lanes, then one of lanes 1..255 (76 of them long)
-        m = size // _LANES
-        assert steps == [_LANES] * m + [77] + [_LANES - 1] * m + [76]
+        assert steps == scalar_rounds(system, y0, u)
+
+    def test_lanes_that_never_rejoin_rerun_in_full(self):
+        # a rotation by u does not contract, so no rerun ever rejoins its
+        # last run: round q + 1 reruns lanes q..6 over their full length,
+        # and the result is still the sequential one
+        size = 7 * _MIN_LANE + 5  # 7 lanes, the first 5 one step longer
+        steps = []
+
+        def rotation(y, u, k):
+            steps.append(y.size)
+            np.subtract(1.0, u, out=k)
+            np.divide(1.0 + y, k, out=k)
+            k -= 1.0
+            k -= y
+            np.maximum(np.ceil(k, out=k), 1.0, out=k)
+            y += u
+            y -= np.floor(y)
+
+        system = dataclasses.replace(GAUSS, name="rotation", branch_array=rotation)
+        y0, u = chunk(system, 65, size)
+        out = np.empty(size, dtype=np.int64)
+        end = _run_lanes(system, y0, u, out)
+        want, want_end = scalar_steps(system, y0, u)
+        assert np.array_equal(out, want)
+        assert repr(end) == repr(want_end)
+        m = _MIN_LANE
+        assert steps == [w for q in range(7) for w in [7 - q] * m + [5 - q] * (q < 5)]
+        assert steps == scalar_rounds(system, y0, u)
+
+    @pytest.mark.parametrize(
+        "system,bound", [(GAUSS, 96), (DOUBLING, 136)], ids=["gauss", "doubling"]
+    )
+    def test_kernel_calls_per_chunk(self, system, bound):
+        # a full chunk takes one round of _LANES lanes over _MIN_LANE steps,
+        # then reruns until the lanes rejoin: Gauss by step 32 of the second
+        # round, doubling within a full second round and 8 steps of a third
+        # (the 96-step warm-up this replaced took 352 calls)
+        for seed in range(6):
+            calls = []
+
+            def counting(y, u, k):
+                calls.append(y.size)
+                system.branch_array(y, u, k)
+
+            generate_stream(dataclasses.replace(system, branch_array=counting), seed, DEFAULT_BLOCK)
+            assert calls[: _MIN_LANE] == [_LANES] * _MIN_LANE
+            assert len(calls) <= bound, seed
 
     @pytest.mark.parametrize("size", [10, DEFAULT_BLOCK])
     def test_gauss_chunk_through_one_completes(self, size):
@@ -449,7 +532,7 @@ class TestLaneStream:
         u = make_rng(62).random(size)
         u[0] = 0.1
         out = np.empty(size, dtype=np.int64)
-        end = _run_lanes(GAUSS, 0.0, u, _speculative_starts(GAUSS, u), out)
+        end = _run_lanes(GAUSS, 0.0, u, out)
         want, want_end = scalar_steps(GAUSS, 0.0, u)
         assert np.array_equal(out, want)
         assert repr(end) == repr(want_end)
@@ -459,10 +542,10 @@ class TestLaneStream:
         # here that happens in lane 5, and the orbit carries on from there
         size = DEFAULT_BLOCK
         y0, u = chunk(DOUBLING, 63, size)
-        at = _lane_bounds(size, _LANES)[5] + 20
+        at = lane_bounds(size, _LANES)[5] + 20
         u[at : at + 60] = 0.75
         out = np.empty(size, dtype=np.int64)
-        end = _run_lanes(DOUBLING, y0, u, _speculative_starts(DOUBLING, u), out)
+        end = _run_lanes(DOUBLING, y0, u, out)
         want, want_end = scalar_steps(DOUBLING, y0, u)
         assert 1.0 in [scalar_steps(DOUBLING, y0, u[:t])[1] for t in range(at + 54, at + 61)]
         assert np.array_equal(out, want)
@@ -477,6 +560,36 @@ class TestLaneStream:
         for n in (10, DEFAULT_BLOCK):
             with pytest.raises(SamplingError):
                 generate_stream(system, seed=64, n=n)
+
+
+class TestDigitStream:
+    @pytest.mark.parametrize(
+        "digits",
+        [np.array([1.5, 2.9]), [[1, 2], [3, 4]], 5, [1, math.nan], [True], ["1"], [2**64]],
+        ids=["fractional", "2-D", "scalar", "nan", "bool", "str", "above-int64"],
+    )
+    def test_digits_are_refused_not_truncated(self, digits):
+        # np.array([1.5, 2.9]) used to be stored as [1, 2], and a 2-D list as
+        # four digits
+        with pytest.raises(ValidationError, match="digits must be"):
+            DigitStream(digits=digits, anchor_point=0.3)
+
+    @pytest.mark.parametrize("anchor", [-0.1, 1.5, math.nan, math.inf, True, None, "0.3"])
+    def test_anchor_point_outside_the_unit_interval_is_refused(self, anchor):
+        with pytest.raises(ValidationError, match="anchor point"):
+            DigitStream(digits=[1, 2], anchor_point=anchor)
+
+    def test_int64_digits_pass_through_read_only(self):
+        digits = np.array([1, 0, 7], dtype=np.int64)
+        stream = DigitStream(digits=digits, anchor_point=1.0)
+        assert stream.digits is digits
+        assert not stream.digits.flags.writeable
+
+    def test_integral_digits_are_stored_as_int64(self):
+        for digits in ([1, 2], [1.0, 2.0], np.array([1, 2], dtype=np.uint32), []):
+            stream = DigitStream(digits=digits, anchor_point=0.0)
+            assert stream.digits.dtype == np.int64
+            assert stream.digits.tolist() == [int(d) for d in digits]
 
 
 def test_export_text_matches_per_line_format(tmp_path):

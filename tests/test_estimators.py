@@ -86,6 +86,22 @@ class TestScanHits:
         want = [i + 1 for i in range(63) if d[i] == 1 and d[i + 1] == 1]
         assert pos.tolist() == want
 
+    @pytest.mark.parametrize(
+        "digits",
+        [[1.5, 3.7, 100.2], [[3, 7], [2, 9]], 7, [3, math.inf], [True, False], ["3"], [2**63]],
+        ids=["fractional", "2-D", "scalar", "inf", "bool", "str", "above-int64"],
+    )
+    def test_digits_are_refused_not_truncated(self, digits):
+        # [1.5, 3.7, 100.2] used to scan as [1, 3, 100]
+        with pytest.raises(ValidationError, match="digits must be"):
+            scan_hits(digits, TargetScan.digit_threshold(3))
+
+    def test_integral_digits_of_any_type_scan_alike(self):
+        want = scan_hits(np.array([3, 7, 2, 9]), TargetScan.digit_threshold(7))
+        for digits in ([3, 7, 2, 9], [3.0, 7.0, 2.0, 9.0], np.array([3, 7, 2, 9], dtype=np.uint8)):
+            got = scan_hits(digits, TargetScan.digit_threshold(7))
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
     def test_target_validation(self):
         with pytest.raises(ValidationError):
             TargetScan()
