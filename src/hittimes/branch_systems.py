@@ -242,7 +242,7 @@ class DigitStream:
     anchor_point: float
 
     def __post_init__(self) -> None:
-        d = _digit_array(self.digits)
+        d = _digit_array(self.digits, "digits")
         a = self.anchor_point
         if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0.0 <= a <= 1.0:
             raise ValidationError(f"anchor point must be a finite number in [0, 1], got {a!r}")
@@ -262,13 +262,14 @@ class DigitStream:
             handle.write("".join(f"{d}\n" for d in self.digits.tolist()))
 
 
-def _digit_array(values) -> np.ndarray:
+def _digit_array(values, what: str) -> np.ndarray:
     """``values`` as a 1-D int64 array, the array itself when it is one.
     Anything else that is not one axis of integral numbers in the int64
-    range is refused rather than cast, which would truncate 1.5 to 1."""
+    range is refused, naming ``what``, rather than cast, which would
+    truncate 1.5 to 1."""
     d = np.asarray(values)
     if d.ndim != 1:
-        raise ValidationError(f"digits must be one-dimensional, got shape {d.shape}")
+        raise ValidationError(f"{what} must be one-dimensional, got shape {d.shape}")
     if d.dtype == np.int64:
         return d
     if d.dtype.kind == "f":
@@ -278,7 +279,7 @@ def _digit_array(values) -> np.ndarray:
     else:
         bad = np.ones(d.shape, dtype=bool)
     if bad.any():
-        raise ValidationError(f"digits must be integers in the int64 range, got {d[bad].tolist()[0]!r}")
+        raise ValidationError(f"{what} must be integers in the int64 range, got {d[bad].tolist()[0]!r}")
     return d.astype(np.int64)
 
 

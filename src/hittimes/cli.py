@@ -355,7 +355,7 @@ def _run_exact_markov(cfg: dict, run_dir: Path) -> dict:
     results = {}
     for side in cfg.get("sides", ["return", "hitting"]):
         rows = llt_convergence_table(source, targets, delta=cfg["delta"], kind=side)
-        _emit_table(run_dir, side, CONVERGENCE_HEADER, [r.as_tuple() for r in rows], cfg)
+        _emit_table(run_dir, side, CONVERGENCE_HEADER, rows, cfg)
         worst_by_l: dict[int, float] = {}
         for r in rows:
             worst_by_l[r.l] = max(worst_by_l.get(r.l, 0.0), abs(r.ratio - 1.0))

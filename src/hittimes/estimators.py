@@ -111,7 +111,7 @@ def _prime_mask(values: np.ndarray) -> np.ndarray:
 def _digits_of(stream: DigitStream | np.ndarray | Sequence[int]) -> np.ndarray:
     if isinstance(stream, DigitStream):
         return stream.digits
-    return _digit_array(stream)
+    return _digit_array(stream, "digits")
 
 
 def scan_hits(
@@ -497,8 +497,8 @@ class ReportRow:
 
 def wilson_interval(count: int, n: int) -> tuple[float, float]:
     """99% Wilson score interval for a binomial proportion."""
-    if n < 1 or not (0 <= count <= n):
-        raise ValidationError("need 0 <= count <= n with n >= 1")
+    (n,) = _int_tuple((n,), "n", 1)
+    (count,) = _int_tuple((count,), f"count of n = {n}", 0, n + 1)
     z = _WILSON_Z
     phat = count / n
     denom = 1.0 + z * z / n
@@ -580,8 +580,8 @@ def demo_pruned_return(
     batches, fewer when a stream holds under twice that many gaps.
     """
     (k_prune,) = _int_tuple((k_prune,), "k_prune", 1)
-    gaps = np.asarray(scan_gaps, dtype=np.int64)
-    ref = np.asarray(reference_gaps, dtype=np.int64)
+    gaps = _digit_array(scan_gaps, "gaps")
+    ref = _digit_array(reference_gaps, "gaps")
     if gaps.size < 2 or ref.size < 2:
         raise InsufficientDataError("need at least two gaps in each stream")
     keep = gaps != k_prune

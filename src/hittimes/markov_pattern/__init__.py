@@ -5,13 +5,12 @@ from .exact import (
     BlockChain,
     ExactPMF,
     ProductChain,
-    QuasiStationaryTail,
     block_hitting_pmf,
     block_return_pmf,
     block_set_return_pmf,
     consecutive_joint_pmf,
     hitting_pmf,
-    quasi_stationary_tail,
+    masses_at,
     require_shift_split_budget,
     return_excess,
     return_pmf,
@@ -38,7 +37,6 @@ __all__ = [
     "PatternTarget",
     "ProductChain",
     "PrunedTargetReport",
-    "QuasiStationaryTail",
     "block_hitting_pmf",
     "block_return_pmf",
     "block_set_return_pmf",
@@ -48,7 +46,7 @@ __all__ = [
     "hitting_pmf",
     "k_grid",
     "llt_convergence_table",
-    "quasi_stationary_tail",
+    "masses_at",
     "require_shift_split_budget",
     "return_excess",
     "return_pmf",

@@ -42,10 +42,11 @@ points along the left Perron vector of Q (its quasi-stationary direction,
 Darroch and Seneta, *J. Appl. Probab.* 1965), v Q^(m-1) q = (u.q) lambda^(m-K0)
 for every m >= K0. Each row of [Q | q] sums to 1, so 1 - lambda = (u.q)/(u.1),
 a ratio of nonnegative sums with no subtraction, and lambda^(m-K0) is
-exp((m - K0) log1p(-(1 - lambda))). `quasi_stationary_tail` derives K0 from
-the inputs: it starts at 4l + 64 and doubles until u agrees, entry by entry
-to `_SETTLED_TOL` relative, with both u Q and u Q^(K0-1), the one-step check
-ruling out a periodic Q and the long one a slowly turning u. A mass at
+exp((m - K0) log1p(-(1 - lambda))). `masses_at` reads a law at given times,
+by the series before K0 and by this closed form from K0 on. It derives K0
+from the inputs: K0 starts at 4l + 64 and doubles until u agrees, entry by
+entry to `_SETTLED_TOL` relative, with both u Q and u Q^(K0-1), the one-step
+check ruling out a periodic Q and the long one a slowly turning u. A mass at
 normalized time t is then within about (1 + t) `_SETTLED_TOL` of the law of
 the kernel with rows that sum to exactly 1; against 50-digit references on
 the fair coin it read within 3e-16 up to l = 32. Where u has not settled by
@@ -302,24 +303,6 @@ def hitting_pmf(
     return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(float(v.sum()), masses))
 
 
-@dataclass(frozen=True)
-class QuasiStationaryTail:
-    """A law's masses from time ``crossover`` on, in closed form:
-    P(value = k) = at_crossover * (1 - escape)^(k - crossover), evaluated as
-    exp((k - crossover) log1p(-escape)). ``escape`` is 1 - lambda, the leading
-    eigenvalue's distance from 1."""
-
-    crossover: int
-    at_crossover: float
-    escape: float
-
-    def masses(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        if ks.size and ks.min() < self.crossover:
-            raise ValidationError(f"k={ks.min()} lies before the crossover {self.crossover}")
-        return self.at_crossover * np.exp((ks - self.crossover) * math.log1p(-self.escape))
-
-
 def _parallel(u: np.ndarray, w: np.ndarray) -> bool:
     """Whether nonnegative w is a positive multiple of u, entry by entry to
     `_SETTLED_TOL` relative, compared without a division."""
@@ -351,27 +334,41 @@ def _settled_direction(
     return None
 
 
-def quasi_stationary_tail(
-    source: MarkovSource, target: PatternTarget, initial: str, k_max: int
-) -> QuasiStationaryTail | None:
-    """The closed-form tail of the law `hitting_pmf` computes, for reading it at
-    times up to ``k_max``, or None if the quasi-stationary direction has not
-    settled by then, so that the series serves every such time.
+def masses_at(
+    source: MarkovSource, target: PatternTarget, initial: str, ks: np.ndarray | Sequence[int]
+) -> np.ndarray:
+    """The masses of `hitting_pmf`'s law at the increasing integer times ``ks`` >= 1.
 
-    The crossover's chain step K0 starts at 4l + 64 and doubles until
-    u = v Q^(K0-1) has settled (see the module docstring). A direction still
-    unsettled where a series would exceed its state budget, short of
-    ``k_max``, raises `BudgetExceededError`, as the series to ``k_max`` would.
+    Times before the crossover are read from `hitting_pmf`, run to the last of
+    them; times from it on are (u.q) lambda^(k - crossover) in closed form (see
+    the module docstring), so a read at any rarity builds no law past the
+    crossover. The crossover's chain step K0 starts at 4l + 64 and doubles
+    until u = v Q^(K0-1) has settled; where ``ks`` end before 4l + 64, or u has
+    not settled by their last time, the series serves every time. A direction
+    still unsettled where a series would exceed its state budget raises
+    `BudgetExceededError`, as the series to the last time would.
     """
-    (k_max,) = _int_tuple((k_max,), "k_max", 1)
+    ks = np.asarray(ks)
+    if not (ks.dtype.kind == "i" and ks.ndim == 1 and ks.size and ks[0] >= 1
+            and np.all(ks[1:] > ks[:-1])):
+        raise ValidationError(
+            f"ks must be a nonempty increasing array of signed integer times >= 1, got {ks!r}"
+        )
+    ks = ks.astype(np.int64, copy=False)
     chain, v, lead = _start(source, target, initial)
-    settled = _settled_direction(
-        chain.survive, chain.into_match, v, 4 * target.length + 64, k_max + lead
-    )
-    if settled is None:
-        return None
-    k0, at, escape = settled
-    return QuasiStationaryTail(crossover=k0 - lead, at_crossover=at, escape=escape)
+    k0, horizon = 4 * target.length + 64, int(ks[-1]) + lead
+    settled = None
+    if k0 <= horizon:  # a read that ends before the first K0 forms no matrix power
+        settled = _settled_direction(chain.survive, chain.into_match, v, k0, horizon)
+    head = ks.size if settled is None else int(np.searchsorted(ks, settled[0] - lead))
+    masses = np.empty(ks.size)
+    if head:
+        law = hitting_pmf(source, target, initial, int(ks[head - 1]))
+        masses[:head] = law.masses[ks[:head] - 1]
+    if head < ks.size:
+        k0, at, escape = settled
+        masses[head:] = at * np.exp((ks[head:] - (k0 - lead)) * math.log1p(-escape))
+    return masses
 
 
 def return_pmf(source: MarkovSource, target: PatternTarget, k_max: int) -> ExactPMF:

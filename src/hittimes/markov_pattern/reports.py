@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,20 +17,17 @@ from .automaton import PatternTarget, build_automaton
 from .exact import (
     _block_states,
     block_set_return_pmf,
-    hitting_pmf,
-    quasi_stationary_tail,
+    masses_at,
     return_pmf,
     theta_exact,
 )
 from .source import MarkovSource
 
-CONVERGENCE_HEADER = ("l", "k", "t", "exact", "predicted", "ratio")
 _POINTS_PER_DECADE = 32  # k-grid density of the LLT ratio tables
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One (target rank, time) cell of an LLT ratio report."""
+class ConvergenceRow(NamedTuple):
+    """One (target rank, time) cell of an LLT ratio report, in table column order."""
 
     l: int
     k: int
@@ -39,12 +36,14 @@ class ConvergenceRow:
     predicted: float
     ratio: float
 
-    def as_tuple(self) -> tuple:
-        return (self.l, self.k, self.t, self.exact, self.predicted, self.ratio)
+
+CONVERGENCE_HEADER = ConvergenceRow._fields
 
 
 def k_grid(mu_a: float, delta: float) -> np.ndarray:
     """Geometric grid of integer times, 32 per decade, over delta <= mu_a*k <= 1/delta."""
+    if not (0.0 < mu_a < 1.0):
+        raise ValidationError(f"mu(A) must lie in (0, 1), got {mu_a}")
     if not (0.0 < delta <= 1.0):
         raise ValidationError(f"delta must lie in (0, 1], got {delta}")
     lo = delta / mu_a
@@ -78,13 +77,11 @@ def llt_convergence_table(
     proportion at the word's minimal period, which is 1 for a word without a
     border (a word with several periods below l has no single finite-l theta).
 
-    The exact masses from the law's crossover on are read in closed form from
-    `quasi_stationary_tail`, and those before it from `hitting_pmf` to the
-    last such time, so no law is built to 1/(delta mu)
-    and a table runs at any l whose window ends within the int64 times
-    (`k_grid`). The closed form is within about (1 + t) 1e-13 relative of
-    the law of exactly stochastic rows; the series is within k times the
-    source's row defect of it (`hitting_pmf`).
+    The exact masses come from one `masses_at` call per target, which builds
+    no law to 1/(delta mu), so a table runs at any l whose window ends within
+    the int64 times (`k_grid`). Its closed form is within about (1 + t) 1e-13
+    relative of the law of exactly stochastic rows; its series is within k
+    times the source's row defect of it (`hitting_pmf`).
     """
     if kind not in ("return", "hitting"):
         raise ValidationError(f"kind must be 'return' or 'hitting', got {kind!r}")
@@ -96,14 +93,7 @@ def llt_convergence_table(
             raise ValidationError(f"target {target.word} has measure {mu_a}, not in (0, 1)")
         th = theta_exact(source, target)
         ks = k_grid(mu_a, delta)
-        tail = quasi_stationary_tail(source, target, initial, int(ks[-1]))
-        head = ks[ks < tail.crossover] if tail else ks
-        masses = np.empty(ks.size)
-        if head.size:
-            pmf = hitting_pmf(source, target, initial, int(head[-1]))
-            masses[: head.size] = pmf.masses[head - 1]
-        if head.size < ks.size:
-            masses[head.size :] = tail.masses(ks[head.size :])
+        masses = masses_at(source, target, initial, ks)
         for k, exact in zip(ks.tolist(), masses.tolist()):
             t = mu_a * float(k)
             predicted = consecutive_asymptote(th, mu_a, [k], hitting_start=kind == "hitting")

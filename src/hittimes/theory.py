@@ -102,8 +102,7 @@ def cf_rare_set_measure(threshold: int, prime_variant: bool = False) -> float:
     Returns 1/(l*ln2), or 1/(l*ln(l)*ln2) when restricted to prime digits.
     The exact (non-asymptotic) measure of {a >= l} is `threshold_cell_measure`.
     """
-    if threshold < 2:
-        raise ValidationError(f"threshold must be >= 2, got {threshold}")
+    (threshold,) = _int_tuple((threshold,), "threshold", 2)
     if prime_variant:
         return 1.0 / (threshold * math.log(threshold) * LN2)
     return 1.0 / (threshold * LN2)
@@ -111,8 +110,7 @@ def cf_rare_set_measure(threshold: int, prime_variant: bool = False) -> float:
 
 def threshold_cell_measure(threshold: int) -> float:
     """Exact Gauss measure of {a >= l}: log2(1 + 1/l), valid for l >= 1."""
-    if threshold < 1:
-        raise ValidationError(f"threshold must be >= 1, got {threshold}")
+    (threshold,) = _int_tuple((threshold,), "threshold", 1)
     return math.log1p(1.0 / threshold) / LN2
 
 
@@ -124,8 +122,7 @@ def prime_threshold_measure(threshold: int, sieve_bound: int = 10**7) -> float:
     remainder of order 1/ln(B). With the default bound the absolute error is
     below 1e-8, far inside every tolerance used against this quantity.
     """
-    if threshold < 2:
-        raise ValidationError(f"threshold must be >= 2, got {threshold}")
+    threshold, sieve_bound = _int_tuple((threshold, sieve_bound), "threshold and sieve_bound", 2)
     if sieve_bound <= threshold:
         raise ValidationError("sieve_bound must exceed threshold")
     ps = np.array([p for p in primes_up_to(sieve_bound) if p >= threshold], dtype=float)
@@ -140,6 +137,5 @@ def gauss_digit_cell_measure(k: int) -> float:
     Equals log2((k+1)^2 / (k*(k+2))); partial sums over k <= K telescope to
     1 - log2(1 + 1/(K+1)).
     """
-    if k < 1:
-        raise ValidationError(f"digit index must be >= 1, got {k}")
+    (k,) = _int_tuple((k,), "digit index", 1)
     return math.log1p(1.0 / (k * (k + 2.0))) / LN2

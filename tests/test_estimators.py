@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hittimes.branch_systems import DOUBLING, GAUSS, generate_stream, make_rng
+from hittimes import estimators
 from hittimes.errors import InsufficientDataError, ValidationError
 from hittimes.estimators import (
     DEFAULT_MARK_CAP_EXCESS,
@@ -646,6 +647,31 @@ class TestPrunedDemo:
         demo = demo_pruned_return(g, g, k_prune=99)
         assert demo.b_fraction == 1.0
         assert demo.b_returns_at_k_prune == 0
+
+    @pytest.mark.parametrize(
+        "bad", [[1.5, 2.7, 3.2, 1.1], [[2, 5], [3, 7]], [True, False, True, True]],
+        ids=["fractional", "2-D", "bool"],
+    )
+    def test_malformed_gaps_are_refused_not_truncated(self, bad):
+        # [1.5, 2.7, 3.2, 1.1] used to be read as [1, 2, 3, 1]
+        g = np.array([2, 5, 3, 7])
+        for scan, ref in ((bad, g), (g, bad)):
+            with pytest.raises(ValidationError, match="gaps must be"):
+                demo_pruned_return(scan, ref, k_prune=3)
+
+    def test_int64_gaps_are_read_in_place(self, monkeypatch):
+        passed = []
+
+        def spy(values, what):
+            out = original(values, what)
+            passed.append(out is values)
+            return out
+
+        original = estimators._digit_array
+        monkeypatch.setattr(estimators, "_digit_array", spy)
+        g = np.array([2, 5, 3, 7, 4], dtype=np.int64)
+        demo_pruned_return(g, g[::-1], k_prune=3)
+        assert passed == [True, True]
 
     def test_gauss_threshold_prune(self):
         s1 = generate_stream(GAUSS, seed=19, n=300_000, substream=0)

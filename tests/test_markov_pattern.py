@@ -28,7 +28,7 @@ from hittimes.markov_pattern import (
     hitting_pmf,
     k_grid,
     llt_convergence_table,
-    quasi_stationary_tail,
+    masses_at,
     return_excess,
     return_pmf,
     theta_exact,
@@ -49,6 +49,8 @@ from hittimes.markov_pattern.exact import (
     _block_pmf,
     _closing_tail,
     _exact_sum,
+    _settled_direction,
+    _start,
 )
 
 from oracles import (
@@ -1235,14 +1237,32 @@ class TestConvergenceTable:
             # e_l is about 1.5 l mu = 8e-17 here (fair 0^(l-1)1, theta = 1)
             assert max(abs(r.ratio - 1.0) for r in rows) <= 1e-13
 
+    @pytest.mark.parametrize("mu_a", [0.0, -0.1, math.nan, 1.0, 1.5])
+    def test_k_grid_refuses_measure_outside_unit_interval(self, mu_a):
+        # 0.0 raised ZeroDivisionError, -0.1 blamed delta, nan the int64
+        # limit, and 1.5 gave the grid [1]
+        with pytest.raises(ValidationError, match=r"mu\(A\) must lie in \(0, 1\)"):
+            k_grid(mu_a, 0.5)
+
     @pytest.mark.parametrize("delta", [0.0, -0.5, 1.5, math.nan])
     def test_k_grid_refuses_delta_outside_unit_interval(self, delta):
         with pytest.raises(ValidationError, match="delta must lie in"):
             k_grid(0.5, delta)
 
 
-class TestQuasiStationaryTail:
-    """Masses past the crossover in closed form, (u.q) lambda^(m - K0)."""
+def _crossover(source, target, initial, k_last):
+    """The time from which `masses_at` reads the closed form, derived as it
+    derives it, with the settled (K0, u.q, 1 - lambda); None if unsettled."""
+    chain, v, lead = _start(source, target, initial)
+    settled = _settled_direction(
+        chain.survive, chain.into_match, v, 4 * target.length + 64, k_last + lead
+    )
+    return None if settled is None else (settled[0] - lead, settled)
+
+
+class TestMassesAt:
+    """Masses at given times: the series before the crossover and, from it
+    on, the closed form (u.q) lambda^(m - K0)."""
 
     @pytest.mark.parametrize("l", [16, 32])
     def test_tables_match_mpmath_at_every_grid_point(self, l):
@@ -1273,45 +1293,74 @@ class TestQuasiStationaryTail:
         # fair 0^19 1 at k = 2^21 already differs by 1.5e-12
         target = PatternTarget(word=word)
         ks = k_grid(source.word_measure(word), 0.5)
-        tail = quasi_stationary_tail(source, target, initial, int(ks[-1]))
-        assert tail.crossover <= ks[0]
+        crossover, _ = _crossover(source, target, initial, int(ks[-1]))
+        assert crossover <= ks[0]  # every grid point is read in closed form
         series = hitting_pmf(source, target, initial, int(ks[-1])).masses[ks - 1]
-        assert np.max(np.abs(tail.masses(ks) / series - 1.0)) <= 1e-12
+        got = masses_at(source, target, initial, ks)
+        assert np.max(np.abs(got / series - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("initial,lead", [("stationary", 9), ("in_target", 0)])
     def test_crossover_is_derived_and_agrees_with_the_series(self, initial, lead):
         target = PatternTarget(word=(0,) * 9 + (1,))
-        tail = quasi_stationary_tail(FAIR, target, initial, 10**6)
+        ks = np.arange(1, 104 - lead + 201)
+        crossover, (k0, at, escape) = _crossover(FAIR, target, initial, int(ks[-1]))
         # fair 0^9 1 settles at the first K0, chain step 4l + 64
-        assert tail.crossover == 4 * 10 + 64 - lead
-        law = hitting_pmf(FAIR, target, initial, tail.crossover + 200)
-        ks = np.arange(tail.crossover, tail.crossover + 201)
-        assert tail.masses(ks[:1])[0] == pytest.approx(law.mass_at(tail.crossover), rel=1e-14)
-        assert np.max(np.abs(tail.masses(ks) / law.masses[ks - 1] - 1.0)) <= 1e-14
-        with pytest.raises(ValidationError, match="before the crossover"):
-            tail.masses(ks - 1)
+        assert k0 == 104 and crossover == 104 - lead
+        got = masses_at(FAIR, target, initial, ks)
+        head, tail = ks < crossover, ks >= crossover
+        head_law = hitting_pmf(FAIR, target, initial, crossover - 1)
+        assert got[head].tolist() == head_law.masses.tolist()
+        closed = at * np.exp((ks[tail] - crossover) * math.log1p(-escape))
+        assert got[tail].tolist() == closed.tolist()
+        series = hitting_pmf(FAIR, target, initial, int(ks[-1])).masses[ks[tail] - 1]
+        assert np.max(np.abs(got[tail] / series - 1.0)) <= 1e-14
+
+    def test_short_read_settles_nothing(self, monkeypatch):
+        # times that end before chain step 4l + 64 are the series' alone
+        def refuse(*args):
+            raise AssertionError("a short read formed a matrix power")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+        target = PatternTarget(word=(0,) * 9 + (1,))
+        got = masses_at(FAIR, target, "in_target", [5, 50, 103])
+        law = hitting_pmf(FAIR, target, "in_target", 103)
+        assert got.tolist() == law.masses[[4, 49, 102]].tolist()
 
     def test_unsettled_direction_leaves_the_grid_to_the_series(self):
         # the halves of the slowly mixing chain balance over ~1e9 steps, so
-        # u never settles by 1/(delta mu); a frequent word's table is the series'
+        # u never settles by 1/(delta mu); a frequent word's masses are the series'
         slow = MarkovSource.from_transitions(_slowly_mixing_transitions())
         target = PatternTarget(word=(0, 1))
         ks = k_grid(slow.word_measure(target.word), 0.5)
-        assert quasi_stationary_tail(slow, target, "in_target", int(ks[-1])) is None
-        rows = llt_convergence_table(slow, [target], 0.5)
+        assert _crossover(slow, target, "in_target", int(ks[-1])) is None
         series = return_pmf(slow, target, int(ks[-1])).masses[ks - 1]
+        assert masses_at(slow, target, "in_target", ks).tolist() == series.tolist()
+        rows = llt_convergence_table(slow, [target], 0.5)
         assert [r.exact for r in rows] == series.tolist()
 
     def test_slowly_mixing_source_is_refused(self):
         slow = MarkovSource.from_transitions(_slowly_mixing_transitions())
         target = PatternTarget(word=(0, 1, 2, 3, 4, 5))
+        ks = k_grid(slow.word_measure(target.word), 0.5)
+        with pytest.raises(BudgetExceededError):
+            masses_at(slow, target, "in_target", ks)
         for kind in ("return", "hitting"):
             with pytest.raises(BudgetExceededError):
                 llt_convergence_table(slow, [target], 0.5, kind)
 
-    def test_tail_refuses_unknown_start(self):
+    def test_unknown_start_is_refused(self):
         with pytest.raises(ValidationError, match="unknown initial"):
-            quasi_stationary_tail(FAIR, PatternTarget(word=(0, 1)), "uniform", 100)
+            masses_at(FAIR, PatternTarget(word=(0, 1)), "uniform", [100])
+
+    @pytest.mark.parametrize(
+        "ks",
+        [[], [5, 3], [4, 4], [2, 2.5], np.array([1.5, 3.0]), [0, 4], [-2], [True, False], [[1, 2]]],
+        ids=["empty", "decreasing", "repeated", "fractional", "fractional-array", "zero",
+             "negative", "bool", "2-D"],
+    )
+    def test_malformed_times_are_refused(self, ks):
+        with pytest.raises(ValidationError, match="^ks must"):
+            masses_at(FAIR, PatternTarget(word=(0, 1)), "stationary", ks)
 
 
 class TestCounterexample:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from hittimes.errors import ValidationError
+from hittimes.estimators import wilson_interval
 from hittimes.theory import (
     CFPrediction,
     LN2,
@@ -172,6 +173,32 @@ class TestCFPredictions:
         got = prime_threshold_measure(100, sieve_bound=200000)
         # the tail estimate beyond the bound is ~4e-7
         assert got == pytest.approx(direct, abs=1e-6)
+
+
+_INTEGER_ARGUMENTS = {
+    "digit-index": gauss_digit_cell_measure,
+    "threshold-cell": threshold_cell_measure,
+    "rare-set": cf_rare_set_measure,
+    "prime-threshold": lambda v: prime_threshold_measure(v, 1000),
+    "prime-sieve-bound": lambda v: prime_threshold_measure(2, v),
+    "wilson-count": lambda v: wilson_interval(v, 10),
+    "wilson-n": lambda v: wilson_interval(1, v),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, True, "3"], ids=["1.5", "2.5", "bool", "str"])
+@pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS.keys())
+def test_non_integer_arguments_refused(call, value):
+    # gauss_digit_cell_measure(1.5) read 0.2515, threshold_cell_measure(True)
+    # 1.0, cf_rare_set_measure(2.5) 0.577 and wilson_interval(0.5, 1.5)
+    # (0.022, 0.916)
+    with pytest.raises(ValidationError, match="as integers"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS.keys())
+def test_integral_float_arguments_accepted(call):
+    assert call(3.0) == call(3)
 
 
 def _is_prime_slow(n: int) -> bool:

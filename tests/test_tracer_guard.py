@@ -54,7 +54,7 @@ def test_install_wraps_and_uninstall_restores_every_name(tracing):
     tracer.install()
     try:
         assert hittimes.cli.return_pmf is not before["modules"]["hittimes.cli"]["return_pmf"]
-        assert mp.reports.hitting_pmf is mp.exact.hitting_pmf
+        assert mp.reports.return_pmf is mp.exact.return_pmf
         assert branch_systems.GAUSS is not gauss and branch_systems.GAUSS.name == "gauss"
         assert ExactPMF.__dict__["total"] is not before["ExactPMF"]["total"]
         sample = before["modules"]["hittimes.branch_systems"]["gauss_branch_sample"]
