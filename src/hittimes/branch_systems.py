@@ -53,13 +53,22 @@ depend on the point at all.
 
 The generator is pinned by specification to Philox (counter-based, 64-bit
 seed, substream index in the second key word) so streams are reproducible
-across platforms and replicas never overlap.
+across platforms and replicas never overlap. The stream and the replica
+chunk read its uniforms through one reader, `_Uniforms`, in the order and
+with the bits of plain ``random`` calls. When the process may use two CPUs,
+the reader draws the next read's uniforms on a helper thread while the
+caller runs its kernels (NumPy fills Philox arrays without the GIL), but
+only for blocks of at least ``_AHEAD_MIN`` uniforms and never past what the
+call can still use; the thread lives only as long as the call.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,6 +97,9 @@ _LANES = 1024
 _MIN_LANE = DEFAULT_BLOCK // _LANES
 _MARK = 8
 _SEED_POINT = 0.5
+# the fewest uniforms worth drawing on a helper thread: below this the
+# hand-off costs more than the draw
+_AHEAD_MIN = 2**12
 
 
 def make_rng(seed: int, substream: int = 0) -> np.random.Generator:
@@ -106,6 +118,108 @@ def _key_word(name: str, value) -> int:
     if not _is_integral(value) or not 0 <= int(value) < 2**64:
         raise ValidationError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     return int(value)
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on two CPUs at once, so that a helper
+    thread can draw while the caller computes."""
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) >= 2
+
+
+class _Uniforms:
+    """The uniforms of ``make_rng(seed, substream)``, read in order by ``take``.
+
+    ``take(n)`` returns the next n of them: the same numbers, bit for bit, as
+    successive ``random`` calls on that generator. ``most`` is the most
+    uniforms the caller can still take, and ``take``'s ``most`` lowers it to
+    the most that can follow that read. Numbers are drawn in blocks; a read
+    inside one block is a view of it, and a read that spans blocks is a
+    concatenation. A block drawn ahead starts with the unread numbers of the
+    block before it, copied, so a read of it is a view too. No block is read
+    twice, so the caller may write into what it took.
+
+    While the caller works on a read of n, a helper thread draws the next
+    block, enough fresh numbers to make n unread, but never past ``most``.
+    It does so only when the process may use a second CPU and at least
+    ``_AHEAD_MIN`` numbers are to be drawn; otherwise each read draws what it
+    lacks when it is made. At most one draw is in flight, and the calling
+    thread does not draw while one is. The helper starts at the first
+    read-ahead and is joined on leaving the ``with`` block, whether or not it
+    raised.
+    """
+
+    def __init__(self, seed: int, substream: int, most: int) -> None:
+        self._rng = make_rng(seed, substream)
+        self._undrawn = most  # numbers not yet drawn that can still be taken
+        self._block = np.empty(0)
+        self._used = 0  # numbers of _block already taken
+        self._drawing = False  # whether the helper holds the next block
+        self._spare: bool | None = None  # _spare_cpu(), probed at the first chance to read ahead
+        self._helper: threading.Thread | None = None
+
+    def __enter__(self) -> "_Uniforms":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._helper is not None:
+            self._orders.put(None)
+            self._helper.join()
+
+    def take(self, n: int, most: int | None = None) -> np.ndarray:
+        if self._drawing:
+            block = self._drawn.get()
+            if isinstance(block, BaseException):
+                raise block
+            self._block, self._used, self._drawing = block, 0, False
+        unread = self._block.size - self._used
+        if unread < n:
+            fresh = self._rng.random(n - unread)
+            self._undrawn -= fresh.size
+            self._block = np.concatenate((self._block[self._used :], fresh)) if unread else fresh
+            self._used = 0
+        out = self._block[self._used : self._used + n]
+        self._used += n
+        unread = self._block.size - self._used
+        if most is not None:
+            self._undrawn = min(self._undrawn, most - unread)
+        fresh = min(n - unread, self._undrawn)
+        if fresh >= _AHEAD_MIN:
+            if self._spare is None:
+                self._spare = _spare_cpu()
+            if self._spare:
+                self._draw_ahead(fresh)
+        return out
+
+    def _draw_ahead(self, fresh: int) -> None:
+        """Hand the helper a new block: the unread numbers, copied, and room
+        for ``fresh`` more, which it draws."""
+        if self._helper is None:
+            self._orders, self._drawn = queue.SimpleQueue(), queue.SimpleQueue()
+            self._helper = threading.Thread(
+                target=_draw_orders, args=(self._rng, self._orders, self._drawn), daemon=True
+            )
+            self._helper.start()
+        unread = self._block[self._used :]
+        block = np.empty(unread.size + fresh)
+        block[: unread.size] = unread
+        self._orders.put((block, unread.size))
+        self._block, self._used, self._drawing = block[:0], 0, True
+        self._undrawn -= fresh
+
+
+def _draw_orders(rng: np.random.Generator, orders, drawn) -> None:
+    """The helper thread of a `_Uniforms`: for each (block, start) order,
+    fill ``block[start:]`` from ``rng`` and pass the block (or the error) on
+    to ``drawn``, until the order None."""
+    for block, start in iter(orders.get, None):
+        try:
+            rng.random(out=block[start:])
+        except BaseException as exc:  # re-raised by the reading thread
+            block = exc
+        drawn.put(block)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +380,15 @@ def _digit_array(values, what: str) -> np.ndarray:
     """``values`` as a 1-D int64 array, the array itself when it is one.
     Anything else that is not one axis of integral numbers in the int64
     range is refused, naming ``what``, rather than cast, which would
-    truncate 1.5 to 1."""
+    truncate 1.5 to 1 and read True as 1."""
     d = np.asarray(values)
     if d.ndim != 1:
         raise ValidationError(f"{what} must be one-dimensional, got shape {d.shape}")
+    if not isinstance(values, np.ndarray):
+        # asarray reads [2, True] as int64, so look at the elements themselves
+        flag = next((v for v in values if isinstance(v, (bool, np.bool_))), None)
+        if flag is not None:
+            raise ValidationError(f"{what} must be integers in the int64 range, got {flag!r}")
     if d.dtype == np.int64:
         return d
     if d.dtype.kind == "f":
@@ -352,9 +471,9 @@ def generate_stream(
     Runs n backward steps from a stationary start and returns the branch
     indices in reverse generation order, written straight into place. The
     start is ``stationary_array`` of the first uniform, the kernel that
-    starts the replicas too. The other uniforms are drawn in chunks of
-    ``DEFAULT_BLOCK``, the same numbers one draw would give, and each chunk
-    runs in lanes (`_run_lanes`): a lane starts from a fixed point, and while
+    starts the replicas too. The other uniforms are read in chunks of
+    ``DEFAULT_BLOCK`` through `_Uniforms`, the same numbers one draw would
+    give, and each chunk runs in lanes (`_run_lanes`): a lane starts from a fixed point, and while
     its start is not bitwise the end of the lane before it, it reruns from
     that end until it rejoins its last run. Digits and anchor point are those
     of n steps of the scalar reference ``gauss_branch_sample`` or
@@ -364,11 +483,10 @@ def generate_stream(
         raise ValidationError(f"stream length must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"stream length must be >= 1, got {n}")
-    rng = make_rng(seed, substream)
-    y = float(system.stationary_array(rng.random(1))[0])
     digits = np.empty(n, dtype=np.int64)
-    for hi in range(n, 0, -DEFAULT_BLOCK):
-        lo = max(0, hi - DEFAULT_BLOCK)
-        u = rng.random(hi - lo)
-        y = _run_lanes(system, y, u, digits[lo:hi][::-1])
+    with _Uniforms(seed, substream, n + 1) as uniforms:
+        y = float(system.stationary_array(uniforms.take(1))[0])
+        for hi in range(n, 0, -DEFAULT_BLOCK):
+            lo = max(0, hi - DEFAULT_BLOCK)
+            y = _run_lanes(system, y, uniforms.take(hi - lo), digits[lo:hi][::-1])
     return DigitStream(digits=digits, anchor_point=y)

@@ -23,16 +23,18 @@ Continued Fractions*, 2002). So the digits in generation order have the law
 of the forward digits, and the first d hits read in that order have the law
 of the first d forward hits. A replica therefore stops at its d-th hit, and
 ``max_steps`` only censors. Step s draws one uniform per replica with fewer
-than d hits, in replica order. Word hits come from the word's occurrence
-automaton, the table that `markov_pattern.build_automaton` returns, one
-lookup per replica-step, so the word length is unlimited; a hit marks an
-occurrence's end, l - 1 steps after its start.
+than d hits, in replica order, from the chunk's reader of its substream
+(`branch_systems._Uniforms`), which may draw them while step s - 1 runs.
+Word hits come from the word's occurrence automaton, the table that
+`markov_pattern.build_automaton` returns, one lookup per replica-step, so the
+word length is unlimited; a hit marks an occurrence's end, l - 1 steps after
+its start.
 
 `BranchSystem.branch_array(y, u, k)` steps the live replicas in place: it
 overwrites ``y`` with the preimages and ``k`` with the digits (float64,
-integer-valued) and may use ``u`` as scratch. The uniforms and digits go into
-two chunk-sized buffers cut to the live count, and the live arrays are
-compacted on every step where a replica finishes.
+integer-valued) and may use ``u`` as scratch. Each step's uniforms are a
+fresh read, its digits go into a chunk-sized buffer cut to the live count,
+and the live arrays are compacted on every step where a replica finishes.
 
 The library imports no SciPy: its one distribution value, the 99% normal
 quantile of `wilson_interval`, is a constant, and importing `scipy.stats`
@@ -48,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .branch_systems import BranchSystem, DigitStream, _digit_array, make_rng
+from .branch_systems import BranchSystem, DigitStream, _digit_array, _Uniforms
 from .errors import InsufficientDataError, ValidationError, _int_tuple
 from .markov_pattern.automaton import PatternTarget, build_automaton
 from .primes import is_prime
@@ -269,18 +271,15 @@ def _replica_rows(
 
     Hits are read in generation order, which has the forward law (module
     docstring), so a replica stops at its d-th hit; ``max_steps`` only
-    censors. Step s draws one uniform per replica with fewer than d hits, in
-    replica order. The live arrays ``y``, ``ids`` and, for words, ``state``
-    are compacted on every step where a replica finishes; the hit counter
-    ``count`` and the register ``reg`` are indexed by replica, so they are
-    never compacted. For word targets ``table`` is the occurrence automaton
+    censors. Step s reads one uniform per replica with fewer than d hits, in
+    replica order, from a reader told the most it can still be asked for.
+    The live arrays ``y``, ``ids`` and, for words, ``state`` are compacted on
+    every step where a replica finishes; the hit counter ``count`` and the
+    register ``reg`` are indexed by replica, so they are never compacted. For word targets ``table`` is the occurrence automaton
     of the word itself over alpha + 1 symbols: digits >= alpha read as the
     extra symbol alpha, which no word symbol equals. A hit then marks an
     occurrence's end, so tau_1 is the hit step minus (l - 1).
     """
-    rng = make_rng(seed, substream)
-    y = system.stationary_array(rng.random(n))
-    u = np.empty(n)
     k = np.empty(n)
     ids = np.arange(n)  # replica index of each live entry
     count = np.zeros(n, dtype=np.int64)  # hits so far, by replica index
@@ -294,38 +293,40 @@ def _replica_rows(
         full = flat.size - (alpha + 1)
         state = np.zeros(n, dtype=np.int64)
     steps_run = 0
-    for step in range(1, max_steps + 1):
-        live = y.size
-        steps_run += live
-        uu, kk = u[:live], k[:live]
-        system.branch_array(y, rng.random(out=uu), kk)
-        if table is None:
-            hits = np.flatnonzero(kk >= target.threshold)
-            if target.prime_variant:
-                hits = hits[_prime_mask(kk[hits])]
-        else:
-            idx = np.minimum(kk, alpha).astype(np.int64)
-            idx += state
-            state = flat[idx]
-            hits = np.flatnonzero(state == full)
-        if not hits.size:
-            continue
-        who = ids[hits]
-        nth = count[who]
-        reg[nth, 0, who] = step
-        if table is None:
-            reg[nth, 1, who] = kk[hits]
-        nth += 1
-        count[who] = nth
-        finished = hits[nth == d]
-        if finished.size == live:
-            break
-        if finished.size:
-            keep = np.ones(live, dtype=bool)
-            keep[finished] = False
-            y, ids = y[keep], ids[keep]
-            if table is not None:
-                state = state[keep]
+    with _Uniforms(seed, substream, n * (max_steps + 1)) as uniforms:
+        y = system.stationary_array(uniforms.take(n))
+        for step in range(1, max_steps + 1):
+            live = y.size
+            steps_run += live
+            kk = k[:live]
+            system.branch_array(y, uniforms.take(live, live * (max_steps - step)), kk)
+            if table is None:
+                hits = np.flatnonzero(kk >= target.threshold)
+                if target.prime_variant:
+                    hits = hits[_prime_mask(kk[hits])]
+            else:
+                idx = np.minimum(kk, alpha).astype(np.int64)
+                idx += state
+                state = flat[idx]
+                hits = np.flatnonzero(state == full)
+            if not hits.size:
+                continue
+            who = ids[hits]
+            nth = count[who]
+            reg[nth, 0, who] = step
+            if table is None:
+                reg[nth, 1, who] = kk[hits]
+            nth += 1
+            count[who] = nth
+            finished = hits[nth == d]
+            if finished.size == live:
+                break
+            if finished.size:
+                keep = np.ones(live, dtype=bool)
+                keep[finished] = False
+                y, ids = y[keep], ids[keep]
+                if table is not None:
+                    state = state[keep]
     done = reg[:, :, reg[d - 1, 0] > 0]
     censored = n - done.shape[2]
     # forward gaps: the first from the start of the occurrence, then between hits
@@ -358,7 +359,9 @@ def estimate_first_passage(
     fatal). A replica stops at its d-th hit, so ``max_steps`` is only the
     censoring cap, and ``meta["replica_steps"]`` counts the replica-steps
     that ran. Chunk boundaries are fixed by ``chunk_size`` alone, so results
-    do not depend on ``workers``.
+    do not depend on ``workers``, the number of threads that run chunks. A
+    chunk may draw its uniforms ahead on one more thread of its own, which
+    ``workers`` does not count (`branch_systems._Uniforms`).
     """
     n_replicas, d, max_steps, chunk_size, workers = _int_tuple(
         (n_replicas, d, max_steps, chunk_size, workers),

@@ -5,6 +5,7 @@ interval endpoints (test-local, independent of the package)."""
 import dataclasses
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from hittimes import branch_systems
 from hittimes.branch_systems import (
+    _AHEAD_MIN,
     _LANES,
     _MARK,
     _MIN_LANE,
@@ -22,6 +25,7 @@ from hittimes.branch_systems import (
     GAUSS,
     DigitStream,
     _run_lanes,
+    _Uniforms,
     doubling_branch_sample,
     gauss_branch_sample,
     generate_stream,
@@ -560,6 +564,80 @@ class TestLaneStream:
         for n in (10, DEFAULT_BLOCK):
             with pytest.raises(SamplingError):
                 generate_stream(system, seed=64, n=n)
+
+
+_READS = st.one_of(
+    st.sampled_from([0, 1, _AHEAD_MIN - 1, _AHEAD_MIN, DEFAULT_BLOCK, DEFAULT_BLOCK + 1]),
+    st.integers(0, 2 * DEFAULT_BLOCK),
+)
+
+
+class TestUniformReader:
+    """`_Uniforms`, the one reader of the replica chunk's and the stream's
+    uniforms, on the helper-thread path and the one-CPU path."""
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "one-cpu"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        substream=st.integers(0, 3),
+        reads=st.lists(_READS, max_size=6),
+        slack=st.lists(st.sampled_from([0, 1, _AHEAD_MIN, DEFAULT_BLOCK]), min_size=7, max_size=7),
+    )
+    def test_reads_are_the_generators_numbers(self, helper, seed, substream, reads, slack):
+        # a read as large as the one before it takes exactly the block drawn
+        # ahead, a larger one spans it and a draw in place; with slack 0 the
+        # reads use up ``most``
+        rest = sum(reads)
+        got = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(branch_systems, "_spare_cpu", lambda: helper)
+            with _Uniforms(seed, substream, rest + slack[0]) as uniforms:
+                for n, extra in zip(reads, slack[1:]):
+                    rest -= n
+                    part = uniforms.take(n, rest + extra)
+                    assert part.shape == (n,)
+                    got.append(part.copy())
+                    part[:] = -1.0  # as the Gauss kernel uses its uniforms as scratch
+        want = make_rng(seed, substream).random(sum(reads))
+        assert np.concatenate([np.empty(0), *got]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "one-cpu"])
+    def test_helper_thread_runs_only_on_two_cpus_and_is_joined(self, helper, monkeypatch):
+        monkeypatch.setattr(branch_systems, "_spare_cpu", lambda: helper)
+        before = threading.enumerate()
+        with _Uniforms(1, 0, 4 * DEFAULT_BLOCK) as uniforms:
+            uniforms.take(DEFAULT_BLOCK)
+            during = threading.enumerate()
+        assert len(during) == len(before) + helper
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize(
+        "most, n, drawn",
+        [
+            (3 * DEFAULT_BLOCK, DEFAULT_BLOCK, 2 * DEFAULT_BLOCK),  # one read ahead
+            (DEFAULT_BLOCK + _AHEAD_MIN, DEFAULT_BLOCK, DEFAULT_BLOCK + _AHEAD_MIN),  # up to most
+            (DEFAULT_BLOCK + _AHEAD_MIN - 1, DEFAULT_BLOCK, DEFAULT_BLOCK),  # too few left
+            (3 * DEFAULT_BLOCK, _AHEAD_MIN - 1, _AHEAD_MIN - 1),  # reads too small
+        ],
+    )
+    def test_draws_ahead_one_read_and_never_past_most(self, most, n, drawn, monkeypatch):
+        monkeypatch.setattr(branch_systems, "_spare_cpu", lambda: True)
+        with _Uniforms(5, 0, most) as uniforms:
+            uniforms.take(n)
+        # the generator carries on after the last number drawn
+        assert uniforms._rng.random() == make_rng(5, 0).random(drawn + 1)[-1]
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "one-cpu"])
+    def test_cpus_are_probed_once_and_only_for_a_read_ahead(self, helper, monkeypatch):
+        probes = []
+        monkeypatch.setattr(branch_systems, "_spare_cpu", lambda: probes.append(1) or helper)
+        with _Uniforms(1, 0, 10 * DEFAULT_BLOCK) as uniforms:
+            uniforms.take(_AHEAD_MIN - 1)
+            assert probes == []
+            uniforms.take(DEFAULT_BLOCK)
+            uniforms.take(DEFAULT_BLOCK)
+        assert probes == [1]
 
 
 class TestDigitStream:

@@ -4,13 +4,15 @@ statistical checks run against exact laws with fixed seeds."""
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from hittimes.branch_systems import DOUBLING, GAUSS, generate_stream, make_rng
-from hittimes import estimators
-from hittimes.errors import InsufficientDataError, ValidationError
+from hittimes import branch_systems, estimators
+from hittimes.errors import InsufficientDataError, SamplingError, ValidationError
 from hittimes.estimators import (
     DEFAULT_MARK_CAP_EXCESS,
     EmpiricalPMF,
@@ -89,11 +91,13 @@ class TestScanHits:
 
     @pytest.mark.parametrize(
         "digits",
-        [[1.5, 3.7, 100.2], [[3, 7], [2, 9]], 7, [3, math.inf], [True, False], ["3"], [2**63]],
-        ids=["fractional", "2-D", "scalar", "inf", "bool", "str", "above-int64"],
+        [[1.5, 3.7, 100.2], [[3, 7], [2, 9]], 7, [3, math.inf], [True, False], [3, True, 7],
+         [3, np.True_, 7], ["3"], [2**63]],
+        ids=["fractional", "2-D", "scalar", "inf", "bool", "bool-inside", "numpy-bool-inside",
+             "str", "above-int64"],
     )
     def test_digits_are_refused_not_truncated(self, digits):
-        # [1.5, 3.7, 100.2] used to scan as [1, 3, 100]
+        # [1.5, 3.7, 100.2] used to scan as [1, 3, 100], and [3, True, 7] as [3, 1, 7]
         with pytest.raises(ValidationError, match="digits must be"):
             scan_hits(digits, TargetScan.digit_threshold(3))
 
@@ -277,7 +281,7 @@ class TestReplicaEstimator:
                 DOUBLING, TargetScan.word_pattern((1, 1)), 10, 1, 64, seed=3, chunk_size=chunk_size
             )
 
-    def test_workers_do_not_change_counts(self):
+    def test_workers_do_not_change_counts(self, sampler_path):
         for system, target, d, workers in (
             (DOUBLING, TargetScan.word_pattern((1, 1)), 1, 3),
             (GAUSS, TargetScan.digit_threshold(3), 2, 2),  # marks in the keys
@@ -373,6 +377,66 @@ class TestReplicaEstimator:
         probs = np.array([gauss_digit_cell_measure(a) / mu_l for a in marks])
         stat, df, p = chi_square_gof(obs, probs, n_total=n_hits)
         assert p > 0.01
+
+
+def _refusing_on_call(system, k):
+    """``system`` with a ``branch_array`` that raises on its k-th call, and the error."""
+    calls = []
+    error = SamplingError(f"refused on call {k}")
+
+    def branch_array(y, u, out):
+        calls.append(k)
+        if len(calls) == k:
+            raise error
+        system.branch_array(y, u, out)
+
+    return dataclasses.replace(system, branch_array=branch_array), error
+
+
+class TestReadAheadLifecycle:
+    """A sampler that raises while its next uniforms are being drawn ahead
+    passes the error on unchanged, leaves no thread behind, and does not
+    disturb a later call with the same seed."""
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_replica_chunk_error(self, sampler_path, k):
+        target = TargetScan.digit_threshold(5)
+        kw = dict(n_replicas=2**14, d=1, max_steps=64, seed=9)
+        want = estimate_first_passage(GAUSS, target, **kw)
+        before = threading.enumerate()
+        system, error = _refusing_on_call(GAUSS, k)
+        with pytest.raises(SamplingError) as raised:
+            estimate_first_passage(system, target, **kw)
+        assert raised.value is error
+        assert threading.enumerate() == before
+        assert estimate_first_passage(GAUSS, target, **kw) == want
+
+    def test_chunk_threads_past_the_cpus_each_read_their_own_substream(self, monkeypatch):
+        # four chunk threads, each with its helper, switching as often as the
+        # interpreter allows: a draw taken out of turn would move the counts
+        monkeypatch.setattr(branch_systems, "_spare_cpu", lambda: True)
+        target = TargetScan.word_pattern((1, 1))
+        kw = dict(n_replicas=4 * 2**13, d=1, max_steps=64, seed=12, chunk_size=2**13)
+        want = estimate_first_passage(DOUBLING, target, **kw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate_first_passage(DOUBLING, target, workers=4, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("k", [1, 100, 200])  # a full Gauss chunk makes 96 kernel calls
+    def test_stream_error(self, sampler_path, k):
+        want = generate_stream(GAUSS, 10, 3 * 2**16)
+        before = threading.enumerate()
+        system, error = _refusing_on_call(GAUSS, k)
+        with pytest.raises(SamplingError) as raised:
+            generate_stream(system, 10, 3 * 2**16)
+        assert raised.value is error
+        assert threading.enumerate() == before
+        got = generate_stream(GAUSS, 10, 3 * 2**16)
+        assert np.array_equal(got.digits, want.digits) and got.anchor_point == want.anchor_point
 
 
 class TestErgodicEstimator:
@@ -649,11 +713,12 @@ class TestPrunedDemo:
         assert demo.b_returns_at_k_prune == 0
 
     @pytest.mark.parametrize(
-        "bad", [[1.5, 2.7, 3.2, 1.1], [[2, 5], [3, 7]], [True, False, True, True]],
-        ids=["fractional", "2-D", "bool"],
+        "bad", [[1.5, 2.7, 3.2, 1.1], [[2, 5], [3, 7]], [True, False, True, True], [2, True, 3, 7]],
+        ids=["fractional", "2-D", "bool", "bool-inside"],
     )
     def test_malformed_gaps_are_refused_not_truncated(self, bad):
-        # [1.5, 2.7, 3.2, 1.1] used to be read as [1, 2, 3, 1]
+        # [1.5, 2.7, 3.2, 1.1] used to be read as [1, 2, 3, 1], and [2, True, 3, 7]
+        # as [2, 1, 3, 7]
         g = np.array([2, 5, 3, 7])
         for scan, ref in ((bad, g), (g, bad)):
             with pytest.raises(ValidationError, match="gaps must be"):

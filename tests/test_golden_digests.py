@@ -3,16 +3,19 @@ digit streams long enough to cross the stream's chunk and lane boundaries.
 
 A rerun only shows that a change is deterministic; these digests show that
 it left the bytes of earlier runs alone. The five Monte-Carlo configs and the
-two streams must never move unless their sampling changes on purpose. The exact-markov,
-verify-identities and exact counterexample digests move whenever the exact
-oracle's floating-point evaluation order changes; a change that moves one
-must state the tolerance the new values are held to.
+two streams must never move unless their sampling changes on purpose; each
+runs with its uniforms read ahead on a helper thread and again without, as
+on one CPU. The exact-markov, verify-identities and exact counterexample
+digests move whenever the exact oracle's floating-point evaluation order
+changes; a change that moves one must state the tolerance the new values are
+held to.
 """
 
 import hashlib
 
 import pytest
 
+from hittimes import branch_systems
 from hittimes.branch_systems import DOUBLING, GAUSS, generate_stream
 from hittimes.cli import run_config
 
@@ -155,8 +158,21 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_artifact_digests(name, tmp_path, monkeypatch):
+def _draws_uniforms(config: dict) -> bool:
+    return config["kind"].startswith("simulate-") or config.get("flavor") == "monte-carlo"
+
+
+# a config that draws uniforms runs on both of the samplers' paths: read
+# ahead on a helper thread (ids as before) and drawn at each read, as on one CPU
+_RUNS = [pytest.param(name, True, id=name) for name in sorted(CONFIGS)] + [
+    pytest.param(name, False, id=f"{name}-one-cpu")
+    for name in sorted(CONFIGS) if _draws_uniforms(CONFIGS[name])
+]
+
+
+@pytest.mark.parametrize("name, helper", _RUNS)
+def test_artifact_digests(name, helper, tmp_path, monkeypatch):
+    monkeypatch.setattr(branch_systems, "_spare_cpu", lambda: helper)
     # the manifest records the output root, so run under a fixed relative one
     monkeypatch.chdir(tmp_path)
     run_dir, _ = run_config(dict(CONFIGS[name]))
@@ -176,8 +192,13 @@ STREAM_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("system, seed", list(STREAM_GOLDEN), ids=["gauss", "doubling"])
-def test_stream_digests(system, seed):
+@pytest.mark.parametrize(
+    "system, seed, helper",
+    [pytest.param(system, seed, helper, id=system.name + ("" if helper else "-one-cpu"))
+     for helper in (True, False) for system, seed in STREAM_GOLDEN],
+)
+def test_stream_digests(system, seed, helper, monkeypatch):
+    monkeypatch.setattr(branch_systems, "_spare_cpu", lambda: helper)
     stream = generate_stream(system, seed, 3 * 2**16 + 12345)
     payload = stream.digits.astype("<i8").tobytes() + repr(stream.anchor_point).encode()
     assert hashlib.sha256(payload).hexdigest() == STREAM_GOLDEN[system, seed]

@@ -8,11 +8,14 @@ tracer read-only from the benchmark directory and install it on the current
 package. One makes a traced exact call and checks that uninstalling puts
 every patched name back. Another traces the exact counterexample, whose
 block law must stay one `block_pmf` span with its S^r state-step count. The
-last builds an `ExactPMF` positionally, as the benchmark's checks do, and
+third builds an `ExactPMF` positionally, as the benchmark's checks do, and
 makes a traced Gauss stream, whose start and steps go through the wrapped
-`stationary_array` and `branch_array` kernels.
+`stationary_array` and `branch_array` kernels. The last traces a replica run
+whose uniforms are drawn ahead on a helper thread: the tracer's span stack is
+shared across threads, so that thread must run no traced function.
 """
 
+import collections
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 import hittimes.cli
-from hittimes import branch_systems
+from hittimes import branch_systems, estimators
 from hittimes import markov_pattern as mp
 from hittimes.markov_pattern import ExactPMF
 
@@ -111,3 +114,30 @@ def test_positional_pmf_and_stream_kernels_traced(tracing):
     assert spans["branch_systems.stationary_array"] == [{"elements": 1}]
     # every digit is one element of a step; the lanes' warm-up steps are more
     assert sum(w["elements"] for w in spans["branch_systems.branch_array"]) >= 1000
+
+
+def test_replica_run_reading_ahead_keeps_spans_nested(tracing, monkeypatch):
+    monkeypatch.setattr(branch_systems, "_spare_cpu", lambda: True)
+    helpers = []
+    draw = branch_systems._draw_orders
+    monkeypatch.setattr(branch_systems, "_draw_orders", lambda *a: helpers.append(a) or draw(*a))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pmf = estimators.estimate_first_passage(
+            branch_systems.GAUSS, estimators.TargetScan.digit_threshold(5), 2**14, 1, 512, seed=3)
+    finally:
+        tracer.uninstall()
+    assert len(helpers) == 1  # the chunk's uniforms were drawn ahead
+    spans = tracer.spans
+    # one chunk: one generator, one start draw and one reduction, all on the calling thread
+    names = collections.Counter(s.name for s in spans if s.name != "branch_systems.branch_array")
+    assert names == {"estimators.estimate_first_passage": 1, "branch_systems.make_rng": 1,
+                     "branch_systems.stationary_array": 1, "estimators.sum_by_row": 1}
+    for span in spans:
+        outer = spans[span.parent] if span.parent >= 0 else None
+        assert outer is None or outer.start <= span.start <= span.end <= outer.end, span.name
+    steps = [s.work["elements"] for s in spans if s.name == "branch_systems.branch_array"]
+    # one kernel call per step run: the run ends at the step of the last hit
+    assert pmf.censored == 0 and len(steps) == pmf.keys[:, 0].max()
+    assert sum(steps) == pmf.meta["replica_steps"]
