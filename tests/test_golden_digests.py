@@ -1,14 +1,15 @@
-"""Pinned SHA-256 digests of the artifacts of nine small configs, and of two
-digit streams long enough to cross the stream's chunk and lane boundaries.
+"""Pinned SHA-256 digests of the artifacts of nine small configs, of two
+digit streams long enough to cross the stream's chunk and lane boundaries,
+and of five block-chain laws.
 
 A rerun only shows that a change is deterministic; these digests show that
 it left the bytes of earlier runs alone. The five Monte-Carlo configs and the
 two streams must never move unless their sampling changes on purpose; each
 runs with its uniforms read ahead on a helper thread and again without, as
-on one CPU. The exact-markov, verify-identities and exact counterexample
-digests move whenever the exact oracle's floating-point evaluation order
-changes; a change that moves one must state the tolerance the new values are
-held to.
+on one CPU. The exact-markov, verify-identities, exact counterexample and
+block-law digests move whenever the exact oracle's floating-point evaluation
+order changes; a change that moves one must state the tolerance the new
+values are held to.
 """
 
 import hashlib
@@ -18,6 +19,13 @@ import pytest
 from hittimes import branch_systems
 from hittimes.branch_systems import DOUBLING, GAUSS, generate_stream
 from hittimes.cli import run_config
+from hittimes.markov_pattern import (
+    MarkovSource,
+    PatternTarget,
+    block_hitting_pmf,
+    block_return_pmf,
+    block_set_return_pmf,
+)
 
 CONFIGS = {
     "exact-markov": {
@@ -202,3 +210,40 @@ def test_stream_digests(system, seed, helper, monkeypatch):
     stream = generate_stream(system, seed, 3 * 2**16 + 12345)
     payload = stream.digits.astype("<i8").tobytes() + repr(stream.anchor_point).encode()
     assert hashlib.sha256(payload).hexdigest() == STREAM_GOLDEN[system, seed]
+
+
+# SHA-256 of a block law's little-endian float64 masses followed by
+# repr(tail), and repr(mu) for a set; pinned before the block chain's state
+# encoding changed, so they hold its laws to the same bits under any layout
+_MARKOV3 = MarkovSource.from_transitions([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+_FAIR = MarkovSource.iid([0.5, 0.5])
+# rank 4; 0120 and 2120 share their last 3 symbols, so one entry of the next
+# marginal is recomputed from a kept predecessor, and the five blocks sort
+# differently by oldest-first and newest-first digits
+_SET_WORDS = [(0, 1, 2, 0), (2, 1, 2, 0), (1, 0, 2, 1), (2, 2, 0, 1), (1, 1, 1, 2)]
+BLOCK_LAW_CALLS = {
+    "fair-0^15-1-hitting": lambda: block_hitting_pmf(
+        _FAIR, PatternTarget(word=(0,) * 15 + (1,)), 512),
+    "fair-0^15-1-return": lambda: block_return_pmf(
+        _FAIR, PatternTarget(word=(0,) * 15 + (1,)), 512),
+    "markov3-012012-hitting": lambda: block_hitting_pmf(
+        _MARKOV3, PatternTarget(word=(0, 1, 2, 0, 1, 2)), 512),
+    "markov3-012012-return": lambda: block_return_pmf(
+        _MARKOV3, PatternTarget(word=(0, 1, 2, 0, 1, 2)), 512),
+    "markov3-rank-4-set-return": lambda: block_set_return_pmf(_MARKOV3, _SET_WORDS, 512),
+}
+BLOCK_LAW_GOLDEN = {
+    "fair-0^15-1-hitting": "737e30db8fc51a83d69e0f7800db7197a790c24cee73243dd138756f4288b3f1",
+    "fair-0^15-1-return": "7e19662adebd257dc88cc1b27f92e4e2d6da886a77d8c921fdb2e2f4d691191c",
+    "markov3-012012-hitting": "3339a6f67c50e56438c84b69950989cd24fd1e468c45d36ce2a50a57aacf877d",
+    "markov3-012012-return": "e700832c5c2aae58989536f127a856258671420ef090c8dc689120fa28eba82b",
+    "markov3-rank-4-set-return": "12bc60f1604c1c64738b3598d45a17c3fb089bbdfc8c5bd052fb63f9d8107485",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_LAW_CALLS))
+def test_block_law_digests(name):
+    got = BLOCK_LAW_CALLS[name]()
+    law, *mu = got if isinstance(got, tuple) else (got,)
+    payload = law.masses.astype("<f8").tobytes() + "".join(map(repr, [law.tail, *mu])).encode()
+    assert hashlib.sha256(payload).hexdigest() == BLOCK_LAW_GOLDEN[name]
