@@ -27,12 +27,15 @@ Snell, *Finite Markov Chains*, 1960, for the algebra of substochastic kernels).
 Every product-chain series is one call of it: the hitting and return laws,
 the gap legs, the shift identity's matched/unmatched split (itself a
 substochastic chain on twice the states) and the return excess. The block
-chain keeps its own step loop, the independent cross-check: a step at rank
->= 2 sums out the dropped symbol, on which no weight depends, and then makes
-one multiply by the transitions out of the kept last symbol. A rank-r law
-makes that step at rank r - 1, reads the absorbed mass off the target
-transitions, and recomputes the few marginal entries those transitions feed
-from their kept predecessors.
+chain keeps its own step loop, the independent cross-check. It encodes a
+block with its oldest symbol in the lowest base-S digit and its newest in the
+highest, so a step at rank >= 2 adds the dropped symbol's S strided columns
+into a contiguous marginal, as no weight depends on that symbol, and then
+writes the appended symbol's S contiguous rows with one broadcast multiply by
+the transitions out of the kept newest symbol. A rank-r law makes that step
+at rank r - 1, reads the absorbed mass off the target transitions, and
+recomputes the few marginal entries those transitions feed from their kept
+predecessors.
 Return-time expectations need no horizon: `return_excess` solves (I - Q) w = 1
 by GTH elimination (Grassmann, Taksar and Heyman, *Oper. Res.* 1985), which
 keeps full relative precision however rare the target.
@@ -540,16 +543,16 @@ def verify_shift_identity_grid(
 class BlockChain:
     """Chain on all length-r symbol tuples; the S^r reference backend.
 
-    Tuples are encoded base-S with the most recent symbol in the lowest
-    digit: index = sum_t block[t] * S^(r-1-t), so a shift-and-append is
-    (index mod S^(r-1)) * S + c. Writing index = t * S^(r-1) + m, block
-    (t, m) moves to (m, c) with the transition out of its last symbol,
-    ``index mod S``. At rank >= 2 that symbol is m mod S, whatever the
-    dropped symbol t, so a step sums t out of ``v.reshape(S, S^(r-1))`` and
-    multiplies the marginal once by a C-contiguous (S, S^(r-1)) table
-    weight[c, m] = P[m mod S, c], written into the outputs' columns c. At
-    rank 1 the last symbol is t, and the step sums the products v[t] P[t, c]
-    over t, as a scatter does, bit for bit.
+    Tuples are encoded base-S with the oldest symbol in the lowest digit and
+    the newest in the highest: index = sum_t block[t] * S^t. Writing
+    index = t + S * m, block (t, m) moves to (m, c), index m + S^(r-1) * c,
+    with the transition out of its newest symbol, ``index // S^(r-1)``. At
+    rank >= 2 that symbol is m // S^(r-2), whatever the dropped symbol t, so
+    a step adds the S strided columns ``v[t::S]`` in t's order into a
+    contiguous marginal (`_drop_oldest`) and appends c to it with one
+    contiguous broadcast multiply (`_append_symbol`). At rank 1 the newest
+    symbol is t, and the step sums the products v[t] P[t, c] over t, as a
+    scatter does, bit for bit.
 
     Summing before multiplying rounds differently from a scatter's sum of
     products. Against the scatter in extended precision, every entry after
@@ -569,13 +572,9 @@ class BlockChain:
 
     def __init__(self, source: MarkovSource, rank: int) -> None:
         (rank,) = _int_tuple((rank,), "rank", 1)
-        s = source.alphabet_size
         self.source = source
         self.rank = rank
-        self.n_states = _block_states(s, rank)
-        self._mod = s ** (rank - 1)
-        # weight[c, m]: transition into c from every block t * S^(r-1) + m, rank >= 2
-        self._weight = np.ascontiguousarray(source.transitions[np.arange(self._mod) % s].T)
+        self.n_states = _block_states(source.alphabet_size, rank)
 
     def stationary_blocks(self) -> np.ndarray:
         """Stationary law of length-r blocks."""
@@ -588,11 +587,7 @@ class BlockChain:
         """One full-kernel step of a distribution over blocks."""
         if self.rank == 1:
             return np.add.reduce(v[:, None] * self.source.transitions, axis=0)
-        s = self.source.alphabet_size
-        out = np.empty_like(v)
-        marginal = np.add.reduce(v.reshape(s, self._mod), axis=0)
-        np.multiply(marginal, self._weight, out=out.reshape(self._mod, s).T)
-        return out
+        return _append_symbol(self.source, _drop_oldest(v, self.source.alphabet_size))
 
 
 def _block_states(s: int, rank: int) -> int:
@@ -607,9 +602,22 @@ def _block_states(s: int, rank: int) -> int:
 
 def _append_symbol(source: MarkovSource, v: np.ndarray) -> np.ndarray:
     """The law of (r+1)-blocks that extends ``v``, a law of r-blocks, by one
-    transition out of each block's last symbol."""
-    last = np.arange(v.size, dtype=np.int64) % source.alphabet_size
-    return (v[:, None] * source.transitions[last]).reshape(-1)
+    transition out of each block's newest symbol, its highest digit. The new
+    symbol c becomes the new highest digit, so each c is one contiguous row."""
+    s = source.alphabet_size
+    out = np.empty(v.size * s)
+    np.multiply(v.reshape(1, s, -1), source.transitions.T[:, :, None], out=out.reshape(s, s, -1))
+    return out
+
+
+def _drop_oldest(v: np.ndarray, s: int) -> np.ndarray:
+    """The law of the newest r-1 symbols of ``v``, a law of r-blocks: the S
+    strided columns of the oldest symbol t, its lowest digit, added in t's
+    order."""
+    marginal = v[::s] + v[1::s]
+    for t in range(2, s):
+        marginal += v[t::s]
+    return marginal
 
 
 def _word_rows(words, s: int) -> np.ndarray:
@@ -650,24 +658,28 @@ def _transition_absorption(
 
     ``lower`` is the rank-(r-1) chain and ``marginal`` the marginal of the
     first rank-r step, after which ``phantom`` steps run unrestricted. A
-    target block b is the transition b // S -> b mod S of ``lower``'s
-    blocks, absorbing marginal[b // S] P[(b // S) mod S, b mod S]. After each
-    step the entries m' of the next marginal that a target block feeds are
-    recomputed from their kept predecessors t * S^(r-2) + m' // S, one per
-    dropped symbol t, summed in t's order as the rank-r step sums them.
+    target block b is the transition b mod S^(r-1) -> b // S of ``lower``'s
+    blocks, appending the symbol b // S^(r-1) and absorbing
+    marginal[b mod S^(r-1)] P[newest symbol of b mod S^(r-1), b // S^(r-1)].
+    After each step the entries m' of the next marginal that a target block
+    feeds are recomputed from their kept predecessors (t + S m') mod S^(r-1),
+    one per dropped symbol t, summed in t's order as the rank-r step sums
+    them.
     """
     s = lower.source.alphabet_size
     p = lower.source.transitions
-    src, dst = np.divmod(target, s)
-    into = p[src % s, dst]
-    fed = np.unique(target % lower.n_states)
-    blocks = np.arange(s, dtype=np.int64)[:, None] * lower.n_states + fed
-    pred = blocks // s
-    weight = p[pred % s, fed % s]
+    n = lower.n_states
+    newest = n // s  # the place of a lower block's newest symbol
+    src = target % n
+    into = p[src // newest, target // n]
+    fed = np.unique(target // s)
+    blocks = fed * s + np.arange(s, dtype=np.int64)[:, None]
+    pred = blocks % n
+    weight = p[pred // newest, fed // newest]
     kept = np.where(np.isin(blocks, target), 0.0, 1.0)
     if lower.rank == 1:  # the predecessor t is the symbol the transition leaves
         coef, post = kept * weight, 1.0
-    else:  # every predecessor of m' leaves the symbol (m' // S) mod S
+    else:  # every predecessor of m' leaves the second newest symbol of m'
         coef, post = kept, weight[0]
     for _ in range(phantom):
         marginal = lower.step(marginal)
@@ -703,7 +715,7 @@ def _block_pmf(
     The measures and the start come from the rank-r stationary blocks, at
     rank r >= 2 one symbol appended to the rank-(r-1) chain's. At rank 1 the
     S states step and the target is zeroed after each step. At rank r >= 2,
-    after every step v[(m, c)] = marginal[m] P[m mod S, c]
+    after every step v[(m, c)] = marginal[m] P[newest symbol of m, c]
     outside the target, so the S^r vector is freed once its marginal is
     formed and `_transition_absorption` carries the S^(r-1) marginal. No
     entry is formed by a subtraction, so a structurally impossible time has
@@ -719,9 +731,10 @@ def _block_pmf(
     rank = rows.shape[1]
     _int_tuple((rank,), "rank", 1)  # words of length 0, refused as `BlockChain` refuses rank 0
     _require_budget((k_max + rank) * _block_states(s, rank) * s)
-    # the sorted distinct block indices, as `BlockChain` encodes blocks
-    places = s ** np.arange(rank - 1, -1, -1, dtype=np.int64)
-    target = np.unique(rows @ places)
+    # the distinct blocks in the words' lexicographic order, which every sum
+    # over them keeps, encoded as `BlockChain` encodes blocks
+    _, first = np.unique(rows @ s ** np.arange(rank - 1, -1, -1, dtype=np.int64), return_index=True)
+    target = rows[first] @ s ** np.arange(rank, dtype=np.int64)
     # rank 1 steps its own S states; rank r >= 2 steps the (r-1)-block marginal
     chain = BlockChain(source, max(rank - 1, 1))
     v = chain.stationary_blocks()
@@ -737,7 +750,8 @@ def _block_pmf(
         phantom = 0
     else:
         phantom = rank - 1
-    total_in = float(v.sum())
+    # summed in the lexicographic order of the blocks, oldest symbol first
+    total_in = float(v.reshape((s,) * rank).transpose().ravel().sum())
     if rank == 1:
         masses = np.empty(k_max)
         for k in range(k_max):
@@ -745,7 +759,7 @@ def _block_pmf(
             masses[k] = v[target].sum()
             v[target] = 0.0
     else:
-        marginal = np.add.reduce(v.reshape(s, -1), axis=0)
+        marginal = _drop_oldest(v, s)
         del v
         masses = _transition_absorption(chain, target, marginal, phantom, k_max)
     return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(total_in, masses)), mu_target

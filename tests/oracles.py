@@ -14,8 +14,10 @@ return excess's original matrix power per K, for the same use.
 so that the factored step can be held to it: run in long double, it is the
 reference of the step's stated rounding bound, and in double it is the step
 bit for bit on the fair coin and at rank 1. `full_vector_block_pmf` keeps
-the block laws' original loop over the whole S^r vector, which the laws on
-the S^(r-1) marginal are held to, through that step in either precision.
+the block laws' original loop over the whole S^r vector, in the original
+encoding with the newest symbol lowest, which the laws on the S^(r-1)
+marginal are held to, through that step in either precision; it reads the
+chain through `digit_reversal`.
 `generation_order_replica_chunk` replays the replica chunk's draws and
 reads each replica's materialized digits with `scan_hits`, so that the chunk
 can be held to it exactly. `backward_register_replica_chunk` keeps the chunk
@@ -310,14 +312,26 @@ def scalar_first_match(table: np.ndarray, symbols, state: int = 0) -> tuple[int 
 
 
 def scatter_block_step(chain, v: np.ndarray) -> np.ndarray:
-    """One full-kernel `BlockChain` step by an unbuffered scatter per symbol."""
+    """One full-kernel `BlockChain` step by an unbuffered scatter per symbol.
+
+    Blocks are encoded oldest symbol lowest: block i moves to
+    i // S + c S^(r-1) with the transition out of its newest symbol
+    i // S^(r-1).
+    """
     s = chain.source.alphabet_size
-    last = np.arange(chain.n_states, dtype=np.int64) % s
-    shift = (np.arange(chain.n_states, dtype=np.int64) % s ** (chain.rank - 1)) * s
+    idx = np.arange(chain.n_states, dtype=np.int64)
+    last = idx // s ** (chain.rank - 1)
+    shift = idx // s
     out = np.zeros_like(v)
     for c in range(s):
-        np.add.at(out, shift + c, v * chain.source.transitions[last, c])
+        np.add.at(out, shift + c * s ** (chain.rank - 1), v * chain.source.transitions[last, c])
     return out
+
+
+def digit_reversal(s: int, rank: int) -> np.ndarray:
+    """The permutation that reverses the rank base-s digits of 0..s^rank - 1;
+    it is its own inverse."""
+    return s ** np.arange(rank, dtype=np.int64) @ _enumerate_digits(s, rank)
 
 
 def full_vector_block_pmf(source, words, k_max: int, from_inside: bool) -> tuple[ExactPMF, float]:
@@ -325,15 +339,19 @@ def full_vector_block_pmf(source, words, k_max: int, from_inside: bool) -> tuple
     step the rank-r `BlockChain` and zero the target after each step.
 
     ``words`` is a list of equal-length words; inputs are assumed valid. The
-    loop calls ``BlockChain.step``, so a test that swaps that method for the
-    scatter in long double makes this the scatter loop of the stated bound.
+    loop keeps its vector in its own encoding, newest symbol lowest, and its
+    targets in their sorted codes there; it reads the chain's stationary
+    blocks and steps through `digit_reversal`. The loop calls
+    ``BlockChain.step``, so a test that swaps that method for the scatter in
+    long double makes this the scatter loop of the stated bound.
     """
     s = source.alphabet_size
     rank = len(words[0])
     chain = BlockChain(source, rank)
+    reverse = digit_reversal(s, rank)
     places = s ** np.arange(rank - 1, -1, -1, dtype=np.int64)
     target = np.unique(np.array(words, dtype=np.int64).reshape(-1, rank) @ places)
-    v = chain.stationary_blocks()
+    v = chain.stationary_blocks()[reverse]
     mu_target = float(v[target].sum())
     if from_inside:
         inside = np.zeros_like(v)
@@ -345,9 +363,9 @@ def full_vector_block_pmf(source, words, k_max: int, from_inside: bool) -> tuple
     masses = np.zeros(k_max)
     total_in = float(v.sum())
     for _ in range(phantom):
-        v = chain.step(v)
+        v = chain.step(v[reverse])[reverse]
     for k in range(1, k_max + 1):
-        v = chain.step(v)
+        v = chain.step(v[reverse])[reverse]
         masses[k - 1] = float(v[target].sum())
         v[target] = 0.0
     return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(total_in, masses)), mu_target
