@@ -43,6 +43,7 @@ would cost every run about a second and 60 MiB of start-up.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,7 +54,7 @@ import numpy as np
 from .branch_systems import BranchSystem, DigitStream, _digit_array, _Uniforms
 from .errors import InsufficientDataError, ValidationError, _int_tuple
 from .markov_pattern.automaton import PatternTarget, build_automaton
-from .primes import is_prime
+from .primes import is_prime, primes_up_to
 
 OVERFLOW_MARK = -1  # mark bucket for digit values above the cap
 DEFAULT_CHUNK = 2**16
@@ -103,11 +104,25 @@ class TargetScan:
         return cls(word=tuple(word))
 
 
+@functools.cache
+def _prime_table() -> np.ndarray:
+    """is-prime flags of 0..2^16 - 1, sieved on first use."""
+    table = np.zeros(2**16, dtype=bool)
+    table[primes_up_to(2**16 - 1)] = True
+    return table
+
+
 def _prime_mask(values: np.ndarray) -> np.ndarray:
-    """Vectorized primality through the distinct values actually present."""
-    uniq = np.unique(values)
-    flags = np.array([is_prime(int(v)) for v in uniq], dtype=bool)
-    return flags[np.searchsorted(uniq, values)]
+    """Vectorized primality of nonnegative integer values (int64, or
+    integer-valued float64): a sieve table below 2^16, `is_prime` once per
+    distinct value above."""
+    table = _prime_table()
+    small = values < table.size
+    out = np.empty(values.shape, dtype=bool)
+    out[small] = table[values[small].astype(np.int64)]
+    big, inverse = np.unique(values[~small], return_inverse=True)
+    out[~small] = np.array([is_prime(int(v)) for v in big], dtype=bool)[inverse]
+    return out
 
 
 def _digits_of(stream: DigitStream | np.ndarray | Sequence[int]) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Trial division below 2**16, deterministic Miller-Rabin witnesses above.
 The witness set {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37} is proven
-sufficient for all n < 3.3e24, which covers the full 64-bit range.
+sufficient for all n < 3.3e24, which covers the full 64-bit range; larger n
+are refused.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ def is_prime(n: int) -> bool:
     if not _is_integral(n) or n < 0:
         raise ValidationError(f"is_prime expects a nonnegative integer, got {n!r}")
     n = int(n)
+    if n >= 2**64:
+        # the witnesses are proven only below 3.3e24, and wrong at it:
+        # 3317044064679887385961981 is a strong pseudoprime to all twelve
+        raise ValidationError(f"is_prime is exact below 2**64 only, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

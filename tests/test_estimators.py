@@ -38,6 +38,7 @@ from hittimes.markov_pattern import (
     hitting_pmf,
     return_pmf,
 )
+from hittimes.primes import is_prime
 from hittimes.theory import CFPrediction, threshold_cell_measure
 from oracles import (
     backward_register_replica_chunk,
@@ -77,6 +78,19 @@ class TestScanHits:
         )
         assert pos.tolist() == [3]
         assert val.tolist() == [11]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64], ids=["int64", "float64"])
+    def test_prime_mask_across_the_sieve_table_edge(self, dtype):
+        # the table holds 0..2^16 - 1, and is_prime takes the rest; a float64
+        # above 2^53 is even, an int64 there may be prime
+        values = [65521, 65535, 65536, 65537, 65521, 2**53 + 2, 2, 1, 97, 65537]
+        if dtype is np.int64:
+            values += [2**61 - 1, 2**53 + 5]
+        values = np.array(values, dtype=dtype)
+        want = [is_prime(int(v)) for v in values]
+        assert want[:4] == [True, False, False, True]
+        assert estimators._prime_mask(values).tolist() == want
+        assert estimators._prime_mask(values[:0]).tolist() == []
 
     def test_word_scan_with_overlap(self):
         pos, _ = scan_hits(np.array([1, 1, 1, 0, 1, 1]), TargetScan.word_pattern((1, 1)))

@@ -41,6 +41,16 @@ def test_large_known_values():
     assert not is_prime(3_215_031_751)
 
 
+def test_refused_from_2_to_the_64():
+    # 1287836182261 * 2575672364521, the smallest strong pseudoprime to all
+    # twelve witnesses, which the test would call prime
+    for n in (3_317_044_064_679_887_385_961_981, 2**64, 2**64 + 13, float(2**64)):
+        with pytest.raises(ValidationError, match="below 2\\*\\*64"):
+            is_prime(n)
+    assert is_prime(2**64 - 59)
+    assert not is_prime(2**64 - 1)
+
+
 def test_carmichael_numbers_rejected():
     for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 825_265):
         assert not is_prime(n), n
