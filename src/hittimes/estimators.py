@@ -109,6 +109,7 @@ def _prime_table() -> np.ndarray:
     """is-prime flags of 0..2^16 - 1, sieved on first use."""
     table = np.zeros(2**16, dtype=bool)
     table[primes_up_to(2**16 - 1)] = True
+    table.flags.writeable = False  # shared by every caller
     return table
 
 

@@ -733,8 +733,9 @@ def _block_pmf(
     _require_budget((k_max + rank) * _block_states(s, rank) * s)
     # the distinct blocks in the words' lexicographic order, which every sum
     # over them keeps, encoded as `BlockChain` encodes blocks
-    _, first = np.unique(rows @ s ** np.arange(rank - 1, -1, -1, dtype=np.int64), return_index=True)
-    target = rows[first] @ s ** np.arange(rank, dtype=np.int64)
+    places = s ** np.arange(rank, dtype=np.int64)
+    _, first = np.unique(rows @ places[::-1], return_index=True)
+    target = rows[first] @ places
     # rank 1 steps its own S states; rank r >= 2 steps the (r-1)-block marginal
     chain = BlockChain(source, max(rank - 1, 1))
     v = chain.stationary_blocks()

@@ -41,7 +41,10 @@ def test_cli_import_builds_no_prime_table():
     # the prime mask's sieve table is built on first use, not at start-up
     src = str(Path(hittimes.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import hittimes.cli, hittimes.estimators as e; print(e._prime_table.cache_info().currsize)"
+    code = (
+        "import hittimes.cli, hittimes.estimators as e; "
+        "print(e._prime_table.cache_info().currsize)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
