@@ -1,9 +1,9 @@
-"""Pinned SHA-256 digests of the artifacts of nine small configs, of two
+"""Pinned SHA-256 digests of the artifacts of eleven small configs, of two
 digit streams long enough to cross the stream's chunk and lane boundaries,
 and of five block-chain laws.
 
 A rerun only shows that a change is deterministic; these digests show that
-it left the bytes of earlier runs alone. The five Monte-Carlo configs and the
+it left the bytes of earlier runs alone. The seven Monte-Carlo configs and the
 two streams must never move unless their sampling changes on purpose; each
 runs with its uniforms read ahead on a helper thread and again without, as
 on one CPU. The exact-markov, verify-identities, exact counterexample and
@@ -79,6 +79,30 @@ CONFIGS = {
         "cells": [[1, 5, 1, 5], [2, 6, 1, 7]],
         "prediction": {"family": "cf-joint", "threshold": 5},
     },
+    # threshold targets at d = 1: two chunks whose keys include
+    # OVERFLOW_MARK, and a prime target that censors some replicas
+    "replica-cf-d1": {
+        "kind": "simulate-cf",
+        "mode": "replica",
+        "target": {"threshold": 5},
+        "n_replicas": 70_000,
+        "d": 1,
+        "max_steps": 64,
+        "seed": 5,
+        "cells": [[1, 5], [2, 7], [3, 6]],
+        "prediction": {"family": "cf-joint", "threshold": 5},
+    },
+    "replica-cf-prime-d1": {
+        "kind": "simulate-cf",
+        "mode": "replica",
+        "target": {"threshold": 7, "prime": True},
+        "n_replicas": 20_000,
+        "d": 1,
+        "max_steps": 64,
+        "seed": 6,
+        "cells": [[1, 7], [2, 11]],
+        "prediction": {"family": "cf-joint", "threshold": 7, "prime": True},
+    },
     "ergodic": {
         "kind": "simulate-cf",
         "mode": "ergodic",
@@ -146,6 +170,16 @@ GOLDEN = {
         "estimate.csv": "0a93d5636f040eefb5d33ffeb7dbed1e9c4b6661224d6759ca483d81d96bac3b",
         "estimate.json": "ec62a2dbec1753974a58a791073f1c1e0f21b5ad6b7727bf00d7afb4fc2c939d",
         "manifest.json": "eb8d431265048d95dae649bb9f9ae0b71af9c4e3748e333ce79001bda3bd103f",
+    },
+    "replica-cf-d1": {
+        "counts.csv": "70315c8a1822f74dba5b99dc4ac8d5aa55adf9533a1ace4e836acb557708b1e1",
+        "estimate.csv": "f93307ac80353fa49629bc49b8f96b334c29aecacc114832e80b825423a27d46",
+        "manifest.json": "821574c3b47a4ef46986dfd68666982ea03efa0102e2d0361d5bcf83656bc84a",
+    },
+    "replica-cf-prime-d1": {
+        "counts.csv": "2d698111a2a5919e2e19913d15fe6f6248160f6c59bdd980980d9e614d51f848",
+        "estimate.csv": "2b1a383f99f7e84c959e11de789eeb9f33ef8dcc58b8ad5ec3876d4fff4c31eb",
+        "manifest.json": "30ef620f48f44cad8dbe262ae970905afcabdae5ca22781710d11080a5b39458",
     },
     "ergodic": {
         "counts.csv": "a0d47b377ed2c80f30ab1fd1a38fab96ef838a75c8e4c3305ed355f72375d8fa",
