@@ -584,7 +584,11 @@ def _emit_estimate(
 
 def run_config(config: dict) -> tuple[Path, dict]:
     """Validate and execute a config; returns (run directory, manifest dict)."""
-    cfg = validate_config(config)
+    return _run_validated(validate_config(config))
+
+
+def _run_validated(cfg: dict) -> tuple[Path, dict]:
+    """Execute a config that `validate_config` returned; as `run_config`."""
     digest = config_hash(cfg)
     run_dir = Path(cfg["out"]) / digest
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -647,7 +651,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         return fail(2, {"error": "ConfigError", "message": str(exc)})
     try:
-        run_dir, manifest = run_config(raw)
+        run_dir, manifest = _run_validated(cfg)
     except Exception as exc:  # every failure leaves one JSON record
         record = {"error": type(exc).__name__, "message": str(exc)}
         if not isinstance(exc, HitTimesError):  # a defect: keep where it was raised

@@ -35,6 +35,13 @@ overwrites ``y`` with the preimages and ``k`` with the digits (float64,
 integer-valued) and may use ``u`` as scratch. Each step's uniforms are a
 fresh read, its digits go into a chunk-sized buffer cut to the live count,
 and the live arrays are compacted on every step where a replica finishes.
+At d = 1 a replica's first hit is also its last, so the chunk keeps nothing
+per replica: each step with hits writes the key rows of the replicas that
+finish there, so rows come out in finishing order, and compacts the live
+arrays with one integer gather. At d >= 2 each live entry carries its
+replica index, and a hit counter and a register of hit steps and marks are
+kept by replica index. Either way a chunk's rows are summed by key, so
+their order never reaches a count table.
 
 The library imports no SciPy: its one distribution value, the 99% normal
 quantile of `wilson_interval`, is a constant, and importing `scipy.stats`
@@ -282,25 +289,35 @@ def _replica_rows(
     mark_cap: int,
 ) -> tuple[np.ndarray, int, int]:
     """The (tau, psi) key of every completed replica of one chunk, one int64
-    row each in replica order, the censored count and the number of
-    replica-steps run.
+    row each, the censored count and the number of replica-steps run. Rows
+    come in finishing order at d = 1 and in replica order at d >= 2.
 
     Hits are read in generation order, which has the forward law (module
     docstring), so a replica stops at its d-th hit; ``max_steps`` only
     censors. Step s reads one uniform per replica with fewer than d hits, in
     replica order, from a reader told the most it can still be asked for.
-    The live arrays ``y``, ``ids`` and, for words, ``state`` are compacted on
-    every step where a replica finishes; the hit counter ``count`` and the
-    register ``reg`` are indexed by replica, so they are never compacted. For word targets ``table`` is the occurrence automaton
-    of the word itself over alpha + 1 symbols: digits >= alpha read as the
-    extra symbol alpha, which no word symbol equals. A hit then marks an
-    occurrence's end, so tau_1 is the hit step minus (l - 1).
+    At d = 1 each step with hits writes its finishing replicas' rows into
+    ``done`` and compacts ``y`` and, for words, ``state`` with one gather of
+    the entries that missed. At d >= 2 the live arrays ``y``, ``ids`` and,
+    for words, ``state`` are compacted on every step where a replica
+    finishes; the hit counter ``count`` and the register ``reg`` are indexed
+    by replica, so they are never compacted. For word targets ``table`` is
+    the occurrence automaton of the word itself over alpha + 1 symbols:
+    digits >= alpha read as the extra symbol alpha, which no word symbol
+    equals. A hit then marks an occurrence's end, so tau_1 is the hit step
+    minus (l - 1).
     """
     k = np.empty(n)
-    ids = np.arange(n)  # replica index of each live entry
-    count = np.zeros(n, dtype=np.int64)  # hits so far, by replica index
-    # step and mark of every replica's hits, by replica index; word hits carry no mark
-    reg = np.zeros((d, 2 if table is None else 1, n), dtype=np.int64)
+    width = 2 if table is None else 1  # word hits carry no mark
+    if d == 1:
+        # the rows of the replicas finished so far, in finishing order
+        done = np.empty((1, width, n), dtype=np.int64)
+        n_done = 0
+    else:
+        ids = np.arange(n)  # replica index of each live entry
+        count = np.zeros(n, dtype=np.int64)  # hits so far, by replica index
+        # step and mark of every replica's hits, by replica index
+        reg = np.zeros((d, width, n), dtype=np.int64)
     if table is not None:
         # states are kept premultiplied by the row length, so that
         # state + symbol indexes the flattened table
@@ -317,15 +334,30 @@ def _replica_rows(
             kk = k[:live]
             system.branch_array(y, uniforms.take(live, live * (max_steps - step)), kk)
             if table is None:
-                hits = np.flatnonzero(kk >= target.threshold)
+                hit = kk >= target.threshold
                 if target.prime_variant:
-                    hits = hits[_prime_mask(kk[hits])]
+                    maybe = np.flatnonzero(hit)
+                    hit[maybe[~_prime_mask(kk[maybe])]] = False
             else:
                 idx = np.minimum(kk, alpha).astype(np.int64)
                 idx += state
                 state = flat[idx]
-                hits = np.flatnonzero(state == full)
+                hit = state == full
+            hits = np.flatnonzero(hit)
             if not hits.size:
+                continue
+            if d == 1:  # a replica's first hit is its last: write its row now
+                end = n_done + hits.size
+                done[0, 0, n_done:end] = step
+                if table is None:
+                    done[0, 1, n_done:end] = kk[hits]
+                n_done = end
+                if hits.size == live:
+                    break
+                keep = np.flatnonzero(~hit)
+                y = y[keep]
+                if table is not None:
+                    state = state[keep]
                 continue
             who = ids[hits]
             nth = count[who]
@@ -343,7 +375,7 @@ def _replica_rows(
                 y, ids = y[keep], ids[keep]
                 if table is not None:
                     state = state[keep]
-    done = reg[:, :, reg[d - 1, 0] > 0]
+    done = done[:, :, :n_done] if d == 1 else reg[:, :, reg[d - 1, 0] > 0]
     censored = n - done.shape[2]
     # forward gaps: the first from the start of the occurrence, then between hits
     lead = 0 if table is None else len(target.word) - 1
@@ -369,7 +401,10 @@ def estimate_first_passage(
     Each replica is an independent stationary start; cells are keyed
     (tau_1, psi_1, ..., tau_d, psi_d) for threshold targets and
     (tau_1, ..., tau_d) for word targets. A mark above the threshold plus
-    ``DEFAULT_MARK_CAP_EXCESS`` is recorded as ``OVERFLOW_MARK``. Replicas
+    ``DEFAULT_MARK_CAP_EXCESS`` is recorded as ``OVERFLOW_MARK``. At d = 1 a
+    chunk keeps no per-replica record and writes each replica's key as it
+    finishes; at d >= 2 it registers every hit by replica index. Keys are
+    summed per chunk, so the table does not depend on the rows' order. Replicas
     without d hits inside max_steps land in the censoring count; a censoring
     fraction above ``DEFAULT_CENSOR_BOUND`` is flagged in ``meta`` (not
     fatal). A replica stops at its d-th hit, so ``max_steps`` is only the

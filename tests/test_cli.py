@@ -840,6 +840,21 @@ class TestMainEntry:
         assert record["message"] == "runner broke"
         assert "in broken" in record["traceback"]
 
+    def test_main_validates_the_config_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return validate_config(config)
+
+        monkeypatch.setattr(cli, "validate_config", counting)
+        path = _write_config(tmp_path, dict(VERIFY_CFG, out=str(tmp_path / "r")))
+        assert main(["verify", "--config", str(path)]) == 0
+        assert len(calls) == 1
+        run_dir = Path(capsys.readouterr().out.strip())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["config"] == validate_config(dict(VERIFY_CFG, out=str(tmp_path / "r")))
+
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         path = _write_config(tmp_path, dict(VERIFY_CFG))
         assert main(["simulate", "--config", str(path)]) == 2

@@ -203,6 +203,61 @@ class TestReplicaEstimator:
         if mark_cap == 6:
             assert any(OVERFLOW_MARK in key[1::2] for key in counts)
 
+    @staticmethod
+    def _chunk(system, target, n, d, max_steps, seed):
+        """`_replica_rows` and the generation-order reference on one chunk."""
+        table = None
+        if target.word is not None:  # as estimate_first_passage builds it
+            alpha = max(2, max(target.word) + 1)
+            table = build_automaton(PatternTarget(word=target.word), alpha + 1)
+        args = (n, d, max_steps, seed, 0, (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS)
+        return (_replica_rows(system, target, table, *args),
+                generation_order_replica_chunk(system, target, *args))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "system,target,width",
+        [
+            (GAUSS, TargetScan.digit_threshold(10**6), 2),
+            (GAUSS, TargetScan.digit_threshold(10**6, prime_variant=True), 2),
+            (DOUBLING, TargetScan.word_pattern((1,) * 30), 1),
+        ],
+    )
+    def test_chunk_where_every_replica_is_censored(self, system, target, width, d):
+        n, max_steps = 64, 30
+        (rows, censored, steps), want = self._chunk(system, target, n, d, max_steps, 23)
+        assert rows.shape == (0, d * width) and rows.dtype == np.int64
+        assert (censored, steps) == (n, n * max_steps)
+        assert want == ({}, n, n * max_steps)
+        keys, counts = sum_by_row(rows)
+        assert keys.shape == (0, d * width) and counts.size == 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "system,target",
+        [
+            (GAUSS, TargetScan.digit_threshold(2)),
+            (GAUSS, TargetScan.digit_threshold(2, prime_variant=True)),
+            (DOUBLING, TargetScan.word_pattern((1, 1))),
+        ],
+    )
+    def test_one_replica_chunk_stops_when_it_finishes(self, system, target, d):
+        max_steps = 200
+        (rows, censored, steps), want = self._chunk(system, target, 1, d, max_steps, 29)
+        assert censored == 0 and steps < max_steps  # it left the loop early
+        assert len(rows) == 1
+        assert pmf_dict(EmpiricalPMF(*sum_by_row(rows), 1, censored)) == want[0]
+        assert (censored, steps) == want[1:]
+
+    @pytest.mark.parametrize(
+        "system,target",
+        [(GAUSS, TargetScan.digit_threshold(5)), (DOUBLING, TargetScan.word_pattern((1, 0, 1)))],
+    )
+    def test_rows_at_d1_come_in_finishing_order(self, system, target):
+        (rows, censored, _), _ = self._chunk(system, target, 2000, 1, 64, 31)
+        assert len(rows) == 2000 - censored > 1000
+        assert (np.diff(rows[:, 0]) >= 0).all()  # tau_1 is the finishing step, less a constant
+
     @pytest.mark.parametrize(
         "system,target,d,max_steps,fields",
         [
