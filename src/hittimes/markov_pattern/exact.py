@@ -25,17 +25,16 @@ _BLOCK absorbed masses per product with the impulse-response block
 [q, Qq, ..., Q^(B-1)q] and then advances the distribution by Q^B (Kemeny and
 Snell, *Finite Markov Chains*, 1960, for the algebra of substochastic kernels).
 Every product-chain series is one call of it: the hitting and return laws,
-the gap legs, the shift identity's matched/unmatched split (itself a
-substochastic chain on twice the states) and the return excess. The block
-chain keeps its own step loop, the independent cross-check. It encodes a
-block with its oldest symbol in the lowest base-S digit and its newest in the
-highest, so a step at rank >= 2 adds the dropped symbol's S strided columns
-into a contiguous marginal, as no weight depends on that symbol, and then
-writes the appended symbol's S contiguous rows with one broadcast multiply by
-the transitions out of the kept newest symbol. A rank-r law makes that step
-at rank r - 1, reads the absorbed mass off the target transitions, and
-recomputes the few marginal entries those transitions feed from their kept
-predecessors.
+the shift identity's matched/unmatched split (itself a substochastic chain on
+twice the states) and the return excess. The block chain keeps its own step
+loop, the independent cross-check. It encodes a block with its oldest symbol
+in the lowest base-S digit and its newest in the highest, so a step at rank
+>= 2 adds the dropped symbol's S strided columns into a contiguous marginal,
+as no weight depends on that symbol, and then writes the appended symbol's S
+contiguous rows with one broadcast multiply by the transitions out of the kept
+newest symbol. A rank-r law makes that step at rank r - 1, reads the absorbed
+mass off the target transitions, and recomputes the few marginal entries
+those transitions feed from their kept predecessors.
 Return-time expectations need no horizon: `return_excess` solves (I - Q) w = 1
 by GTH elimination (Grassmann, Taksar and Heyman, *Oper. Res.* 1985), which
 keeps full relative precision however rare the target.
@@ -349,7 +348,8 @@ def masses_at(
     until u = v Q^(K0-1) has settled; where ``ks`` end before 4l + 64, or u has
     not settled by their last time, the series serves every time. A direction
     still unsettled where a series would exceed its state budget raises
-    `BudgetExceededError`, as the series to the last time would.
+    `BudgetExceededError`, as the series to the last time would. A closed-form
+    mass that underflows below 1e-300 raises `ProbabilityUnderflowError`.
     """
     ks = np.asarray(ks)
     if not (ks.dtype.kind == "i" and ks.ndim == 1 and ks.size and ks[0] >= 1
@@ -371,6 +371,8 @@ def masses_at(
     if head < ks.size:
         k0, at, escape = settled
         masses[head:] = at * np.exp((ks[head:] - (k0 - lead)) * math.log1p(-escape))
+        if at > 0.0 and masses[-1] < _UNDERFLOW:  # the closed form decreases in k
+            raise ProbabilityUnderflowError(f"the mass at k={ks[-1]} underflows below {_UNDERFLOW}")
     return masses
 
 
@@ -391,9 +393,7 @@ def return_excess(
     precision although cond(I - Q) grows like 1/mu(A).
     """
     ks = _int_tuple(ks, "ks", 0)
-    if source.word_measure(target.word) == 0.0:
-        raise ValidationError("cannot condition on a target of zero measure")
-    chain = ProductChain(source, target)
+    chain, entry, _ = _start(source, target, "in_target")
     n = chain.n_states
     # eliminate on [Q | q | 1]: the Schur updates carry the absorption column
     # q and the right-hand side along with the rows of Q
@@ -406,7 +406,7 @@ def return_excess(
         w[k] += a[k, k + 1 : n] @ w[k + 1 :]
     # with w in place of q, the series term at step K + 1 is e Q^K w
     steps = max(ks, default=-1) + 1
-    return _absorption_series(chain.survive, w, chain.entry_vector(), steps)[list(ks)]
+    return _absorption_series(chain.survive, w, entry, steps)[list(ks)]
 
 
 def theta_exact(source: MarkovSource, target: PatternTarget) -> float:
@@ -433,24 +433,19 @@ def consecutive_joint_pmf(
 ) -> float:
     """Exact probability that the first d inter-visit gaps equal ``gaps``.
 
-    The first gap is a hitting time from the stationary law (or a return time
-    when ``from_entry``); each later gap is a return time chained from the
-    full-match state, which the word makes unique, so renormalizing onto the
-    post-hit distribution is exact. A start ``from_entry`` conditions on the
-    target, so, as in `return_pmf`, a target of zero measure is refused.
+    A full match fixes the chain's state, so the gaps are independent and the
+    law is a product of `masses_at` reads, from the stationary law (from the
+    target, of positive measure, when ``from_entry``) then of return times. A
+    leg past the crossover is (u.q) lambda^(k - K0), within 1e-13 relative of
+    the series; before it, it is the series' mass bit for bit.
     """
-    gaps = _int_tuple(gaps, "gaps", 1)
+    gaps = _int_tuple(gaps, "gaps", 1, 2**63)
     if not gaps:
         raise ValidationError("gap list must be nonempty")
-    if from_entry and source.word_measure(target.word) == 0.0:
-        raise ValidationError("cannot condition on a target of zero measure")
-    chain = ProductChain(source, target)
-    sub, into = chain.survive, chain.into_match
-    ret = _absorption_series(sub, into, chain.entry_vector(), max(gaps))
-    legs = [ret[k - 1] for k in gaps]
-    if not from_entry:
-        v = chain.stationary_vector()
-        legs[0] = _absorption_series(sub, into, v, gaps[0] + target.length - 1)[-1]
+    legs = masses_at(source, target, "in_target" if from_entry else "stationary", gaps[:1])
+    if legs[0] != 0.0 and len(gaps) > 1:
+        later, where = np.unique(gaps[1:], return_inverse=True)
+        legs = [legs[0], *masses_at(source, target, "in_target", later)[where]]
     prob = 1.0
     for j, leg in enumerate(legs):
         if leg == 0.0:
@@ -518,12 +513,12 @@ def verify_shift_identity_grid(
     j_max, m_max = _int_tuple((j_max, m_max), "j_max and m_max", 1)
     horizon = m_max + j_max - 1
     _require_horizon(ret, horizon, "return")
-    chain = ProductChain(source, target)
+    chain, stationary, _ = _start(source, target, "stationary")
     mu_a = source.word_measure(target.word)
     n, l = chain.n_states, target.length
     stacked = np.block([[chain.survive, np.outer(chain.into_match, chain.entry_vector())],
                         [np.zeros((n, n)), chain.kernel]])
-    start = np.concatenate((chain.stationary_vector(), np.zeros(n)))
+    start = np.concatenate((stationary, np.zeros(n)))
     # f_i after s steps is e_(n+i) (stacked^T)^s start: s = j + l - 1 is term j + l
     series = _absorption_series(stacked.T, start, np.eye(2 * n)[n:], j_max + l)
     lhs = _absorption_series(chain.survive, chain.into_match, series[:, l:].T, m_max)

@@ -11,10 +11,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import ValidationError, _int_tuple
+from ..errors import ProbabilityUnderflowError, ValidationError, _int_tuple
 from ..theory import consecutive_asymptote
 from .automaton import PatternTarget, build_automaton
 from .exact import (
+    _UNDERFLOW,
     _block_states,
     block_set_return_pmf,
     masses_at,
@@ -81,7 +82,8 @@ def llt_convergence_table(
     no law to 1/(delta mu), so a table runs at any l whose window ends within
     the int64 times (`k_grid`). Its closed form is within about (1 + t) 1e-13
     relative of the law of exactly stochastic rows; its series is within k
-    times the source's row defect of it (`hitting_pmf`).
+    times the source's row defect of it (`hitting_pmf`). A prediction or a
+    closed-form mass below 1e-300 raises `ProbabilityUnderflowError`.
     """
     if kind not in ("return", "hitting"):
         raise ValidationError(f"kind must be 'return' or 'hitting', got {kind!r}")
@@ -97,6 +99,8 @@ def llt_convergence_table(
         for k, exact in zip(ks.tolist(), masses.tolist()):
             t = mu_a * float(k)
             predicted = consecutive_asymptote(th, mu_a, [k], hitting_start=kind == "hitting")
+            if predicted < _UNDERFLOW:
+                raise ProbabilityUnderflowError(f"{target.word}: prediction at k={k} underflows")
             rows.append(
                 ConvergenceRow(
                     l=target.length,

@@ -36,6 +36,10 @@ pair through a (state, symbol) dict, and `scalar_first_match` the original
 one-symbol-at-a-time walk of the occurrence automaton, so that the chain's
 one-scatter kernel and the counterexample's table walk can be held to them.
 
+`series_consecutive_joint_pmf` keeps `consecutive_joint_pmf`'s original
+body, its own product chain and two series to the largest gap, so that the
+product of `masses_at` reads can be held to it.
+
 `mpmath_absorbed` is the closed-form tails' reference: the absorbed masses
 v Q^(m-1) q of the same float kernel, by binary powers of Q in 50-digit
 arithmetic, so that a mass at any step m costs log2 m products.
@@ -63,7 +67,7 @@ from hittimes.branch_systems import (
     gauss_branch_sample,
     make_rng,
 )
-from hittimes.errors import ValidationError
+from hittimes.errors import ProbabilityUnderflowError, ValidationError, _int_tuple
 from hittimes.estimators import (
     DEFAULT_MARK_CAP_EXCESS,
     OVERFLOW_MARK,
@@ -72,7 +76,14 @@ from hittimes.estimators import (
     scan_hits,
 )
 from hittimes.markov_pattern import PatternTarget, build_automaton
-from hittimes.markov_pattern.exact import BlockChain, ExactPMF, ProductChain, _closing_tail
+from hittimes.markov_pattern.exact import (
+    _UNDERFLOW,
+    BlockChain,
+    ExactPMF,
+    ProductChain,
+    _absorption_series,
+    _closing_tail,
+)
 
 
 def _enumerate_digits(s: int, m: int) -> np.ndarray:
@@ -190,6 +201,34 @@ class _NeumaierSum:
 
     def value(self) -> float:
         return self._s + self._c
+
+
+def series_consecutive_joint_pmf(source, target, gaps, from_entry: bool = False) -> float:
+    """`consecutive_joint_pmf` as it was: the first gap's mass from the
+    stationary law (or a return mass when ``from_entry``), each later gap's
+    return mass, all from series of the product chain to the largest gap."""
+    gaps = _int_tuple(gaps, "gaps", 1)
+    if not gaps:
+        raise ValidationError("gap list must be nonempty")
+    if from_entry and source.word_measure(target.word) == 0.0:
+        raise ValidationError("cannot condition on a target of zero measure")
+    chain = ProductChain(source, target)
+    sub, into = chain.survive, chain.into_match
+    ret = _absorption_series(sub, into, chain.entry_vector(), max(gaps))
+    legs = [ret[k - 1] for k in gaps]
+    if not from_entry:
+        v = chain.stationary_vector()
+        legs[0] = _absorption_series(sub, into, v, gaps[0] + target.length - 1)[-1]
+    prob = 1.0
+    for j, leg in enumerate(legs):
+        if leg == 0.0:
+            return 0.0  # a structurally impossible gap, not an underflow
+        prob *= float(leg)
+        if prob < _UNDERFLOW:
+            raise ProbabilityUnderflowError(
+                f"joint probability underflowed below {_UNDERFLOW} at gap {j + 1}"
+            )
+    return prob
 
 
 def stepwise_hitting_masses(source, target, initial, k_max: int) -> tuple[np.ndarray, float]:

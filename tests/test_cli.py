@@ -570,6 +570,16 @@ class TestMainEntry:
         assert "(1, 1)" in record["message"]
         assert "traceback" not in record
 
+    def test_exact_underflowing_window_exits_1_without_traceback(self, tmp_path, capsys):
+        # word 01's window runs to t = 1000, where mass and prediction both
+        # underflow to 0.0, so the table has no ratio to report
+        cfg = dict(EXACT_CFG, targets=[{"word": [0, 1]}], delta=0.001, out=str(tmp_path / "r"))
+        path = _write_config(tmp_path, cfg)
+        assert main(["exact", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ProbabilityUnderflowError"
+        assert "traceback" not in record
+
     def test_exact_table_at_length_32_runs(self, tmp_path, capsys):
         # fair 0^31 1 reads k up to 2^33, which no series of the state budget reaches
         cfg = dict(EXACT_CFG, targets=[{"word": [0] * 31 + [1]}], out=str(tmp_path / "r"))

@@ -64,6 +64,7 @@ from oracles import (
     mpmath_absorbed,
     scalar_first_match,
     scatter_block_step,
+    series_consecutive_joint_pmf,
     stepwise_hitting_masses,
     stepwise_shift_lhs,
 )
@@ -432,7 +433,9 @@ class TestProductChain:
         # 2^40 steps of 42 states would be 2^40 * 8 bytes of masses alone
         with pytest.raises(BudgetExceededError, match="budget"):
             hitting_pmf(FAIR, PatternTarget(word=(0,) * 40), "stationary", 2**40)
-        with pytest.raises(BudgetExceededError, match="budget"):
+        # the tuple law reads its legs in closed form and allocates no law:
+        # the mass at 2^40 is about e^(-2^31), an underflow, not a zero
+        with pytest.raises(ProbabilityUnderflowError):
             consecutive_joint_pmf(FAIR, PatternTarget(word=(0,) * 8), [2**40])
 
     def test_survive_plus_match_is_stochastic(self):
@@ -1161,6 +1164,66 @@ class TestConsecutive:
         t = PatternTarget(word=(0,) * 8)
         with pytest.raises(ProbabilityUnderflowError):
             consecutive_joint_pmf(FAIR, t, [200000, 200000])
+
+    @pytest.mark.parametrize("gap", [1000, 1100])
+    def test_underflowed_leg_is_not_a_structural_zero(self, gap):
+        # the mass is 2^-gap: below 1e-300 at 1000 and 0.0 in double at 1100,
+        # an underflow either way, not an impossible gap
+        t = PatternTarget(word=(1,))
+        with pytest.raises(ProbabilityUnderflowError):
+            consecutive_joint_pmf(FAIR, t, [gap])
+        with pytest.raises(ProbabilityUnderflowError, match=f"k={gap}"):
+            masses_at(FAIR, t, "stationary", [gap])
+
+    def test_oversized_gap_names_gaps(self):
+        with pytest.raises(ValidationError, match="^gaps must"):
+            consecutive_joint_pmf(FAIR, PatternTarget(word=(0, 1)), [3, 2**63])
+
+    def test_product_matches_the_series_reference(self):
+        # bit for bit where every chain step read lies below the crossover
+        # 4l + 64, since both read the same series there; within 1e-13
+        # relative past it, where a leg is read in closed form
+        cyclic = MarkovSource.from_transitions([[0.1, 0.7, 0.2], [0.2, 0.1, 0.7], [0.6, 0.3, 0.1]])
+        cases = [(FAIR, (0, 1, 1)), (FAIR, (0,) * 6), (cyclic, (0, 1, 2, 0)), (cyclic, (0, 0, 1)),
+                 (BIASED, (1, 0, 1))]
+        rng = np.random.default_rng(7)
+        exact = close = zeros = 0
+        for _ in range(600):
+            source, word = cases[rng.integers(len(cases))]
+            l = len(word)
+            from_entry = bool(rng.integers(2))
+            top = 4 * l + 64 - l if rng.integers(2) else 300  # all below the crossover, or any
+            gaps = rng.integers(1, top + 1, size=rng.integers(1, 4)).tolist()
+            target = PatternTarget(word=word)
+            got = consecutive_joint_pmf(source, target, gaps, from_entry)
+            want = series_consecutive_joint_pmf(source, target, gaps, from_entry)
+            steps = [gaps[0] + (0 if from_entry else l - 1)] + gaps[1:]
+            if want == 0.0 or got == 0.0:
+                assert got == want, (word, gaps, from_entry)
+                zeros += 1
+            elif max(steps) < 4 * l + 64:
+                assert got == want, (word, gaps, from_entry)
+                exact += 1
+            else:
+                assert abs(got / want - 1.0) <= 1e-13, (word, gaps, from_entry)
+                close += 1
+        assert exact >= 200 and close >= 200 and zeros >= 10
+
+    def test_rare_words_past_every_series_budget(self):
+        # fair 0^(l-1)1 with gaps 1/mu and 2/mu: the series refused from l = 32
+        l = 32
+        target = PatternTarget(word=(0,) * (l - 1) + (1,))
+        chain = ProductChain(FAIR, target)
+        got = consecutive_joint_pmf(FAIR, target, [2**32, 2**33])
+        (first,), (second,) = mpmath_absorbed(
+            chain.survive, chain.into_match,
+            [(chain.stationary_vector(), [2**32 + l - 1]), (chain.entry_vector(), [2**33])],
+        )
+        assert abs(mpmath.mpf(got) / (first * second) - 1) <= 1e-14
+        # at l = 40 against mu^2 e^(-3), whose error is about 3 l mu
+        mu = 2.0**-40
+        got = consecutive_joint_pmf(FAIR, PatternTarget(word=(0,) * 39 + (1,)), [2**40, 2**41])
+        assert abs(got / (mu**2 * math.exp(-3.0)) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("gaps", [[1], [2, 3]])
     def test_zero_measure_target(self, gaps):
