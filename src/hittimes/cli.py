@@ -16,6 +16,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -462,21 +463,10 @@ def _run_counterexample(cfg: dict, run_dir: Path) -> dict:
         if cfg.get("k_max", k_prune) < k_prune:
             raise ValidationError(f"k_max = {cfg['k_max']} must reach k_prune = {k_prune}")
         report = counterexample_pruned_target(source, target, k_prune)
-        expected_ratio = 1.0 - report.pruned_mass
-        rows = [
-            ("mu_a", report.mu_a),
-            ("mu_b", report.mu_b),
-            ("ratio_b_over_a", report.ratio),
-            ("expected_ratio", expected_ratio),
-            ("pruned_mass", report.pruned_mass),
-            ("b_return_at_k_prune", report.b_return_at_k_prune),
-            ("cylinders_kept", report.n_cylinders_kept),
-            ("cylinders_pruned", report.n_cylinders_pruned),
-        ]
-        _emit_table(run_dir, "counterexample", ("quantity", "value"), rows, cfg)
+        _emit_table(run_dir, "counterexample", ("quantity", "value"), _quantities(report), cfg)
         return {
             "b_return_at_k_prune": report.b_return_at_k_prune,
-            "ratio_discrepancy": abs(report.ratio - expected_ratio),
+            "ratio_discrepancy": abs(report.ratio_b_over_a - report.expected_ratio),
         }
     system = branch_systems.system_by_name(cfg["system"])
     target = _build_scan_target(cfg["target"], system)
@@ -485,21 +475,16 @@ def _run_counterexample(cfg: dict, run_dir: Path) -> dict:
     g1 = np.diff(estimators.scan_hits(s1, target)[0])
     g2 = np.diff(estimators.scan_hits(s2, target)[0])
     demo = estimators.demo_pruned_return(g1, g2, cfg["k_prune"])
-    rows = [
-        ("n_hits", demo.n_hits),
-        ("n_b_visits", demo.n_b_visits),
-        ("b_fraction", demo.b_fraction),
-        ("independent_fraction", demo.independent_fraction),
-        ("b_fraction_se", demo.b_fraction_se),
-        ("independent_fraction_se", demo.independent_fraction_se),
-        ("b_returns_at_k_prune", demo.b_returns_at_k_prune),
-        ("discrepancy_z", demo.discrepancy_z()),
-    ]
-    _emit_table(run_dir, "counterexample", ("quantity", "value"), rows, cfg)
+    _emit_table(run_dir, "counterexample", ("quantity", "value"), _quantities(demo), cfg)
     return {
         "b_returns_at_k_prune": demo.b_returns_at_k_prune,
-        "discrepancy_z": demo.discrepancy_z(),
+        "discrepancy_z": demo.discrepancy_z,
     }
+
+
+def _quantities(report) -> list[tuple[str, object]]:
+    """(name, value) rows of a result dataclass, one per field, in field order."""
+    return [(f.name, getattr(report, f.name)) for f in dataclasses.fields(report)]
 
 
 def _run_report(cfg: dict, run_dir: Path) -> dict:
@@ -578,7 +563,7 @@ def _emit_estimate(
     """Write the estimate table of the predicted cells; returns its summary deviation."""
     rows, summary = estimators.llt_report(pmf, predicted)
     header = names + estimators.REPORT_HEADER_SUFFIX
-    _emit_table(run_dir, "estimate", header, [r.as_tuple() for r in rows], cfg)
+    _emit_table(run_dir, "estimate", header, [r.cell + r[1:] for r in rows], cfg)
     return summary
 
 

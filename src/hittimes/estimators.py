@@ -54,7 +54,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -527,26 +527,22 @@ def ergodic_cell_se(gaps: np.ndarray, cell_test: Callable[[np.ndarray], np.ndarr
 # Ratio reports and statistics helpers
 # ---------------------------------------------------------------------------
 
-REPORT_HEADER_SUFFIX = ("count", "N", "estimate", "prediction", "ratio", "ci_low", "ci_high")
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One cell of a ratio report against a closed-form prediction."""
+class ReportRow(NamedTuple):
+    """One cell of a ratio report against a closed-form prediction. The fields
+    after ``cell`` are, in order and by name, the columns of the CLI's
+    ``estimate.csv`` after its keys: a new field is a new column there."""
 
     cell: tuple[int, ...]
     count: int
-    n: int
+    N: int
     estimate: float
     prediction: float
     ratio: float
     ci_low: float
     ci_high: float
 
-    def as_tuple(self) -> tuple:
-        return self.cell + (
-            self.count, self.n, self.estimate, self.prediction, self.ratio, self.ci_low, self.ci_high
-        )
+
+REPORT_HEADER_SUFFIX = ReportRow._fields[1:]
 
 
 def wilson_interval(count: int, n: int) -> tuple[float, float]:
@@ -586,7 +582,7 @@ def llt_report(
         est = count / pmf.n_total
         lo, hi = wilson_interval(count, pmf.n_total)
         rows.append(
-            ReportRow(cell=cell, count=count, n=pmf.n_total, estimate=est,
+            ReportRow(cell=cell, count=count, N=pmf.n_total, estimate=est,
                       prediction=pred, ratio=est / pred, ci_low=lo, ci_high=hi)
         )
     return rows, max(abs(r.ratio - 1.0) for r in rows)
@@ -605,6 +601,8 @@ class PrunedReturnDemo:
     returns directly to another pruned visit (gap != k_prune by construction)
     or first passes through skipped visits, each adding exactly k_prune, so
     the total exceeds k_prune.
+    The fields are, in order and by name, the rows of the CLI's Monte-Carlo
+    ``counterexample.csv``: a new field is a new row there.
     """
 
     n_hits: int
@@ -614,10 +612,7 @@ class PrunedReturnDemo:
     b_fraction_se: float
     independent_fraction_se: float
     b_returns_at_k_prune: int
-
-    def discrepancy_z(self) -> float:
-        se = math.hypot(self.b_fraction_se, self.independent_fraction_se)
-        return (self.b_fraction - self.independent_fraction) / se if se > 0 else 0.0
+    discrepancy_z: float  # (b_fraction - independent_fraction) over their joint se, 0 if it is 0
 
 
 def demo_pruned_return(
@@ -645,12 +640,17 @@ def demo_pruned_return(
     positions = np.concatenate(([0], np.cumsum(gaps)))
     b_returns = np.diff(positions[b_idx])
     batch_count = max(2, min(DEFAULT_BATCH_COUNT, gaps.size // 2, ref.size // 2))
+    kept = (keep, ref != k_prune)
+    b_fraction, independent = (float(x.mean()) for x in kept)
+    b_se, independent_se = (batch_means_se(x.astype(float), batch_count) for x in kept)
+    se = math.hypot(b_se, independent_se)
     return PrunedReturnDemo(
         n_hits=int(gaps.size + 1),
         n_b_visits=int(b_idx.size),
-        b_fraction=float(keep.mean()),
-        independent_fraction=float((ref != k_prune).mean()),
-        b_fraction_se=batch_means_se(keep.astype(float), batch_count),
-        independent_fraction_se=batch_means_se((ref != k_prune).astype(float), batch_count),
+        b_fraction=b_fraction,
+        independent_fraction=independent,
+        b_fraction_se=b_se,
+        independent_fraction_se=independent_se,
         b_returns_at_k_prune=int(np.count_nonzero(b_returns == k_prune)),
+        discrepancy_z=(b_fraction - independent) / se if se > 0 else 0.0,
     )

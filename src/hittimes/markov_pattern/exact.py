@@ -341,15 +341,18 @@ def masses_at(
 ) -> np.ndarray:
     """The masses of `hitting_pmf`'s law at the increasing integer times ``ks`` >= 1.
 
-    Times before the crossover are read from `hitting_pmf`, run to the last of
-    them; times from it on are (u.q) lambda^(k - crossover) in closed form (see
-    the module docstring), so a read at any rarity builds no law past the
-    crossover. The crossover's chain step K0 starts at 4l + 64 and doubles
-    until u = v Q^(K0-1) has settled; where ``ks`` end before 4l + 64, or u has
-    not settled by their last time, the series serves every time. A direction
+    Times before the crossover are read from `hitting_pmf`'s series, run to
+    the last of them; times from it on are (u.q) lambda^(k - crossover) in
+    closed form (see the module docstring), so a read at any rarity builds no
+    law past the crossover. The crossover's chain step K0 starts at 4l + 64
+    and doubles until u = v Q^(K0-1) has settled; where ``ks`` end before
+    4l + 64, or u has not settled by their last time, the series serves every
+    time. A direction
     still unsettled where a series would exceed its state budget raises
-    `BudgetExceededError`, as the series to the last time would. A closed-form
-    mass that underflows below 1e-300 raises `ProbabilityUnderflowError`.
+    `BudgetExceededError`, as the series to the last time would. A mass below
+    1e-300 raises `ProbabilityUnderflowError` in closed form, and in the
+    series from its first positive mass below 1e-300 on; a zero before is
+    structural.
     """
     ks = np.asarray(ks)
     if not (ks.dtype.kind == "i" and ks.ndim == 1 and ks.size and ks[0] >= 1
@@ -366,8 +369,13 @@ def masses_at(
     head = ks.size if settled is None else int(np.searchsorted(ks, settled[0] - lead))
     masses = np.empty(ks.size)
     if head:
-        law = hitting_pmf(source, target, initial, int(ks[head - 1]))
-        masses[:head] = law.masses[ks[:head] - 1]
+        steps = int(ks[head - 1]) + lead
+        law = _absorption_series(chain.survive, chain.into_match, v, steps)[lead:]
+        _closing_tail(float(v.sum()), law)  # the mass-balance drift check of `hitting_pmf`
+        masses[:head] = law[ks[:head] - 1]
+        low = np.flatnonzero((law > 0.0) & (law < _UNDERFLOW))  # from low[0] + 1 on, underflow
+        if low.size and np.any(masses[:head][ks[:head] > low[0]] < _UNDERFLOW):
+            raise ProbabilityUnderflowError(f"the masses underflow from k={low[0] + 1} on")
     if head < ks.size:
         k0, at, escape = settled
         masses[head:] = at * np.exp((ks[head:] - (k0 - lead)) * math.log1p(-escape))

@@ -122,15 +122,19 @@ class PrunedTargetReport:
     after exactly k steps, the return time of B never equals k: on the part of
     B whose next A-visit stays in B the return times agree and differ from k,
     and on the rest they exceed k by at least 1.
+
+    The fields are, in order and by name, the rows of the CLI's exact
+    ``counterexample.csv``: a new field is a new row there.
     """
 
     mu_a: float
     mu_b: float
-    ratio: float  # mu(B) / mu(A)
+    ratio_b_over_a: float  # mu(B) / mu(A)
+    expected_ratio: float  # 1 - pruned_mass, what the ratio must equal
     pruned_mass: float  # mu_A(phi_A = k_prune), from the word-target return law
     b_return_at_k_prune: float  # mu_B(phi_B = k_prune), structurally zero
-    n_cylinders_kept: int
-    n_cylinders_pruned: int
+    cylinders_kept: int
+    cylinders_pruned: int
 
 
 def counterexample_pruned_target(
@@ -174,13 +178,14 @@ def counterexample_pruned_target(
         words[:, l + t] = digit(codes, t)
     b_pmf, mu_b = block_set_return_pmf(source, words, k_prune)
     mu_a = source.word_measure(word)
-    ret = return_pmf(source, target, k_prune)
+    pruned_mass = return_pmf(source, target, k_prune).mass_at(k_prune)
     return PrunedTargetReport(
         mu_a=mu_a,
         mu_b=mu_b,
-        ratio=mu_b / mu_a,
-        pruned_mass=ret.mass_at(k_prune),
+        ratio_b_over_a=mu_b / mu_a,
+        expected_ratio=1.0 - pruned_mass,
+        pruned_mass=pruned_mass,
         b_return_at_k_prune=b_pmf.mass_at(k_prune),
-        n_cylinders_kept=codes.size,
-        n_cylinders_pruned=s_count**k_prune - codes.size,
+        cylinders_kept=codes.size,
+        cylinders_pruned=s_count**k_prune - codes.size,
     )

@@ -405,7 +405,7 @@ def test_criterion_10_pruned_target_counterexample():
     report = counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), 3)
     exact_ok = (
         report.b_return_at_k_prune == 0.0
-        and abs(report.ratio - (1.0 - report.pruned_mass)) < 1e-10
+        and abs(report.ratio_b_over_a - (1.0 - report.pruned_mass)) < 1e-10
     )
     s1 = generate_stream(GAUSS, seed=107, n=2 * 10**6, substream=0)
     s2 = generate_stream(GAUSS, seed=107, n=2 * 10**6, substream=1)
@@ -413,15 +413,15 @@ def test_criterion_10_pruned_target_counterexample():
     g1 = np.diff(scan_hits(s1, target)[0])
     g2 = np.diff(scan_hits(s2, target)[0])
     demo = demo_pruned_return(g1, g2, k_prune=35)
-    mc_ok = demo.b_returns_at_k_prune == 0 and abs(demo.discrepancy_z()) <= 4.0
+    mc_ok = demo.b_returns_at_k_prune == 0 and abs(demo.discrepancy_z) <= 4.0
     ok = exact_ok and mc_ok
     elapsed = time.time() - started
     _report(
         "10",
         ok,
         f"exact: B-return mass {report.b_return_at_k_prune}, ratio discrepancy "
-        f"{abs(report.ratio - (1.0 - report.pruned_mass)):.2e}; MC: B-returns at "
-        f"k_prune {demo.b_returns_at_k_prune}, z = {demo.discrepancy_z():.2f}; "
+        f"{abs(report.ratio_b_over_a - (1.0 - report.pruned_mass)):.2e}; MC: B-returns at "
+        f"k_prune {demo.b_returns_at_k_prune}, z = {demo.discrepancy_z:.2f}; "
         f"{elapsed:.0f}s",
     )
 

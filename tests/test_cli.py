@@ -1,5 +1,6 @@
 """CLI behaviour: schema rejection, artifact layout, idempotence, subcommands."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from hittimes import cli, errors
 from hittimes.branch_systems import DOUBLING, generate_stream
 from hittimes.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hittimes.errors import ConfigError
+from hittimes.estimators import PrunedReturnDemo, ReportRow
+from hittimes.markov_pattern.reports import PrunedTargetReport
 from hittimes.tables import config_hash, write_csv
 from hittimes.theory import CFPrediction, cf_joint_asymptote, consecutive_asymptote
 
@@ -317,6 +320,26 @@ class TestRunners:
         run_dir, manifest = run_config(cfg)
         assert manifest["results"]["b_returns_at_k_prune"] == 0
         assert abs(manifest["results"]["discrepancy_z"]) < 4.0
+
+    @pytest.mark.parametrize("cfg,report_type", [
+        (CE_CFG, PrunedTargetReport),
+        ({"kind": "counterexample", "flavor": "monte-carlo", "system": "doubling",
+          "target": {"word": [1, 1]}, "k_prune": 3, "n_digits": 10_000}, PrunedReturnDemo),
+    ], ids=["exact", "monte-carlo"])
+    def test_counterexample_rows_are_the_report_fields(self, tmp_path, cfg, report_type):
+        # a field added to the report reaches the table, in order and under its name
+        run_dir, _ = run_config(dict(cfg, out=str(tmp_path / "runs")))
+        lines = (run_dir / "counterexample.csv").read_text().splitlines()
+        assert lines[0] == "quantity,value"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            f.name for f in dataclasses.fields(report_type)
+        ]
+
+    def test_estimate_columns_are_the_row_fields(self, tmp_path):
+        run_dir, _ = run_config(dict(SIM_CFG, out=str(tmp_path / "runs")))
+        header = (run_dir / "estimate.csv").read_text().splitlines()[0].split(",")
+        suffix = ReportRow._fields[1:]
+        assert tuple(header[-len(suffix):]) == suffix
 
     def test_verify_makes_one_law_of_each_kind_per_word(self, tmp_path, monkeypatch):
         calls = []

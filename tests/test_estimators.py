@@ -681,7 +681,7 @@ class TestReportsAndStats:
         pmf = _pmf({(1,): 5200, (2,): 2400}, 10_000)
         rows, summary = llt_report(pmf, [((1,), 0.5), ((2,), 0.25)])
         assert rows[0].ci_low < rows[0].estimate < rows[0].ci_high
-        assert (rows[1].count, rows[1].n) == (2400, 10_000)
+        assert (rows[1].count, rows[1].N) == (2400, 10_000)
         assert summary == pytest.approx(0.04, abs=1e-12)
         with pytest.raises(ValidationError):
             llt_report(pmf, [])
@@ -771,7 +771,7 @@ class TestPrunedDemo:
         g2 = np.diff(scan_hits(s2, target)[0])
         demo = demo_pruned_return(g1, g2, k_prune=3)
         assert demo.b_returns_at_k_prune == 0
-        assert abs(demo.discrepancy_z()) < 4.0
+        assert abs(demo.discrepancy_z) < 4.0
         exact = return_pmf(FAIR, PatternTarget(word=(1, 1)), 3)
         assert demo.b_fraction == pytest.approx(1.0 - exact.mass_at(3), abs=0.01)
 
@@ -815,7 +815,7 @@ class TestPrunedDemo:
         g2 = np.diff(scan_hits(s2, target)[0])
         demo = demo_pruned_return(g1, g2, k_prune=10)
         assert demo.b_returns_at_k_prune == 0
-        assert abs(demo.discrepancy_z()) < 4.0
+        assert abs(demo.discrepancy_z) < 4.0
 
 
 _WORD11 = TargetScan.word_pattern((1, 1))

@@ -1040,7 +1040,7 @@ class TestBlockLawsOnTheMarginal:
         monkeypatch.setattr(reports, "block_set_return_pmf", spy)
         report = counterexample_pruned_target(BENCH_MARKOV3, PatternTarget(word=(0, 1, 2)), 7)
         (words,) = seen
-        assert words.shape == (report.n_cylinders_kept, 10)
+        assert words.shape == (report.cylinders_kept, 10)
         law, mu = block_set_return_pmf(BENCH_MARKOV3, words, 512)
         assert law.masses[6] == 0.0 and mu == report.mu_b
         ref = _longdouble_reference(BENCH_MARKOV3, words.tolist(), 512, True)
@@ -1174,6 +1174,20 @@ class TestConsecutive:
             consecutive_joint_pmf(FAIR, t, [gap])
         with pytest.raises(ProbabilityUnderflowError, match=f"k={gap}"):
             masses_at(FAIR, t, "stationary", [gap])
+
+    def test_series_underflow_is_not_a_structural_zero(self):
+        # fair 01's u never settles, so the series serves every read; its mass
+        # k 2^-(k+1) falls below 1e-300 from k = 1006 on and to 0.0 by 1100
+        t = PatternTarget(word=(0, 1))
+        got = masses_at(FAIR, t, "stationary", [1000])
+        assert got[0] == pytest.approx(1000 * 2.0**-1001, rel=1e-12)
+        with pytest.raises(ProbabilityUnderflowError, match="k=1006"):
+            masses_at(FAIR, t, "stationary", [1000, 1050])
+        with pytest.raises(ProbabilityUnderflowError):
+            consecutive_joint_pmf(FAIR, t, [1100])
+        # a zero before the first underflowing mass stays structural
+        got = masses_at(FAIR, PatternTarget(word=(0, 0)), "in_target", [1, 2, 3, 4])
+        assert got.tolist() == [0.5, 0.0, 0.125, 0.0625]
 
     def test_oversized_gap_names_gaps(self):
         with pytest.raises(ValidationError, match="^gaps must"):
@@ -1389,6 +1403,20 @@ class TestMassesAt:
         law = hitting_pmf(FAIR, target, "in_target", 103)
         assert got.tolist() == law.masses[[4, 49, 102]].tolist()
 
+    @pytest.mark.parametrize("ks", [[10, 50], [10, 1000, 5000]], ids=["series", "both"])
+    def test_one_product_chain_per_call(self, monkeypatch, ks):
+        # the series head runs on the chain that the crossover search built
+        built = []
+
+        class Counted(ProductChain):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr("hittimes.markov_pattern.exact.ProductChain", Counted)
+        masses_at(FAIR, PatternTarget(word=(0,) * 10), "stationary", ks)
+        assert len(built) == 1
+
     def test_unsettled_direction_leaves_the_grid_to_the_series(self):
         # the halves of the slowly mixing chain balance over ~1e9 steps, so
         # u never settles by 1/(delta mu); a frequent word's masses are the series'
@@ -1434,21 +1462,21 @@ class TestCounterexample:
     def test_ratio_matches_return_law(self):
         report = counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), 3)
         ret = return_pmf(FAIR, PatternTarget(word=(1, 1)), 3)
-        assert report.ratio == pytest.approx(1.0 - ret.mass_at(3), abs=1e-10)
+        assert report.ratio_b_over_a == pytest.approx(1.0 - ret.mass_at(3), abs=1e-10)
         assert report.pruned_mass == pytest.approx(ret.mass_at(3), abs=1e-14)
 
     def test_outside_support_keeps_whole_target(self):
         # word 11 has zero return mass at k = 2, so pruning there is a no-op
         report = counterexample_pruned_target(FAIR, PatternTarget(word=(1, 1)), 2)
-        assert report.ratio == pytest.approx(1.0, abs=1e-14)
-        assert report.n_cylinders_pruned == 0
+        assert report.ratio_b_over_a == pytest.approx(1.0, abs=1e-14)
+        assert report.cylinders_pruned == 0
 
     def test_other_sources_and_words(self):
         for source, word, k in [(BIASED, (0, 1), 2), (MARKOV2, (1, 0), 4)]:
             report = counterexample_pruned_target(source, PatternTarget(word=word), k)
             assert report.b_return_at_k_prune == 0.0
             ret = return_pmf(source, PatternTarget(word=word), k)
-            assert report.ratio == pytest.approx(1.0 - ret.mass_at(k), abs=1e-10)
+            assert report.ratio_b_over_a == pytest.approx(1.0 - ret.mass_at(k), abs=1e-10)
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
@@ -1486,7 +1514,7 @@ class TestCounterexample:
         monkeypatch.setattr(reports, "block_set_return_pmf", spy)
         report = counterexample_pruned_target(source, PatternTarget(word=word), k_prune)
         assert seen == [want]
-        assert (report.n_cylinders_kept, report.n_cylinders_pruned) == (len(want), pruned)
+        assert (report.cylinders_kept, report.cylinders_pruned) == (len(want), pruned)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Primality: trial division below 2**16, Miller-Rabin witnesses above."""
+"""Primality: a small-prime screen, then Miller-Rabin witnesses at every size."""
 
 import pytest
 
@@ -31,6 +31,15 @@ def test_small_range_against_trial_division():
 def test_around_trial_division_cutoff():
     for n in range(2**16 - 200, 2**16 + 200):
         assert is_prime(n) == _slow_is_prime(n), n
+
+
+def test_every_n_below_2_to_the_16_plus_1000_against_the_sieve():
+    # the range `estimators._prime_mask` reads from its sieve table, and 1000 past it
+    bound = 2**16 + 1000
+    flags = [False] * bound
+    for p in primes_up_to(bound - 1):
+        flags[p] = True
+    assert [is_prime(n) for n in range(bound)] == flags
 
 
 def test_large_known_values():
