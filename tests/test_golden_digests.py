@@ -1,6 +1,7 @@
 """Pinned SHA-256 digests of the artifacts of eleven small configs, of two
 digit streams long enough to cross the stream's chunk and lane boundaries,
-and of five block-chain laws.
+of five block-chain laws, and of the exactly rounded sums of four
+product-chain laws.
 
 A rerun only shows that a change is deterministic; these digests show that
 it left the bytes of earlier runs alone. The seven Monte-Carlo configs and the
@@ -14,6 +15,7 @@ values are held to.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from hittimes import branch_systems
@@ -25,7 +27,10 @@ from hittimes.markov_pattern import (
     block_hitting_pmf,
     block_return_pmf,
     block_set_return_pmf,
+    hitting_pmf,
+    return_pmf,
 )
+from hittimes.markov_pattern.exact import ExactPMF, _closing_tail
 
 CONFIGS = {
     "exact-markov": {
@@ -281,3 +286,50 @@ def test_block_law_digests(name):
     law, *mu = got if isinstance(got, tuple) else (got,)
     payload = law.masses.astype("<f8").tobytes() + "".join(map(repr, [law.tail, *mu])).encode()
     assert hashlib.sha256(payload).hexdigest() == BLOCK_LAW_GOLDEN[name]
+
+
+# SHA-256 of a law's little-endian float64 masses followed by the reprs of its
+# tail, total(), expectation() and survival(k) at the ks below; pinned while
+# the sums ran by error-free extraction, so they hold every exactly rounded
+# sum to the same bits under any summation method. The second 3-symbol source
+# decays fast enough that the 012 return law runs through hundreds of
+# subnormal masses to exact zeros.
+_MARKOV3_STEEP = MarkovSource.from_transitions(
+    [[0.1, 0.5, 0.4], [0.3, 0.3, 0.4], [0.25, 0.5, 0.25]])
+
+
+def _mixed_magnitude_law() -> ExactPMF:
+    """A `_closing_tail` of masses of both signs whose magnitudes run from
+    2^-16 down to the subnormals."""
+    rng = np.random.default_rng(35)
+    size = 3 * 2**13 + 5
+    masses = np.ldexp(rng.random(size), rng.integers(-1080, -16, size))
+    masses[rng.random(size) < 0.25] *= -1.0
+    return ExactPMF(support_start=1, masses=masses, tail=_closing_tail(1.0, masses))
+
+
+PRODUCT_LAW_CALLS = {
+    "markov3-012-return": lambda: return_pmf(
+        _MARKOV3, PatternTarget(word=(0, 1, 2)), 2 * 2**13 + 7),
+    "markov3-steep-012-return": lambda: return_pmf(
+        _MARKOV3_STEEP, PatternTarget(word=(0, 1, 2)), 2 * 2**13 + 7),
+    "fair-0^15-1-hitting": lambda: hitting_pmf(
+        _FAIR, PatternTarget(word=(0,) * 15 + (1,)), "stationary", 2**17),
+    "mixed-magnitude-closing-tail": _mixed_magnitude_law,
+}
+PRODUCT_LAW_GOLDEN = {
+    "fair-0^15-1-hitting": "7c4fdd65d85213cb6fc6843c55c8473de7b5148cb7ac42479e51dfadd4173dfb",
+    "markov3-012-return": "ff20014604058412f3ea469434abe5558d1b301d7d2a97feb12660986e206307",
+    "markov3-steep-012-return": "5301c384725caaec1d3b5320f97dc6c62fd4f1ce58e33177d4536eaebb5beec5",
+    "mixed-magnitude-closing-tail": "5c44b2325a18bc6c83776afe15805418cb9b9490e170e15a80820ef5453aadb2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_LAW_CALLS))
+def test_product_law_sum_digests(name):
+    law = PRODUCT_LAW_CALLS[name]()
+    n = law.masses.size
+    sums = [law.tail, law.total(), law.expectation()]
+    sums += [law.survival(k) for k in (1, 2, 2**13, 2**13 + 1, n, n + 3)]
+    payload = law.masses.astype("<f8").tobytes() + "".join(map(repr, sums)).encode()
+    assert hashlib.sha256(payload).hexdigest() == PRODUCT_LAW_GOLDEN[name]
