@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 
 class HitTimesError(Exception):
     """Base error for this package."""
@@ -55,3 +57,11 @@ def _int_tuple(values, what: str, lo: int, hi: int | None = None) -> tuple[int, 
         bounds = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi})"
         raise ValidationError(f"{what} must {bounds}, as integers; got {v}")
     return tuple(map(int, v))
+
+
+def _flag(value, what: str) -> bool:
+    """``value`` as a bool; anything but a bool or a numpy bool raises, naming
+    ``what``, so that a truthy string such as "no" cannot turn a flag on."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be a bool, got {value!r}")
+    return bool(value)

@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .branch_systems import BranchSystem, DigitStream, _digit_array, _Uniforms
-from .errors import InsufficientDataError, ValidationError, _int_tuple
+from .errors import InsufficientDataError, ValidationError, _flag, _int_tuple
 from .markov_pattern.automaton import PatternTarget, build_automaton
 from .primes import is_prime, primes_up_to
 
@@ -92,6 +92,7 @@ class TargetScan:
     def __post_init__(self) -> None:
         if (self.threshold is None) == (self.word is None):
             raise ValidationError("specify exactly one of threshold or word")
+        object.__setattr__(self, "prime_variant", _flag(self.prime_variant, "prime_variant"))
         if self.threshold is not None:
             object.__setattr__(self, "threshold", _int_tuple((self.threshold,), "threshold", 2)[0])
         if self.word is not None:

@@ -55,12 +55,9 @@ the fair coin it read within 3e-16 up to l = 32. Where u has not settled by
 the step the series would need, the series serves; past the series' own
 budget both refuse.
 
-Mass totals are exactly rounded: for rare targets the interesting k run into
-the millions, and naive accumulation would lose digits. `_exact_sum` gives the
-bits of `math.fsum` (Shewchuk, *Discrete Comput. Geom.* 1997) without a Python
-float per mass: it splits chunks of masses into levels whose sums are exact
-(error-free extraction, Rump, Ogita and Oishi, *SIAM J. Sci. Comput.* 31(1),
-2008) and rounds once, with one `math.fsum` of the few level sums.
+Mass totals are exactly rounded, by one `math.fsum` (Shewchuk, *Discrete
+Comput. Geom.* 1997) in `_exact_sum`: a tail is the start mass less a sum of
+thousands of masses, and naive accumulation would lose its digits.
 """
 
 from __future__ import annotations
@@ -77,6 +74,7 @@ from ..errors import (
     NumericalDriftError,
     ProbabilityUnderflowError,
     ValidationError,
+    _flag,
     _int_tuple,
 )
 from .automaton import PatternTarget, build_automaton
@@ -87,9 +85,6 @@ _UNDERFLOW = 1e-300
 _BLOCK = 512  # chain steps per block of `_absorption_series`
 _BUDGET_STATES = 2**22  # largest block chain, in states
 _BUDGET_OPS = 10**9  # largest law, in state updates (state-symbol updates for the block chain)
-_SUM_CHUNK = 2**13  # values per chunk of `_exact_sum`; its scratch is two rows of 64 KiB
-_SUM_BITS = 14  # 2^_SUM_BITS >= _SUM_CHUNK + 2, so every level sum is exact
-_SUM_LIMIT = 2.0 ** (1023 - _SUM_BITS)  # values from here on would overflow sigma
 _SETTLED_TOL = 1e-13  # entrywise agreement of a settled quasi-stationary direction
 
 
@@ -131,50 +126,22 @@ def _absorption_series(
 
 
 def _exact_sum(values: np.ndarray, *terms: float) -> float:
-    """The sum of ``values`` and ``terms``, exactly rounded: ``math.fsum`` of them,
-    bit for bit, by error-free extraction (Rump, Ogita and Oishi, 2008).
-
-    Each chunk p of ``_SUM_CHUNK`` values runs levels. With max|p| < 2^e and
-    sigma = 2^(_SUM_BITS + e), q = (sigma + p) - sigma is p rounded to
-    multiples of 2^(e + _SUM_BITS - 53), exactly, and so is the rest p - q.
-    The chunk's q are too few and too coarse for any partial sum of them to
-    round, so ``q.sum()`` is exact; p becomes p - q, 39 bits smaller, until it
-    is all zero, and entries gone to zero are compacted out once they are most
-    of the chunk. One `math.fsum` of the level sums and ``terms`` rounds once.
-    A NaN, an infinity, a value of magnitude >= ``_SUM_LIMIT``, for which
-    sigma would overflow, or a sum past the float range raises
-    `NumericalDriftError`.
-    """
-    if not all(map(math.isfinite, terms)):
-        raise NumericalDriftError(f"cannot sum a non-finite term: {terms}")
-    parts = list(terms)
-    buf = np.empty((2, min(values.size, _SUM_CHUNK)))
-    for start in range(0, values.size, _SUM_CHUNK):
-        p = values[start : start + _SUM_CHUNK]
-        q, rest = buf[:, : p.size]
-        top = float(np.abs(p, out=q).max())
-        if not top < _SUM_LIMIT:
-            raise NumericalDriftError(f"cannot sum a value of magnitude {top} exactly")
-        while top:
-            sigma = math.ldexp(1.0, _SUM_BITS + math.frexp(top)[1])
-            np.add(p, sigma, out=q)
-            q -= sigma
-            parts.append(float(q.sum()))
-            p = np.subtract(p, q, out=rest)
-            live = np.count_nonzero(p)
-            if live and 2 * live < p.size:
-                p = p[p != 0.0]
-                q, rest = buf[:, : p.size]
-            top = float(np.abs(p, out=q).max()) if live else 0.0
+    """The sum of the 1-D array ``values`` and ``terms``, exactly rounded: one
+    `math.fsum`, read through a memoryview so that no list is built. A NaN or
+    infinite value or term, or a sum past the float range, raises
+    `NumericalDriftError`."""
     try:
-        return math.fsum(parts)
-    except OverflowError as exc:  # the exact sum lies past the float range
+        total = math.fsum(itertools.chain(memoryview(values), terms))
+    except (OverflowError, ValueError) as exc:  # past the float range, or inf - inf
         raise NumericalDriftError(f"cannot sum exactly: {exc}") from exc
+    if not math.isfinite(total):
+        raise NumericalDriftError(f"cannot sum a non-finite value: {total}")
+    return total
 
 
 def _closing_tail(total_in: float, masses: np.ndarray) -> float:
-    """The tail of a truncated law: ``total_in`` minus the exactly rounded sum of
-    ``masses`` (`_exact_sum`), clamped at 0. Below -``_MASS_DRIFT_TOL`` it is
+    """The tail of a truncated law: ``total_in`` minus the one exactly rounded
+    `math.fsum` of ``masses`` (`_exact_sum`), clamped at 0. Below -``_MASS_DRIFT_TOL`` it is
     drift, not rounding, and raises, as does a non-finite ``total_in``, mass
     or tail."""
     tail = total_in - _exact_sum(masses)
@@ -450,7 +417,8 @@ def consecutive_joint_pmf(
     gaps = _int_tuple(gaps, "gaps", 1, 2**63)
     if not gaps:
         raise ValidationError("gap list must be nonempty")
-    legs = masses_at(source, target, "in_target" if from_entry else "stationary", gaps[:1])
+    start = "in_target" if _flag(from_entry, "from_entry") else "stationary"
+    legs = masses_at(source, target, start, gaps[:1])
     if legs[0] != 0.0 and len(gaps) > 1:
         later, where = np.unique(gaps[1:], return_inverse=True)
         legs = [legs[0], *masses_at(source, target, "in_target", later)[where]]

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _int_tuple
+from .errors import ValidationError, _flag, _int_tuple
 from .primes import is_prime, primes_up_to
 
 LN2 = math.log(2.0)
@@ -49,7 +49,7 @@ def consecutive_asymptote(
     if not (0.0 < mu_a < 1.0):
         raise ValidationError(f"mu_a must lie in (0, 1), got {mu_a}")
     d = len(gaps)
-    power = 2 * d - 1 if hitting_start else 2 * d
+    power = 2 * d - 1 if _flag(hitting_start, "hitting_start") else 2 * d
     total = float(sum(gaps))
     return theta**power * math.exp(-theta * (mu_a * total)) * mu_a**d
 
@@ -75,6 +75,7 @@ class CFPrediction:
             raise ValidationError("gaps and marks must be nonempty and of equal length")
         gaps = _int_tuple(self.gaps, "gaps", 1)
         marks = _int_tuple(self.marks, f"marks of threshold {threshold}", threshold)
+        object.__setattr__(self, "prime_variant", _flag(self.prime_variant, "prime_variant"))
         if self.prime_variant and not all(is_prime(a) for a in marks):
             raise ValidationError(f"prime variant requires prime marks, got {marks}")
         object.__setattr__(self, "threshold", threshold)
@@ -103,7 +104,7 @@ def cf_rare_set_measure(threshold: int, prime_variant: bool = False) -> float:
     The exact (non-asymptotic) measure of {a >= l} is `threshold_cell_measure`.
     """
     (threshold,) = _int_tuple((threshold,), "threshold", 2)
-    if prime_variant:
+    if _flag(prime_variant, "prime_variant"):
         return 1.0 / (threshold * math.log(threshold) * LN2)
     return 1.0 / (threshold * LN2)
 

@@ -39,7 +39,13 @@ from hittimes.markov_pattern import (
     return_pmf,
 )
 from hittimes.primes import is_prime
-from hittimes.theory import CFPrediction, threshold_cell_measure
+from hittimes.theory import (
+    CFPrediction,
+    cf_joint_asymptote,
+    cf_rare_set_measure,
+    consecutive_asymptote,
+    threshold_cell_measure,
+)
 from oracles import (
     backward_register_replica_chunk,
     chi_square_gof,
@@ -707,6 +713,25 @@ class TestReportsAndStats:
     def test_fractions_refused_not_truncated(self, call):
         with pytest.raises(ValidationError, match="as integers"):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda flag: TargetScan(threshold=5, prime_variant=flag),
+            lambda flag: cf_joint_asymptote(CFPrediction(5, (3,), (7,), flag)),
+            lambda flag: cf_rare_set_measure(5, flag),
+            lambda flag: consecutive_asymptote(0.5, 0.25, [2], hitting_start=flag),
+            lambda flag: consecutive_joint_pmf(FAIR, PatternTarget(word=(1, 1)), [2, 3], flag),
+        ],
+        ids=["scan-prime-variant", "cf-prime-variant", "cf-rare-set-measure",
+             "hitting-start", "from-entry"],
+    )
+    def test_non_bool_flags_refused(self, call):
+        # a truthy string would turn the flag on; numpy bools are bools
+        for bad in ("no", "", 1, 0.0, None):
+            with pytest.raises(ValidationError, match="must be a bool"):
+                call(bad)
+        assert call(np.True_) == call(True) != call(False) == call(np.False_)
 
     def test_wilson_interval(self):
         lo, hi = wilson_interval(50, 100)

@@ -41,8 +41,6 @@ from hittimes.markov_pattern.automaton import _border_lengths
 from hittimes.markov_pattern.exact import (
     _BLOCK,
     _MASS_DRIFT_TOL,
-    _SUM_CHUNK,
-    _SUM_LIMIT,
     ExactPMF,
     ProductChain,
     _absorption_series,
@@ -69,7 +67,6 @@ from oracles import (
     stepwise_shift_lhs,
 )
 
-_FSUM_CHUNK = _SUM_CHUNK  # the chunk-edge test below spans the chunks of `_exact_sum`
 FAIR = MarkovSource.iid([0.5, 0.5])
 BIASED = MarkovSource.iid([0.3, 0.7])
 MARKOV2 = MarkovSource.from_transitions([[0.2, 0.8], [0.6, 0.4]])
@@ -545,35 +542,49 @@ class TestPMFInvariants:
         assert _closing_tail(1.0 - 0.5 * _MASS_DRIFT_TOL, masses) == 0.0
         assert _closing_tail(1.25, masses) == 0.25
 
-    def test_closing_tail_sums_chunked_masses_exactly(self):
-        # the chunks' floats reach fsum in order, so the tail is the exactly
-        # rounded one, across chunk edges and with an uneven last chunk
-        masses = np.random.default_rng(5).random(2 * _FSUM_CHUNK + 3) * 2.0**-20
+    def test_closing_tail_is_start_mass_less_fsum(self):
+        # the tail is 1 less the exactly rounded sum, over 16 387 masses and none
+        masses = np.random.default_rng(5).random(16387) * 2.0**-20
         assert _closing_tail(1.0, masses) == 1.0 - math.fsum(masses.tolist())
         assert _closing_tail(1.0, masses[:0]) == 1.0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, _SUM_LIMIT, -_SUM_LIMIT, 1e308])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_exact_sum_refuses_what_it_cannot_extract(self, bad):
-        # a NaN or an infinity would never extract to zero, and from _SUM_LIMIT
-        # on sigma overflows; all are refused before the chunk's first level
-        values = np.zeros(_SUM_CHUNK + 5)
+        values = np.zeros(8197)
         values[-1] = bad
         with pytest.raises(NumericalDriftError, match="cannot sum"):
             _exact_sum(values)
         with pytest.raises(NumericalDriftError):
             _closing_tail(1.0, np.array([0.5, bad]))
-        if math.isfinite(bad):  # a term goes to fsum as it is, never into sigma
-            assert _exact_sum(np.zeros(3), bad) == bad
-        else:
-            with pytest.raises(NumericalDriftError, match="cannot sum"):
-                _exact_sum(np.zeros(3), bad)
-            with pytest.raises(NumericalDriftError, match="tail="):
-                _closing_tail(bad, np.array([0.5]))
+        with pytest.raises(NumericalDriftError, match="cannot sum"):
+            _exact_sum(np.zeros(3), bad)
+        with pytest.raises(NumericalDriftError, match="tail="):
+            _closing_tail(bad, np.array([0.5]))
         with pytest.raises(NumericalDriftError):
             ExactPMF(1, values, 0.0).total()
 
-    def test_exact_sum_takes_values_just_below_the_limit(self):
-        top = np.nextafter(_SUM_LIMIT, 0.0)
+    def test_exact_sum_refuses_opposite_infinities(self):
+        # fsum's own ValueError for inf - inf becomes a NumericalDriftError
+        with pytest.raises(NumericalDriftError, match="cannot sum"):
+            _exact_sum(np.array([np.inf, 1.0, -np.inf]))
+        with pytest.raises(NumericalDriftError, match="cannot sum"):
+            _exact_sum(np.array([np.inf]), -np.inf)
+
+    def test_exact_sum_takes_finite_values_of_any_size(self):
+        values = np.array([2.0**1009, -(2.0**1009), 1.0])
+        assert _exact_sum(values) == 1.0
+        assert ExactPMF(1, values, 0.0).total() == 1.0
+        assert _exact_sum(np.array([1e308])) == 1e308
+        assert ExactPMF(1, np.array([1e308]), 0.0).total() == 1e308
+        assert _exact_sum(np.zeros(3), 1e308) == 1e308
+        # a sum past the float range is refused, not rounded to infinity
+        with pytest.raises(NumericalDriftError, match="overflow"):
+            _exact_sum(np.full(2, 1.7e308))
+        with pytest.raises(NumericalDriftError, match="overflow"):
+            ExactPMF(1, np.full(2, 1.7e308), 0.0).total()
+
+    def test_exact_sum_takes_values_near_the_float_range(self):
+        top = np.finfo(float).max
         values = np.array([top, -top, top, 5e-324, -2.0**-1000])
         assert _exact_sum(values) == math.fsum(values.tolist())
         assert _exact_sum(values, -top) == math.fsum([*values.tolist(), -top])
@@ -581,20 +592,27 @@ class TestPMFInvariants:
         with pytest.raises(NumericalDriftError, match="overflow"):
             _exact_sum(np.full(2**17, top))
 
+    def test_exact_sum_reads_strided_values(self):
+        rng = np.random.default_rng(7)
+        mantissas = rng.choice([-1.0, 1.0], 8193) * rng.random(8193)
+        values = np.ldexp(mantissas, rng.integers(-1074, 0, 8193))
+        assert _exact_sum(values[::2]) == math.fsum(values[::2].tolist())
+        assert _exact_sum(values[::-3], 0.25) == math.fsum([*values[::-3].tolist(), 0.25])
+
     def test_exact_pmf_sums_keep_fsum_bits(self):
-        # long enough for several chunks, with masses down to subnormals
-        law = return_pmf(MARKOV3, PatternTarget(word=(0, 1, 2)), 2 * _SUM_CHUNK + 7)
+        # 16 391 masses, down to subnormals and exact zeros
+        law = return_pmf(MARKOV3, PatternTarget(word=(0, 1, 2)), 2 * 8192 + 7)
         assert law.masses[-1] < 1e-300
         terms = law.masses.tolist()
         values = np.arange(1, law.masses.size + 1)
         assert law.expectation() == math.fsum((values * law.masses).tolist())
         for law in (law, ExactPMF(1, law.masses, 0.1)):  # the second with a tail
             assert law.total() == math.fsum([*terms, law.tail])
-            for k in (1, 2, _SUM_CHUNK, _SUM_CHUNK + 1, law.masses.size, law.masses.size + 3):
+            for k in (1, 2, 8192, 8193, law.masses.size, law.masses.size + 3):
                 assert law.survival(k) == math.fsum([*terms[k - 1 :], law.tail])
 
 
-_SUM_LENGTHS = [0, 1, 2, 3, 17, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 3]
+_SUM_LENGTHS = [0, 1, 2, 3, 17, 8191, 8192, 8193, 16387]
 # a bound that keeps every test sum clear of fsum's own overflow
 _SUM_FLOATS = st.floats(-(2.0**990), 2.0**990, allow_nan=False, allow_infinity=False)
 
@@ -608,7 +626,7 @@ _SUM_FLOATS = st.floats(-(2.0**990), 2.0**990, allow_nan=False, allow_infinity=F
 )
 def test_exact_sum_is_fsum(length, pool, seed, signs):
     """`_exact_sum` == math.fsum(x.tolist()) bit for bit: empty, all-zero,
-    mixed-sign, subnormal and 2^-1074..2^990 inputs, around the chunk size."""
+    mixed-sign, subnormal and 2^-1074..2^990 inputs, short and long."""
     rng = np.random.default_rng(seed)
     x = rng.choice(np.array(pool), length)
     if signs == "mixed":

@@ -28,7 +28,7 @@ def test_small_range_against_trial_division():
         assert is_prime(n) == _slow_is_prime(n), n
 
 
-def test_around_trial_division_cutoff():
+def test_2_to_the_16_plus_minus_200_against_slow_is_prime():
     for n in range(2**16 - 200, 2**16 + 200):
         assert is_prime(n) == _slow_is_prime(n), n
 
