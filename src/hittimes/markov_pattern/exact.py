@@ -141,9 +141,9 @@ def _exact_sum(values: np.ndarray, *terms: float) -> float:
 
 def _closing_tail(total_in: float, masses: np.ndarray) -> float:
     """The tail of a truncated law: ``total_in`` minus the one exactly rounded
-    `math.fsum` of ``masses`` (`_exact_sum`), clamped at 0. Below -``_MASS_DRIFT_TOL`` it is
-    drift, not rounding, and raises, as does a non-finite ``total_in``, mass
-    or tail."""
+    `math.fsum` of ``masses`` (`_exact_sum`), clamped at 0. Below
+    -``_MASS_DRIFT_TOL`` it is drift, not rounding, and raises, as does a
+    non-finite ``total_in``, mass or tail."""
     tail = total_in - _exact_sum(masses)
     if not -_MASS_DRIFT_TOL <= tail < math.inf:
         raise NumericalDriftError(f"mass balance drifted past tolerance: tail={tail:.3e}")
