@@ -74,7 +74,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SamplingError, ValidationError, _is_integral
+from .errors import SamplingError, ValidationError, _int_tuple, _is_integral
 
 __all__ = [
     "BranchSystem",
@@ -107,7 +107,8 @@ def make_rng(seed: int, substream: int = 0) -> np.random.Generator:
 
     Distinct substreams are independent by construction of the keyed counter
     generator, which is what makes replica parallelism reproducible.
-    Integral floats such as 1.0 are accepted, as a JSON "integer" is.
+    Python callers may pass integral floats such as 1.0; the CLI refuses
+    them in a config.
     """
     key = [_key_word("seed", seed), _key_word("substream", substream)]
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
@@ -479,10 +480,7 @@ def generate_stream(
     of n steps of the scalar reference ``gauss_branch_sample`` or
     ``doubling_branch_sample``.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"stream length must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"stream length must be >= 1, got {n}")
+    (n,) = _int_tuple((n,), "stream length", 1)
     digits = np.empty(n, dtype=np.int64)
     with _Uniforms(seed, substream, n + 1) as uniforms:
         y = float(system.stationary_array(uniforms.take(1))[0])

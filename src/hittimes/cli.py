@@ -242,12 +242,22 @@ CONFIG_SCHEMAS["simulate-doubling"] = CONFIG_SCHEMAS["simulate-cf"]
 _DEFAULTS = {"seed": 1, "out": "runs", "format": "csv", "workers": 1}
 
 
+# Draft 2020-12 with JSON's integers only: the draft counts 64.0 as an integer,
+# but the runners index and hash with a config's integers. One extend costs
+# about 1 ms, so the class is built once, not per kind.
+_ConfigValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
+
+
 @functools.cache
 def _validator(kind: str) -> jsonschema.protocols.Validator:
     """Validator for one kind's schema. The schemas are constants, so the
     tests check them against their metaschema, not every process."""
-    schema = CONFIG_SCHEMAS[kind]
-    return jsonschema.validators.validator_for(schema)(schema)
+    return _ConfigValidator(CONFIG_SCHEMAS[kind])
 
 
 def _nonfinite_field(value, path: tuple = ()) -> tuple | None:
@@ -309,13 +319,13 @@ def _build_scan_target(spec: dict, system: branch_systems.BranchSystem) -> estim
                 f"config field target/word: {system.name} digits lie in [{lo}, {hi}], "
                 "so the word has measure zero"
             )
-        return estimators.TargetScan.word_pattern(spec["word"])
+        return estimators.TargetScan(word=spec["word"])
     if spec["threshold"] > hi:
         raise ConfigError(
             f"config field target/threshold: {system.name} digits never reach "
             f"{spec['threshold']}, so the target has measure zero"
         )
-    return estimators.TargetScan.digit_threshold(spec["threshold"], spec.get("prime", False))
+    return estimators.TargetScan(threshold=spec["threshold"], prime_variant=spec.get("prime", False))
 
 
 def _predicted_cells(cfg: dict, names: tuple[str, ...]) -> list[tuple[tuple[int, ...], float]]:
@@ -330,9 +340,9 @@ def _predicted_cells(cfg: dict, names: tuple[str, ...]) -> list[tuple[tuple[int,
             raise ConfigError(f"cell {list(cell)} does not have the {len(names)} entries {names}")
         try:
             if family == "cf-joint":
-                pred = theory.cf_joint_asymptote(theory.CFPrediction(
+                pred = theory.cf_joint_asymptote(
                     spec["threshold"], cell[0::2], cell[1::2], spec.get("prime", False)
-                ))
+                )
             else:
                 pred = theory.consecutive_asymptote(
                     spec.get("theta", 1.0), spec["mu"], cell, family == "exponential-hitting"

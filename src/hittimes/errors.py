@@ -40,8 +40,9 @@ class ConfigError(ValidationError):
 
 
 def _is_integral(value) -> bool:
-    """Whether ``value`` is an integer or an integral float such as 1.0, as a
-    JSON "integer" may be; bools, strings and non-finite floats are not."""
+    """Whether ``value`` is an integer or an integral float such as 1.0; bools,
+    strings and non-finite floats are not. Python callers may pass integral
+    floats (``n_replicas=1e6``); the CLI refuses them in a config."""
     if type(value) is int:  # the common case, ahead of the slower ABC checks
         return True
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

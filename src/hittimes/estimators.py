@@ -103,14 +103,6 @@ class TargetScan:
             if self.prime_variant:
                 raise ValidationError("prime_variant applies to threshold targets only")
 
-    @classmethod
-    def digit_threshold(cls, threshold: int, prime_variant: bool = False) -> "TargetScan":
-        return cls(threshold=threshold, prime_variant=prime_variant)
-
-    @classmethod
-    def word_pattern(cls, word: Sequence[int]) -> "TargetScan":
-        return cls(word=tuple(word))
-
 
 @functools.cache
 def _prime_table() -> np.ndarray:
@@ -134,12 +126,6 @@ def _prime_mask(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _digits_of(stream: DigitStream | np.ndarray | Sequence[int]) -> np.ndarray:
-    if isinstance(stream, DigitStream):
-        return stream.digits
-    return _digit_array(stream, "digits")
-
-
 def scan_hits(
     stream: DigitStream | np.ndarray | Sequence[int], target: TargetScan
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +134,7 @@ def scan_hits(
     For word targets the positions are occurrence starts (overlaps counted)
     and the value reported is the digit at the start.
     """
-    digits = _digits_of(stream)
+    digits = stream.digits if isinstance(stream, DigitStream) else _digit_array(stream, "digits")
     if target.threshold is not None:
         mask = digits >= target.threshold
         if target.prime_variant and mask.any():
@@ -502,6 +488,7 @@ def estimate_return_law_ergodic(
     reciprocal target measure (Kac); its standard error comes from
     `DEFAULT_BATCH_COUNT` batch means.
     """
+    (min_hits,) = _int_tuple((min_hits,), "min_hits", 1)
     positions, _ = scan_hits(stream, target)
     if positions.size < min_hits:
         raise InsufficientDataError(

@@ -166,6 +166,8 @@ class ExactPMF:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.masses, dtype=float)
+        if m.ndim != 1:
+            raise ValidationError(f"masses must be 1-D, got shape {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
 

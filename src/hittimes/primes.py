@@ -51,6 +51,9 @@ def is_prime(n: int) -> bool:
 
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound by Eratosthenes sieve."""
+    if not _is_integral(bound):
+        raise ValidationError(f"primes_up_to expects an integer bound, got {bound!r}")
+    bound = int(bound)
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)

@@ -14,7 +14,6 @@ density normalization 1/ln(2) at formula boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,45 +53,32 @@ def consecutive_asymptote(
     return theta**power * math.exp(-theta * (mu_a * total)) * mu_a**d
 
 
-@dataclass(frozen=True)
-class CFPrediction:
-    """Cell of the spatiotemporal large-digit law for continued fractions.
+def cf_joint_asymptote(
+    threshold: int,
+    gaps: Sequence[int],
+    marks: Sequence[int],
+    prime_variant: bool = False,
+) -> float:
+    """Product-form prediction for a joint (gap, mark) cell of CF large digits.
 
     ``threshold`` is the digit cutoff l >= 2, ``gaps`` the d inter-hit
     distances k^(j) >= 1, ``marks`` the observed digit values a^(j) >= l.
     With ``prime_variant`` the marks must additionally be prime and the decay
-    rate of the gaps slows from 1/(l*ln2) to 1/(l*ln(l)*ln2).
+    rate of the gaps slows from 1/(l*ln2) to 1/(l*ln(l)*ln2). Each factor is
+    exp(-k * rate) / (a^2 * ln2), where the rate is the asymptotic target
+    measure `cf_rare_set_measure`.
     """
-
-    threshold: int
-    gaps: tuple[int, ...]
-    marks: tuple[int, ...]
-    prime_variant: bool = False
-
-    def __post_init__(self) -> None:
-        (threshold,) = _int_tuple((self.threshold,), "threshold", 2)
-        if len(self.gaps) != len(self.marks) or not self.gaps:
-            raise ValidationError("gaps and marks must be nonempty and of equal length")
-        gaps = _int_tuple(self.gaps, "gaps", 1)
-        marks = _int_tuple(self.marks, f"marks of threshold {threshold}", threshold)
-        object.__setattr__(self, "prime_variant", _flag(self.prime_variant, "prime_variant"))
-        if self.prime_variant and not all(is_prime(a) for a in marks):
-            raise ValidationError(f"prime variant requires prime marks, got {marks}")
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "marks", marks)
-
-
-def cf_joint_asymptote(prediction: CFPrediction) -> float:
-    """Product-form prediction for a joint (gap, mark) cell of CF large digits.
-
-    Each factor is exp(-k * rate) / (a^2 * ln2), where the rate is the
-    asymptotic target measure `cf_rare_set_measure`: 1 / (l * ln2), or
-    1 / (l * ln(l) * ln2) in the prime variant.
-    """
-    rate = cf_rare_set_measure(prediction.threshold, prediction.prime_variant)
+    (threshold,) = _int_tuple((threshold,), "threshold", 2)
+    if len(gaps) != len(marks) or not gaps:
+        raise ValidationError("gaps and marks must be nonempty and of equal length")
+    gaps = _int_tuple(gaps, "gaps", 1)
+    marks = _int_tuple(marks, f"marks of threshold {threshold}", threshold)
+    prime_variant = _flag(prime_variant, "prime_variant")
+    if prime_variant and not all(is_prime(a) for a in marks):
+        raise ValidationError(f"prime variant requires prime marks, got {marks}")
+    rate = cf_rare_set_measure(threshold, prime_variant)
     value = 1.0
-    for k, a in zip(prediction.gaps, prediction.marks):
+    for k, a in zip(gaps, marks):
         value *= math.exp(-k * rate) / (float(a) ** 2 * LN2)
     return value
 

@@ -39,7 +39,6 @@ from hittimes.markov_pattern import (
     verify_shift_identity_grid,
 )
 from hittimes.theory import (
-    CFPrediction,
     cf_joint_asymptote,
     cf_rare_set_measure,
     gauss_digit_cell_measure,
@@ -227,7 +226,7 @@ def test_criterion_06_cross_oracle_monte_carlo():
     started = time.time()
     n = 10**7
     pmf = estimate_first_passage(
-        DOUBLING, TargetScan.word_pattern((1, 1)), n, d=1, max_steps=256, seed=101
+        DOUBLING, TargetScan(word=(1, 1)), n, d=1, max_steps=256, seed=101
     )
     exact = hitting_pmf(FAIR, PatternTarget(word=(1, 1)), "stationary", 64)
     band_violations = []
@@ -254,12 +253,12 @@ def test_criterion_06_cross_oracle_monte_carlo():
 
 def _cf_cell_errors(l: int, gaps, marks, n: int, max_steps: int, seed: int):
     pmf = estimate_first_passage(
-        GAUSS, TargetScan.digit_threshold(l), n, d=1, max_steps=max_steps, seed=seed
+        GAUSS, TargetScan(threshold=l), n, d=1, max_steps=max_steps, seed=seed
     )
     rows = []
     for k in gaps:
         for a in marks:
-            pred = cf_joint_asymptote(CFPrediction(threshold=l, gaps=(k,), marks=(a,)))
+            pred = cf_joint_asymptote(threshold=l, gaps=(k,), marks=(a,))
             if n * pred < 500:
                 continue
             est = pmf.count((k, a)) / n
@@ -270,7 +269,7 @@ def _cf_cell_errors(l: int, gaps, marks, n: int, max_steps: int, seed: int):
 def test_criterion_07_cf_spatiotemporal_llt():
     """Joint (gap, mark) cells of large CF digits against the product formula."""
     started = time.time()
-    reference = cf_joint_asymptote(CFPrediction(threshold=50, gaps=(35,), marks=(60,)))
+    reference = cf_joint_asymptote(threshold=50, gaps=(35,), marks=(60,))
     assert reference == pytest.approx(1.460e-4, rel=2e-3)
     rows50, _ = _cf_cell_errors(
         50, (17, 25, 35, 50, 69), (50, 60, 75, 100), n=10**7, max_steps=512, seed=102
@@ -304,7 +303,7 @@ def test_criterion_08_cf_marginals():
     obs = np.array([(digits == k).sum() for k in range(1, 21)], dtype=float)
     probs = np.array([gauss_digit_cell_measure(k) for k in range(1, 21)])
     stat, df, pvalue = chi_square_gof(obs, probs, n_total=digits.size)
-    est = estimate_return_law_ergodic(stream, TargetScan.digit_threshold(50))
+    est = estimate_return_law_ergodic(stream, TargetScan(threshold=50))
     want = 1.0 / threshold_cell_measure(50)  # = 35.0028
     gap_ok = abs(est.mean_gap - want) / want <= 0.02
     ok = pvalue > 0.01 and gap_ok
@@ -319,7 +318,7 @@ def test_criterion_08_cf_marginals():
 
 def _prime_rate_error(l: int, n_digits: int, seed: int):
     stream = generate_stream(GAUSS, seed=seed, n=n_digits)
-    target = TargetScan.digit_threshold(l, prime_variant=True)
+    target = TargetScan(threshold=l, prime_variant=True)
     positions, _ = scan_hits(stream, target)
     rate = positions.size / n_digits
     asym = cf_rare_set_measure(l, prime_variant=True)
@@ -378,7 +377,7 @@ def test_criterion_09b_prime_digit_gap_histogram():
     """Normalized prime-hit gap histogram against e^{-t} in windowed buckets."""
     started = time.time()
     stream = generate_stream(GAUSS, seed=105, n=4 * 10**6)
-    target = TargetScan.digit_threshold(100, prime_variant=True)
+    target = TargetScan(threshold=100, prime_variant=True)
     positions, _ = scan_hits(stream, target)
     gaps = np.diff(positions)
     rate = positions.size / len(stream)  # empirical mu(A'), the normalizer
@@ -409,7 +408,7 @@ def test_criterion_10_pruned_target_counterexample():
     )
     s1 = generate_stream(GAUSS, seed=107, n=2 * 10**6, substream=0)
     s2 = generate_stream(GAUSS, seed=107, n=2 * 10**6, substream=1)
-    target = TargetScan.digit_threshold(50)
+    target = TargetScan(threshold=50)
     g1 = np.diff(scan_hits(s1, target)[0])
     g2 = np.diff(scan_hits(s2, target)[0])
     demo = demo_pruned_return(g1, g2, k_prune=35)

@@ -19,7 +19,7 @@ from hittimes.errors import ConfigError
 from hittimes.estimators import PrunedReturnDemo, ReportRow
 from hittimes.markov_pattern.reports import PrunedTargetReport
 from hittimes.tables import config_hash, write_csv
-from hittimes.theory import CFPrediction, cf_joint_asymptote, consecutive_asymptote
+from hittimes.theory import cf_joint_asymptote, consecutive_asymptote
 
 
 def _write_config(tmp_path: Path, cfg: dict) -> Path:
@@ -81,6 +81,59 @@ NON_FINITE_CFGS = [
     (dict(SIM_CFG, prediction={"family": "exponential-hitting", "mu": -float("inf")}),
      "prediction/mu"),
 ]
+
+
+def _integer_fields(schema: dict, path: tuple = ()):
+    """Paths of a schema's integer-typed fields, with "*" for an array item."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from _integer_fields(sub, path + (key,))
+    if "items" in schema:
+        yield from _integer_fields(schema["items"], path + ("*",))
+    for sub in schema.get("oneOf", []):
+        yield from _integer_fields(sub, path)
+
+
+_ALL_INTS = {"seed": 1, "workers": 1}
+_SIM_ALL_INTS = dict(
+    SIM_CF_CFG, **_ALL_INTS, n_digits=1000, min_hits=10, cells=[[2, 60]],
+    prediction={"family": "cf-joint", "threshold": 50},
+)
+_CE_ALL_INTS = dict(CE_CFG, **_ALL_INTS, k_max=64, system="gauss", target={"threshold": 10},
+                    n_digits=1000)
+# configs that each kind accepts, which together hold every integer-typed field
+INTEGER_FIELD_CFGS = {
+    "exact-markov": [dict(EXACT_CFG, **_ALL_INTS)],
+    "verify-identities": [dict(VERIFY_CFG, **_ALL_INTS)],
+    "simulate-cf": [_SIM_ALL_INTS, dict(_SIM_ALL_INTS, target={"word": [1, 1]})],
+    "simulate-doubling": [dict(_SIM_ALL_INTS, kind="simulate-doubling"),
+                          dict(_SIM_ALL_INTS, kind="simulate-doubling", target={"word": [1, 1]})],
+    "counterexample": [_CE_ALL_INTS, dict(_CE_ALL_INTS, target={"word": [1, 1]})],
+    "report": [dict(_ALL_INTS, kind="report", input_dir="runs", cells=[[2, 60]],
+                    prediction={"family": "cf-joint", "threshold": 50})],
+}
+
+
+def _resolve(cfg: dict, template: tuple) -> tuple | None:
+    """The path of a field template in a config, with item 0 for "*", or None if it has none."""
+    node, path = cfg, []
+    for key in template:
+        key = 0 if key == "*" else key
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+        path.append(key)
+    return tuple(path)
+
+
+def _integral_float_cases():
+    """(kind, config, path) for each integer field of each kind; config None if none holds it."""
+    for kind, schema in CONFIG_SCHEMAS.items():
+        for template in sorted(set(_integer_fields(schema))):
+            found = [(cfg, _resolve(cfg, template)) for cfg in INTEGER_FIELD_CFGS[kind]]
+            yield next(((kind, c, p) for c, p in found if p is not None), (kind, None, template))
 
 
 class TestValidation:
@@ -145,7 +198,7 @@ class TestValidation:
         # the runner never checks its constant schemas, so this test does
         for kind, schema in CONFIG_SCHEMAS.items():
             validator = cli._validator(kind)
-            assert type(validator) is jsonschema.Draft202012Validator
+            assert type(validator).META_SCHEMA == jsonschema.Draft202012Validator.META_SCHEMA
             type(validator).check_schema(schema)
 
     def test_defaults_filled(self):
@@ -508,6 +561,29 @@ class TestMainEntry:
         assert field in record["message"]
 
     @pytest.mark.parametrize(
+        "kind,cfg,path", list(_integral_float_cases()),
+        ids=lambda x: "/".join(map(str, x)) if isinstance(x, tuple) else None,
+    )
+    def test_integral_float_in_an_integer_field_exits_2(self, tmp_path, capsys, kind, cfg, path):
+        # draft 2020-12 counts 64.0 as an integer; the runners would index, count
+        # and hash with it as a float
+        assert cfg is not None, f"no {kind} config holds integer field {path}"
+        validate_config(cfg)
+        bad = json.loads(json.dumps(cfg))
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        value = node[path[-1]] = float(node[path[-1]])
+        subcommand = next(s for s, kinds in cli._SUBCOMMAND_KINDS.items() if kind in kinds)
+        path_file = _write_config(tmp_path, dict(bad, out=str(tmp_path / "r")))
+        assert main([subcommand, "--config", str(path_file)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        field = "/".join(map(str, path))
+        assert record == {"error": "ConfigError",
+                          "message": f"config field {field}: {value!r} is not of type 'integer'"}
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
         "subcommand,cfg,key",
         [
             ("simulate", {k: v for k, v in SIM_CFG.items() if k != "n_replicas"}, "n_replicas"),
@@ -736,7 +812,7 @@ class TestMainEntry:
         for (k, a), line in zip(cells, lines[1:]):
             row = line.split(",")
             assert [int(x) for x in row[:2]] == [k, a]
-            assert float(row[5]) == cf_joint_asymptote(CFPrediction(10, (k,), (a,), prime))
+            assert float(row[5]) == cf_joint_asymptote(10, (k,), (a,), prime)
 
     @pytest.mark.parametrize(
         "cfg,cell",

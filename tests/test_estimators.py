@@ -40,7 +40,6 @@ from hittimes.markov_pattern import (
 )
 from hittimes.primes import is_prime
 from hittimes.theory import (
-    CFPrediction,
     cf_joint_asymptote,
     cf_rare_set_measure,
     consecutive_asymptote,
@@ -70,17 +69,17 @@ def _pmf(table: dict, n_total: int) -> EmpiricalPMF:
 
 class TestScanHits:
     def test_threshold_example(self):
-        pos, val = scan_hits(np.array([3, 7, 2, 9, 5]), TargetScan.digit_threshold(7))
+        pos, val = scan_hits(np.array([3, 7, 2, 9, 5]), TargetScan(threshold=7))
         assert pos.tolist() == [2, 4]
         assert val.tolist() == [7, 9]
 
     def test_no_hits(self):
-        pos, val = scan_hits(np.array([1, 2, 3]), TargetScan.digit_threshold(7))
+        pos, val = scan_hits(np.array([1, 2, 3]), TargetScan(threshold=7))
         assert pos.size == 0 and val.size == 0
 
     def test_prime_variant(self):
         pos, val = scan_hits(
-            np.array([8, 9, 11]), TargetScan.digit_threshold(8, prime_variant=True)
+            np.array([8, 9, 11]), TargetScan(threshold=8, prime_variant=True)
         )
         assert pos.tolist() == [3]
         assert val.tolist() == [11]
@@ -99,12 +98,12 @@ class TestScanHits:
         assert estimators._prime_mask(values[:0]).tolist() == []
 
     def test_word_scan_with_overlap(self):
-        pos, _ = scan_hits(np.array([1, 1, 1, 0, 1, 1]), TargetScan.word_pattern((1, 1)))
+        pos, _ = scan_hits(np.array([1, 1, 1, 0, 1, 1]), TargetScan(word=(1, 1)))
         assert pos.tolist() == [1, 2, 5]
 
     def test_word_scan_on_stream(self):
         stream = generate_stream(DOUBLING, seed=2, n=64)
-        pos, _ = scan_hits(stream, TargetScan.word_pattern((1, 1)))
+        pos, _ = scan_hits(stream, TargetScan(word=(1, 1)))
         d = stream.digits
         want = [i + 1 for i in range(63) if d[i] == 1 and d[i + 1] == 1]
         assert pos.tolist() == want
@@ -119,19 +118,19 @@ class TestScanHits:
     def test_digits_are_refused_not_truncated(self, digits):
         # [1.5, 3.7, 100.2] used to scan as [1, 3, 100], and [3, True, 7] as [3, 1, 7]
         with pytest.raises(ValidationError, match="digits must be"):
-            scan_hits(digits, TargetScan.digit_threshold(3))
+            scan_hits(digits, TargetScan(threshold=3))
 
-    def test_integral_digits_of_any_type_scan_alike(self):
-        want = scan_hits(np.array([3, 7, 2, 9]), TargetScan.digit_threshold(7))
+    def test_integral_digit_arrays_of_any_type_scan_alike(self):
+        want = scan_hits(np.array([3, 7, 2, 9]), TargetScan(threshold=7))
         for digits in ([3, 7, 2, 9], [3.0, 7.0, 2.0, 9.0], np.array([3, 7, 2, 9], dtype=np.uint8)):
-            got = scan_hits(digits, TargetScan.digit_threshold(7))
+            got = scan_hits(digits, TargetScan(threshold=7))
             assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
     def test_target_validation(self):
         with pytest.raises(ValidationError):
             TargetScan()
         with pytest.raises(ValidationError):
-            TargetScan.digit_threshold(1)
+            TargetScan(threshold=1)
         with pytest.raises(ValidationError):
             TargetScan(word=(1, 0), prime_variant=True)
 
@@ -140,21 +139,21 @@ class TestReplicaEstimator:
     @pytest.mark.parametrize(
         "system,target,d",
         [
-            (DOUBLING, TargetScan.word_pattern((1, 1)), 1),
-            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 2),
-            (GAUSS, TargetScan.digit_threshold(4), 1),
-            (GAUSS, TargetScan.digit_threshold(3), 2),
-            (GAUSS, TargetScan.digit_threshold(5, prime_variant=True), 1),
+            (DOUBLING, TargetScan(word=(1, 1)), 1),
+            (DOUBLING, TargetScan(word=(1, 0, 1)), 2),
+            (GAUSS, TargetScan(threshold=4), 1),
+            (GAUSS, TargetScan(threshold=3), 2),
+            (GAUSS, TargetScan(threshold=5, prime_variant=True), 1),
             # word target over an unbounded digit stream: out-of-alphabet
             # digits must not alias into automaton matches
-            (GAUSS, TargetScan.word_pattern((1, 2)), 1),
-            (GAUSS, TargetScan.word_pattern((2, 1, 1)), 2),
+            (GAUSS, TargetScan(word=(1, 2)), 1),
+            (GAUSS, TargetScan(word=(2, 1, 1)), 2),
             # no word-length limit: long words are censored at any feasible
             # size on the real systems, and hit every replica of ONES
-            (DOUBLING, TargetScan.word_pattern((1,) * 40), 1),
-            (DOUBLING, TargetScan.word_pattern((1, 0) * 25), 1),
-            (GAUSS, TargetScan.word_pattern((9,) * 18), 1),
-            (ONES, TargetScan.word_pattern((1,) * 40), 2),
+            (DOUBLING, TargetScan(word=(1,) * 40), 1),
+            (DOUBLING, TargetScan(word=(1, 0) * 25), 1),
+            (GAUSS, TargetScan(word=(9,) * 18), 1),
+            (ONES, TargetScan(word=(1,) * 40), 2),
         ],
     )
     def test_estimate_matches_materialized_reference(self, system, target, d):
@@ -181,13 +180,13 @@ class TestReplicaEstimator:
     @pytest.mark.parametrize(
         "system,target,mark_cap",
         [
-            (GAUSS, TargetScan.digit_threshold(50), 10**4),  # sparse hits
-            (GAUSS, TargetScan.digit_threshold(3), 10**4),  # dense hits
-            (GAUSS, TargetScan.digit_threshold(3), 6),  # marks above 6 overflow
-            (GAUSS, TargetScan.digit_threshold(5, prime_variant=True), 10**4),
-            (GAUSS, TargetScan.word_pattern((2, 1, 1)), 10**4),
-            (DOUBLING, TargetScan.word_pattern((1, 1)), 10**4),
-            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 10**4),
+            (GAUSS, TargetScan(threshold=50), 10**4),  # sparse hits
+            (GAUSS, TargetScan(threshold=3), 10**4),  # dense hits
+            (GAUSS, TargetScan(threshold=3), 6),  # marks above 6 overflow
+            (GAUSS, TargetScan(threshold=5, prime_variant=True), 10**4),
+            (GAUSS, TargetScan(word=(2, 1, 1)), 10**4),
+            (DOUBLING, TargetScan(word=(1, 1)), 10**4),
+            (DOUBLING, TargetScan(word=(1, 0, 1)), 10**4),
         ],
     )
     def test_chunk_matches_generation_order_reference_exactly(self, system, target, mark_cap, d):
@@ -224,9 +223,9 @@ class TestReplicaEstimator:
     @pytest.mark.parametrize(
         "system,target,width",
         [
-            (GAUSS, TargetScan.digit_threshold(10**6), 2),
-            (GAUSS, TargetScan.digit_threshold(10**6, prime_variant=True), 2),
-            (DOUBLING, TargetScan.word_pattern((1,) * 30), 1),
+            (GAUSS, TargetScan(threshold=10**6), 2),
+            (GAUSS, TargetScan(threshold=10**6, prime_variant=True), 2),
+            (DOUBLING, TargetScan(word=(1,) * 30), 1),
         ],
     )
     def test_chunk_where_every_replica_is_censored(self, system, target, width, d):
@@ -242,9 +241,9 @@ class TestReplicaEstimator:
     @pytest.mark.parametrize(
         "system,target",
         [
-            (GAUSS, TargetScan.digit_threshold(2)),
-            (GAUSS, TargetScan.digit_threshold(2, prime_variant=True)),
-            (DOUBLING, TargetScan.word_pattern((1, 1))),
+            (GAUSS, TargetScan(threshold=2)),
+            (GAUSS, TargetScan(threshold=2, prime_variant=True)),
+            (DOUBLING, TargetScan(word=(1, 1))),
         ],
     )
     def test_one_replica_chunk_stops_when_it_finishes(self, system, target, d):
@@ -257,7 +256,7 @@ class TestReplicaEstimator:
 
     @pytest.mark.parametrize(
         "system,target",
-        [(GAUSS, TargetScan.digit_threshold(5)), (DOUBLING, TargetScan.word_pattern((1, 0, 1)))],
+        [(GAUSS, TargetScan(threshold=5)), (DOUBLING, TargetScan(word=(1, 0, 1)))],
     )
     def test_rows_at_d1_come_in_finishing_order(self, system, target):
         (rows, censored, _), _ = self._chunk(system, target, 2000, 1, 64, 31)
@@ -267,10 +266,10 @@ class TestReplicaEstimator:
     @pytest.mark.parametrize(
         "system,target,d,max_steps,fields",
         [
-            (GAUSS, TargetScan.digit_threshold(50), 1, 512, (0, 1)),
-            (DOUBLING, TargetScan.word_pattern((1, 1)), 1, 256, (0,)),
-            (GAUSS, TargetScan.digit_threshold(5), 2, 128, (0, 1, 2, 3)),
-            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 2, 256, (0, 1)),
+            (GAUSS, TargetScan(threshold=50), 1, 512, (0, 1)),
+            (DOUBLING, TargetScan(word=(1, 1)), 1, 256, (0,)),
+            (GAUSS, TargetScan(threshold=5), 2, 128, (0, 1, 2, 3)),
+            (DOUBLING, TargetScan(word=(1, 0, 1)), 2, 256, (0, 1)),
         ],
         ids=["gauss", "doubling", "gauss-d2", "doubling-d2"],
     )
@@ -320,7 +319,7 @@ class TestReplicaEstimator:
             GAUSS.branch_array(y, u, k)
 
         system = dataclasses.replace(GAUSS, branch_array=counting)
-        for target, d in ((TargetScan.digit_threshold(3), 2), (TargetScan.word_pattern((2, 1, 1)), 1)):
+        for target, d in ((TargetScan(threshold=3), 2), (TargetScan(word=(2, 1, 1)), 1)):
             ran.clear()
             got = estimate_first_passage(system, target, 5000, d, 16, seed=4, chunk_size=2048)
             assert got.meta["replica_steps"] == sum(ran)
@@ -331,7 +330,7 @@ class TestReplicaEstimator:
         # second is a return gap; both against the exact joint law at 5 sigma
         n = 200_000
         got = estimate_first_passage(
-            DOUBLING, TargetScan.word_pattern((1, 0, 1)), n, 2, 256, seed=24
+            DOUBLING, TargetScan(word=(1, 0, 1)), n, 2, 256, seed=24
         )
         target = PatternTarget(word=(1, 0, 1))
         for k1 in range(1, 9):
@@ -342,7 +341,7 @@ class TestReplicaEstimator:
 
     def test_censoring_integer_identity(self):
         got = estimate_first_passage(
-            DOUBLING, TargetScan.word_pattern((1, 1)), 5000, 1, 4, seed=3
+            DOUBLING, TargetScan(word=(1, 1)), 5000, 1, 4, seed=3
         )
         assert got.counts.sum() + got.censored == 5000
         assert got.censored > 0  # max_steps=4 forces real censoring
@@ -353,13 +352,13 @@ class TestReplicaEstimator:
         # a negative size splits the replicas into no chunks; zero divides by zero
         with pytest.raises(ValidationError, match="chunk_size"):
             estimate_first_passage(
-                DOUBLING, TargetScan.word_pattern((1, 1)), 10, 1, 64, seed=3, chunk_size=chunk_size
+                DOUBLING, TargetScan(word=(1, 1)), 10, 1, 64, seed=3, chunk_size=chunk_size
             )
 
     def test_workers_do_not_change_counts(self, sampler_path):
         for system, target, d, workers in (
-            (DOUBLING, TargetScan.word_pattern((1, 1)), 1, 3),
-            (GAUSS, TargetScan.digit_threshold(3), 2, 2),  # marks in the keys
+            (DOUBLING, TargetScan(word=(1, 1)), 1, 3),
+            (GAUSS, TargetScan(threshold=3), 2, 2),  # marks in the keys
         ):
             kw = dict(n_replicas=30_000, d=d, max_steps=64, seed=5, chunk_size=4096)
             a = estimate_first_passage(system, target, **kw)
@@ -368,14 +367,14 @@ class TestReplicaEstimator:
 
     def test_seeded_determinism(self):
         kw = dict(n_replicas=20_000, d=1, max_steps=64, seed=6)
-        a = estimate_first_passage(GAUSS, TargetScan.digit_threshold(10), **kw)
-        b = estimate_first_passage(GAUSS, TargetScan.digit_threshold(10), **kw)
+        a = estimate_first_passage(GAUSS, TargetScan(threshold=10), **kw)
+        b = estimate_first_passage(GAUSS, TargetScan(threshold=10), **kw)
         assert a == b
 
     def test_matches_exact_oracle_doubling(self):
         n = 200_000
         got = estimate_first_passage(
-            DOUBLING, TargetScan.word_pattern((1, 1)), n, 1, 256, seed=8
+            DOUBLING, TargetScan(word=(1, 1)), n, 1, 256, seed=8
         )
         exact = hitting_pmf(FAIR, PatternTarget(word=(1, 1)), "stationary", 30)
         for k in range(1, 31):
@@ -394,7 +393,7 @@ class TestReplicaEstimator:
         inside = 0
         for seed in range(30, 36):
             got = estimate_first_passage(
-                DOUBLING, TargetScan.word_pattern((1, 1)), n, 1, 128, seed=seed
+                DOUBLING, TargetScan(word=(1, 1)), n, 1, 128, seed=seed
             )
             for k in range(1, 11):
                 p = exact.mass_at(k)
@@ -410,7 +409,7 @@ class TestReplicaEstimator:
     def test_mark_overflow_bucket(self):
         # P(a > 2 + 10^4 | a >= 2) is about 3.5e-4 under the Gauss measure
         got = estimate_first_passage(
-            GAUSS, TargetScan.digit_threshold(2), 100_000, 1, 64, seed=9
+            GAUSS, TargetScan(threshold=2), 100_000, 1, 64, seed=9
         )
         cap = 2 + DEFAULT_MARK_CAP_EXCESS
         assert got.meta["mark_cap"] == cap
@@ -422,7 +421,7 @@ class TestReplicaEstimator:
         # single-symbol word in an i.i.d. stream: (tau1, tau2) factorizes
         n = 150_000
         got = estimate_first_passage(
-            DOUBLING, TargetScan.word_pattern((1,)), n, 2, 128, seed=21
+            DOUBLING, TargetScan(word=(1,)), n, 2, 128, seed=21
         )
         cells, probs = [], []
         for k1 in range(1, 7):
@@ -440,7 +439,7 @@ class TestReplicaEstimator:
         n = 200_000
         l = 50
         got = estimate_first_passage(
-            GAUSS, TargetScan.digit_threshold(l), n, 1, 512, seed=22
+            GAUSS, TargetScan(threshold=l), n, 1, 512, seed=22
         )
         n_hits = got.counts.sum()
         mu_l = threshold_cell_measure(l)
@@ -475,7 +474,7 @@ class TestReadAheadLifecycle:
 
     @pytest.mark.parametrize("k", [1, 2, 9])
     def test_replica_chunk_error(self, sampler_path, k):
-        target = TargetScan.digit_threshold(5)
+        target = TargetScan(threshold=5)
         kw = dict(n_replicas=2**14, d=1, max_steps=64, seed=9)
         want = estimate_first_passage(GAUSS, target, **kw)
         before = threading.enumerate()
@@ -490,7 +489,7 @@ class TestReadAheadLifecycle:
         # four chunk threads, each with its helper, switching as often as the
         # interpreter allows: a draw taken out of turn would move the counts
         monkeypatch.setattr(branch_systems, "_spare_cpu", lambda: True)
-        target = TargetScan.word_pattern((1, 1))
+        target = TargetScan(word=(1, 1))
         kw = dict(n_replicas=4 * 2**13, d=1, max_steps=64, seed=12, chunk_size=2**13)
         want = estimate_first_passage(DOUBLING, target, **kw)
         interval = sys.getswitchinterval()
@@ -517,14 +516,14 @@ class TestReadAheadLifecycle:
 class TestErgodicEstimator:
     def test_mean_gap_kac_doubling_word0(self):
         stream = generate_stream(DOUBLING, seed=10, n=200_000)
-        est = estimate_return_law_ergodic(stream, TargetScan.word_pattern((0,)),
+        est = estimate_return_law_ergodic(stream, TargetScan(word=(0,)),
                                           min_hits=1000)
         assert abs(est.mean_gap - 2.0) <= 2.576 * est.mean_gap_se
         assert est.mean_gap == pytest.approx(2.0, rel=0.02)
 
     def test_mean_gap_kac_gauss_threshold(self):
         stream = generate_stream(GAUSS, seed=11, n=400_000)
-        est = estimate_return_law_ergodic(stream, TargetScan.digit_threshold(50),
+        est = estimate_return_law_ergodic(stream, TargetScan(threshold=50),
                                           min_hits=1000)
         want = 1.0 / threshold_cell_measure(50)
         assert est.mean_gap == pytest.approx(want, rel=0.05)
@@ -532,7 +531,7 @@ class TestErgodicEstimator:
     def test_insufficient_hits_error(self):
         stream = generate_stream(GAUSS, seed=12, n=2000)
         with pytest.raises(InsufficientDataError):
-            estimate_return_law_ergodic(stream, TargetScan.digit_threshold(50))
+            estimate_return_law_ergodic(stream, TargetScan(threshold=50))
 
     def test_one_hit_raises_before_any_mean(self):
         # one hit leaves no gap; the empty mean would warn, and under the
@@ -540,11 +539,11 @@ class TestErgodicEstimator:
         digits = np.ones(1000, dtype=np.int64)
         digits[500] = 60
         with pytest.raises(InsufficientDataError):
-            estimate_return_law_ergodic(digits, TargetScan.digit_threshold(50), min_hits=1)
+            estimate_return_law_ergodic(digits, TargetScan(threshold=50), min_hits=1)
 
     def test_gap_histogram_matches_exact_return_law(self):
         stream = generate_stream(DOUBLING, seed=13, n=400_000)
-        est = estimate_return_law_ergodic(stream, TargetScan.word_pattern((1, 1)),
+        est = estimate_return_law_ergodic(stream, TargetScan(word=(1, 1)),
                                           min_hits=1000)
         exact = return_pmf(FAIR, PatternTarget(word=(1, 1)), 40)
         n = est.pmf.n_total
@@ -560,10 +559,10 @@ class TestErgodicEstimator:
         # second replica gap tau^(2) has the return law for word targets
         n = 150_000
         rep = estimate_first_passage(
-            DOUBLING, TargetScan.word_pattern((1, 1)), n, 2, 256, seed=14
+            DOUBLING, TargetScan(word=(1, 1)), n, 2, 256, seed=14
         )
         stream = generate_stream(DOUBLING, seed=15, n=300_000)
-        erg = estimate_return_law_ergodic(stream, TargetScan.word_pattern((1, 1)),
+        erg = estimate_return_law_ergodic(stream, TargetScan(word=(1, 1)),
                                           min_hits=1000)
         for k in (1, 3, 4, 6):
             rep_count = rep.counts[rep.keys[:, 1] == k].sum()
@@ -619,12 +618,12 @@ class TestCountTable:
     @pytest.mark.parametrize(
         "system,target,d",
         [
-            (GAUSS, TargetScan.digit_threshold(20), 2),
-            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 2),
-            (GAUSS, TargetScan.digit_threshold(20), 1),
-            (GAUSS, TargetScan.digit_threshold(20), 3),
-            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 1),
-            (DOUBLING, TargetScan.word_pattern((1, 0, 1)), 3),
+            (GAUSS, TargetScan(threshold=20), 2),
+            (DOUBLING, TargetScan(word=(1, 0, 1)), 2),
+            (GAUSS, TargetScan(threshold=20), 1),
+            (GAUSS, TargetScan(threshold=20), 3),
+            (DOUBLING, TargetScan(word=(1, 0, 1)), 1),
+            (DOUBLING, TargetScan(word=(1, 0, 1)), 3),
         ],
         ids=["gauss-a20", "doubling-101", "gauss-a20-d1", "gauss-a20-d3", "doubling-101-d1",
              "doubling-101-d3"],
@@ -703,9 +702,9 @@ class TestReportsAndStats:
             lambda: llt_report(_pmf({(1,): 3}, 4), [((1.5,), 0.5)]),
             lambda: llt_report(_pmf({(1,): 3}, 4), [((1, -2), 0.5)]),
             lambda: TargetScan(threshold=2.5),
-            lambda: CFPrediction(threshold=50, gaps=(1,), marks=(53.5,), prime_variant=True),
-            lambda: CFPrediction(threshold=50, gaps=(1.5,), marks=(53,)),
-            lambda: CFPrediction(threshold=50.5, gaps=(1,), marks=(53,)),
+            lambda: cf_joint_asymptote(threshold=50, gaps=(1,), marks=(53.5,), prime_variant=True),
+            lambda: cf_joint_asymptote(threshold=50, gaps=(1.5,), marks=(53,)),
+            lambda: cf_joint_asymptote(threshold=50.5, gaps=(1,), marks=(53,)),
         ],
         ids=["report-cell", "report-cell-below-overflow", "scan-threshold",
              "cf-prime-mark", "cf-gap", "cf-threshold"],
@@ -718,7 +717,7 @@ class TestReportsAndStats:
         "call",
         [
             lambda flag: TargetScan(threshold=5, prime_variant=flag),
-            lambda flag: cf_joint_asymptote(CFPrediction(5, (3,), (7,), flag)),
+            lambda flag: cf_joint_asymptote(5, (3,), (7,), flag),
             lambda flag: cf_rare_set_measure(5, flag),
             lambda flag: consecutive_asymptote(0.5, 0.25, [2], hitting_start=flag),
             lambda flag: consecutive_joint_pmf(FAIR, PatternTarget(word=(1, 1)), [2, 3], flag),
@@ -791,7 +790,7 @@ class TestPrunedDemo:
     def test_structural_zero_and_consistency(self):
         s1 = generate_stream(DOUBLING, seed=18, n=400_000, substream=0)
         s2 = generate_stream(DOUBLING, seed=18, n=400_000, substream=1)
-        target = TargetScan.word_pattern((1, 1))
+        target = TargetScan(word=(1, 1))
         g1 = np.diff(scan_hits(s1, target)[0])
         g2 = np.diff(scan_hits(s2, target)[0])
         demo = demo_pruned_return(g1, g2, k_prune=3)
@@ -835,7 +834,7 @@ class TestPrunedDemo:
     def test_gauss_threshold_prune(self):
         s1 = generate_stream(GAUSS, seed=19, n=300_000, substream=0)
         s2 = generate_stream(GAUSS, seed=19, n=300_000, substream=1)
-        target = TargetScan.digit_threshold(20)
+        target = TargetScan(threshold=20)
         g1 = np.diff(scan_hits(s1, target)[0])
         g2 = np.diff(scan_hits(s2, target)[0])
         demo = demo_pruned_return(g1, g2, k_prune=10)
@@ -843,7 +842,7 @@ class TestPrunedDemo:
         assert abs(demo.discrepancy_z) < 4.0
 
 
-_WORD11 = TargetScan.word_pattern((1, 1))
+_WORD11 = TargetScan(word=(1, 1))
 _GAPS = np.array([2, 5, 3, 7, 4, 3, 2, 6])
 _MC_SIZE_CALLS = {
     "n_replicas": lambda v: estimate_first_passage(DOUBLING, _WORD11, v, 1, 8, seed=3),
@@ -853,6 +852,8 @@ _MC_SIZE_CALLS = {
     "workers": lambda v: estimate_first_passage(DOUBLING, _WORD11, 10, 1, 8, 3, workers=v),
     "batch_count": lambda v: batch_means_se(np.arange(100.0), v),
     "k_prune": lambda v: demo_pruned_return(_GAPS, _GAPS, v),
+    "generate_stream": lambda v: generate_stream(DOUBLING, seed=3, n=v).digits.tolist(),
+    "min_hits": lambda v: estimate_return_law_ergodic(np.tile([1, 1, 0], 200), _WORD11, v).n_hits,
 }
 
 

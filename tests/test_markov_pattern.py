@@ -563,6 +563,15 @@ class TestPMFInvariants:
         with pytest.raises(NumericalDriftError):
             ExactPMF(1, values, 0.0).total()
 
+    @pytest.mark.parametrize(
+        "masses,shape", [(np.array([[0.25, 0.5]]), r"\(1, 2\)"), (np.float64(0.5), r"\(\)")],
+        ids=["2-D", "0-d"],
+    )
+    def test_masses_that_are_not_1d_refused(self, masses, shape):
+        # a 2-D array used to reach the memoryview's NotImplementedError, a 0-d one a TypeError
+        with pytest.raises(ValidationError, match=f"masses must be 1-D, got shape {shape}"):
+            ExactPMF(1, masses, 0.25)
+
     def test_exact_sum_refuses_opposite_infinities(self):
         # fsum's own ValueError for inf - inf becomes a NumericalDriftError
         with pytest.raises(NumericalDriftError, match="cannot sum"):

@@ -83,3 +83,11 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []
     assert len(primes_up_to(10**6)) == 78498
+
+
+def test_primes_up_to_refuses_fractions_and_accepts_integral_floats():
+    for bad in (2.5, "10", float("inf"), True):
+        with pytest.raises(ValidationError, match="integer bound"):
+            primes_up_to(bad)
+    assert primes_up_to(10.0) == primes_up_to(10) == [2, 3, 5, 7]
+    assert primes_up_to(1.0) == primes_up_to(-3) == []

@@ -9,7 +9,6 @@ from scipy import integrate
 from hittimes.errors import ValidationError
 from hittimes.estimators import wilson_interval
 from hittimes.theory import (
-    CFPrediction,
     LN2,
     cf_joint_asymptote,
     cf_rare_set_measure,
@@ -118,36 +117,35 @@ class TestConsecutiveAsymptote:
         assert joint == pytest.approx(expected, rel=1e-9)
 
 
-class TestCFPredictions:
+class TestCFJointAsymptote:
     def test_reference_cell(self):
-        pred = CFPrediction(threshold=50, gaps=(35,), marks=(60,))
-        got = cf_joint_asymptote(pred)
+        got = cf_joint_asymptote(threshold=50, gaps=(35,), marks=(60,))
         # independent termwise evaluation
         want = math.exp(-35.0 / (50.0 * LN2)) / (60.0**2 * LN2)
         assert got == pytest.approx(want, rel=1e-14)
         assert got == pytest.approx(1.460e-4, rel=2e-3)
 
     def test_two_cell_product(self):
-        pred = CFPrediction(threshold=100, gaps=(70, 70), marks=(100, 100))
+        pred = cf_joint_asymptote(threshold=100, gaps=(70, 70), marks=(100, 100))
         factor = math.exp(-70.0 / (100.0 * LN2)) / (100.0**2 * LN2)
-        assert cf_joint_asymptote(pred) == pytest.approx(factor**2, rel=1e-13)
+        assert pred == pytest.approx(factor**2, rel=1e-13)
         # frozen from the termwise oracle: factor = 5.2551e-5
-        assert cf_joint_asymptote(pred) == pytest.approx(2.7617e-9, rel=2e-4)
+        assert pred == pytest.approx(2.7617e-9, rel=2e-4)
 
     def test_gap_must_be_positive(self):
         with pytest.raises(ValidationError):
-            CFPrediction(threshold=50, gaps=(0,), marks=(60,))
+            cf_joint_asymptote(threshold=50, gaps=(0,), marks=(60,))
 
     def test_marks_below_threshold_rejected(self):
         with pytest.raises(ValidationError):
-            CFPrediction(threshold=50, gaps=(10,), marks=(49,))
+            cf_joint_asymptote(threshold=50, gaps=(10,), marks=(49,))
 
     def test_prime_variant_requires_prime_marks(self):
         with pytest.raises(ValidationError):
-            CFPrediction(threshold=50, gaps=(10,), marks=(60,), prime_variant=True)
-        pred = CFPrediction(threshold=50, gaps=(10,), marks=(61,), prime_variant=True)
+            cf_joint_asymptote(threshold=50, gaps=(10,), marks=(60,), prime_variant=True)
+        pred = cf_joint_asymptote(threshold=50, gaps=(10,), marks=(61,), prime_variant=True)
         want = math.exp(-10.0 / (50.0 * math.log(50.0) * LN2)) / (61.0**2 * LN2)
-        assert cf_joint_asymptote(pred) == pytest.approx(want, rel=1e-14)
+        assert pred == pytest.approx(want, rel=1e-14)
 
     def test_rare_set_measure(self):
         assert cf_rare_set_measure(50) == pytest.approx(1.0 / (50 * LN2), rel=1e-15)

@@ -125,7 +125,7 @@ def test_replica_run_reading_ahead_keeps_spans_nested(tracing, monkeypatch):
     tracer.install()
     try:
         pmf = estimators.estimate_first_passage(
-            branch_systems.GAUSS, estimators.TargetScan.digit_threshold(5), 2**14, 1, 512, seed=3)
+            branch_systems.GAUSS, estimators.TargetScan(threshold=5), 2**14, 1, 512, seed=3)
     finally:
         tracer.uninstall()
     assert len(helpers) == 1  # the chunk's uniforms were drawn ahead
