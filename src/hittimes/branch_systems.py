@@ -74,15 +74,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SamplingError, ValidationError, _int_tuple, _is_integral
+from .errors import BudgetExceededError, SamplingError, ValidationError
+from .errors import _int_array, _int_tuple, _is_integral
 
 __all__ = [
     "BranchSystem",
     "DigitStream",
     "GAUSS",
     "DOUBLING",
-    "doubling_branch_sample",
-    "gauss_branch_sample",
     "generate_stream",
     "make_rng",
     "system_by_name",
@@ -228,33 +227,15 @@ def _draw_orders(rng: np.random.Generator, orders, drawn) -> None:
 # ---------------------------------------------------------------------------
 
 
-def gauss_branch_sample(y: float, u: float) -> tuple[int, float]:
-    """Closed-form backward step: digit k and preimage 1/(k+y).
-
-    k is the smallest K with C_K(y) >= u, which solves to
-    k = max(1, ceil((1+y)/(1-u) - 1 - y)). The scalar reference that
-    ``GAUSS.branch_array`` is held to bit for bit. y may be 1.0, since a
-    preimage can round to it.
-    """
-    if not (0.0 <= y <= 1.0):
-        raise ValidationError(f"y must lie in [0, 1], got {y}")
-    if not (0.0 <= u < 1.0):
-        raise ValidationError(f"u must lie in [0, 1), got {u}")
-    raw = (1.0 + y) / (1.0 - u) - 1.0 - y
-    k = max(1, math.ceil(raw))
-    if k > DIGIT_CAP:
-        raise SamplingError(f"digit {k} above cap 2**62; refusing to wrap")
-    return k, 1.0 / (k + y)
-
-
 def _gauss_stationary_array(u: np.ndarray) -> np.ndarray:
     # inverse CDF of the Gauss law: the CDF is log2(1+x), so x = 2^u - 1
     return np.exp2(u) - 1.0
 
 
 def _gauss_branch_array(y: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
-    # gauss_branch_sample's operation order, so digits and preimages are
-    # bit-identical to it: k = max(ceil((1+y)/(1-u) - 1 - y), 1), y = 1/(k+y)
+    # the operation order of the scalar Gauss step in tests/oracles.py
+    # (`SCALAR_STEP`), so digits and preimages are bit-identical to it:
+    # k = max(ceil((1+y)/(1-u) - 1 - y), 1), y = 1/(k+y)
     np.subtract(1.0, u, out=u)
     np.add(1.0, y, out=k)
     k /= u
@@ -271,20 +252,6 @@ def _gauss_branch_array(y: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Doubling map
 # ---------------------------------------------------------------------------
-
-
-def doubling_branch_sample(y: float, u: float) -> tuple[int, float]:
-    """Backward step of the doubling map: fair bit, preimage (y+bit)/2.
-
-    The scalar reference that ``DOUBLING.branch_array`` is held to bit for
-    bit. y may be 1.0, since a preimage can round to it.
-    """
-    if not (0.0 <= y <= 1.0):
-        raise ValidationError(f"y must lie in [0, 1], got {y}")
-    if not (0.0 <= u < 1.0):
-        raise ValidationError(f"u must lie in [0, 1), got {u}")
-    bit = 1 if u >= 0.5 else 0
-    return bit, (y + bit) / 2.0
 
 
 def _doubling_stationary_array(u: np.ndarray) -> np.ndarray:
@@ -348,6 +315,9 @@ def system_by_name(name: str) -> BranchSystem:
 class DigitStream:
     """A stationary forward digit sequence a_1..a_N, as read-only int64 ``digits``.
 
+    ``digits`` go through `errors._int_array` in the int64 range; an int64
+    array, such as `generate_stream` hands over, is kept unscanned.
+
     ``anchor_point`` is the orbit point whose digits the stream holds (the
     final point of the backward chain); successive forward points satisfy
     y_prev = v_digit(y_next) exactly, which tests verify to one ulp.
@@ -357,7 +327,7 @@ class DigitStream:
     anchor_point: float
 
     def __post_init__(self) -> None:
-        d = _digit_array(self.digits, "digits")
+        d = _int_array(self.digits, "digits", -(2**63))
         a = self.anchor_point
         if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0.0 <= a <= 1.0:
             raise ValidationError(f"anchor point must be a finite number in [0, 1], got {a!r}")
@@ -375,32 +345,6 @@ class DigitStream:
         """Write the digits as newline-delimited decimal text."""
         with open(path, "w", encoding="ascii") as handle:
             handle.write("".join(f"{d}\n" for d in self.digits.tolist()))
-
-
-def _digit_array(values, what: str) -> np.ndarray:
-    """``values`` as a 1-D int64 array, the array itself when it is one.
-    Anything else that is not one axis of integral numbers in the int64
-    range is refused, naming ``what``, rather than cast, which would
-    truncate 1.5 to 1 and read True as 1."""
-    d = np.asarray(values)
-    if d.ndim != 1:
-        raise ValidationError(f"{what} must be one-dimensional, got shape {d.shape}")
-    if not isinstance(values, np.ndarray):
-        # asarray reads [2, True] as int64, so look at the elements themselves
-        flag = next((v for v in values if isinstance(v, (bool, np.bool_))), None)
-        if flag is not None:
-            raise ValidationError(f"{what} must be integers in the int64 range, got {flag!r}")
-    if d.dtype == np.int64:
-        return d
-    if d.dtype.kind == "f":
-        bad = ~(np.isfinite(d) & (np.trunc(d) == d) & (np.abs(d) < 2.0**63))
-    elif d.dtype.kind in "iu":
-        bad = d > np.iinfo(np.int64).max
-    else:
-        bad = np.ones(d.shape, dtype=bool)
-    if bad.any():
-        raise ValidationError(f"{what} must be integers in the int64 range, got {d[bad].tolist()[0]!r}")
-    return d.astype(np.int64)
 
 
 def _run_lanes(system: BranchSystem, y: float, u: np.ndarray, out: np.ndarray) -> float:
@@ -477,11 +421,15 @@ def generate_stream(
     give, and each chunk runs in lanes (`_run_lanes`): a lane starts from a fixed point, and while
     its start is not bitwise the end of the lane before it, it reruns from
     that end until it rejoins its last run. Digits and anchor point are those
-    of n steps of the scalar reference ``gauss_branch_sample`` or
-    ``doubling_branch_sample``.
+    of n steps of the scalar reference steps in tests/oracles.py
+    (``SCALAR_STEP``). A length whose digits cannot be allocated raises
+    `BudgetExceededError` before any uniform is drawn.
     """
     (n,) = _int_tuple((n,), "stream length", 1)
-    digits = np.empty(n, dtype=np.int64)
+    try:
+        digits = np.empty(n, dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise BudgetExceededError(f"a stream of {n} digits does not fit in memory") from None
     with _Uniforms(seed, substream, n + 1) as uniforms:
         y = float(system.stationary_array(uniforms.take(1))[0])
         for hi in range(n, 0, -DEFAULT_BLOCK):

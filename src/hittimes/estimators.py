@@ -58,8 +58,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .branch_systems import BranchSystem, DigitStream, _digit_array, _Uniforms
-from .errors import InsufficientDataError, ValidationError, _flag, _int_tuple
+from .branch_systems import BranchSystem, DigitStream, _Uniforms
+from .errors import InsufficientDataError, ValidationError, _flag, _int_array, _int_tuple
 from .markov_pattern.automaton import PatternTarget, build_automaton
 from .primes import is_prime, primes_up_to
 
@@ -132,9 +132,11 @@ def scan_hits(
     """1-based positions where the target occurs, with the digit values there.
 
     For word targets the positions are occurrence starts (overlaps counted)
-    and the value reported is the digit at the start.
+    and the value reported is the digit at the start. Digits not in a
+    `DigitStream` go through `errors._int_array` in the int64 range.
     """
-    digits = stream.digits if isinstance(stream, DigitStream) else _digit_array(stream, "digits")
+    digits = (stream.digits if isinstance(stream, DigitStream)
+              else _int_array(stream, "digits", -(2**63)))
     if target.threshold is not None:
         mask = digits >= target.threshold
         if target.prime_variant and mask.any():
@@ -403,7 +405,7 @@ def estimate_first_passage(
     """
     n_replicas, d, max_steps, chunk_size, workers = _int_tuple(
         (n_replicas, d, max_steps, chunk_size, workers),
-        "n_replicas, d, max_steps, chunk_size and workers", 1,
+        "n_replicas, d, max_steps, chunk_size and workers", 1, 2**63,
     )
     if target.word is not None and max_steps < len(target.word):
         raise ValidationError("max_steps shorter than the target word")
@@ -412,21 +414,20 @@ def estimate_first_passage(
         alpha = max(2, max(target.word) + 1)
         table = build_automaton(PatternTarget(word=target.word), alpha + 1)
     mark_cap = (target.threshold or 0) + DEFAULT_MARK_CAP_EXCESS
-    sizes = [chunk_size] * (n_replicas // chunk_size)
-    if n_replicas % chunk_size:
-        sizes.append(n_replicas % chunk_size)
+    n_chunks = -(-n_replicas // chunk_size)
 
     def run(i: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+        size = min(chunk_size, n_replicas - i * chunk_size)
         rows, censored, steps = _replica_rows(
-            system, target, table, sizes[i], d, max_steps, seed, i, mark_cap
+            system, target, table, size, d, max_steps, seed, i, mark_cap
         )
         return (*sum_by_row(rows), censored, steps)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(len(sizes))))
+            results = list(pool.map(run, range(n_chunks)))
     else:
-        results = [run(i) for i in range(len(sizes))]
+        results = [run(i) for i in range(n_chunks)]
     keys, counts, censored, steps_run = results[0]
     if len(results) > 1:
         parts = list(zip(*results))
@@ -614,11 +615,12 @@ def demo_pruned_return(
     independent stream) provides the comparison value 1 - mu_A(phi = k_prune),
     so agreement is a genuine statistical consistency check rather than an
     arithmetic identity. Error bars are batch means over `DEFAULT_BATCH_COUNT`
-    batches, fewer when a stream holds under twice that many gaps.
+    batches, fewer when a stream holds under twice that many gaps. Gaps go
+    through `errors._int_array` as integers >= 1.
     """
     (k_prune,) = _int_tuple((k_prune,), "k_prune", 1)
-    gaps = _digit_array(scan_gaps, "gaps")
-    ref = _digit_array(reference_gaps, "gaps")
+    gaps = _int_array(scan_gaps, "gaps", 1)
+    ref = _int_array(reference_gaps, "gaps", 1)
     if gaps.size < 2 or ref.size < 2:
         raise InsufficientDataError("need at least two gaps in each stream")
     keep = gaps != k_prune

@@ -75,6 +75,7 @@ from ..errors import (
     ProbabilityUnderflowError,
     ValidationError,
     _flag,
+    _int_array,
     _int_tuple,
 )
 from .automaton import PatternTarget, build_automaton
@@ -308,7 +309,8 @@ def _settled_direction(
 def masses_at(
     source: MarkovSource, target: PatternTarget, initial: str, ks: np.ndarray | Sequence[int]
 ) -> np.ndarray:
-    """The masses of `hitting_pmf`'s law at the increasing integer times ``ks`` >= 1.
+    """The masses of `hitting_pmf`'s law at the increasing times ``ks`` >= 1,
+    read by `errors._int_array`: integral floats and unsigned arrays are taken.
 
     Times before the crossover are read from `hitting_pmf`'s series, run to
     the last of them; times from it on are (u.q) lambda^(k - crossover) in
@@ -323,13 +325,9 @@ def masses_at(
     series from its first positive mass below 1e-300 on; a zero before is
     structural.
     """
-    ks = np.asarray(ks)
-    if not (ks.dtype.kind == "i" and ks.ndim == 1 and ks.size and ks[0] >= 1
-            and np.all(ks[1:] > ks[:-1])):
-        raise ValidationError(
-            f"ks must be a nonempty increasing array of signed integer times >= 1, got {ks!r}"
-        )
-    ks = ks.astype(np.int64, copy=False)
+    ks = _int_array(ks, "ks", 1)
+    if not (ks.size and np.all(ks[1:] > ks[:-1])):
+        raise ValidationError(f"ks must be a nonempty increasing array of times, got {ks!r}")
     chain, v, lead = _start(source, target, initial)
     k0, horizon = 4 * target.length + 64, int(ks[-1]) + lead
     settled = None
@@ -593,37 +591,6 @@ def _drop_oldest(v: np.ndarray, s: int) -> np.ndarray:
     return marginal
 
 
-def _word_rows(words, s: int) -> np.ndarray:
-    """The words of a block target as an (n, rank) int64 array of symbols in [0, s).
-
-    ``words`` is a sequence of equal-length words or a 2-D array with one
-    word per row; an array of another dimension is refused as words of
-    unequal length. A nonempty integer array is range-checked with one min
-    and one max. Anything else (lists, other dtypes, an array that fails
-    that check) goes symbol by symbol as a list, so bools and fractions are
-    refused alike and a refusal names the first offending word, not the
-    whole set.
-    """
-    if isinstance(words, np.ndarray):
-        if words.ndim != 2:
-            raise ValidationError("all words in a block target must have equal length")
-        if words.size and words.dtype.kind in "iu" and words.min() >= 0 and words.max() < s:
-            return words.astype(np.int64, copy=False)
-        words = words.tolist()
-    if not words:
-        raise ValidationError("word set must be nonempty")
-    rank = len(words[0])
-    if any(len(w) != rank for w in words):
-        raise ValidationError("all words in a block target must have equal length")
-    try:
-        symbols = _int_tuple(itertools.chain.from_iterable(words), "word symbols", 0, s)
-    except ValidationError:
-        for w in words:
-            _int_tuple(w, "word symbols", 0, s)
-        raise
-    return np.array(symbols, dtype=np.int64).reshape(len(words), rank)
-
-
 def _transition_absorption(
     lower: BlockChain, target: np.ndarray, marginal: np.ndarray, phantom: int, k_max: int
 ) -> np.ndarray:
@@ -679,8 +646,8 @@ def _block_pmf(
     """Hitting or return law of a union of equal-rank cylinders.
 
     Returns (pmf, target measure). ``words`` is a sequence of equal-length
-    words or a 2-D integer array with one word per row (`_word_rows`).
-    ``from_inside`` starts from the
+    words or a 2-D array with one word per row, whose symbols in [0, S) are
+    read by `errors._int_array`. ``from_inside`` starts from the
     stationary law conditioned on the target (return law); otherwise from
     the stationary law with the first rank-1 steps run unrestricted, because
     matches there would correspond to occurrence starts <= 0.
@@ -700,7 +667,12 @@ def _block_pmf(
     """
     (k_max,) = _int_tuple((k_max,), "k_max", 1)
     s = source.alphabet_size
-    rows = _word_rows(words, s)
+    words = words if isinstance(words, np.ndarray) else np.asarray(words, dtype=object)
+    if words.shape[:1] == (0,):
+        raise ValidationError("word set must be nonempty")
+    if words.ndim != 2:  # as words of unequal length read
+        raise ValidationError("all words in a block target must have equal length")
+    rows = _int_array(words, "word symbols", 0, s, ndim=2)
     rank = rows.shape[1]
     _int_tuple((rank,), "rank", 1)  # words of length 0, refused as `BlockChain` refuses rank 0
     _require_budget((k_max + rank) * _block_states(s, rank) * s)
@@ -755,5 +727,6 @@ def block_set_return_pmf(
     source: MarkovSource, words: Sequence[Sequence[int]] | np.ndarray, k_max: int
 ) -> tuple[ExactPMF, float]:
     """Return law and measure of a union of equal-rank cylinders, given as
-    equal-length words or as a 2-D integer array with one word per row."""
+    equal-length words or as a 2-D array with one word per row. Symbols are
+    read by `errors._int_array`: integral floats and unsigned arrays are taken."""
     return _block_pmf(source, words, k_max, from_inside=True)

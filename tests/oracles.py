@@ -29,8 +29,10 @@ dicts added key by key, so that the array sum and merge can be held to them;
 `pmf_dict` reads an `EmpiricalPMF` back as such a dict.
 `scalar_stream` keeps `generate_stream`'s original loop, one scalar backward
 step per digit (`scalar_steps`, which looks the step up by system name), so
-that the lane-parallel stream can be held to it bit for bit; `rotation_step`
-is the step of a test system that does not contract.
+that the lane-parallel stream can be held to it bit for bit. The steps are
+`gauss_branch_sample` and `doubling_branch_sample`, the scalar references
+that each system's ``branch_array`` is held to bit for bit, and
+`rotation_step`, the step of a test system that does not contract.
 `dict_product_kernel` keeps `ProductChain`'s original kernel, built pair by
 pair through a (state, symbol) dict, and `scalar_first_match` the original
 one-symbol-at-a-time walk of the occurrence automaton, so that the chain's
@@ -61,13 +63,8 @@ import mpmath
 import numpy as np
 from scipy import stats
 
-from hittimes.branch_systems import (
-    DigitStream,
-    doubling_branch_sample,
-    gauss_branch_sample,
-    make_rng,
-)
-from hittimes.errors import ProbabilityUnderflowError, ValidationError, _int_tuple
+from hittimes.branch_systems import DIGIT_CAP, DigitStream, make_rng
+from hittimes.errors import ProbabilityUnderflowError, SamplingError, ValidationError, _int_tuple
 from hittimes.estimators import (
     DEFAULT_MARK_CAP_EXCESS,
     OVERFLOW_MARK,
@@ -584,6 +581,39 @@ def dict_first_passage(
 def pmf_dict(pmf) -> dict[tuple[int, ...], int]:
     """An `EmpiricalPMF`'s table as a dict of key tuples, in key order."""
     return dict(zip(map(tuple, pmf.keys.tolist()), pmf.counts.tolist()))
+
+
+def gauss_branch_sample(y: float, u: float) -> tuple[int, float]:
+    """Closed-form backward step: digit k and preimage 1/(k+y).
+
+    k is the smallest K with C_K(y) >= u, which solves to
+    k = max(1, ceil((1+y)/(1-u) - 1 - y)). The scalar reference that
+    ``GAUSS.branch_array`` is held to bit for bit. y may be 1.0, since a
+    preimage can round to it.
+    """
+    if not (0.0 <= y <= 1.0):
+        raise ValidationError(f"y must lie in [0, 1], got {y}")
+    if not (0.0 <= u < 1.0):
+        raise ValidationError(f"u must lie in [0, 1), got {u}")
+    raw = (1.0 + y) / (1.0 - u) - 1.0 - y
+    k = max(1, math.ceil(raw))
+    if k > DIGIT_CAP:
+        raise SamplingError(f"digit {k} above cap 2**62; refusing to wrap")
+    return k, 1.0 / (k + y)
+
+
+def doubling_branch_sample(y: float, u: float) -> tuple[int, float]:
+    """Backward step of the doubling map: fair bit, preimage (y+bit)/2.
+
+    The scalar reference that ``DOUBLING.branch_array`` is held to bit for
+    bit. y may be 1.0, since a preimage can round to it.
+    """
+    if not (0.0 <= y <= 1.0):
+        raise ValidationError(f"y must lie in [0, 1], got {y}")
+    if not (0.0 <= u < 1.0):
+        raise ValidationError(f"u must lie in [0, 1), got {u}")
+    bit = 1 if u >= 0.5 else 0
+    return bit, (y + bit) / 2.0
 
 
 def rotation_step(y: float, u: float) -> tuple[int, float]:

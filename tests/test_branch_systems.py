@@ -26,15 +26,21 @@ from hittimes.branch_systems import (
     DigitStream,
     _run_lanes,
     _Uniforms,
-    doubling_branch_sample,
-    gauss_branch_sample,
     generate_stream,
     make_rng,
     system_by_name,
 )
-from hittimes.errors import SamplingError, ValidationError
+from hittimes.errors import BudgetExceededError, SamplingError, ValidationError
 from hittimes.theory import gauss_digit_cell_measure, threshold_cell_measure
-from oracles import SCALAR_STEP, gauss_branch_cum, gauss_branch_prob, scalar_stream, scalar_steps
+from oracles import (
+    SCALAR_STEP,
+    doubling_branch_sample,
+    gauss_branch_cum,
+    gauss_branch_prob,
+    gauss_branch_sample,
+    scalar_stream,
+    scalar_steps,
+)
 
 LN2 = math.log(2.0)
 
@@ -213,6 +219,11 @@ class TestStreams:
         assert a.anchor_point == b.anchor_point
         c = generate_stream(GAUSS, seed=13, n=5000)
         assert not np.array_equal(a.digits, c.digits)
+
+    def test_length_that_cannot_be_held_raises_budget_error(self):
+        # numpy's ValueError from allocating the digits was the old answer
+        with pytest.raises(BudgetExceededError, match="10{20} digits"):
+            generate_stream(DOUBLING, seed=1, n=10**20)
 
     def test_substreams_differ(self):
         a = generate_stream(GAUSS, seed=12, n=5000, substream=0)

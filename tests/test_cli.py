@@ -679,6 +679,17 @@ class TestMainEntry:
         assert record["error"] == "ProbabilityUnderflowError"
         assert "traceback" not in record
 
+    def test_stream_too_long_to_hold_exits_1_without_traceback(self, tmp_path, capsys):
+        # numpy's ValueError from allocating the digits used to escape as an
+        # unexpected exception, with a traceback record
+        cfg = {"kind": "simulate-cf", "mode": "ergodic", "target": {"threshold": 10},
+               "n_digits": 10**20, "min_hits": 10, "seed": 2, "out": str(tmp_path / "r")}
+        path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "BudgetExceededError"
+        assert "traceback" not in record
+
     def test_exact_table_at_length_32_runs(self, tmp_path, capsys):
         # fair 0^31 1 reads k up to 2^33, which no series of the state budget reaches
         cfg = dict(EXACT_CFG, targets=[{"word": [0] * 31 + [1]}], out=str(tmp_path / "r"))

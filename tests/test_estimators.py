@@ -806,8 +806,9 @@ class TestPrunedDemo:
         assert demo.b_returns_at_k_prune == 0
 
     @pytest.mark.parametrize(
-        "bad", [[1.5, 2.7, 3.2, 1.1], [[2, 5], [3, 7]], [True, False, True, True], [2, True, 3, 7]],
-        ids=["fractional", "2-D", "bool", "bool-inside"],
+        "bad", [[1.5, 2.7, 3.2, 1.1], [[2, 5], [3, 7]], [True, False, True, True], [2, True, 3, 7],
+                [2, 0, 3, 7], np.array([2, -5, 3, 7])],
+        ids=["fractional", "2-D", "bool", "bool-inside", "zero", "negative-array"],
     )
     def test_malformed_gaps_are_refused_not_truncated(self, bad):
         # [1.5, 2.7, 3.2, 1.1] used to be read as [1, 2, 3, 1], and [2, True, 3, 7]
@@ -820,13 +821,13 @@ class TestPrunedDemo:
     def test_int64_gaps_are_read_in_place(self, monkeypatch):
         passed = []
 
-        def spy(values, what):
-            out = original(values, what)
+        def spy(values, what, lo):
+            out = original(values, what, lo)
             passed.append(out is values)
             return out
 
-        original = estimators._digit_array
-        monkeypatch.setattr(estimators, "_digit_array", spy)
+        original = estimators._int_array
+        monkeypatch.setattr(estimators, "_int_array", spy)
         g = np.array([2, 5, 3, 7, 4], dtype=np.int64)
         demo_pruned_return(g, g[::-1], k_prune=3)
         assert passed == [True, True]
@@ -870,3 +871,10 @@ def test_monte_carlo_sizes_refused(call, size):
 @pytest.mark.parametrize("call", _MC_SIZE_CALLS.values(), ids=_MC_SIZE_CALLS.keys())
 def test_integral_float_monte_carlo_sizes_accepted(call):
     assert call(4.0) == call(4)
+
+
+def test_replica_count_beyond_int64_refused():
+    # the counts are int64; a bare MemoryError from listing the chunk sizes
+    # was the old answer
+    with pytest.raises(ValidationError, match="n_replicas"):
+        estimate_first_passage(DOUBLING, _WORD11, 10**20, 1, 8, seed=1)

@@ -336,6 +336,58 @@ def test_integral_float_sizes_accepted(call):
     assert np.array_equal(call(4.0), call(4))
 
 
+_RET01 = return_pmf(MARKOV2, _WORD01, 16)
+# id -> (the argument's name in a refusal, call, integer argument, its floor)
+_EXACT_SIZE_CALLS = {
+    "k_max": ("k_max", lambda v: hitting_pmf(MARKOV2, _WORD01, "stationary", v).masses.tolist(),
+              6, 1),
+    "masses-at-list": ("ks", lambda v: masses_at(MARKOV2, _WORD01, "stationary", v).tolist(),
+                       [2, 5], 1),
+    "masses-at-array": ("ks", lambda v: masses_at(MARKOV2, _WORD01, "stationary", v).tolist(),
+                        np.array([2, 5]), 1),
+    "gaps": ("gaps", lambda v: consecutive_joint_pmf(MARKOV2, _WORD01, v), [2, 3], 1),
+    "return-excess": ("ks", lambda v: return_excess(MARKOV2, _WORD01, v).tolist(), [0, 3], 0),
+    "j_max": ("j_max", lambda v: [a.tolist() for a in verify_shift_identity_grid(
+        MARKOV2, _WORD01, _RET01, v, 4)], 4, 1),
+    "words": ("word symbols", lambda v: block_set_return_pmf(MARKOV2, v, 8)[0].masses.tolist(),
+              [(0, 1), (1, 1)], 0),
+    "k_prune": ("k_prune", lambda v: counterexample_pruned_target(MARKOV2, _WORD01, v).mu_b,
+                3, 1),
+}
+
+
+def _with_entry(arg, value):
+    """``arg`` with its first entry (``arg`` itself, for a scalar) set to
+    ``value``: a list stays a list, and an array becomes one of value's type."""
+    if np.ndim(arg) == 0:
+        return value
+    entries = np.array(arg, dtype=object)
+    entries.flat[0] = value
+    if isinstance(arg, np.ndarray):
+        return np.array(entries.tolist(), dtype=type(value))
+    return entries.tolist()
+
+
+@pytest.mark.parametrize("name,call,arg,floor", _EXACT_SIZE_CALLS.values(),
+                         ids=_EXACT_SIZE_CALLS.keys())
+def test_integral_exact_arguments_of_any_type_agree(name, call, arg, floor):
+    # masses_at refused float and unsigned times, which every other time argument took
+    want = call(arg)
+    assert call(np.array(arg, dtype=float).tolist()) == want
+    if np.ndim(arg):
+        for dtype in (float, np.uint64):
+            assert call(np.array(arg, dtype=dtype)) == want
+
+
+@pytest.mark.parametrize("bad", ["bool", "fraction", "below-floor"])
+@pytest.mark.parametrize("name,call,arg,floor", _EXACT_SIZE_CALLS.values(),
+                         ids=_EXACT_SIZE_CALLS.keys())
+def test_exact_arguments_refused_by_name(name, call, arg, floor, bad):
+    value = {"bool": True, "fraction": 2.5, "below-floor": floor - 1}[bad]
+    with pytest.raises(ValidationError, match=f"^{name}"):
+        call(_with_entry(arg, value))
+
+
 def test_block_targets_encode_words_in_reading_order():
     # MARKOV3 is not reversible, so a word read backwards is another target
     words = [(0, 1, 2), (0, 0, 2), (1, 2, 2)]
@@ -549,7 +601,7 @@ class TestPMFInvariants:
         assert _closing_tail(1.0, masses[:0]) == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_exact_sum_refuses_what_it_cannot_extract(self, bad):
+    def test_exact_sum_refuses_non_finite_values(self, bad):
         values = np.zeros(8197)
         values[-1] = bad
         with pytest.raises(NumericalDriftError, match="cannot sum"):

@@ -60,8 +60,8 @@ def test_install_wraps_and_uninstall_restores_every_name(tracing):
         assert mp.reports.return_pmf is mp.exact.return_pmf
         assert branch_systems.GAUSS is not gauss and branch_systems.GAUSS.name == "gauss"
         assert ExactPMF.__dict__["total"] is not before["ExactPMF"]["total"]
-        sample = before["modules"]["hittimes.branch_systems"]["gauss_branch_sample"]
-        assert branch_systems.gauss_branch_sample is sample
+        per_element = before["modules"]["hittimes.tables"]["format_value"]
+        assert hittimes.tables.format_value is per_element
         pmf = mp.return_pmf(mp.MarkovSource.iid([0.5, 0.5]), mp.PatternTarget(word=(0, 0, 1)), 50)
         pmf.total()
     finally:
